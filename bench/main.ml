@@ -606,10 +606,9 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 
 (* A method call on an object carrying N active triggers whose alphabets
-   never contain the posted events. Pre-index, every one of the 6 basic
-   events around the call snapshotted and classified all N activations;
-   with the index (Database.set_dispatch_index, the default) none of them
-   is touched. Emits BENCH_dispatch.json for EXPERIMENTS.md. *)
+   never contain the posted events: the dispatch index touches none of
+   them, so the cost stays flat in N. Emits BENCH_dispatch.json for
+   EXPERIMENTS.md. *)
 (* an object of class [hot] carrying [n] armed triggers that can never
    react to the posted events — shared by E9-dispatch and E10-obs *)
 let inert_trigger_db n =
@@ -646,46 +645,32 @@ let inert_trigger_db n =
   | Error `Aborted -> failwith "abort"
 
 let e9_dispatch () =
-  section "E9-dispatch: post throughput vs inert active triggers (index on/off)";
+  section "E9-dispatch: post throughput vs inert active triggers";
   let module D = Ode_odb.Database in
-  let measure ~indexed n =
+  let measure n =
     let db, oid = inert_trigger_db n in
-    D.set_dispatch_index db indexed;
     let tx = D.begin_txn db in
     let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
     (match D.commit db tx with Ok () | Error `Aborted -> ());
     ns
   in
-  let rows =
-    List.map
-      (fun n ->
-        let scan = measure ~indexed:false n in
-        let indexed = measure ~indexed:true n in
-        (n, scan, indexed))
-      [ 1; 10; 100; 1000 ]
-  in
-  pf "%-10s %16s %18s %10s@." "triggers" "scan ns/call" "indexed ns/call" "speedup";
-  List.iter
-    (fun (n, scan, indexed) ->
-      pf "%-10d %16.0f %18.0f %9.1fx@." n scan indexed (scan /. indexed))
-    rows;
-  pf "shape: a call posts 6 basic events; the scan path is O(N) per post,\n\
-      the indexed path touches only triggers whose alphabet can react.@.";
+  let rows = List.map (fun n -> (n, measure n)) [ 1; 10; 100; 1000 ] in
+  pf "%-10s %18s@." "triggers" "indexed ns/call";
+  List.iter (fun (n, indexed) -> pf "%-10d %18.0f@." n indexed) rows;
+  pf "shape: a call posts 6 basic events; the index touches only triggers\n\
+      whose alphabet can react, so the cost is flat in N.@.";
   let oc = open_out "BENCH_dispatch.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E9-dispatch\",\n";
   p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
-  p "  \"description\": \"object with N inert active triggers: brute-force scan \
-     (pre-index posting path) vs per-class dispatch index\",\n";
+  p "  \"description\": \"object with N inert active triggers through the \
+     per-class dispatch index\",\n";
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
   List.iteri
-    (fun i (n, scan, indexed) ->
-      p
-        "    {\"inert_triggers\": %d, \"scan_ns_per_call\": %.0f, \
-         \"indexed_ns_per_call\": %.0f, \"speedup\": %.1f}%s\n"
-        n scan indexed (scan /. indexed)
+    (fun i (n, indexed) ->
+      p "    {\"inert_triggers\": %d, \"indexed_ns_per_call\": %.0f}%s\n" n indexed
         (if i = last then "" else ","))
     rows;
   p "  ]\n";
@@ -775,11 +760,10 @@ let shard_count = 8
 
 let shard_workload () =
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
-  let db = T.make_db ~backend:(St.backend_of (`Sharded shard_count)) () in
+  let db = T.make_db ~shards:shard_count () in
   let b = Sc.define_class "c" in
   let b = Sc.field b "x" (Value.Int 1) in
   let rec add b i =
@@ -867,16 +851,13 @@ let e11_shard () =
   pf "wrote BENCH_shard.json@."
 
 (* ------------------------------------------------------------------ *)
-(* E12-kernel: the compiled posting kernel vs the legacy indexed path   *)
+(* E12-kernel: the compiled posting kernel across domains and skews     *)
 (* ------------------------------------------------------------------ *)
 
 (* The E11-shard schema (256 objects x 4 perpetual never-completing
-   triggers, zero firings) through both posting paths: the legacy
-   indexed path — per-post candidate resolution, closure-driven
-   classification, word-vector stepping — vs the compiled kernel
-   (Database.set_posting_kernel, the default) — per-class candidate
-   rows, packed classification codes, flat-table stepping over the SoA
-   state, per-shard queues and scratch.
+   triggers, zero firings) through the compiled posting kernel —
+   per-class candidate rows, packed classification codes, flat-table
+   stepping over the SoA state, per-shard queues and scratch.
 
    Batches are 4 events/object (wide enough that one pool rendezvous
    amortises over ~1k events), under two skews: [uniform] spreads the
@@ -893,7 +874,7 @@ let e11_shard () =
    instead of reporting oversubscription noise as scaling. Emits
    BENCH_kernel.json. *)
 let e12_kernel () =
-  section "E12-kernel: compiled posting kernel vs legacy indexed path";
+  section "E12-kernel: compiled posting kernel (domains, skew, allocations)";
   let module St = Ode_odb.Store in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
@@ -920,9 +901,8 @@ let e12_kernel () =
           else ping cold.(k mod Array.length cold))
     end
   in
-  let measure ~kernel ~domains ~contended =
+  let measure ~domains ~contended =
     let db, oids = shard_workload () in
-    E.set_posting_kernel db kernel;
     E.set_post_domains db domains;
     let items = build_items ~contended db oids in
     let tx = Tx.begin_txn db in
@@ -948,38 +928,27 @@ let e12_kernel () =
     let effective = min domains (min shard_count cores) in
     (ns /. float_of_int n_events, words, effective)
   in
-  let row path domains contended =
-    let ns, w, eff = measure ~kernel:(path = "kernel") ~domains ~contended in
-    (path, (if contended then "contended" else "uniform"), domains, eff, ns, w)
+  let row domains contended =
+    let ns, w, eff = measure ~domains ~contended in
+    ((if contended then "contended" else "uniform"), domains, eff, ns, w)
   in
   let rows =
-    [
-      row "legacy" 1 false;
-      row "kernel" 1 false;
-      row "kernel" 2 false;
-      row "kernel" 4 false;
-      row "kernel" cores false;
-      row "kernel" 1 true;
-      row "kernel" 4 true;
-    ]
+    [ row 1 false; row 2 false; row 4 false; row cores false; row 1 true; row 4 true ]
   in
-  let base =
-    match rows with (_, _, _, _, ns, _) :: _ -> ns | [] -> assert false
-  in
+  let base = match rows with (_, _, _, ns, _) :: _ -> ns | [] -> assert false in
   pf "objects=%d triggers/object=%d shards=%d cores=%d batch=%d events@."
     n_objects shard_triggers_per_obj shard_count cores n_events;
-  pf "%-8s %-10s %8s %5s %12s %14s %16s %9s@." "path" "workload" "domains"
-    "eff" "ns/event" "events/sec" "minor words/ev" "speedup";
+  pf "%-10s %8s %5s %12s %14s %16s %9s@." "workload" "domains" "eff" "ns/event"
+    "events/sec" "minor words/ev" "speedup";
   List.iter
-    (fun (path, wl, d, eff, ns, w) ->
-      pf "%-8s %-10s %8d %5d %12.0f %14.0f %16.1f %8.2fx@." path wl d eff ns
-        (1e9 /. ns) w (base /. ns))
+    (fun (wl, d, eff, ns, w) ->
+      pf "%-10s %8d %5d %12.0f %14.0f %16.1f %8.2fx@." wl d eff ns (1e9 /. ns) w
+        (base /. ns))
     rows;
-  pf "shape: the kernel removes per-post candidate list building, closure\n\
-      allocation and per-detector cache lookups — the classify/step sweep\n\
-      is a linear pass over int arrays with a constant allocation envelope.\n\
-      Under the contended skew the hot shards' queues serialise on their\n\
-      owning domains; the uniform rows bound the achievable scaling.@.";
+  pf "shape: the classify/step sweep is a linear pass over int arrays with a\n\
+      constant allocation envelope. Under the contended skew the hot shards'\n\
+      queues serialise on their owning domains; the uniform rows bound the\n\
+      achievable scaling.@.";
   let oc = open_out "BENCH_kernel.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -988,8 +957,7 @@ let e12_kernel () =
   p
     "  \"description\": \"E11-shard schema (%d shards, %d objects x %d \
      perpetual never-completing triggers), batches of %d events (%d per \
-     object) through the legacy indexed posting path vs the compiled \
-     kernel; contended rows send 80%% of the batch to the objects of %d of \
+     object) through the compiled kernel; contended rows send 80%% of the batch to the objects of %d of \
      the shards; effective_domains = post_domains clamped to min(shards, \
      cores); minor_words_per_event counts main-domain minor-heap \
      allocation, exact for 1-domain rows\",\n"
@@ -1000,13 +968,13 @@ let e12_kernel () =
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
   List.iteri
-    (fun i (path, wl, d, eff, ns, w) ->
+    (fun i (wl, d, eff, ns, w) ->
       p
-        "    {\"path\": \"%s\", \"workload\": \"%s\", \"domains\": %d, \
+        "    {\"workload\": \"%s\", \"domains\": %d, \
          \"effective_domains\": %d, \"ns_per_event\": %.0f, \
          \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"speedup_vs_legacy_seq\": %.2f}%s\n"
-        path wl d eff ns (1e9 /. ns) w (base /. ns)
+         \"speedup_vs_seq\": %.2f}%s\n"
+        wl d eff ns (1e9 /. ns) w (base /. ns)
         (if i = last then "" else ","))
     rows;
   p "  ]\n";
@@ -1041,7 +1009,7 @@ let smoke () =
     let db =
       D.create_db
         ~config:
-          { D.Config.default with D.Config.backend = `Sharded 4; partitions }
+          { D.Config.default with D.Config.shards = 4; partitions }
         ()
     in
     D.set_post_domains db domains;
@@ -1135,7 +1103,8 @@ let smoke () =
       ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
       dir
   in
-  let wdb = D.create_db ~durability:(`Wal cfg) () in
+  let with_wal cfg = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability = `Wal cfg } () in
+  let wdb = with_wal cfg in
   D.register_class wdb (wal_schema ());
   let base = D.image_bytes wdb in
   let rng = Random.State.make [| 4242 |] in
@@ -1167,7 +1136,7 @@ let smoke () =
     let dir2 = fresh_dir () in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
+    let rdb = with_wal (Wal.config dir2) in
     D.register_class rdb (wal_schema ());
     D.recover rdb;
     let expected = if n = 0 then base else shadows.(n - 1) in
@@ -1238,10 +1207,8 @@ let smoke () =
      (timer_alive rejects them at delivery), so this exercises pure
      queue mechanics — insert, cascade, group pull — at fleet scale. *)
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
-  let tdb = T.make_db ~backend:(St.backend_of `Heap) () in
-  Tw.set_wheel tdb true;
+  let tdb = T.make_db () in
   let trng = Random.State.make [| 9191 |] in
   let (), arm_s =
     time_once (fun () ->
@@ -1323,7 +1290,7 @@ let e14_wal () =
     a.(min (Array.length a - 1) (int_of_float (ceil (p *. float_of_int (Array.length a))) - 1))
   in
   let run ~n ~commits ~durability ~save_every_commit =
-    let db = D.create_db ?durability () in
+    let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability } () in
     D.register_class db (schema ());
     let oids = populate db n in
     let tmp = Filename.temp_file "ode_e14_img" ".img" in
@@ -1355,17 +1322,15 @@ let e14_wal () =
   let configs ~n =
     [
       ( "image-save",
-        (fun () -> run ~n ~commits:(max 20 (200_000 / n)) ~durability:(Some `Image)
+        (fun () -> run ~n ~commits:(max 20 (200_000 / n)) ~durability:`Image
              ~save_every_commit:true) );
       ( "wal-fsync",
         (fun () -> run ~n ~commits:2_000
-             ~durability:(Some (`Wal (Wal.config ~flush_ms:0 ~snapshot_every:0
-                                        (fresh_dir ()))))
+             ~durability:(`Wal (Wal.config ~flush_ms:0 ~snapshot_every:0 (fresh_dir ())))
              ~save_every_commit:false) );
       ( "wal-group-50ms",
         (fun () -> run ~n ~commits:2_000
-             ~durability:(Some (`Wal (Wal.config ~flush_ms:50 ~snapshot_every:0
-                                        (fresh_dir ()))))
+             ~durability:(`Wal (Wal.config ~flush_ms:50 ~snapshot_every:0 (fresh_dir ())))
              ~save_every_commit:false) );
     ]
   in
@@ -1590,7 +1555,7 @@ let e16_partition () =
   let triggers_per_obj = shard_triggers_per_obj in
   let mk partitions =
     let config =
-      { D.Config.default with D.Config.backend = `Sharded shard_count; partitions }
+      { D.Config.default with D.Config.shards = shard_count; partitions }
     in
     let db = D.create_db ~config () in
     let b = D.define_class "c" in
@@ -1688,21 +1653,16 @@ let e16_partition () =
 (* E17-timer: the timing wheel vs the sorted-list queue                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Two costs, on both timer-queue representations. [arm]: marginal
-   insert into a queue already holding n timers (raw [Timewheel]
-   inserts, no engine around them) — O(n) for the sorted list, O(1)
-   amortized for the wheel, so the list's arm count shrinks as n grows
-   to keep the rows affordable. [sweep]: [advance_to] over a fleet of
-   objects with staggered periodic triggers, every delivery re-arming
-   its timer — the re-arm pays the list's O(n) insert again, making a
-   sweep O(k·n) for the list and O(k) for the wheel. The 1M-pending
-   sweep row is wheel-only (the list row would take minutes) and fills
-   the structure with parked timers due beyond the window, so cascade
-   and occupancy costs are real. Emits BENCH_timer.json. *)
+(* Two costs of the timing wheel. [arm]: marginal insert into a queue
+   already holding n timers (raw [Timewheel] inserts, no engine around
+   them) — O(1) amortized at any occupancy. [sweep]: [advance_to] over
+   a fleet of objects with staggered periodic triggers, every delivery
+   re-arming its timer — O(k) for k deliveries. The 1M-pending sweep row
+   fills the structure with parked timers due beyond the window, so
+   cascade and occupancy costs are real. Emits BENCH_timer.json. *)
 let e17_timer () =
-  section "E17-timer: timing wheel vs sorted-list queue (arm / advance sweep)";
+  section "E17-timer: timing wheel (arm / advance sweep)";
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
@@ -1727,9 +1687,8 @@ let e17_timer () =
     | c -> c
   in
   (* marginal arm cost at occupancy n, measured over k fresh inserts *)
-  let arm ~wheel ~n ~k =
-    let db = T.make_db ~backend:(St.backend_of `Heap) () in
-    Tw.set_wheel db wheel;
+  let arm ~n ~k =
+    let db = T.make_db () in
     let rng = Random.State.make [| 1717; n |] in
     Tw.replace db
       (List.sort cmp (List.init n (fun i -> mk_timer i (rand_due rng))));
@@ -1745,9 +1704,8 @@ let e17_timer () =
      then advance [advance_ms], every delivery re-arming its timer.
      [pad] extra timers are parked beyond the window (no live object),
      occupying the structure without ever coming due. *)
-  let sweep ~wheel ~objects ~period ~advance_ms ~pad =
-    let db = T.make_db ~backend:(St.backend_of (`Sharded 8)) () in
-    Tw.set_wheel db wheel;
+  let sweep ~objects ~period ~advance_ms ~pad =
+    let db = T.make_db ~shards:8 () in
     let b = Sc.define_class "node" in
     let b =
       Sc.trigger_str b ~perpetual:true "hb"
@@ -1794,53 +1752,29 @@ let e17_timer () =
     if delivered = 0 then failwith "sweep delivered nothing";
     (pending, delivered, total /. float_of_int delivered)
   in
-  pf "%10s %8s %16s %16s %10s@." "occupancy" "arms" "list ns/arm"
-    "wheel ns/arm" "speedup";
+  pf "%10s %8s %16s@." "occupancy" "arms" "wheel ns/arm";
   let arm_rows =
     List.map
-      (fun (n, k_list) ->
-        let list_ns = arm ~wheel:false ~n ~k:k_list in
-        let wheel_ns = arm ~wheel:true ~n ~k:10_000 in
-        pf "%10d %8d %16.0f %16.1f %9.0fx@." n k_list list_ns wheel_ns
-          (list_ns /. wheel_ns);
-        (n, k_list, list_ns, wheel_ns))
-      [ (10_000, 4_000); (100_000, 1_000); (1_000_000, 300) ]
+      (fun n ->
+        let ns = arm ~n ~k:10_000 in
+        pf "%10d %8d %16.1f@." n 10_000 ns;
+        (n, ns))
+      [ 10_000; 100_000; 1_000_000 ]
   in
-  pf "%10s %12s %18s %18s %10s@." "pending" "deliveries" "list ns/delivery"
-    "wheel ns/delivery" "speedup";
+  pf "%10s %12s %18s@." "pending" "deliveries" "wheel ns/delivery";
   let sweep_rows =
     List.map
-      (fun (objects, period, advance_ms) ->
-        let p_l, d_l, list_ns =
-          sweep ~wheel:false ~objects ~period ~advance_ms ~pad:0
-        in
-        let p_w, d_w, wheel_ns =
-          sweep ~wheel:true ~objects ~period ~advance_ms ~pad:0
-        in
-        if p_l <> p_w || d_l <> d_w then
-          failwith "sweep: representations disagree on the workload";
-        pf "%10d %12d %18.0f %18.0f %9.1fx@." p_w d_w list_ns wheel_ns
-          (list_ns /. wheel_ns);
-        (p_w, d_w, Some list_ns, wheel_ns))
-      [ (10_000, 1_000, 10_000); (100_000, 10_000, 1_000) ]
+      (fun (objects, period, advance_ms, pad) ->
+        let p, d, ns = sweep ~objects ~period ~advance_ms ~pad in
+        pf "%10d %12d %18.0f@." p d ns;
+        (p, d, ns))
+      [
+        (10_000, 1_000, 10_000, 0);
+        (100_000, 10_000, 1_000, 0);
+        (10_000, 1_000, 10_000, 990_000);
+      ]
   in
-  let p_m, d_m, big_ns =
-    sweep ~wheel:true ~objects:10_000 ~period:1_000 ~advance_ms:10_000
-      ~pad:990_000
-  in
-  pf "%10d %12d %18s %18.0f %10s@." p_m d_m "-" big_ns "(wheel only)";
-  let sweep_rows = sweep_rows @ [ (p_m, d_m, None, big_ns) ] in
-  let arm_speedup_1m =
-    match List.rev arm_rows with
-    | (_, _, l, w) :: _ -> l /. w
-    | [] -> assert false
-  in
-  let sweep_speedup_100k =
-    match sweep_rows with
-    | (_, _, Some l, w) :: _ -> l /. w
-    | _ -> assert false
-  in
-  pf "shape: arming is O(n) vs O(1); a sweep's re-arms make it O(k*n) vs O(k).@.";
+  pf "shape: arming is O(1) at any occupancy; a sweep is O(k) in deliveries.@.";
   let oc = open_out "BENCH_timer.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -1849,44 +1783,26 @@ let e17_timer () =
     "  \"unit\": \"ns per armed timer / ns per delivered timer (delivery = \
      system txn + time-event post + periodic re-arm)\",\n";
   p
-    "  \"description\": \"sorted-list queue vs hierarchical timing wheel: \
-     marginal arm cost at fixed occupancy (raw queue inserts, dues uniform \
-     over %d ms) and a fleet advance sweep (staggered every-period \
-     heartbeats, each delivery re-arming; 1M-pending row pads the wheel \
-     with parked timers and has no list baseline)\",\n"
+    "  \"description\": \"hierarchical timing wheel: marginal arm cost at \
+     fixed occupancy (raw queue inserts, dues uniform over %d ms) and a \
+     fleet advance sweep (staggered every-period heartbeats, each delivery \
+     re-arming; the 1M-pending row pads the wheel with parked timers)\",\n"
     horizon;
-  p "  \"arm_speedup_at_1m\": %.1f,\n" arm_speedup_1m;
-  p "  \"sweep_speedup_100k_deliveries\": %.1f,\n" sweep_speedup_100k;
   p "  \"arm_rows\": [\n";
   let last = List.length arm_rows - 1 in
   List.iteri
-    (fun i (n, k, l, w) ->
-      p
-        "    {\"occupancy\": %d, \"list_arms_measured\": %d, \
-         \"list_ns_per_arm\": %.0f, \"wheel_ns_per_arm\": %.1f, \
-         \"speedup\": %.1f}%s\n"
-        n k l w (l /. w)
+    (fun i (n, w) ->
+      p "    {\"occupancy\": %d, \"wheel_ns_per_arm\": %.1f}%s\n" n w
         (if i = last then "" else ","))
     arm_rows;
   p "  ],\n";
   p "  \"sweep_rows\": [\n";
   let last = List.length sweep_rows - 1 in
   List.iteri
-    (fun i (pend, deliv, l, w) ->
-      (match l with
-      | Some l ->
-        p
-          "    {\"pending\": %d, \"deliveries\": %d, \
-           \"list_ns_per_delivery\": %.0f, \"wheel_ns_per_delivery\": %.0f, \
-           \"speedup\": %.1f}%s\n"
-          pend deliv l w (l /. w)
-          (if i = last then "" else ",")
-      | None ->
-        p
-          "    {\"pending\": %d, \"deliveries\": %d, \
-           \"list_ns_per_delivery\": null, \"wheel_ns_per_delivery\": %.0f}%s\n"
-          pend deliv w
-          (if i = last then "" else ",")))
+    (fun i (pend, deliv, w) ->
+      p "    {\"pending\": %d, \"deliveries\": %d, \"wheel_ns_per_delivery\": %.0f}%s\n"
+        pend deliv w
+        (if i = last then "" else ","))
     sweep_rows;
   p "  ]\n";
   p "}\n";

@@ -51,47 +51,22 @@ let n_state_words t = Compile.n_state_words t.compiled
 let concerns t basic = Rewrite.concerns t.alphabet basic
 let relevant_basics t = Rewrite.relevant_basics t.alphabet
 
-type classified = {
-  c_sym : int;
-  c_key : int;
-  c_bits : int;
-}
-
-let is_relevant c = c.c_key >= 0 && c.c_bits <> 0
-
-let classify t ~env occurrence =
-  match Rewrite.classify_guards t.alphabet ~env occurrence with
-  | None -> { c_sym = Rewrite.other t.alphabet; c_key = -1; c_bits = 0 }
-  | Some (key, bits) ->
-    let sym =
-      if bits = 0 then Rewrite.other t.alphabet
-      else
-        match Rewrite.atom_lookup t.alphabet ~key ~bits with
-        | Some sym -> sym
-        | None -> Rewrite.other t.alphabet (* statically impossible: defensive *)
-    in
-    { c_sym = sym; c_key = key; c_bits = bits }
-
-let post_classified t state ~env c =
-  (* §5: the automaton is advanced only "for each active trigger for which
-     a logical event has occurred". An occurrence matching none of this
-     trigger's logical events is not part of its history at all — it must
-     not break adjacency (sequence) or feed negations. *)
-  if c.c_sym = Rewrite.other t.alphabet then false
-  else Compile.step_masks t.compiled state c.c_sym ~masks:t.masks ~env
-
-let post t state ~env occurrence =
-  post_classified t state ~env (classify t ~env occurrence)
-
 let classify_code t ~env occurrence =
   Rewrite.classify_code t.alphabet ~env occurrence
 
 let[@inline] code_relevant code = code >= 0 && Rewrite.code_bits code <> 0
 
 let post_code t state ~env code =
+  (* §5: the automaton is advanced only "for each active trigger for which
+     a logical event has occurred". An occurrence matching none of this
+     trigger's logical events is not part of its history at all — it must
+     not break adjacency (sequence) or feed negations. *)
   let sym = Rewrite.sym_of_code t.alphabet code in
   if sym = Rewrite.other t.alphabet then false
   else Compile.step_masks t.compiled state sym ~masks:t.masks ~env
+
+let post t state ~env occurrence =
+  post_code t state ~env (classify_code t ~env occurrence)
 
 let has_flat t = Compile.has_flat t.compiled
 
@@ -103,10 +78,6 @@ let post_code_slot t cells off ~env code =
   let sym = Rewrite.sym_of_code t.alphabet code in
   if sym = Rewrite.other t.alphabet then false
   else Compile.step_cells t.compiled cells off sym ~masks:t.masks ~env
-
-let post_classified_slot t cells off ~env c =
-  if c.c_sym = Rewrite.other t.alphabet then false
-  else Compile.step_cells t.compiled cells off c.c_sym ~masks:t.masks ~env
 
 let copy_state = Array.copy
 
@@ -131,10 +102,6 @@ let collect_key_bits t key bits (occurrence : Symbol.occurrence) =
     gs;
   List.rev !bindings
 
-let collect_classified t c (occurrence : Symbol.occurrence) =
-  if (not t.has_formals) || not (is_relevant c) then []
-  else collect_key_bits t c.c_key c.c_bits occurrence
-
 let collect_code t code (occurrence : Symbol.occurrence) =
   if (not t.has_formals) || not (code_relevant code) then []
   else
@@ -142,7 +109,7 @@ let collect_code t code (occurrence : Symbol.occurrence) =
       occurrence
 
 let collect t ~env occurrence =
-  collect_classified t (classify t ~env occurrence) occurrence
+  collect_code t (classify_code t ~env occurrence) occurrence
 
 let encode_state t state =
   if Array.length state <> n_state_words t then

@@ -74,9 +74,11 @@ val top_state : state -> int
 
     The database's hot path posts each occurrence to many triggers. These
     entry points let it (a) index triggers by the basic events they can
-    react to, and (b) classify an occurrence once and reuse the result
-    for the automaton step, the §9 parameter collection, and the
-    undo-logging decision. *)
+    react to, and (b) classify an occurrence once — into one packed int
+    ({!Rewrite.classify_code}), so a batch classifies into a scratch int
+    buffer with zero allocation — and reuse the result for the automaton
+    step, the §9 parameter collection, and the undo-logging decision.
+    {!post} and {!collect} are exactly these entry points composed. *)
 
 val concerns : t -> Symbol.basic -> bool
 (** Can an occurrence of this basic event ever advance this detector?
@@ -87,40 +89,28 @@ val relevant_basics : t -> Symbol.basic_key list
 (** Dispatch keys of the detector's alphabet — see
     {!Rewrite.relevant_basics}. *)
 
-type classified = {
-  c_sym : int;  (** the alphabet symbol ({!Rewrite.classify} result) *)
-  c_key : int;  (** alphabet key index, [-1] if the basic is foreign *)
-  c_bits : int;  (** guard truth-assignment bits (0 if none matched) *)
-}
+val classify_code : t -> env:Mask.env -> Symbol.occurrence -> int
+(** Evaluate the occurrence against the detector's guards once: [-1]
+    when its basic event is foreign to the alphabet, otherwise the
+    alphabet key and the guard truth-assignment bits packed into one
+    int. Mask evaluation errors propagate as {!Mask.Eval_error}. *)
 
-val classify : t -> env:Mask.env -> Symbol.occurrence -> classified
-(** Evaluate the occurrence against the detector's guards once. Mask
-    evaluation errors propagate as {!Mask.Eval_error}. *)
-
-val is_relevant : classified -> bool
+val code_relevant : int -> bool
 (** Did the occurrence match at least one of the detector's logical
     events? When false, stepping is a no-op and collection binds
     nothing — callers may skip undo logging (state provably unchanged). *)
 
-val post_classified : t -> state -> env:Mask.env -> classified -> bool
-(** The automaton-stepping half of {!post}, given a prior
-    {!classify} result (composite masks are still evaluated in [env]
-    "now"). Allocation-free: masks are evaluated through
-    {!Compile.step_masks}, not a per-step closure. *)
-
-(** {2 Packed-code entry points (the posting kernel)}
-
-    Identical semantics to {!classify} / {!post_classified} /
-    {!collect_classified}, but the classification result is one int
-    ({!Rewrite.classify_code}) so the database's kernel can classify a
-    batch into a scratch int buffer with zero allocation. *)
-
-val classify_code : t -> env:Mask.env -> Symbol.occurrence -> int
-val code_relevant : int -> bool
 val post_code : t -> state -> env:Mask.env -> int -> bool
+(** The automaton-stepping half of {!post}, given a prior
+    {!classify_code} result (composite masks are still evaluated in
+    [env] "now"). Allocation-free: masks are evaluated through
+    {!Compile.step_masks}, not a per-step closure. *)
 
 val collect_code :
   t -> int -> Symbol.occurrence -> (string * Ode_base.Value.t) list
+(** The collection half of {!collect}, given a prior {!classify_code}
+    result: no guard mask is re-evaluated; formals and arguments are
+    walked in lockstep. *)
 
 val has_flat : t -> bool
 (** Every level of the compiled automaton carries a packed flat table
@@ -143,15 +133,6 @@ val post_code_slot : t -> int array -> int -> env:Mask.env -> int -> bool
     place through the flat tables; composite masks are evaluated in
     [env] "now" when their level accepts ({!has_flat} detectors only;
     raises [Invalid_argument] otherwise). *)
-
-val post_classified_slot : t -> int array -> int -> env:Mask.env -> classified -> bool
-(** As {!post_code_slot}, from a {!classify} record. *)
-
-val collect_classified :
-  t -> classified -> Symbol.occurrence -> (string * Ode_base.Value.t) list
-(** The collection half of {!collect}, given a prior {!classify} result:
-    no guard mask is re-evaluated; formals and arguments are walked in
-    lockstep. *)
 
 val collect :
   t -> env:Mask.env -> Symbol.occurrence -> (string * Ode_base.Value.t) list

@@ -24,9 +24,9 @@
     - [Classified] — candidate triggers the dispatch stage handed to the
       classifier [Engine]
     - [Index_skipped] — active triggers the dispatch index pruned
-      without touching (0 on the brute-force path) [Engine]
+      without touching [Engine]
     - [Transitions] — automaton advances on relevant occurrences
-      [Engine], around {!Ode_event.Detector.post_classified}
+      [Engine], around {!Ode_event.Detector.post_code}
     - [Slot_transitions] / [Word_transitions] — the same advances split
       by state representation: flat-table structure-of-arrays slots vs
       boxed word vectors [Engine]. The kernel-coverage check: with

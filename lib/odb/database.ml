@@ -2,21 +2,22 @@
 
      Schema    — class builders, trigger definitions, detector
                  compilation, dispatch-index construction
-     Store     — the object heap (STORE backend signature, oid
-                 allocation, field access, histories, stats)
+     Store     — the object heap (sharded table, oid allocation,
+                 field access, histories, stats)
      Txn       — begin/commit/abort, undo log, locks, the §6
                  [before tcomplete] fixpoint
-     Engine    — the §5 posting pipeline, candidate selection,
-                 classification cache, firing, system transactions
+     Engine    — the §5 posting pipeline (the compiled kernel),
+                 firing, system transactions
      Timewheel — timers and simulated-time advancement
      Persist   — the ODE1 full-image codec and the image durability
                  backend
      Wal       — the write-ahead-log durability backend (redo batches,
                  group commit, snapshots, crash recovery)
 
-   This module only re-exports (plus the composition-root choice of
-   store and durability backends in [create_db]); keep it free of logic
-   so the public API stays a stable surface over the layers. *)
+   This module only re-exports (plus the composition root, [create_db],
+   which builds the store and attaches the durability backend); keep it
+   free of logic so the public API stays a stable surface over the
+   layers. *)
 
 module Value = Ode_base.Value
 
@@ -57,13 +58,6 @@ let trigger_str = Schema.trigger_str
 let register_class = Engine.register_class
 let register_fun = Schema.register_fun
 
-(* Dispatch-index configuration *)
-
-let set_dispatch_index = Engine.set_dispatch_index
-let dispatch_index_enabled = Engine.dispatch_index_enabled
-let set_posting_kernel = Engine.set_posting_kernel
-let posting_kernel_enabled = Engine.posting_kernel_enabled
-
 (* Observability *)
 
 let observe (db : t) = db.Types.obs
@@ -73,7 +67,6 @@ let set_observability (db : t) flag =
 
 (* Lifecycle *)
 
-type backend_spec = Store.spec
 type durability_spec = [ `Image | `Wal of Wal.config ]
 
 (* A fresh unique directory for an env-selected WAL — each database
@@ -100,15 +93,12 @@ module Config = struct
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    backend : backend_spec;
+    shards : int;
     durability : durability_spec;
     partitions : int;
     post_domains : int;
     domain_clamp : bool;
     parallel_threshold : int;
-    dispatch_index : bool;
-    posting_kernel : bool;
-    timer_wheel : bool;
     timing : bool;
     serve : serve;
   }
@@ -132,22 +122,19 @@ module Config = struct
       start_time = 0L;
       max_tcomplete_rounds = 1000;
       trace_capacity = 1024;
-      backend = `Heap;
+      shards = 1;
       durability = `Image;
       partitions = 1;
       post_domains = 1;
       domain_clamp = true;
       parallel_threshold = 32;
-      dispatch_index = true;
-      posting_kernel = true;
-      timer_wheel = true;
       timing = false;
       serve = default_serve;
     }
 
   (* CI runs the whole suite against the WAL backend with
-     ODE_DURABILITY=wal (optionally wal:<flush_ms>), mirroring the
-     ODE_STORE_BACKEND escape hatch. *)
+     ODE_DURABILITY=wal (optionally wal:<flush_ms>), mirroring
+     ODE_STORE_BACKEND. *)
   let durability_of_env () : durability_spec =
     match Sys.getenv_opt "ODE_DURABILITY" with
     | None | Some "" | Some "image" -> `Image
@@ -168,7 +155,7 @@ module Config = struct
     let c =
       {
         default with
-        backend = Store.default_spec ();
+        shards = Store.shards_of_env ();
         durability = durability_of_env ();
       }
     in
@@ -186,15 +173,6 @@ module Config = struct
             n
         | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
     in
-    (* the timer-queue ablation switch: CI runs one leg with
-       ODE_TIMER_QUEUE=list to exercise the reference sorted queue the
-       wheel is pinned against *)
-    let c =
-      match Sys.getenv_opt "ODE_TIMER_QUEUE" with
-      | None | Some "" | Some "wheel" -> c
-      | Some "list" -> { c with timer_wheel = false }
-      | Some s -> Types.ode_error "ODE_TIMER_QUEUE: unknown queue %S" s
-    in
     (* the test/CI override that forces the parallel machinery on even
        for small batches and past the core-count clamp *)
     match Sys.getenv_opt "ODE_POST_DOMAINS" with
@@ -208,25 +186,11 @@ module Config = struct
       | None -> Types.ode_error "ODE_POST_DOMAINS: bad domain count %S" s)
 end
 
-let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
-    ?backend ?durability () =
-  (* composition root: resolve one [Config.t], then instantiate the
-     store and durability backends from it — [Types] holds both
-     abstractly and cannot depend on [Store], [Persist] or [Wal]. The
-     old optionals override their [Config] field when given. *)
+let create_db ?config () =
+  (* composition root: resolve one [Config.t], then build the store and
+     attach the durability backend — [Types] holds the latter
+     abstractly and cannot depend on [Persist] or [Wal]. *)
   let c = match config with Some c -> c | None -> Config.of_env () in
-  let override v field = match v with Some v -> v | None -> field in
-  let c =
-    {
-      c with
-      Config.start_time = override start_time c.Config.start_time;
-      max_tcomplete_rounds =
-        override max_tcomplete_rounds c.Config.max_tcomplete_rounds;
-      trace_capacity = override trace_capacity c.Config.trace_capacity;
-      backend = override backend c.Config.backend;
-      durability = override durability c.Config.durability;
-    }
-  in
   let partitions = c.Config.partitions in
   if partitions < 1 then
     Types.ode_error "partition count must be >= 1 (got %d)" partitions;
@@ -237,17 +201,13 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
         | `Image -> Persist.image_backend ()
         | `Wal cfg -> Wal.backend cfg
       in
-      Types.make_db
-        ~backend:(Store.backend_of c.Config.backend)
-        ~start_time:c.Config.start_time
+      Types.make_db ~shards:c.Config.shards ~start_time:c.Config.start_time
         ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
         ~trace_capacity:c.Config.trace_capacity ~durability:dur ()
     else begin
-      (* a fresh backend instance per member — never shared *)
       let db =
-        Engine_group.make
-          ~backend_of:(fun _ -> Store.backend_of c.Config.backend)
-          ~partitions ~start_time:c.Config.start_time
+        Engine_group.make ~shards:c.Config.shards ~partitions
+          ~start_time:c.Config.start_time
           ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
           ~trace_capacity:c.Config.trace_capacity ()
       in
@@ -261,9 +221,6 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
   Engine.set_post_domains db c.Config.post_domains;
   Engine.set_domain_clamp db c.Config.domain_clamp;
   Engine.set_parallel_threshold db c.Config.parallel_threshold;
-  Engine.set_dispatch_index db c.Config.dispatch_index;
-  Engine.set_posting_kernel db c.Config.posting_kernel;
-  Timewheel.set_wheel db c.Config.timer_wheel;
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
@@ -277,15 +234,11 @@ let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
     "backend=%s durability=%s partitions=%d post_domains=%d domain_clamp=%s \
-     parallel_threshold=%d dispatch_index=%s posting_kernel=%s timer_queue=%s \
-     obs=%s timing=%s clock=%Ldms"
+     parallel_threshold=%d obs=%s timing=%s clock=%Ldms"
     (backend_name db) (durability_name db) (partitions db)
     (Engine.post_domains db)
     (onoff (Engine.domain_clamp db))
     (Engine.parallel_threshold db)
-    (onoff (Engine.dispatch_index_enabled db))
-    (onoff (Engine.posting_kernel_enabled db))
-    (if Timewheel.use_wheel db then "wheel" else "list")
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -293,8 +246,6 @@ let config_summary (db : t) =
 let now = Timewheel.now
 let advance_clock = Timewheel.advance_clock
 let advance_to = Timewheel.advance_to
-let set_timer_wheel = Timewheel.set_wheel
-let timer_wheel_enabled = Timewheel.use_wheel
 let image_bytes = Persist.group_image_bytes
 let save (db : t) path = db.Types.durability.Types.dur_save db path
 let load (db : t) path = db.Types.durability.Types.dur_load db path

@@ -29,7 +29,7 @@
 
     This module is a thin facade: the implementation is layered into
     [Schema] (compiled class/trigger definitions and dispatch indexes),
-    [Store] (the object heap, behind a [STORE] backend signature),
+    [Store] (the object heap, one sharded table),
     [Txn] (transactions, undo, locks), [Engine] (the posting pipeline),
     [Timewheel] (timers), and the pluggable durability layer — [Persist]
     (the ODE1 full-image codec and backend) and [Wal] (the
@@ -136,42 +136,11 @@ val register_class : t -> class_builder -> unit
     instead of scanning every activation on the object (§5's O(1)
     per-trigger claim, made per-event). *)
 
-val set_dispatch_index : t -> bool -> unit
-(** Per-database switch (default true): when enabled, event posting
-    consults the per-class / per-database dispatch index and touches
-    only the triggers whose alphabet can contain the posted basic
-    event; when disabled, the pre-index brute-force path is used —
-    every active trigger on the object is snapshotted and classified
-    per occurrence. Both paths are observably equivalent
-    (property-tested in [test/test_dispatch.ml]). *)
-
-val dispatch_index_enabled : t -> bool
-
-val set_posting_kernel : t -> bool -> unit
-(** Per-database switch (default true) for the compiled posting kernel:
-    per-class candidate rows resolved through each object's dense
-    activation slots, classification packed into one int code per
-    distinct shared detector, and flat-transition-table stepping over
-    the structure-of-arrays detection state. Only meaningful while the
-    dispatch index is enabled; disabling falls back to the legacy
-    indexed path, which is kept as the equivalence-test reference
-    (property-tested in [test/test_dispatch.ml] and
-    [test/test_shard.ml]). *)
-
-val posting_kernel_enabled : t -> bool
-
 val register_fun : t -> string -> (t -> Value.t list -> Value.t) -> unit
 (** Register a database function callable from masks, e.g.
     [authorized(user())]. *)
 
 (** {1 Database lifecycle} *)
-
-type backend_spec = Store.spec
-(** Which heap backend to instantiate: [`Heap] (one hashtable) or
-    [`Sharded n] (n hashtables partitioned by oid, over which
-    {!post_many} can parallelise its classify/step phase). Both are
-    observably identical — same firings, same order, same {!save}
-    bytes — per the {!Store} ordering contract. *)
 
 type durability_spec = [ `Image | `Wal of Wal.config ]
 (** Which durability backend to attach: [`Image] (the ODE1 full-image
@@ -186,14 +155,11 @@ type durability_spec = [ `Image | `Wal of Wal.config ]
 (** {2 The [Config] composition root}
 
     Every knob the database (and the [odes serve] network front door
-    over it) accepts, gathered into one plain record. Historically the
-    knobs accreted as five [create_db] optionals plus post-hoc setters
+    over it) accepts, gathered into one plain record — the single
+    source of truth {!create_db} builds from. The post-hoc setters
     ({!set_post_domains}, {!set_parallel_threshold},
-    {!set_domain_clamp}, {!set_posting_kernel},
-    [Ode_obs.Registry.set_timing]) plus three environment variables
-    parsed in three different places; {!Config.t} is now the single
-    source of truth. The old optionals and setters remain as thin,
-    documented shims over it. *)
+    {!set_domain_clamp}, [Ode_obs.Registry.set_timing]) adjust a live
+    database. *)
 module Config : sig
   type backpressure = Block | Drop
   (** What a full per-subscriber firing outbox does to the server:
@@ -224,7 +190,12 @@ module Config : sig
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    backend : backend_spec;
+    shards : int;
+        (** hashtables the heap is partitioned into by [oid mod n] —
+            {!post_many} parallelises its classify/step phase over
+            them. Observably transparent: same firings, same order,
+            same {!save} bytes at any count (the {!Store} ordering
+            contract). Default 1. *)
     durability : durability_spec;
     partitions : int;
         (** engine members slicing the database by oid ([oid mod n]);
@@ -232,15 +203,6 @@ module Config : sig
     post_domains : int;
     domain_clamp : bool;
     parallel_threshold : int;
-    dispatch_index : bool;
-    posting_kernel : bool;
-    timer_wheel : bool;
-        (** pending-timer representation (default true): the
-            hierarchical hashed timing wheel — O(1) arm and cancel at
-            any queue depth. [false] selects the reference sorted list
-            the wheel is pinned against (ODE_TIMER_QUEUE=list); both
-            deliver in identical (due, seq) order and serialize to
-            identical bytes. See [Timewheel]. *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -251,17 +213,17 @@ module Config : sig
       1024-firing outboxes, [Block] backpressure, 16 MiB frames. *)
 
   val default : t
-  (** The documented defaults, environment ignored: heap backend,
-      image durability, 1 partition, 1 post domain (clamped,
-      threshold 32), dispatch index and posting kernel on, timing
-      off, {!default_serve}. *)
+  (** The documented defaults, environment ignored: 1 shard, image
+      durability, 1 partition, 1 post domain (clamped, threshold 32),
+      timing off, {!default_serve}. *)
 
   val of_env : unit -> t
   (** {!default} with the four environment overrides applied — the
       one parser for all of them, raising {!Ode_error} with the
       offending variable named on any malformed value:
 
-      - [ODE_STORE_BACKEND=heap|sharded|sharded:<n>] sets [backend];
+      - [ODE_STORE_BACKEND=sharded|sharded:<n>] sets [shards] (8 for
+        plain [sharded]; [heap] is accepted as 1);
       - [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
         ([wal] in a fresh temporary directory — how CI runs the whole
         suite under the log);
@@ -273,38 +235,32 @@ module Config : sig
         small box). *)
 end
 
-val create_db :
-  ?config:Config.t ->
-  ?start_time:int64 -> ?max_tcomplete_rounds:int -> ?trace_capacity:int ->
-  ?backend:backend_spec -> ?durability:durability_spec -> unit -> t
+val create_db : ?config:Config.t -> unit -> t
 (** Build a database from [config] (default: {!Config.of_env} — so a
-    bare [create_db ()] honours the environment exactly as before the
-    [Config] facade existed). The remaining optionals are compatibility
-    shims: each one, when given, overrides its [config] field.
+    bare [create_db ()] honours the environment; override single
+    fields with [~config:{ (Config.of_env ()) with ... }]).
     [max_tcomplete_rounds] (default 1000, must be >= 1) bounds the §6
     [before tcomplete] fixpoint at commit; when a commit's rounds
     exceed it, {!commit} raises {!Ode_error} naming the round count
     instead of livelocking. [trace_capacity] (default 1024, must be
-    >= 1) sizes the observability trace ring — see {!observe}. The
-    chosen durability backend is attached (its [dur_attach]) before
-    this returns: a WAL database starts logging from its very first
-    commit. *)
+    >= 1) sizes the observability trace ring — see {!observe}. [shards]
+    and [partitions] must be >= 1. The chosen durability backend is
+    attached (its [dur_attach]) before this returns: a WAL database
+    starts logging from its very first commit. *)
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    backend, durability, partition count, domain/threshold settings,
-    dispatch/kernel switches, observability state and the clock — e.g.
+    shard count, durability, partition count, domain/threshold
+    settings, observability state and the clock — e.g.
     ["backend=sharded:8 durability=wal:/var/ode partitions=2 \
-     post_domains=4 domain_clamp=on parallel_threshold=32 \
-     dispatch_index=on posting_kernel=on obs=off timing=off \
-     clock=0ms"].
+     post_domains=4 domain_clamp=on parallel_threshold=32 obs=off \
+     timing=off clock=0ms"].
     Surfaced by [odec schema] and the server's [status] verb.
     {!backend_name} and {!durability_name} are its two components kept
     as standalone accessors. *)
 
 val backend_name : t -> string
-(** ["heap"] or ["sharded:<n>"] — the [backend=] component of
-    {!config_summary}. *)
+(** ["sharded:<n>"] — the [backend=] component of {!config_summary}. *)
 
 val durability_name : t -> string
 (** ["image"] or ["wal:<dir>"] — the [durability=] component of
@@ -346,16 +302,6 @@ val advance_clock : t -> int64 -> unit
 
 val advance_to : t -> int64 -> unit
 
-val set_timer_wheel : t -> bool -> unit
-(** Switch the pending-timer representation in place (all partition
-    members): [true] the hierarchical timing wheel, [false] the
-    reference sorted list. The pending set, delivery order and
-    serialized bytes are unchanged — only arm/cancel/advance costs
-    move. Normally set once via {!Config.t.timer_wheel} /
-    ODE_TIMER_QUEUE. *)
-
-val timer_wheel_enabled : t -> bool
-
 val save : t -> string -> unit
 (** Persist all objects (fields, trigger activations and their automaton
     states), pending timers, the object counter and the clock, as one
@@ -374,7 +320,8 @@ val image_bytes : t -> string
 (** The exact bytes {!save} would write, in memory — the canonical
     state fingerprint: two databases in the same logical state (same
     objects, activations, automaton states, timers, counters, clock)
-    produce equal bytes, whatever their store or durability backends.
+    produce equal bytes, whatever their shard count, partition count or
+    durability backend.
     Usable with transactions open (unlike {!save}). *)
 
 val recover : t -> unit
@@ -454,11 +401,11 @@ val apply_fun : t -> string -> Value.t list -> Value.t
     {!post_many} drives the §5 pipeline over a whole batch of basic
     events in three phases: touch/lock/history sequentially in batch
     order, then classify + automaton step with one task per heap shard
-    (parallel across up to {!post_domains} domains on a [`Sharded]
-    backend — safe because detection state is per-object and the batch
-    is partitioned by shard), then all firing strictly sequentially.
-    The outcome, firing order included, is bit-identical whatever the
-    domain count or backend. *)
+    (parallel across up to {!post_domains} domains when
+    [Config.shards > 1] — safe because detection state is per-object
+    and the batch is partitioned by shard), then all firing strictly
+    sequentially. The outcome, firing order included, is bit-identical
+    whatever the domain or shard count. *)
 
 val post_many :
   t -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
@@ -471,8 +418,8 @@ val post_many :
 
 val set_post_domains : t -> int -> unit
 (** Domain count for {!post_many}'s step phase (default 1, i.e. fully
-    sequential). At use the count is clamped to the backend's shard
-    count and — while {!domain_clamp} holds — to
+    sequential). At use the count is clamped to the shard count
+    and — while {!domain_clamp} holds — to
     [Domain.recommended_domain_count ()], so configuring more domains
     than the machine has cores cannot regress a run. Raises
     {!Ode_error} if < 1. *)

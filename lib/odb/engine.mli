@@ -1,8 +1,9 @@
-(** Engine layer: the §5 event-posting pipeline — candidate-trigger
-    selection via the dispatch indexes, the per-occurrence
-    classification cache, the firing pipeline, system-transaction
-    posting — plus the object and trigger operations that compose the
-    layers below (create/delete/call drive Store + Txn + the pipeline).
+(** Engine layer: the §5 event-posting pipeline — the compiled posting
+    kernel (per-class candidate rows, packed classification codes,
+    flat-table stepping), the database-scope dispatch index, the firing
+    pipeline, system-transaction posting — plus the object and trigger
+    operations that compose the layers below (create/delete/call drive
+    Store + Txn + the pipeline).
 
     Top of the subsystem stack: depends on {!Schema}, {!Store}, {!Txn}
     and {!Timewheel}, never the reverse. At load time it installs the
@@ -11,29 +12,6 @@
 
 module Value = Ode_base.Value
 open Types
-
-(** {1 Dispatch-index configuration} *)
-
-val set_dispatch_index : db -> bool -> unit
-(** Per-database switch (default true): when enabled, posting consults
-    the per-class / per-database dispatch index and touches only the
-    triggers whose alphabet can contain the posted basic event; when
-    disabled, every active trigger is snapshotted and classified. *)
-
-val dispatch_index_enabled : db -> bool
-
-(** {1 Posting-kernel configuration} *)
-
-val set_posting_kernel : db -> bool -> unit
-(** Per-database switch (default true) for the compiled posting kernel:
-    per-class candidate rows, packed classification codes and flat-table
-    stepping over the structure-of-arrays detection state. Only
-    meaningful while the dispatch index is enabled — with the index off,
-    posting always takes the brute-force reference path. Disabling falls
-    back to the legacy indexed path, kept as the equivalence-test
-    reference. *)
-
-val posting_kernel_enabled : db -> bool
 
 (** {1 The posting pipeline} *)
 
@@ -58,8 +36,8 @@ val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
     [post_many] drives the same three-phase pipeline over a whole batch:
     phase 0 (touch/lock/history/probes) and phase 3 (firing) run
     sequentially in batch order; the classify + step phases run one task
-    per heap shard, fanned out across up to {!post_domains} domains on a
-    sharded backend. Safe because a shard task only mutates detection
+    per heap shard, fanned out across up to {!post_domains} domains over
+    a sharded heap. Safe because a shard task only mutates detection
     state of objects its shard owns (§5: one automaton per trigger per
     object); committed-mode undo snapshots accumulate in per-shard
     segments merged deterministically by {!Txn.merge_undo_segments}. *)
@@ -70,14 +48,14 @@ val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
     phase (events to the same object step in batch order); all fired
     actions run after the whole batch has stepped, in batch order then
     declaration order. The outcome — firing order included — is
-    bit-identical whatever the domain count or backend. Dead or missing
+    bit-identical whatever the domain or shard count. Dead or missing
     oids are skipped, like {!system_post}. Returns the number of
     firings. *)
 
 val set_post_domains : db -> int -> unit
 (** Target domain count for [post_many]'s step phase (default 1 —
-    fully sequential). At use the count is clamped to the backend's
-    shard count and — while {!domain_clamp} holds — to
+    fully sequential). At use the count is clamped to the shard count
+    and — while {!domain_clamp} holds — to
     [Domain.recommended_domain_count ()]; the cached pool is rebuilt on
     the next batch after a change. Raises {!Types.Ode_error} if < 1. *)
 

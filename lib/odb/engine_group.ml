@@ -1,7 +1,7 @@
 (* Engine group: N engine members slicing one logical database by oid.
 
    Member [k] owns every oid with [oid mod n = k]: its own heap slice
-   (store backend + SoA blocks), its own timer wheel and its own
+   (sharded table + SoA blocks), its own timer wheel and its own
    durability log. Everything else — schema, transaction state, engine
    state (db-scope automata, scratch, knobs), observability — is the
    {e same} record, shared by construction: members are field-for-field
@@ -20,13 +20,12 @@
 
 open Types
 
-let make ~backend_of ~partitions ?start_time ?max_tcomplete_rounds
+let make ?shards ~partitions ?start_time ?max_tcomplete_rounds
     ?trace_capacity () =
   if partitions < 1 then
     ode_error "partition count must be >= 1 (got %d)" partitions;
   let m0 =
-    make_db ~backend:(backend_of 0) ?start_time ?max_tcomplete_rounds
-      ?trace_capacity ()
+    make_db ?shards ?start_time ?max_tcomplete_rounds ?trace_capacity ()
   in
   if partitions = 1 then m0
   else begin
@@ -34,21 +33,15 @@ let make ~backend_of ~partitions ?start_time ?max_tcomplete_rounds
       Array.init partitions (fun k ->
           if k = 0 then m0
           else
-            let backend = backend_of k in
             {
               m0 with
               store =
-                {
-                  backend;
-                  next_oid = m0.store.next_oid;
-                  n_live = 0;
-                  history_limit = 0;
-                  soa = Array.init backend.sb_shards (fun _ -> Hashtbl.create 8);
-                };
+                make_store ~shards:(Array.length m0.store.tables)
+                  ~next_oid:m0.store.next_oid;
               wheel =
                 {
                   clock_ms = m0.wheel.clock_ms;
-                  tq = Tq_list [];
+                  tq = make_wheel ();
                   timers_dirty = false;
                   tm_next_seq = 0;
                 };

@@ -15,20 +15,19 @@
 open Types
 
 val make :
-  backend_of:(int -> store_backend) ->
+  ?shards:int ->
   partitions:int ->
   ?start_time:int64 ->
   ?max_tcomplete_rounds:int ->
   ?trace_capacity:int ->
   unit ->
   db
-(** Build the member array and return the facade (member 0).
-    [backend_of k] supplies member [k]'s store backend — a fresh
-    backend per member, never shared. The facade is built with the
-    no-op durability backend; callers install one of the backends
-    below (or any other) and [dur_attach] it, exactly as
-    [Database.create_db] does for a single engine. Raises
-    {!Types.Ode_error} if [partitions < 1]. *)
+(** Build the member array and return the facade (member 0). Every
+    member gets its own [shards]-wide table (default 1), never shared.
+    The facade is built with the no-op durability backend; callers
+    install one of the backends below (or any other) and [dur_attach]
+    it, exactly as [Database.create_db] does for a single engine.
+    Raises {!Types.Ode_error} if [partitions < 1]. *)
 
 val image_backend : unit -> durability_backend
 (** The full-image codec over merged slices: [dur_save]/[dur_load] are

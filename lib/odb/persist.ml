@@ -183,11 +183,10 @@ let image_bytes db =
   Codec.write_int w db.store.next_oid;
   Codec.write_int w db.txns.next_txn_id;
   Codec.write_int w (Int64.to_int db.wheel.clock_ms);
-  (* backend-neutral: [live_objects] sorts to ascending oid per the
-     Store ordering contract, so Heap and Sharded images are identical *)
+  (* shard-count-neutral: [live_objects] sorts to ascending oid per the
+     Store ordering contract *)
   Codec.write_list w write_obj (Store.live_objects db);
-  (* [Timewheel.pending] emits (due, seq) order for either queue
-     representation, so list and wheel images are byte-identical *)
+  (* [Timewheel.pending] emits (due, seq) order *)
   Codec.write_list w write_timer (Timewheel.pending db);
   Codec.contents w
 

@@ -1,95 +1,47 @@
 (** Store layer: the object heap — oid allocation, live-object lookup,
     field access, per-object activations and event histories.
 
-    All heap traffic goes through the {!STORE} backend signature:
-    {!Heap} is the single-hashtable backend, {!Sharded} partitions the
-    heap into N hashtables by oid hash so the engine's batch pipeline
-    can step automata one-domain-per-shard. Either is packed into the
-    abstract {!Types.store_backend} operations record at
-    [Database.create_db ?backend]; the layers above never see the
-    concrete representation. Depends on {!Types} (and reads the schema
-    tables for mask environments); knows nothing about transactions or
-    event posting.
+    The heap is one sharded table held in {!Types.store_state}: N
+    hashtables partitioned by [oid mod N], one mutex per shard guarding
+    structural mutation, so the engine's batch pipeline can step
+    automata one-domain-per-shard. One shard is the plain single
+    hashtable. Depends on {!Types} (and reads the schema tables for
+    mask environments); knows nothing about transactions or event
+    posting.
 
-    {b Ordering contract.} Backends enumerate in {e unspecified} order
-    (hash order, shard-by-shard for {!Sharded}). Every enumeration this
-    layer exposes — {!objects}, {!objects_of_class}, {!live_objects} —
-    therefore sorts to {e ascending oid} before returning, so commit and
-    abort fan-out, persist snapshots and user-visible listings are
-    bit-identical across backends. Code that folds the raw backend
-    directly must either be order-insensitive or sort likewise. *)
+    {b Ordering contract.} The tables enumerate in {e unspecified} order
+    (hash order, shard by shard). Every enumeration this layer exposes —
+    {!objects}, {!objects_of_class}, {!live_objects} — therefore sorts
+    to {e ascending oid} before returning, so commit and abort fan-out,
+    persist snapshots and user-visible listings are bit-identical at
+    any shard count. Code that folds the raw tables directly must
+    either be order-insensitive or sort likewise. *)
 
 module Value = Ode_base.Value
 open Types
 
-(** {1 Backend signature} *)
-
-module type STORE = sig
-  type t
-
-  val add : t -> obj -> unit
-  val find : t -> oid -> obj option
-
-  val mem : t -> oid -> bool
-  (** An object with this oid is stored (live or delete-marked). *)
-
-  val remove : t -> oid -> unit
-  val reset : t -> unit
-
-  val cardinal : t -> int
-  (** Number of stored objects, delete-marked included — O(1) (or
-      O(shards)), never a scan. *)
-
-  val iter : (obj -> unit) -> t -> unit
-  val fold : (obj -> 'a -> 'a) -> t -> 'a -> 'a
-
-  val shards : t -> int
-  (** The partition width the engine may parallelise over (1 for
-      unpartitioned backends). *)
-
-  val shard_of : t -> oid -> int
-  (** Which shard holds this oid; constant for an object's lifetime. *)
-end
-
-module Heap : sig
-  include STORE with type t = (oid, obj) Hashtbl.t
-
-  val create : unit -> t
-end
-
-module Sharded : sig
-  include STORE
-
-  val create : shards:int -> t
-  (** [shards] hashtables partitioned by [oid mod shards], one mutex
-      per shard guarding structural mutation. Lookups are lock-free:
-      the engine only mutates the tables from sequential pipeline
-      phases. *)
-end
-
-(** {1 Backend selection} *)
-
-type spec = [ `Heap | `Sharded of int ]
-(** What [Database.create_db ?backend] accepts; [`Sharded n] is the
-    shard count. *)
+(** {1 The sharded table} *)
 
 val default_shards : int
+(** What [ODE_STORE_BACKEND=sharded] selects. *)
 
-val default_spec : unit -> spec
-(** [`Heap], unless the [ODE_STORE_BACKEND] environment variable forces
-    [sharded] / [sharded:<n>] / [heap] (how CI runs the whole suite on
-    the sharded backend). Raises {!Types.Ode_error} on an unparsable
+val shards_of_env : unit -> int
+(** 1, unless the [ODE_STORE_BACKEND] environment variable asks for
+    [sharded] ({!default_shards}) or [sharded:<n>] ([heap], the
+    pre-sharding name, stays accepted as one shard) — how CI runs the
+    whole suite sharded. Raises {!Types.Ode_error} on an unparsable
     value. *)
 
-val backend_of : spec -> store_backend
-(** Instantiate a backend and pack it into the abstract operations
-    record the knot holds. *)
-
 val backend_name : db -> string
-(** ["heap"] or ["sharded:<n>"]. *)
+(** ["sharded:<n>"]. *)
 
 val shards : db -> int
+(** The partition width the engine may parallelise over. *)
+
 val shard_of : db -> oid -> int
+(** Which shard holds this oid ([oid mod shards]); constant for an
+    object's lifetime. Lookups are lock-free: the engine only mutates
+    the tables from sequential pipeline phases. *)
 
 (** {1 Partition lanes}
 
@@ -162,7 +114,7 @@ val mem : db -> oid -> bool
 val cardinal : ?live:bool -> db -> int
 (** Stored-object count without scanning: with [~live:true] (maintained
     incrementally) only objects not delete-marked are counted; default
-    counts every stored record. *)
+    counts every stored record, O(shards). *)
 
 val live_obj : db -> oid -> obj
 (** Raises {!Types.Ode_error} on a missing or deleted object. *)
@@ -178,15 +130,15 @@ val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
 val live_objects : db -> obj list
-(** Live objects sorted by ascending oid — the backend-neutral
+(** Live objects sorted by ascending oid — the shard-count-neutral
     enumeration persist snapshots are built from. *)
 
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
-(** Raw backend fold, {e unspecified order}; for order-insensitive
+(** Raw table fold, {e unspecified order}; for order-insensitive
     accumulation only. *)
 
 val iter_objects : (obj -> unit) -> db -> unit
-(** Raw backend iteration, {e unspecified order}. *)
+(** Raw table iteration, {e unspecified order}. *)
 
 val get_field : db -> oid -> string -> Value.t
 

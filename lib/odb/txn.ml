@@ -107,6 +107,7 @@ let apply_undo db entry =
   | U_trigger_state (at, prev) -> at_state_restore at prev
   | U_trigger_collected (at, prev) -> at.at_collected <- prev
   | U_trigger_active (obj, at, prev) -> set_trigger_active obj at prev
+  | U_trigger_epoch (at, prev) -> at.at_epoch <- prev
   | U_trigger_added (obj, name) -> (
     match Hashtbl.find_opt obj.o_triggers name with
     | None -> ()

@@ -66,14 +66,17 @@ and schema_state = {
          definitions whose alphabet can react, in declaration order *)
 }
 
-(* [Store]: the object heap, held abstractly as a record of backend
-   operations so that the layers above never see the concrete
-   representation. [Store] provides the two implementations behind its
-   [STORE] signature — the single-hashtable [Heap] and the oid-hash
-   partitioned [Sharded] — and packs either into this record at
-   [create_db ?backend]. *)
+(* [Store]: the object heap — [shards] hashtables partitioned by
+   [oid mod shards], one mutex per shard guarding structural mutation.
+   The partition is what the engine's batch pipeline parallelises over:
+   all activations of one object live in exactly one shard, so one
+   domain per shard steps automata with no shared mutable state. The
+   engine only mutates the tables from sequential phases, so lookups
+   (which parallel phases do perform) need no lock — a hashtable that
+   nobody resizes is safe to read concurrently. [Store] owns the code. *)
 and store_state = {
-  backend : store_backend;
+  tables : (oid, obj) Hashtbl.t array;  (* one per shard *)
+  locks : Mutex.t array;  (* one per shard *)
   mutable next_oid : int;
   mutable n_live : int;  (* stored objects with [o_deleted = false] *)
   mutable history_limit : int;  (* 0 = recording off *)
@@ -99,28 +102,6 @@ and soa_block = {
   mutable blk_free : int list;
 }
 
-(* First-class backend operations. [sb_shards]/[sb_shard_of] expose the
-   partitioning so the engine's batch pipeline can fan the classify/step
-   phase out one-domain-per-shard (no two domains ever touch one
-   object's detection state); the [Heap] backend reports one shard.
-   Mutating operations ([sb_add]/[sb_remove]/[sb_reset]) may only be
-   called from the sequential phases of the pipeline; lookups are safe
-   from parallel phases because those phases never mutate the table
-   itself. *)
-and store_backend = {
-  sb_name : string;  (* "heap" or "sharded:<n>" *)
-  sb_shards : int;
-  sb_shard_of : oid -> int;
-  sb_add : obj -> unit;
-  sb_find : oid -> obj option;
-  sb_mem : oid -> bool;
-  sb_remove : oid -> unit;
-  sb_reset : unit -> unit;
-  sb_cardinal : unit -> int;  (* stored objects, deleted included *)
-  sb_iter : (obj -> unit) -> unit;
-  sb_fold : 'a. (obj -> 'a -> 'a) -> 'a -> 'a;
-}
-
 (* [Txn]: transaction bookkeeping. *)
 and txn_state = {
   mutable next_txn_id : int;
@@ -138,9 +119,6 @@ and engine_state = {
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
   mutable next_sub_id : int;
-  mutable use_dispatch_index : bool;
-      (* per-database switch between the indexed posting path and the
-         brute-force reference path (default true) *)
   mutable post_domains : int;
       (* default parallelism of [post_many]'s classify/step phase *)
   mutable clamp_domains : bool;
@@ -165,11 +143,6 @@ and engine_state = {
   mutable q_off : int array;
       (* shard s owns [q_items.(q_off.(s) .. q_off.(s+1) - 1)] *)
   mutable q_cur : int array;  (* counting-sort fill cursors *)
-  mutable use_posting_kernel : bool;
-      (* per-database switch between the compiled posting kernel
-         (candidate rows + packed classification codes + SoA state) and
-         the legacy indexed path (default true); only meaningful when
-         [use_dispatch_index] is also on *)
   mutable scratch : scratch array;
       (* per-shard reusable classify/step buffers, built lazily by
          [Engine]; the sequential [post] path uses the posted object's
@@ -206,7 +179,7 @@ and scratch = {
 (* [Timewheel]: simulated time. *)
 and wheel_state = {
   mutable clock_ms : int64;
-  mutable tq : timerq;  (* the pending-timer structure *)
+  mutable tq : twheel;  (* the pending timers; rebuilt on bulk load *)
   mutable timers_dirty : bool;
       (* set whenever the pending set changes (insert, pop, cancel,
          load), cleared when a durability batch captures the queue — so
@@ -217,17 +190,10 @@ and wheel_state = {
          member wheels merge back in exactly the single-engine order *)
 }
 
-(* The pending-timer structure, selectable per database
-   ([Database.Config.timer_wheel] / ODE_TIMER_QUEUE). [Tq_list] is the
-   reference representation: one flat list sorted by (due, seq) — O(n)
-   arming, trivially correct, the oracle the wheel is pinned against.
-   [Tq_wheel] is the hierarchical hashed timing wheel (Varghese–Lauck):
-   O(1) arming and cancellation, cascade-on-advance. Both deliver in
-   identical (due, seq) order and serialize to identical ODE1 bytes;
-   [Timewheel] owns all the code. *)
-and timerq = Tq_list of timer list | Tq_wheel of twheel
-
-(* The wheel: [tw_levels] bucket levels of 64 slots each; level l's
+(* The pending-timer structure: a hierarchical hashed timing wheel
+   (Varghese–Lauck) — O(1) arming and cancellation, cascade-on-advance,
+   delivery in (due, seq) order; [Timewheel] owns the code. The wheel
+   has [wheel_levels] bucket levels of [wheel_slots] slots each; level l's
    slots are 64^l ticks (ms) wide, and a timer lives at the lowest
    level whose current rotation covers its due instant — so a level-0
    slot holds exactly one instant. Buckets are intrusive doubly-linked
@@ -264,7 +230,7 @@ and tnode = {
 }
 
 (* [Durability]: the persistence strategy, held abstractly as a record
-   of backend operations — the same inversion as [store_backend].
+   of backend operations.
    [Persist] packs the full-image ODE1 codec, [Wal] the write-ahead-log
    backend; [Database.create_db ?durability] resolves the choice. The
    default installed by [make_db] is a no-op: raw-layer users (tests,
@@ -297,18 +263,15 @@ and klass = {
   k_methods : (string, meth) Hashtbl.t;
   k_triggers : (string, trigger_def) Hashtbl.t;
   k_n_triggers : int;  (* sizes each object's [o_acts] slot array *)
-  k_dispatch : (Symbol.basic_key, trigger_def list) Hashtbl.t;
-      (* §5 hot-path index, built once at schema registration: posted
-         basic -> trigger definitions whose alphabet can react to it, in
-         declaration order. The legacy indexed [post] path consults this
-         instead of scanning every activation on the object. *)
   k_rows : (Symbol.basic_key, krow) Hashtbl.t;
-      (* the posting kernel's compiled candidate rows: same buckets as
-         [k_dispatch], materialized as arrays with the distinct shared
-         detectors factored out so one post classifies each detector
-         exactly once and never allocates. Static per class — activation
-         state is consulted through [o_acts], so trigger
-         (de)activation needs no invalidation. *)
+      (* §5 hot-path index, built once at schema registration: posted
+         basic -> the posting kernel's compiled candidate row of trigger
+         definitions whose alphabet can react to it, in declaration
+         order, with the distinct shared detectors factored out so one
+         post classifies each detector exactly once and never
+         allocates. Static per class — activation state is consulted
+         through [o_acts], so trigger (de)activation needs no
+         invalidation. *)
   k_constructor : (db -> oid -> Value.t list -> unit) option;
 }
 
@@ -415,6 +378,10 @@ and undo_entry =
       (* the owning object (None for database scope) so undo can keep
          [o_n_active] exact *)
   | U_trigger_added of obj * string
+  | U_trigger_epoch of active_trigger * int
+      (* the epoch before a re-activation bumped it, so an abort
+         revives the timers the restored [U_timers_cancelled] entries
+         put back *)
   | U_timers_cancelled of timer list
       (* timers eagerly cancelled inside the txn (deactivate / delete /
          re-activation epoch bump); undo re-inserts them with their
@@ -457,14 +424,9 @@ exception Ode_error of string
 
 let ode_error fmt = Format.kasprintf (fun s -> raise (Ode_error s)) fmt
 
-(* The composition root: every layer's state record, initialized empty.
-   Lives here because only the knot module sees all the sub-records. The
-   backend is passed in ready-made — [Store] owns the implementations and
-   [Database.create_db] resolves the [?backend] argument through it, so
-   the knot stays free of representation choices. *)
 (* The durability backend installed when nobody chose one: emission is
-   free, and save/load point the caller at [Database.create_db
-   ?durability] (raw [make_db] users drive [Persist] directly). *)
+   free, and save/load point the caller at [Database.Config.durability]
+   (raw [make_db] users drive [Persist] directly). *)
 let noop_durability =
   {
     dur_name = "none";
@@ -477,7 +439,38 @@ let noop_durability =
     dur_close = (fun _ -> ());
   }
 
-let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
+(* Geometry of the timing wheel: [wheel_levels] levels of [wheel_slots]
+   slots ([Timewheel] owns the algorithms). *)
+let wheel_levels = 8
+let wheel_slots = 64
+
+let make_wheel () =
+  {
+    tw_slots = Array.init wheel_levels (fun _ -> Array.make wheel_slots None);
+    tw_counts = Array.make wheel_levels 0;
+    tw_ovf = None;
+    tw_ovf_n = 0;
+    tw_past = None;
+    tw_past_n = 0;
+    tw_n = 0;
+    tw_peek = None;
+    tw_index = Hashtbl.create 64;
+  }
+
+let make_store ~shards ~next_oid =
+  if shards < 1 then ode_error "shard count must be >= 1 (got %d)" shards;
+  {
+    tables = Array.init shards (fun _ -> Hashtbl.create 64);
+    locks = Array.init shards (fun _ -> Mutex.create ());
+    next_oid;
+    n_live = 0;
+    history_limit = 0;
+    soa = Array.init shards (fun _ -> Hashtbl.create 8);
+  }
+
+(* The composition root: every layer's state record, initialized empty.
+   Lives here because only the knot module sees all the sub-records. *)
+let make_db ?(shards = 1) ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
     ?(trace_capacity = 1024) ?(durability = noop_durability) () =
   if max_tcomplete_rounds < 1 then
     ode_error "max_tcomplete_rounds must be >= 1";
@@ -490,14 +483,7 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_trigger_defs = Hashtbl.create 4;
           db_dispatch = Hashtbl.create 8;
         };
-      store =
-        {
-          backend;
-          next_oid = 1;
-          n_live = 0;
-          history_limit = 0;
-          soa = Array.init backend.sb_shards (fun _ -> Hashtbl.create 8);
-        };
+      store = make_store ~shards ~next_oid:1;
       txns =
         {
           next_txn_id = 1;
@@ -511,7 +497,6 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_triggers = Hashtbl.create 4;
           subscribers = [];
           next_sub_id = 1;
-          use_dispatch_index = true;
           post_domains = 1;
           clamp_domains = true;
           parallel_threshold = 32;
@@ -519,14 +504,13 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           q_items = [||];
           q_off = [||];
           q_cur = [||];
-          use_posting_kernel = true;
           scratch = [||];
           kind_names = Hashtbl.create 16;
         };
       wheel =
         {
           clock_ms = start_time;
-          tq = Tq_list [];
+          tq = make_wheel ();
           timers_dirty = false;
           tm_next_seq = 0;
         };
@@ -558,12 +542,6 @@ let owner_db db oid =
   match db.part with
   | Some p -> p.p_members.(oid mod Array.length p.p_members)
   | None -> db
-
-(* Pending timers in one member's queue, O(1) for the wheel. Lives here
-   (not [Timewheel]) so [Store.stats] can count timers without a
-   circular dependency. *)
-let timerq_count w =
-  match w.tq with Tq_list tms -> List.length tms | Tq_wheel tw -> tw.tw_n
 
 (* ------------------------------------------------------------------ *)
 (* Detection-state accessors                                          *)

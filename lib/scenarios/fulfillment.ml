@@ -73,7 +73,15 @@ let order_class t =
       t.escalated <- t.escalated @ [ ctx.D.fc_oid ])
 
 let setup () =
-  let db = D.create_db ~start_time:(Clock.ms_of_civil (Clock.civil 1992 6 2)) () in
+  let db =
+    D.create_db
+      ~config:
+        {
+          (D.Config.of_env ()) with
+          D.Config.start_time = Clock.ms_of_civil (Clock.civil 1992 6 2);
+        }
+      ()
+  in
   let t = { db; billed = []; escalated = []; volume_reports = 0 } in
   D.register_fun db "now" (fun db _ -> Value.Int (Int64.to_int (D.now db)));
   D.register_class db (order_class t);

@@ -116,7 +116,9 @@ let stockroom_class ~activate =
     ~action:(call_self "printLog")
 
 let setup ?(activate = true) () =
-  let db = D.create_db ~start_time:day_start () in
+  let db =
+    D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = day_start } ()
+  in
   let t =
     {
       db;

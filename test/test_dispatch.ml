@@ -1,24 +1,20 @@
-(* Equivalence of the three posting paths.
+(* The posting kernel against a reference model.
 
-   [Database.set_dispatch_index] (default true) makes [post]/[post_db]
-   consult the per-class / per-database dispatch index and touch only
-   the triggers whose alphabet can contain the posted basic event;
-   switching it off restores the pre-index path that snapshots and
-   classifies {e every} activation. On top of the index,
-   [Database.set_posting_kernel] (default true) selects the compiled
-   kernel — per-class candidate rows, packed classification codes,
-   flat-table stepping over the SoA detection state — over the legacy
-   indexed path it replaced. All three must be observably identical:
-   same firings, same collected §9 bindings, same witnesses, same
-   automaton states, same activation flags — on random schemas (masked
-   composite events, one-shot/perpetual, committed-mode,
-   witness-tracking triggers) under random transaction scripts with
-   commits and aborts.
+   Every post runs the compiled kernel: per-class candidate rows (the
+   dispatch index), packed classification codes, flat-table stepping
+   over the SoA detection state. [Ref_poster] restates the same
+   contract by brute force — every active trigger stepped through its
+   own word vector with [Detector.post] — and the engine-level property
+   drives both with one random schema (masked composite events,
+   one-shot/perpetual, committed-mode, witness-tracking triggers, a
+   database-scope trigger) under random transaction scripts with
+   commits and aborts, comparing firings, collected §9 bindings,
+   witnesses, automaton states and activation flags.
 
    [kernel_codes_match_semantics] additionally pins the kernel's
    classify/step primitives ([Detector.classify_code] / [post_code] /
    [post_code_slot]) directly against the §4 denotational semantics, so
-   the engine-level property cannot pass by both paths sharing a broken
+   the engine-level property cannot pass by both sides sharing a broken
    detector. *)
 
 open Ode_odb
@@ -44,27 +40,34 @@ type case = {
 
 let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.triggers
 
-(* Build the schema, run every script, and summarise everything the two
-   posting paths could disagree on. Firings and the action log are
-   sorted: the reference path iterates a [Hashtbl] snapshot, so its
-   {e order} of same-occurrence firings is unspecified (the indexed path
-   fixed it to declaration order). *)
-let run ?(use_kernel = true) ~use_index case =
+module R = Ref_poster
+
+let census_event = Ode_lang.Parser.parse_event "choose 2 (after create)"
+let cm_fields = [ ("cm0", Value.Bool true); ("cm1", Value.Bool true); ("cm2", Value.Bool true) ]
+
+(* The observables a posting path could get wrong: firings, the action
+   log, and every trigger's automaton state and activation flag. Firings
+   and the log are sorted — the comparison is insensitive to the order
+   of same-occurrence firings. *)
+let summarise ~firings ~log ~states =
+  (List.sort compare firings, List.sort compare log, states)
+
+(* Build the schema, run every script against the database, and drive
+   the reference poster alongside it from the object's recorded
+   history. Returns the database's observables and the reference's. *)
+let run case =
   let log = ref [] in
   let db = D.create_db () in
-  D.set_dispatch_index db use_index;
-  D.set_posting_kernel db use_kernel;
+  D.enable_history db ~limit:1_000_000;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
   (* one database-scope trigger so [post_db]'s index is exercised too *)
-  D.db_trigger_str db ~perpetual:true "census" ~event:"choose 2 (after create)"
+  D.db_trigger db ~perpetual:true "census" ~event:census_event
     ~action:(fun _ ctx -> log := ("census", [ ("oid", Value.Int ctx.D.fc_oid) ], None) :: !log);
   D.activate_db_trigger db "census" [];
   let names = trigger_names case in
   let b = D.define_class "c" in
-  let b = D.field b "cm0" (Value.Bool true) in
-  let b = D.field b "cm1" (Value.Bool true) in
-  let b = D.field b "cm2" (Value.Bool true) in
+  let b = List.fold_left (fun b (n, v) -> D.field b n v) b cm_fields in
   let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
   let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
   let b =
@@ -78,22 +81,53 @@ let run ?(use_kernel = true) ~use_index case =
       b names case.triggers
   in
   D.register_class db b;
-  let oid =
+  let db_occ basic args = { Symbol.basic; args; at = 0L } in
+  let created oid = db_occ Symbol.Create [ Value.Oid oid; Value.String "c" ] in
+  let seen = ref 0 in
+  let oid, model, setup_txn =
     match
-      D.with_txn db (fun _ ->
+      D.with_txn db (fun tx ->
           let oid = D.create db "c" [] in
           List.iter (fun n -> D.activate db oid n []) names;
-          oid)
+          seen := List.length (D.object_history db oid);
+          let model =
+            R.create ~oid ~fields:cm_fields
+              ~triggers:
+                (List.map2 (fun n (e, p, c, w) -> (n, e, p, c, w)) names case.triggers)
+              ~db_triggers:[ ("census", census_event, true, false) ]
+          in
+          R.post_db model ~txn:0
+            (db_occ (Symbol.Method (After, "defclass")) [ Value.String "c" ]);
+          R.post_db model ~txn:(D.txn_id tx) (created oid);
+          (oid, model, D.txn_id tx))
     with
-    | Ok oid -> oid
+    | Ok r -> r
     | Error `Aborted -> Alcotest.fail "setup transaction aborted"
   in
+  (* the occurrences posted to [oid] since the last call, oldest first *)
+  let fresh () =
+    let h = D.object_history db oid in
+    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+    let recs = drop !seen h in
+    seen := List.length h;
+    recs
+  in
+  let feed ~user_txn recs =
+    List.iter
+      (fun (r : History.record) ->
+        R.post model ~user:(r.History.h_txn = user_txn) ~txn:r.History.h_txn
+          r.History.h_occurrence)
+      recs
+  in
+  feed ~user_txn:setup_txn (fresh ());
+  R.commit model;
   List.iter
     (fun s ->
       let tx = D.begin_txn db in
+      let txn = D.txn_id tx in
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | Call_f -> ignore (D.call db oid "f" [])
           | Call_g0 -> ignore (D.call db oid "g" [])
           | Call_g1 x -> ignore (D.call db oid "g" [ Value.Int x ])
@@ -101,19 +135,54 @@ let run ?(use_kernel = true) ~use_index case =
             D.set_field db oid (Printf.sprintf "cm%d" (i mod 3)) (Value.Bool v)
           | Reactivate i ->
             D.activate db oid (List.nth names (i mod List.length names)) []
-          | New_obj -> ignore (D.create db "c" []))
+          | New_obj ->
+            let o = D.create db "c" [] in
+            R.post_db model ~txn (created o));
+          (* the occurrences an op posts precede its own effect: a field
+             write's [after tbegin] still sees the old value *)
+          feed ~user_txn:txn (fresh ());
+          match op with
+          | Set_cm (i, v) -> R.set_field model (Printf.sprintf "cm%d" (i mod 3)) (Value.Bool v)
+          | Reactivate i -> R.reactivate model (List.nth names (i mod List.length names))
+          | Call_f | Call_g0 | Call_g1 _ | New_obj -> ())
         s.ops;
-      if s.commit then ignore (D.commit db tx) else D.abort db tx)
+      if s.commit then begin
+        ignore (D.commit db tx);
+        feed ~user_txn:txn (fresh ());
+        R.commit model
+      end
+      else begin
+        (* [before tabort] sees the transaction's effects; the undo
+           runs before the system transaction posts [after tabort] *)
+        D.abort db tx;
+        let mine, later =
+          List.partition (fun (r : History.record) -> r.History.h_txn = txn) (fresh ())
+        in
+        feed ~user_txn:txn mine;
+        R.abort model;
+        feed ~user_txn:txn later
+      end)
     case.scripts;
-  let firings =
-    List.map
-      (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid, f.D.f_txn))
-      (List.rev !firings_log)
+  let actual =
+    summarise
+      ~firings:
+        (List.map (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid, f.D.f_txn)) !firings_log)
+      ~log:!log
+      ~states:(List.map (fun n -> (n, D.trigger_state db oid n, D.is_active db oid n)) names)
   in
-  let states =
-    List.map (fun n -> (n, D.trigger_state db oid n, D.is_active db oid n)) names
+  let expected =
+    let fired = R.fired model in
+    summarise
+      ~firings:(List.map (fun (f : R.fired) -> (f.R.trigger, f.R.oid, f.R.txn)) fired)
+      ~log:
+        (List.map
+           (fun (f : R.fired) ->
+             if f.R.db_scope then (f.R.trigger, [ ("oid", Value.Int f.R.oid) ], None)
+             else (f.R.trigger, f.R.collected, f.R.witnesses))
+           fired)
+      ~states:(R.states model)
   in
-  (List.sort compare firings, List.sort compare !log, states)
+  (actual, expected)
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -186,22 +255,12 @@ let compiles (e, _, committed, _) =
   | _ -> true
 
 let index_equals_scan =
-  QCheck.Test.make ~count:80 ~name:"dispatch index = brute-force scan"
+  QCheck.Test.make ~count:100 ~name:"dispatch index = brute-force reference poster"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      run ~use_index:true case = run ~use_index:false case)
-
-(* Three-way: the compiled kernel, the legacy indexed path it replaced,
-   and the brute-force scan must agree on every observable. *)
-let kernel_equals_legacy_equals_scan =
-  QCheck.Test.make ~count:80 ~name:"posting kernel = legacy index = scan"
-    (QCheck.make ~print:print_case gen_case)
-    (fun case ->
-      QCheck.assume (List.for_all compiles case.triggers);
-      let k = run ~use_kernel:true ~use_index:true case in
-      k = run ~use_kernel:false ~use_index:true case
-      && k = run ~use_kernel:false ~use_index:false case)
+      let actual, expected = run case in
+      actual = expected)
 
 (* The kernel's own primitives against the §4 reference semantics: for a
    random surface expression and occurrence stream, classify each
@@ -322,9 +381,9 @@ let masked_slots_match_words =
           QCheck.Test.fail_report "slot state diverged from word-vector state";
         cells.(0) = 0 && cells.(w + 1) = 0)
 
-(* A directed case through the default (indexed) path, so the property
-   above cannot pass vacuously with both paths broken the same way:
-   check actual firing, §9 collection and one-shot deactivation. *)
+(* A directed case, so the property above cannot pass vacuously with
+   the kernel and the reference broken the same way: check actual
+   firing, §9 collection and one-shot deactivation. *)
 let test_indexed_firing () =
   let db = D.create_db () in
   let fired = ref [] in
@@ -379,7 +438,6 @@ let suite =
   :: List.map QCheck_alcotest.to_alcotest
        [
          index_equals_scan;
-         kernel_equals_legacy_equals_scan;
          kernel_codes_match_semantics;
          masked_slots_match_words;
        ]

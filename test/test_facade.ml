@@ -52,9 +52,6 @@ let test_end_to_end () =
   let db = D.create_db () in
   let drain = collect_firings db in
   D.register_class db (schema ());
-  Alcotest.(check bool)
-    "dispatch index on by default" true
-    (D.dispatch_index_enabled db);
   let oid =
     expect_ok
       (D.with_txn db (fun _ ->
@@ -100,36 +97,9 @@ let test_end_to_end () =
     "mid-sequence state fires after reload" [ "audit" ]
     (List.map (fun (f : D.firing) -> f.D.f_trigger) (drain2 ()))
 
-(* The per-database switch must force the brute-force reference path —
-   observably identical firings. *)
-let test_per_db_dispatch_switch () =
-  let run ~indexed =
-    let db = D.create_db () in
-    let drain = collect_firings db in
-    D.register_class db (schema ());
-    D.set_dispatch_index db indexed;
-    Alcotest.(check bool) "flag readable" indexed (D.dispatch_index_enabled db);
-    let oid =
-      expect_ok
-        (D.with_txn db (fun _ ->
-             let oid = D.create db "account" [] in
-             D.activate db oid "audit" [];
-             ignore (D.call db oid "deposit" [ Value.Int 1 ]);
-             ignore (D.call db oid "deposit" [ Value.Int 2 ]);
-             oid))
-    in
-    (List.map (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid)) (drain ()), oid)
-  in
-  let fired_on, oid_on = run ~indexed:true in
-  let fired_off, oid_off = run ~indexed:false in
-  Alcotest.(check bool) "same oid" true (oid_on = oid_off);
-  Alcotest.(check bool) "same firings either path" true (fired_on = fired_off);
-  Alcotest.(check (list string))
-    "audit fired" [ "audit" ]
-    (List.map fst fired_on)
-
 let test_tcomplete_livelock_bound () =
-  let db = D.create_db ~max_tcomplete_rounds:3 () in
+  let rounds n = { (D.Config.of_env ()) with D.Config.max_tcomplete_rounds = n } in
+  let db = D.create_db ~config:(rounds 3) () in
   let b = D.define_class "spin" in
   let b =
     D.trigger_str b ~perpetual:true "forever" ~event:"before tcomplete"
@@ -147,7 +117,7 @@ let test_tcomplete_livelock_bound () =
       (contains msg "3" && contains msg "livelock")
   | Ok () | Error `Aborted -> Alcotest.fail "commit should hit the round bound");
   Alcotest.(check bool) "bound must be positive" true
-    (match D.create_db ~max_tcomplete_rounds:0 () with
+    (match D.create_db ~config:(rounds 0) () with
     | exception D.Ode_error _ -> true
     | _ -> false)
 
@@ -155,8 +125,6 @@ let suite =
   [
     Alcotest.test_case "end-to-end through the public facade" `Quick
       test_end_to_end;
-    Alcotest.test_case "per-database dispatch switch" `Quick
-      test_per_db_dispatch_switch;
     Alcotest.test_case "tcomplete livelock bound" `Quick
       test_tcomplete_livelock_bound;
   ]

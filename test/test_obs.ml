@@ -20,7 +20,7 @@ let kind basic = Format.asprintf "%a" Symbol.pp_basic_key (Symbol.basic_key basi
 
 (* One object of class [c] with two armed perpetual triggers: [hit] on
    [after ping] (fires on every call) and [inert] on an event never
-   posted (pruned by the dispatch index, classified by the scan path).
+   posted (pruned by the dispatch index).
    Setup runs with observability OFF so the counters reflect only the
    scripted transactions. *)
 let scripted_db ?trace_capacity () =
@@ -29,7 +29,15 @@ let scripted_db ?trace_capacity () =
      [Wal_flushed] spans would interleave with under the
      ODE_DURABILITY=wal CI leg (WAL observability is pinned in
      test_wal.ml instead) *)
-  let db = D.create_db ?trace_capacity ~durability:`Image () in
+  let c = D.Config.of_env () in
+  let c =
+    {
+      c with
+      D.Config.durability = `Image;
+      trace_capacity = Option.value trace_capacity ~default:c.D.Config.trace_capacity;
+    }
+  in
+  let db = D.create_db ~config:c () in
   let b = D.define_class "c" in
   let b = D.field b "n" (Value.Int 0) in
   let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
@@ -140,18 +148,6 @@ let test_timing_gate () =
   ping db oid;
   Alcotest.(check int) "forced timing feeds histograms" 18
     (Hist.count (Obs.hist r Obs.Post))
-
-let test_scan_path_counters () =
-  (* brute-force reference path: every active trigger is classified on
-     every post (2 * 9), and nothing is "skipped by the index" *)
-  let db, oid = scripted_db () in
-  D.set_dispatch_index db false;
-  D.set_observability db true;
-  ping db oid;
-  let r = D.observe db in
-  Alcotest.(check int) "every activation classified" 18 (Obs.get r Obs.Classified);
-  Alcotest.(check int) "no skips without the index" 0 (Obs.get r Obs.Index_skipped);
-  Alcotest.(check int) "same firings" 1 (Obs.get r Obs.Firings)
 
 let test_disabled_counts_nothing () =
   let db, oid = scripted_db () in
@@ -359,7 +355,7 @@ let test_unsubscribe_during_delivery () =
    equal a 1-domain run of the identical batch bit for bit. *)
 let test_exact_counters_under_domains () =
   let run domains =
-    let db = D.create_db ~backend:(`Sharded 8) () in
+    let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.shards = 8 } () in
     D.set_post_domains db domains;
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
@@ -412,7 +408,6 @@ let suite =
     Alcotest.test_case "exact counters under 4 domains" `Quick
       test_exact_counters_under_domains;
     Alcotest.test_case "timing gate" `Quick test_timing_gate;
-    Alcotest.test_case "scan-path counters" `Quick test_scan_path_counters;
     Alcotest.test_case "disabled = all zeros" `Quick test_disabled_counts_nothing;
     Alcotest.test_case "abort + undo accounting" `Quick test_abort_and_undo;
     Alcotest.test_case "lock-conflict counter" `Quick test_lock_conflict_counter;

@@ -1,8 +1,8 @@
 (* Partition equivalence: an oid-sliced engine group must be observably
    identical to the single engine — same firings in the same order, same
    action log, same automaton states, same exact observability counters
-   and byte-identical ODE1 images — at any partition count, on both
-   store backends, under random schemas and random transaction scripts.
+   and byte-identical ODE1 images — at any partition and shard count,
+   under random schemas and random transaction scripts.
    The generators and runners are shared with test_shard.ml: the same
    workloads that pinned Heap = Sharded and 1 domain = 4 domains now pin
    1 partition = 2 = 4.
@@ -28,8 +28,8 @@ let expect_ok = function
 
 (* Directed tests pin the whole config (environment ignored) so they
    mean the same thing on every CI leg. *)
-let cfg ?(backend = `Heap) ?durability ~partitions () =
-  let c = { D.Config.default with D.Config.backend; partitions } in
+let cfg ?(shards = 1) ?durability ~partitions () =
+  let c = { D.Config.default with D.Config.shards; partitions } in
   match durability with
   | None -> c
   | Some d -> { c with D.Config.durability = d }
@@ -50,11 +50,11 @@ let partitions_transparent =
     (QCheck.make ~print:TS.print_case TS.gen_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.triggers);
-      let p1 = TS.run ~partitions:1 ~backend:`Heap case in
-      p1 = TS.run ~partitions:2 ~backend:`Heap case
-      && p1 = TS.run ~partitions:4 ~backend:`Heap case
-      && p1 = TS.run ~partitions:2 ~backend:(`Sharded 3) case
-      && p1 = TS.run ~partitions:4 ~backend:(`Sharded 4) case)
+      let p1 = TS.run ~partitions:1 ~shards:1 case in
+      p1 = TS.run ~partitions:2 ~shards:1 case
+      && p1 = TS.run ~partitions:4 ~shards:1 case
+      && p1 = TS.run ~partitions:2 ~shards:3 case
+      && p1 = TS.run ~partitions:4 ~shards:4 case)
 
 let post_many_partitions_equal =
   QCheck.Test.make ~count:30
@@ -62,10 +62,10 @@ let post_many_partitions_equal =
     (QCheck.make ~print:TS.print_batch_case TS.gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.btriggers);
-      let p1 = TS.run_batch ~partitions:1 ~backend:(`Sharded 4) ~domains:1 case in
-      p1 = TS.run_batch ~partitions:2 ~backend:(`Sharded 4) ~domains:1 case
-      && p1 = TS.run_batch ~partitions:4 ~backend:(`Sharded 4) ~domains:4 case
-      && p1 = TS.run_batch ~partitions:2 ~backend:`Heap ~domains:2 case)
+      let p1 = TS.run_batch ~partitions:1 ~shards:4 ~domains:1 case in
+      p1 = TS.run_batch ~partitions:2 ~shards:4 ~domains:1 case
+      && p1 = TS.run_batch ~partitions:4 ~shards:4 ~domains:4 case
+      && p1 = TS.run_batch ~partitions:2 ~shards:1 ~domains:2 case)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-partition composites                                          *)
@@ -121,7 +121,7 @@ let test_cross_partition_sequence () =
 let test_cross_count_image () =
   let fired = ref 0 in
   let mk partitions =
-    let db = D.create_db ~config:(cfg ~backend:(`Sharded 4) ~partitions ()) () in
+    let db = D.create_db ~config:(cfg ~shards:4 ~partitions ()) () in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
     let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
@@ -185,7 +185,7 @@ let test_wal_group_recover () =
     db
   in
   let wal_config =
-    cfg ~backend:(`Sharded 2) ~partitions:2
+    cfg ~shards:2 ~partitions:2
       ~durability:
         (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
       ()
@@ -305,6 +305,8 @@ let test_config_surface () =
   in
   Alcotest.(check bool) "summary mentions partitions" true
     (contains "partitions=2");
+  Alcotest.(check bool) "summary names the shard count" true
+    (contains "backend=sharded:1");
   let db1 = D.create_db ~config:(cfg ~partitions:1 ()) () in
   Alcotest.(check int) "single engine" 1 (D.partitions db1)
 

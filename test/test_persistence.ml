@@ -38,7 +38,7 @@ let tmp = Filename.temp_file "ode" ".img"
 
 let test_roundtrip () =
   let fired = ref [] in
-  let db = D.create_db ~start_time:123_456L () in
+  let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = 123_456L } () in
   D.register_class db (schema fired);
   let oid =
     expect_ok

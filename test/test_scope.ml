@@ -198,7 +198,7 @@ let db_witness_parity =
       List.rev !got = expected)
 
 let test_history_recording () =
-  let db = D.create_db ~start_time:1000L () in
+  let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = 1000L } () in
   D.enable_history db ~limit:100;
   D.register_class db (widget_class "w");
   let oid =
@@ -274,7 +274,7 @@ let test_object_listing () =
   | _ -> Alcotest.fail "expected 3 oids")
 
 let test_history_queries () =
-  let db = D.create_db ~start_time:100L () in
+  let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = 100L } () in
   D.enable_history db ~limit:100;
   D.register_class db (widget_class "w");
   let oid = expect_ok (D.with_txn db (fun _ -> D.create db "w" [])) in

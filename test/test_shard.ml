@@ -1,14 +1,15 @@
-(* Backend equivalence: the Heap and Sharded store backends must be
-   observably identical — same firings in the same order, same action
-   log, same automaton states, same object listings, same statistics and
-   byte-identical ODE1 persist images — on random schemas under random
-   transaction scripts with commits, aborts, deletes and simulated-time
-   advances. Likewise [post_many] must be bit-identical across domain
-   counts: the parallel step phase (one task per shard) may not change a
-   single observable, firing order and observability counters included.
+(* Shard-count equivalence: the heap — the one-shard table — and the
+   sharded table at several shard counts must be observably identical —
+   same firings in the same order, same action log, same automaton
+   states, same object listings, same statistics and byte-identical
+   ODE1 persist images — on random schemas under random transaction
+   scripts with commits, aborts, deletes and simulated-time advances.
+   Likewise [post_many] must be bit-identical across domain counts: the
+   parallel step phase (one task per shard) may not change a single
+   observable, firing order and observability counters included.
 
-   Directed tests below cover the new Store surface: [cardinal]/[mem]
-   on both backends, the ascending-oid enumeration contract, oid
+   Directed tests below cover the Store surface: [cardinal]/[mem] at 1
+   and 4 shards, the ascending-oid enumeration contract, oid
    round-robin over shards, and the [ODE_STORE_BACKEND] selector. *)
 
 open Ode_odb
@@ -41,8 +42,8 @@ type case = {
 let n_objects = 5
 let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.triggers
 
-(* Build the schema on the given backend, run every script, and
-   summarise everything the backends could disagree on. Nothing is
+(* Build the schema on a [shards]-wide heap, run every script, and
+   summarise everything the shard counts could disagree on. Nothing is
    sorted: the {e order} of firings and logged actions is part of the
    contract. *)
 (* [partitions]: [None] follows the environment (the default, like
@@ -51,24 +52,18 @@ let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.trig
    workload at several counts and compare. Pinning also pins [`Image]
    durability: partitioning is transparent to every logical observable,
    but {e how many} WAL batches a commit emits is per-member layout. *)
-let create_db ?partitions ~backend () =
+let create_db ?partitions ~shards () =
+  let c = { (D.Config.of_env ()) with D.Config.shards } in
   match partitions with
-  | None -> D.create_db ~backend ()
+  | None -> D.create_db ~config:c ()
   | Some n ->
     D.create_db
-      ~config:
-        {
-          (D.Config.of_env ()) with
-          D.Config.backend;
-          partitions = n;
-          durability = `Image;
-        }
+      ~config:{ c with D.Config.partitions = n; durability = `Image }
       ()
 
-let run ?(kernel = true) ?partitions ~backend case =
+let run ?partitions ~shards case =
   let log = ref [] in
-  let db = create_db ?partitions ~backend () in
-  D.set_posting_kernel db kernel;
+  let db = create_db ?partitions ~shards () in
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
   D.db_trigger_str db ~perpetual:true "census" ~event:"choose 2 (after create)"
@@ -180,10 +175,9 @@ let n_batch_objects = 8
 (* Run both batches through [post_many] — the second in a transaction
    that aborts, exercising the merged per-shard undo segments — and
    summarise every observable, the exact counters included. *)
-let run_batch ?(kernel = true) ?partitions ~backend ~domains case =
+let run_batch ?partitions ~shards ~domains case =
   let log = ref [] in
-  let db = create_db ?partitions ~backend () in
-  D.set_posting_kernel db kernel;
+  let db = create_db ?partitions ~shards () in
   D.set_post_domains db domains;
   (* make the domain count real even on a small box: no core-count
      clamp, no sequential fallback for small batches — these
@@ -257,8 +251,8 @@ let run_batch ?(kernel = true) ?partitions ~backend ~domains case =
       (List.rev !firings_log)
   in
   (* the persist image pins the exact post-batch state words: a domain
-     count or path switch that corrupted even one automaton cell would
-     change the bytes *)
+     or shard count that corrupted even one automaton cell would change
+     the bytes *)
   let image =
     let tmp = Filename.temp_file "ode_shard" ".img" in
     D.save db tmp;
@@ -376,52 +370,23 @@ let compiles (e, _, committed, _) =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* "Heap" is the one-shard table, the store before sharding. *)
 let heap_equals_sharded =
   QCheck.Test.make ~count:40 ~name:"Heap = Sharded (firings, states, persist bytes)"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      let h = run ~backend:`Heap case in
-      h = run ~backend:(`Sharded 4) case && h = run ~backend:(`Sharded 3) case)
+      let h = run ~shards:1 case in
+      h = run ~shards:4 case && h = run ~shards:3 case)
 
 let post_many_domains_equal =
   QCheck.Test.make ~count:40 ~name:"post_many: 1 domain = 4 domains = Heap"
     (QCheck.make ~print:print_batch_case gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
-      let d1 = run_batch ~backend:(`Sharded 8) ~domains:1 case in
-      d1 = run_batch ~backend:(`Sharded 8) ~domains:4 case
-      && d1 = run_batch ~backend:`Heap ~domains:4 case)
-
-(* The posting kernel against the legacy indexed path it replaced, on
-   both backends: same firings, same states, same object listings, same
-   byte-identical persist image. The state representation (SoA slots) is
-   shared by both paths, so the image comparison pins the kernel's
-   in-place stepping to the exact words the legacy path computes. *)
-let kernel_equals_prekernel_backends =
-  QCheck.Test.make ~count:30
-    ~name:"posting kernel = pre-kernel path (both backends, persist bytes)"
-    (QCheck.make ~print:print_case gen_case)
-    (fun case ->
-      QCheck.assume (List.for_all compiles case.triggers);
-      let k = run ~kernel:true ~backend:(`Sharded 4) case in
-      k = run ~kernel:false ~backend:(`Sharded 4) case
-      && k = run ~kernel:false ~backend:`Heap case)
-
-(* Likewise for the batch pipeline, exact observability counters
-   included, across 1/4-domain step phases: the kernel's per-shard
-   scratch accumulators must flush to the same totals the legacy path
-   records one event at a time. *)
-let kernel_equals_prekernel_batches =
-  QCheck.Test.make ~count:30
-    ~name:"post_many: kernel = pre-kernel (1/4 domains, counters)"
-    (QCheck.make ~print:print_batch_case gen_batch_case)
-    (fun case ->
-      QCheck.assume (List.for_all compiles case.btriggers);
-      let k = run_batch ~kernel:true ~backend:(`Sharded 8) ~domains:1 case in
-      k = run_batch ~kernel:false ~backend:(`Sharded 8) ~domains:1 case
-      && k = run_batch ~kernel:false ~backend:(`Sharded 8) ~domains:4 case
-      && k = run_batch ~kernel:false ~backend:`Heap ~domains:1 case)
+      let d1 = run_batch ~shards:8 ~domains:1 case in
+      d1 = run_batch ~shards:8 ~domains:4 case
+      && d1 = run_batch ~shards:1 ~domains:4 case)
 
 (* Kernel coverage, detector level: every expression the generators can
    produce — composite masks, [choose]/[every] counting, nesting — must
@@ -453,7 +418,7 @@ let batch_steps_all_slots =
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
       let _, _, _, _, _, counters, _, _ =
-        run_batch ~kernel:true ~backend:(`Sharded 8) ~domains:2 case
+        run_batch ~shards:8 ~domains:2 case
       in
       let get n = List.assoc n counters in
       get "word_transitions" = 0
@@ -475,19 +440,21 @@ let simple_class () =
 let simple_schema_class () =
   Schema.field (Schema.define_class "c") "x" (Value.Int 0)
 
-let test_backend_name () =
-  let db = D.create_db ~backend:`Heap () in
-  Alcotest.(check string) "heap" "heap" (D.backend_name db);
-  let db = D.create_db ~backend:(`Sharded 4) () in
-  Alcotest.(check string) "sharded" "sharded:4" (D.backend_name db)
+let with_shards shards = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.shards } ()
 
-(* [cardinal]/[mem]/enumeration at the Store layer, on both backends:
+let test_backend_name () =
+  Alcotest.(check string) "heap" "sharded:1" (D.backend_name (with_shards 1));
+  Alcotest.(check string) "sharded" "sharded:4" (D.backend_name (with_shards 4));
+  Alcotest.(check bool) "zero shards rejected" true
+    (match with_shards 0 with exception D.Ode_error _ -> true | _ -> false)
+
+(* [cardinal]/[mem]/enumeration at the Store layer, at 1 and 4 shards:
    committed deletes keep the record (mem true, default cardinal counts
    it) but leave the live count and listings. *)
 let test_store_primitives () =
   List.iter
-    (fun spec ->
-      let db = D.create_db ~backend:spec () in
+    (fun shards ->
+      let db = with_shards shards in
       D.register_class db (simple_class ());
       let oids =
         expect_ok
@@ -502,12 +469,12 @@ let test_store_primitives () =
         (List.filter (fun o -> o <> List.nth oids 3) oids)
         (D.objects db);
       Alcotest.(check bool) "exists false" false (D.exists db (List.nth oids 3)))
-    [ `Heap; `Sharded 4 ]
+    [ 1; 4 ]
 
 let test_store_layer_cardinal_mem () =
   List.iter
-    (fun spec ->
-      let db = Types.make_db ~backend:(Store.backend_of spec) () in
+    (fun shards ->
+      let db = Types.make_db ~shards () in
       Schema.register_class db (simple_schema_class ());
       let oids =
         expect_ok
@@ -533,10 +500,10 @@ let test_store_layer_cardinal_mem () =
       Txn.abort db tx;
       Alcotest.(check bool) "aborted create not mem" false (Store.mem db noid);
       Alcotest.(check int) "aborted create cardinal" 10 (Store.cardinal db))
-    [ `Heap; `Sharded 4 ]
+    [ 1; 4 ]
 
 let test_shard_partition () =
-  let db = Types.make_db ~backend:(Store.backend_of (`Sharded 4)) () in
+  let db = Types.make_db ~shards:4 () in
   Schema.register_class db (simple_schema_class ());
   Alcotest.(check int) "shards" 4 (Store.shards db);
   let oids =
@@ -552,7 +519,7 @@ let test_shard_partition () =
       shard_counts.(s) <- shard_counts.(s) + 1)
     oids;
   Array.iter (fun n -> Alcotest.(check int) "balanced" 2 n) shard_counts;
-  let db_heap = Types.make_db ~backend:(Store.backend_of `Heap) () in
+  let db_heap = Types.make_db () in
   Alcotest.(check int) "heap is one shard" 1 (Store.shards db_heap);
   Alcotest.(check int) "heap shard_of" 0 (Store.shard_of db_heap 17)
 
@@ -565,22 +532,22 @@ let test_env_selector () =
         Unix.putenv "ODE_STORE_BACKEND" (Option.value ~default:"" old))
       f
   in
+  with_env "" (fun () ->
+      Alcotest.(check int) "unset" 1 (Store.shards_of_env ()));
   with_env "heap" (fun () ->
-      Alcotest.(check bool) "heap" true (Store.default_spec () = `Heap));
+      Alcotest.(check int) "heap is one shard" 1 (Store.shards_of_env ()));
   with_env "sharded" (fun () ->
-      Alcotest.(check bool)
-        "sharded default" true
-        (Store.default_spec () = `Sharded Store.default_shards));
+      Alcotest.(check int) "sharded default" Store.default_shards (Store.shards_of_env ()));
   with_env "sharded:3" (fun () ->
-      Alcotest.(check bool) "sharded:3" true (Store.default_spec () = `Sharded 3));
+      Alcotest.(check int) "sharded:3" 3 (Store.shards_of_env ()));
   with_env "bogus" (fun () ->
       Alcotest.check_raises "bogus rejected"
         (Types.Ode_error "ODE_STORE_BACKEND: unknown backend \"bogus\"")
-        (fun () -> ignore (Store.default_spec ())));
+        (fun () -> ignore (Store.shards_of_env ())));
   with_env "sharded:0" (fun () ->
       Alcotest.check_raises "zero shards rejected"
         (Types.Ode_error "ODE_STORE_BACKEND: bad shard count in \"sharded:0\"")
-        (fun () -> ignore (Store.default_spec ())))
+        (fun () -> ignore (Store.shards_of_env ())))
 
 (* The pool itself: every task runs exactly once, failures propagate
    after the join, shutdown is idempotent. *)
@@ -622,12 +589,13 @@ let test_pool () =
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *)
 
-(* Persist round-trip across backends: an image saved from one backend
-   loads into the other and detection picks up mid-sequence. *)
+(* Persist round-trip across shard counts: an image saved from a
+   4-shard heap loads into a 1-shard one and detection picks up
+   mid-sequence. *)
 let test_cross_backend_image () =
   let fired = ref 0 in
-  let mk backend =
-    let db = D.create_db ~backend () in
+  let mk shards =
+    let db = with_shards shards in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
     let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
@@ -637,7 +605,7 @@ let test_cross_backend_image () =
     D.register_class db b;
     db
   in
-  let db = mk (`Sharded 4) in
+  let db = mk 4 in
   let oid =
     expect_ok
       (D.with_txn db (fun _ ->
@@ -648,7 +616,7 @@ let test_cross_backend_image () =
   in
   let tmp = Filename.temp_file "ode_shard" ".img" in
   D.save db tmp;
-  let db2 = mk `Heap in
+  let db2 = mk 1 in
   D.load db2 tmp;
   Sys.remove tmp;
   expect_ok (D.with_txn db2 (fun _ -> ignore (D.call db2 oid "g" [])));
@@ -668,8 +636,6 @@ let suite =
       [
         heap_equals_sharded;
         post_many_domains_equal;
-        kernel_equals_prekernel_backends;
-        kernel_equals_prekernel_batches;
         all_expressions_flat;
         batch_steps_all_slots;
       ]

@@ -11,7 +11,7 @@ let expect_ok = function
   | Error `Aborted -> Alcotest.fail "transaction unexpectedly aborted"
 
 let make_db triggers =
-  let db = D.create_db ~start_time:(Clock.ms_of_civil (Clock.civil ~hr:8 1992 6 2)) () in
+  let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = (Clock.ms_of_civil (Clock.civil ~hr:8 1992 6 2)) } () in
   D.register_class db
     (D.define_class "vessel"
     |> (fun b -> D.field b "pressure" (Value.Float 0.0))

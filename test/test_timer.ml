@@ -1,10 +1,11 @@
-(* The timing wheel against its oracle: the wheel and the sorted-list
-   queue must be observationally identical — same firing traces, same
-   ODE1 image bytes, same WAL replay — over arbitrary arm / cancel /
-   re-arm / advance interleavings and at every partition count. Plus
-   the satellites: equal-deadline (due, seq) order, eager cancellation
-   visible in [stats.state_bytes], the ODE_TIMER_QUEUE selector, and
-   the clock-only-replay regression. *)
+(* The timing wheel against its oracle: [Ref_timerq], a sorted (due,
+   seq) list restating the timer contract, must predict the wheel's
+   firing trace and pending queue over arbitrary arm / cancel / re-arm /
+   abort / advance interleavings, at every partition count — and the
+   ODE1 image bytes must agree across partition counts and survive WAL
+   replay. Plus the satellites: equal-deadline (due, seq) order, eager
+   cancellation visible in [stats.state_bytes], the clock-only-replay
+   regression, and the fleet scenario against the oracle. *)
 
 open Ode_odb
 module D = Database
@@ -20,39 +21,58 @@ let fresh_dir () =
   Unix.mkdir d 0o755;
   d
 
-let mk_db ?durability ~partitions ~wheel () =
+let mk_db ?durability ~partitions () =
+  let c = { (D.Config.of_env ()) with D.Config.partitions } in
   let c =
-    {
-      (D.Config.of_env ()) with
-      D.Config.partitions;
-      timer_wheel = wheel;
-    }
+    match durability with Some d -> { c with D.Config.durability = d } | None -> c
   in
-  D.create_db ~config:c ?durability ()
+  D.create_db ~config:c ()
 
 (* Every timer shape the engine arms: a fast and a slow periodic (the
    slow one crosses level-1 rotations, period > 4096 ms), a one-shot
-   after-period and a calendar pattern. *)
-let triggers = [| "tick"; "slow"; "once"; "daily" |]
+   after-period and a calendar pattern — (name, event, perpetual). *)
+let trigger_decls =
+  [
+    ("tick", "every time(MS=70)", true);
+    ("slow", "every time(MS=4111)", true);
+    ("once", "after time(MS=150)", false);
+    ("daily", "at time(HR=9)", true);
+  ]
+
+let triggers = Array.of_list (List.map (fun (n, _, _) -> n) trigger_decls)
 
 let schema () =
-  D.define_class "probe"
-  |> (fun b -> D.field b "n" (Value.Int 0))
-  |> (fun b ->
-       D.method_ b ~kind:D.Updating "poke" (fun db oid _ ->
-           D.set_field db oid "n" (Value.add (D.get_field db oid "n") (Value.Int 1));
-           Value.Unit))
-  |> (fun b ->
-       D.trigger_str b ~perpetual:true "tick" ~event:"every time(MS=70)"
-         ~action:(fun db ctx -> ignore (D.call db ctx.D.fc_oid "poke" [])))
-  |> (fun b ->
-       D.trigger_str b ~perpetual:true "slow" ~event:"every time(MS=4111)"
-         ~action:(fun _ _ -> ()))
-  |> (fun b ->
-       D.trigger_str b "once" ~event:"after time(MS=150)" ~action:(fun _ _ -> ()))
-  |> fun b ->
-  D.trigger_str b ~perpetual:true "daily" ~event:"at time(HR=9)"
-    ~action:(fun _ _ -> ())
+  List.fold_left
+    (fun b (name, event, perpetual) ->
+      D.trigger_str b ~perpetual name ~event ~action:(fun db ctx ->
+          if name = "tick" then ignore (D.call db ctx.D.fc_oid "poke" [])))
+    (D.define_class "probe"
+    |> (fun b -> D.field b "n" (Value.Int 0))
+    |> fun b ->
+    D.method_ b ~kind:D.Updating "poke" (fun db oid _ ->
+        D.set_field db oid "n" (Value.add (D.get_field db oid "n") (Value.Int 1));
+        Value.Unit))
+    trigger_decls
+
+let reference decls =
+  Ref_timerq.create
+    (List.map (fun (n, e, p) -> (n, Ode_lang.Parser.parse_event e, p)) decls)
+
+(* The pending queue as the ODE1 image carries it — merged across
+   partition members in (due, seq) order — projected like
+   [Ref_timerq.pending]. *)
+let image_pending db =
+  let module C = Ode_base.Codec in
+  let r = C.reader (D.image_bytes db) in
+  ignore (C.read_string r);
+  for _ = 1 to 3 do
+    ignore (C.read_int r)
+  done;
+  ignore (C.read_list r Persist.read_obj_raw);
+  List.map
+    (fun (tm : Types.timer) ->
+      Types.(tm.tm_due, tm.tm_oid, tm.tm_trigger, tm.tm_epoch, tm.tm_spec, tm.tm_anchor))
+    (C.read_list r Persist.read_timer)
 
 (* ------------------------------------------------------------------ *)
 (* The random script                                                   *)
@@ -94,15 +114,16 @@ let gen_ops rng =
       | x when x < 60 -> Aborted (slot (), trig ())
       | _ -> Advance (gen_span rng))
 
-(* Replay one script against one database; the trace is every firing
-   in order, (trigger, oid, txn) — oids and txn ids are deterministic,
-   so equal traces mean equal behaviour. *)
+(* Replay one script against one database and the reference queue;
+   the trace is every firing in order, (trigger, oid, instant) — oids
+   are deterministic, so equal traces mean equal behaviour. *)
 let run_script ops db =
   D.register_class db (schema ());
+  let model = reference trigger_decls in
   let fired = ref [] in
   let _s =
     D.subscribe_firings db (fun f ->
-        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_txn) :: !fired)
+        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
   in
   let objs = ref [] in
   let pick i =
@@ -117,28 +138,37 @@ let run_script ops db =
       | Create mask ->
         in_txn (fun () ->
             let oid = D.create db "probe" [] in
+            Ref_timerq.create_object model oid;
             Array.iteri
               (fun bit t ->
-                if mask land (1 lsl bit) <> 0 then D.activate db oid t [])
+                if mask land (1 lsl bit) <> 0 then begin
+                  D.activate db oid t [];
+                  Ref_timerq.activate model oid t
+                end)
               triggers;
             objs := !objs @ [ oid ])
       | Activate (i, t) -> (
         match pick i with
-        | Some oid ->
-          in_txn (fun () -> if D.exists db oid then D.activate db oid t [])
-        | None -> ())
+        | Some oid when D.exists db oid ->
+          in_txn (fun () -> D.activate db oid t []);
+          Ref_timerq.activate model oid t
+        | _ -> ())
       | Deactivate (i, t) -> (
         match pick i with
-        | Some oid ->
-          in_txn (fun () -> if D.exists db oid then D.deactivate db oid t)
-        | None -> ())
+        | Some oid when D.exists db oid ->
+          in_txn (fun () -> D.deactivate db oid t);
+          Ref_timerq.deactivate model oid t
+        | _ -> ())
       | Delete i -> (
         match pick i with
-        | Some oid -> in_txn (fun () -> if D.exists db oid then D.delete db oid)
-        | None -> ())
+        | Some oid when D.exists db oid ->
+          in_txn (fun () -> D.delete db oid);
+          Ref_timerq.delete model oid
+        | _ -> ())
       | Aborted (i, t) -> (
         (* arm, re-arm and cancel, then roll it all back: the
-           [U_timers_armed]/[U_timers_cancelled] undo paths *)
+           [U_timers_armed]/[U_timers_cancelled] undo paths; the
+           reference does nothing *)
         match pick i with
         | Some oid when D.exists db oid ->
           let tx = D.begin_txn db in
@@ -150,14 +180,16 @@ let run_script ops db =
              D.abort db tx
            with D.Lock_conflict _ -> D.abort db tx)
         | _ -> ())
-      | Advance ms -> D.advance_clock db (Int64.of_int ms))
+      | Advance ms ->
+        D.advance_clock db (Int64.of_int ms);
+        Ref_timerq.advance model (Int64.of_int ms))
     ops;
-  List.rev !fired
+  (List.rev !fired, model)
 
-let run_one ops ?durability ~partitions ~wheel () =
-  let db = mk_db ?durability ~partitions ~wheel () in
-  let trace = run_script ops db in
-  (db, trace, D.image_bytes db)
+let run_one ops ?durability ~partitions () =
+  let db = mk_db ?durability ~partitions () in
+  let trace, model = run_script ops db in
+  (db, trace, D.image_bytes db, model)
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -165,15 +197,17 @@ let run_one ops ?durability ~partitions ~wheel () =
 
 let prop_oracle =
   QCheck.Test.make
-    ~name:"wheel = sorted-list oracle (trace + ODE1 bytes, partitions 1/2/4)"
+    ~name:"wheel = sorted-list oracle (trace + pending timers, partitions 1/2/4)"
     ~count:20 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x17 |] in
       let ops = gen_ops rng in
-      let _, tr0, img0 = run_one ops ~partitions:1 ~wheel:false () in
+      let _, _, img1, _ = run_one ops ~partitions:1 () in
       List.for_all
         (fun p ->
-          let _, tr, img = run_one ops ~partitions:p ~wheel:true () in
-          tr = tr0 && String.equal img img0)
+          let db, tr, img, model = run_one ops ~partitions:p () in
+          tr = Ref_timerq.fired model
+          && image_pending db = Ref_timerq.pending model
+          && String.equal img img1)
         [ 1; 2; 4 ])
 
 let prop_wal_recovery =
@@ -182,21 +216,16 @@ let prop_wal_recovery =
     ~count:12 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x33 |] in
       let ops = gen_ops rng in
-      let _, _, img0 = run_one ops ~partitions:1 ~wheel:false () in
+      let _, _, img0, _ = run_one ops ~partitions:1 () in
       List.for_all
         (fun p ->
           let dir = fresh_dir () in
           let cfg =
             Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
           in
-          let db, _, img =
-            run_one ops ~durability:(`Wal cfg) ~partitions:p ~wheel:true ()
-          in
+          let db, _, img, _ = run_one ops ~durability:(`Wal cfg) ~partitions:p () in
           D.close_durability db;
-          let rdb =
-            mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:p ~wheel:true
-              ()
-          in
+          let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:p () in
           D.register_class rdb (schema ());
           D.recover rdb;
           let ok = String.equal (D.image_bytes rdb) img in
@@ -209,14 +238,13 @@ let prop_wal_recovery =
 (* ------------------------------------------------------------------ *)
 
 (* Equal deadlines deliver in activation order — the group-wide
-   [tm_seq] stamp — identically for both representations and at any
-   partition count (oids scatter over members; the merge re-serializes
-   them). *)
+   [tm_seq] stamp — identically at any partition count (oids scatter
+   over members; the merge re-serializes them). *)
 let test_equal_deadline_order () =
   let runs =
     List.map
-      (fun (wheel, partitions) ->
-        let db = mk_db ~partitions ~wheel () in
+      (fun partitions ->
+        let db = mk_db ~partitions () in
         D.register_class db (schema ());
         let fired = ref [] in
         let _s = D.subscribe_firings db (fun f -> fired := f.D.f_oid :: !fired) in
@@ -230,7 +258,7 @@ let test_equal_deadline_order () =
         in
         D.advance_clock db 70L;
         (oids, List.rev !fired))
-      [ (false, 1); (true, 1); (true, 4) ]
+      [ 1; 4 ]
   in
   match runs with
   | (oids0, fired0) :: rest ->
@@ -245,82 +273,25 @@ let test_equal_deadline_order () =
    deleting an object releases its pending timers' bytes immediately
    (the lazy sweep kept them until due). *)
 let test_eager_cancel_stats () =
-  List.iter
-    (fun wheel ->
-      let db = mk_db ~partitions:1 ~wheel () in
-      D.register_class db (schema ());
-      let oid =
-        expect_ok
-          (D.with_txn db (fun _ ->
-               let oid = D.create db "probe" [] in
-               D.activate db oid "tick" [];
-               D.activate db oid "slow" [];
-               D.activate db oid "once" [];
-               oid))
-      in
-      let armed = (D.stats db).D.state_bytes in
-      expect_ok (D.with_txn db (fun _ -> D.deactivate db oid "tick"));
-      let one_less = (D.stats db).D.state_bytes in
-      Alcotest.(check bool) "deactivate released one timer" true
-        (armed - one_less >= 100);
-      expect_ok (D.with_txn db (fun _ -> D.delete db oid));
-      let gone = (D.stats db).D.state_bytes in
-      Alcotest.(check bool) "delete released the rest" true
-        (one_less - gone >= 200))
-    [ true; false ]
-
-(* ODE_TIMER_QUEUE selects the representation at create_db. *)
-let test_env_selector () =
-  let old = Sys.getenv_opt "ODE_TIMER_QUEUE" in
-  let restore () =
-    Unix.putenv "ODE_TIMER_QUEUE" (match old with Some s -> s | None -> "")
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "ODE_TIMER_QUEUE" "list";
-      Alcotest.(check bool) "list selects the sorted queue" false
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "wheel";
-      Alcotest.(check bool) "wheel selects the wheel" true
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "";
-      Alcotest.(check bool) "default is the wheel" true
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "bogus";
-      Alcotest.(check bool) "unknown queue rejected" true
-        (match D.create_db () with
-        | exception D.Ode_error _ -> true
-        | _ -> false))
-
-(* Flipping the representation in place preserves the bytes and the
-   behaviour from that point on. *)
-let test_flip_representation () =
-  let db = mk_db ~partitions:1 ~wheel:true () in
-  let control = mk_db ~partitions:1 ~wheel:true () in
-  let seed_ops db =
-    D.register_class db (schema ());
+  let db = mk_db ~partitions:1 () in
+  D.register_class db (schema ());
+  let oid =
     expect_ok
       (D.with_txn db (fun _ ->
-           for _ = 1 to 4 do
-             let oid = D.create db "probe" [] in
-             D.activate db oid "tick" [];
-             D.activate db oid "slow" []
-           done));
-    D.advance_clock db 100L
+           let oid = D.create db "probe" [] in
+           D.activate db oid "tick" [];
+           D.activate db oid "slow" [];
+           D.activate db oid "once" [];
+           oid))
   in
-  seed_ops db;
-  seed_ops control;
-  let img = D.image_bytes db in
-  D.set_timer_wheel db false;
-  Alcotest.(check bool) "flipped to the list" false (D.timer_wheel_enabled db);
-  Alcotest.(check bool) "bytes preserved by wheel -> list" true
-    (String.equal (D.image_bytes db) img);
-  D.set_timer_wheel db true;
-  Alcotest.(check bool) "bytes preserved by list -> wheel" true
-    (String.equal (D.image_bytes db) img);
-  D.advance_clock db 5_000L;
-  D.advance_clock control 5_000L;
-  Alcotest.(check bool) "flip is behaviour-transparent" true
-    (String.equal (D.image_bytes db) (D.image_bytes control))
+  let armed = (D.stats db).D.state_bytes in
+  expect_ok (D.with_txn db (fun _ -> D.deactivate db oid "tick"));
+  let one_less = (D.stats db).D.state_bytes in
+  Alcotest.(check bool) "deactivate released one timer" true
+    (armed - one_less >= 100);
+  expect_ok (D.with_txn db (fun _ -> D.delete db oid));
+  let gone = (D.stats db).D.state_bytes in
+  Alcotest.(check bool) "delete released the rest" true (one_less - gone >= 200)
 
 (* Regression: a WAL batch that moves the clock without touching the
    queue must keep wheel placement consistent on replay — the recovered
@@ -331,7 +302,7 @@ let test_clock_only_replay () =
   let cfg =
     Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
   in
-  let db = mk_db ~durability:(`Wal cfg) ~partitions:1 ~wheel:true () in
+  let db = mk_db ~durability:(`Wal cfg) ~partitions:1 () in
   D.register_class db (schema ());
   expect_ok
     (D.with_txn db (fun _ ->
@@ -341,7 +312,7 @@ let test_clock_only_replay () =
      that crosses the level-0 rotation the timer was placed under *)
   D.advance_clock db 65L;
   D.close_durability db;
-  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:1 ~wheel:true () in
+  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:1 () in
   D.register_class rdb (schema ());
   D.recover rdb;
   let fired = ref 0 in
@@ -351,39 +322,51 @@ let test_clock_only_replay () =
   Alcotest.(check int) "the replayed timer still fires at 70" 1 !fired
 
 (* The fleet scenario end to end, small: cadence deliveries, one-shot
-   service alerts, eager cancellation via idle/retire — identical for
-   both representations. *)
+   service alerts, eager cancellation via idle/retire — against the
+   sorted-list oracle fed the same operations. *)
 let test_fleet_small () =
-  let run wheel =
-    Unix.putenv "ODE_TIMER_QUEUE" (if wheel then "wheel" else "list");
-    let fleet = Ode_scenarios.Fleet.setup ~vehicles:30 () in
-    Ode_scenarios.Fleet.tick fleet 1_000L;
-    let beats1 = Ode_scenarios.Fleet.total_beats fleet in
-    Ode_scenarios.Fleet.idle fleet ~stride:3;
-    Ode_scenarios.Fleet.retire fleet ~stride:7;
-    Ode_scenarios.Fleet.tick fleet 40_000L;
-    ( beats1,
-      Ode_scenarios.Fleet.total_beats fleet,
-      Ode_scenarios.Fleet.total_alerts fleet,
-      D.image_bytes fleet.Ode_scenarios.Fleet.db )
+  let module F = Ode_scenarios.Fleet in
+  let fleet = F.setup ~vehicles:30 () in
+  let model =
+    reference
+      (Array.to_list
+         (Array.map
+            (fun (name, ms) -> (name, Printf.sprintf "every time(MS=%d)" ms, true))
+            F.cadences)
+      @ [ ("service", Printf.sprintf "after time(MS=%d)" F.service_after_ms, false) ])
   in
-  let old = Sys.getenv_opt "ODE_TIMER_QUEUE" in
-  let restore () =
-    Unix.putenv "ODE_TIMER_QUEUE" (match old with Some s -> s | None -> "")
+  Array.iteri
+    (fun j oid ->
+      Ref_timerq.create_object model oid;
+      Ref_timerq.activate model oid (F.cadence_of j);
+      Ref_timerq.activate model oid "service")
+    fleet.F.vehicles;
+  let fired = ref [] in
+  let _s =
+    D.subscribe_firings fleet.F.db (fun f ->
+        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
   in
-  Fun.protect ~finally:restore (fun () ->
-      let b1, b2, alerts, img_w = run true in
-      let b1', b2', alerts', img_l = run false in
-      (* 10 vehicles each at 50/250/1000 ms over 1000 ms *)
-      Alcotest.(check int) "first-second heartbeats" ((20 * 10) + (4 * 10) + 10)
-        b1;
-      Alcotest.(check bool) "idle fleet keeps beating" true (b2 > b1);
-      Alcotest.(check bool) "service checks came due" true (alerts > 0);
-      Alcotest.(check int) "list rep: same first-second beats" b1 b1';
-      Alcotest.(check int) "list rep: same final beats" b2 b2';
-      Alcotest.(check int) "list rep: same alerts" alerts alerts';
-      Alcotest.(check bool) "list rep: same image bytes" true
-        (String.equal img_w img_l))
+  F.tick fleet 1_000L;
+  Ref_timerq.advance model 1_000L;
+  let beats1 = F.total_beats fleet in
+  F.idle fleet ~stride:3;
+  Array.iteri
+    (fun j oid -> if j mod 3 = 0 then Ref_timerq.deactivate model oid (F.cadence_of j))
+    fleet.F.vehicles;
+  F.retire fleet ~stride:7;
+  Array.iteri
+    (fun j oid -> if j mod 7 = 0 then Ref_timerq.delete model oid)
+    fleet.F.vehicles;
+  F.tick fleet 40_000L;
+  Ref_timerq.advance model 40_000L;
+  (* 10 vehicles each at 50/250/1000 ms over 1000 ms *)
+  Alcotest.(check int) "first-second heartbeats" ((20 * 10) + (4 * 10) + 10) beats1;
+  Alcotest.(check bool) "idle fleet keeps beating" true (F.total_beats fleet > beats1);
+  Alcotest.(check bool) "service checks came due" true (F.total_alerts fleet > 0);
+  Alcotest.(check bool) "list oracle: same firing trace" true
+    (List.rev !fired = Ref_timerq.fired model);
+  Alcotest.(check bool) "list oracle: same pending timers" true
+    (image_pending fleet.F.db = Ref_timerq.pending model)
 
 let suite =
   [
@@ -393,9 +376,6 @@ let suite =
       test_equal_deadline_order;
     Alcotest.test_case "eager cancellation frees state bytes" `Quick
       test_eager_cancel_stats;
-    Alcotest.test_case "ODE_TIMER_QUEUE selector" `Quick test_env_selector;
-    Alcotest.test_case "representation flip is transparent" `Quick
-      test_flip_representation;
     Alcotest.test_case "clock-only WAL batch replay (regression)" `Quick
       test_clock_only_replay;
     Alcotest.test_case "fleet scenario, wheel vs list" `Quick test_fleet_small;

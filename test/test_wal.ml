@@ -14,9 +14,13 @@ module D = struct
      snap-<g>.ode1 / wal-<g>.log at the directory root and cuts the log
      by hand), so pin partitions = 1 whatever ODE_PARTITIONS says —
      the partitioned WAL layout is covered by test_partition.ml *)
-  let create_db ?backend ?durability () =
+  let create_db ?shards ?durability () =
     let c = { (Config.of_env ()) with Config.partitions = 1 } in
-    create_db ~config:c ?backend ?durability ()
+    let c = { c with Config.shards = Option.value shards ~default:c.Config.shards } in
+    let c =
+      { c with Config.durability = Option.value durability ~default:c.Config.durability }
+    in
+    create_db ~config:c ()
 end
 
 module Value = Ode_base.Value
@@ -144,7 +148,7 @@ let probe pdb =
    state byte-identical to the shadow image captured when the last
    surviving batch was emitted — and the revived database behaves
    identically from there on. *)
-let crash_harness ~backend ~points ~seed () =
+let crash_harness ~shards ~points ~seed () =
   let dir = fresh_dir () in
   let shadows = ref [] in
   let cfg =
@@ -154,7 +158,7 @@ let crash_harness ~backend ~points ~seed () =
       ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
       dir
   in
-  let db = D.create_db ~backend ~durability:(`Wal cfg) () in
+  let db = D.create_db ~shards ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
   let base = D.image_bytes db in
   Alcotest.(check bool) "baseline snapshot = initial image" true
@@ -189,7 +193,7 @@ let crash_harness ~backend ~points ~seed () =
     let dir2 = fresh_dir () in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = D.create_db ~backend ~durability:(`Wal (Wal.config dir2)) () in
+    let rdb = D.create_db ~shards ~durability:(`Wal (Wal.config dir2)) () in
     D.register_class rdb (schema ());
     D.recover rdb;
     let expected = if n = 0 then base else shadows.(n - 1) in
@@ -202,7 +206,7 @@ let crash_harness ~backend ~points ~seed () =
     (* every 10th point, drive both databases forward and compare
        behaviour, not just bytes *)
     if point mod 10 = 0 then begin
-      let sdb = D.create_db ~backend ~durability:`Image () in
+      let sdb = D.create_db ~shards ~durability:`Image () in
       D.register_class sdb (schema ());
       let f = Filename.temp_file "ode_wal_shadow" ".img" in
       Codec.to_file f expected;
@@ -217,10 +221,10 @@ let crash_harness ~backend ~points ~seed () =
     end
   done
 
-let test_crash_heap () = crash_harness ~backend:`Heap ~points:250 ~seed:42 ()
+let test_crash_heap () = crash_harness ~shards:1 ~points:250 ~seed:42 ()
 
 let test_crash_sharded () =
-  crash_harness ~backend:(`Sharded 4) ~points:250 ~seed:43 ()
+  crash_harness ~shards:4 ~points:250 ~seed:43 ()
 
 (* Checkpoints rotate the generation pair: the old snapshot + log are
    retired, and recovery from the rotated directory still reconstructs
