@@ -741,7 +741,7 @@ let e10_obs () =
 (* E11-shard: batch posting throughput vs domain count                  *)
 (* ------------------------------------------------------------------ *)
 
-(* [post_many] on the sharded backend: N objects, each carrying
+(* [post_many] on an 8-member engine group: N objects, each carrying
    perpetual never-completing triggers (half of them masked), one ping
    per object per batch. Zero firings, so the batch is almost pure
    classify/step — the phase the domain pool parallelises — and the
@@ -752,22 +752,22 @@ let e10_obs () =
    Honest-measurement note: the speedup column can only reach the
    available cores; [cores] is recorded in the JSON so a 1-core CI run
    showing ~1.0x is read as a hardware limit, not a regression. *)
-(* shared by E11-shard and E12-kernel: N objects on a sharded heap, each
-   carrying perpetual never-completing triggers (half of them masked) *)
-let shard_n_objects = 256
-let shard_triggers_per_obj = 4
-let shard_count = 8
+(* shared by E11-shard and E12-kernel: N objects on an oid-sliced engine
+   group, each carrying perpetual never-completing triggers (half of
+   them masked) *)
+let batch_n_objects = 256
+let batch_triggers_per_obj = 4
+let batch_partitions = 8
 
-let shard_workload () =
-  let module T = Ode_odb.Types in
+let batch_workload () =
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
-  let db = T.make_db ~shards:shard_count () in
+  let db = Ode_odb.Engine_group.make ~partitions:batch_partitions () in
   let b = Sc.define_class "c" in
   let b = Sc.field b "x" (Value.Int 1) in
   let rec add b i =
-    if i >= shard_triggers_per_obj then b
+    if i >= batch_triggers_per_obj then b
     else
       add
         (Sc.trigger_str b ~perpetual:true
@@ -781,9 +781,9 @@ let shard_workload () =
   Sc.register_class db (add b 0);
   match
     Tx.with_txn db (fun _ ->
-        List.init shard_n_objects (fun _ ->
+        List.init batch_n_objects (fun _ ->
             let oid = E.create db "c" [] in
-            for i = 0 to shard_triggers_per_obj - 1 do
+            for i = 0 to batch_triggers_per_obj - 1 do
               E.activate db oid (Printf.sprintf "t%d" i) []
             done;
             oid))
@@ -796,11 +796,11 @@ let e11_shard () =
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
   let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
-  let triggers_per_obj = shard_triggers_per_obj in
-  let shards = shard_count in
+  let n_objects = batch_n_objects in
+  let triggers_per_obj = batch_triggers_per_obj in
+  let partitions = batch_partitions in
   let measure domains =
-    let db, oids = shard_workload () in
+    let db, oids = batch_workload () in
     E.set_post_domains db domains;
     let items =
       List.map (fun oid -> (oid, Sym.Method (Sym.After, "ping"), [])) oids
@@ -815,25 +815,25 @@ let e11_shard () =
   let rows = List.map (fun d -> (d, measure d)) [ 1; 2; 4 ] in
   let base = snd (List.hd rows) in
   let cores = Domain.recommended_domain_count () in
-  pf "objects=%d triggers/object=%d shards=%d cores=%d@." n_objects
-    triggers_per_obj shards cores;
+  pf "objects=%d triggers/object=%d partitions=%d cores=%d@." n_objects
+    triggers_per_obj partitions cores;
   pf "%-10s %16s %18s %12s@." "domains" "ns/event" "events/sec" "speedup";
   List.iter
     (fun (d, ns) ->
       pf "%-10d %16.0f %18.0f %11.2fx@." d ns (1e9 /. ns) (base /. ns))
     rows;
   pf "shape: the step phase is embarrassingly parallel (§5: one integer per\n\
-      trigger per object); scaling is bounded by min(domains, shards, cores).@.";
+      trigger per object); scaling is bounded by min(domains, partitions, cores).@.";
   let oc = open_out "BENCH_shard.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E11-shard\",\n";
   p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
   p
-    "  \"description\": \"post_many on a sharded heap (%d shards): %d objects x \
-     %d perpetual never-completing triggers, one ping per object per batch; \
-     1-domain row is the sequential baseline\",\n"
-    shards n_objects triggers_per_obj;
+    "  \"description\": \"post_many on an engine group (%d partitions): %d \
+     objects x %d perpetual never-completing triggers, one ping per object \
+     per batch; 1-domain row is the sequential baseline\",\n"
+    partitions n_objects triggers_per_obj;
   p "  \"cores\": %d,\n" cores;
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
@@ -857,43 +857,43 @@ let e11_shard () =
 (* The E11-shard schema (256 objects x 4 perpetual never-completing
    triggers, zero firings) through the compiled posting kernel —
    per-class candidate rows, packed classification codes, flat-table
-   stepping over the SoA state, per-shard queues and scratch.
+   stepping over the SoA state, per-member queues and scratch.
 
    Batches are 4 events/object (wide enough that one pool rendezvous
    amortises over ~1k events), under two skews: [uniform] spreads the
    batch round-robin over every object, [contended] sends 80% of the
-   events to the objects of 20% of the shards — the hot-key skew that
-   makes static shard ownership degenerate into a straggler domain.
+   events to the objects of 20% of the members — the hot-key skew that
+   makes static member ownership degenerate into a straggler domain.
    The 1-domain rows are the sequential comparison; 2/4/recommended
    rows show the parallel step phase composing with it. Each row also
    reports minor-heap words allocated per posted event (main domain
    only, so the column is exact for the sequential rows and a lower
    bound for the parallel ones) and its {e effective} domain count:
-   post_domains clamped to min(shards, recommended cores) — on a small
+   post_domains clamped to min(partitions, recommended cores) — on a small
    box the extra-domain rows honestly collapse onto the sequential one
    instead of reporting oversubscription noise as scaling. Emits
    BENCH_kernel.json. *)
 let e12_kernel () =
   section "E12-kernel: compiled posting kernel (domains, skew, allocations)";
-  let module St = Ode_odb.Store in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
   let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
+  let n_objects = batch_n_objects in
   let events_per_obj = 4 in
   let n_events = n_objects * events_per_obj in
   let cores = Domain.recommended_domain_count () in
-  let hot_shards = max 1 (shard_count / 5) in
-  let build_items ~contended db oids =
+  let hot_members = max 1 (batch_partitions / 5) in
+  let build_items ~contended oids =
     let ping oid = (oid, Sym.Method (Sym.After, "ping"), []) in
     if not contended then
       List.concat_map
         (fun oid -> List.init events_per_obj (fun _ -> ping oid))
         oids
     else begin
-      (* 80% of the batch on the objects of the first 20% of shards *)
+      (* 80% of the batch on the objects of the first 20% of members
+         (owner = oid mod partitions) *)
       let hot, cold =
-        List.partition (fun oid -> St.shard_of db oid < hot_shards) oids
+        List.partition (fun oid -> oid mod batch_partitions < hot_members) oids
       in
       let hot = Array.of_list hot and cold = Array.of_list cold in
       List.init n_events (fun k ->
@@ -902,9 +902,9 @@ let e12_kernel () =
     end
   in
   let measure ~domains ~contended =
-    let db, oids = shard_workload () in
+    let db, oids = batch_workload () in
     E.set_post_domains db domains;
-    let items = build_items ~contended db oids in
+    let items = build_items ~contended oids in
     let tx = Tx.begin_txn db in
     ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
     (* best of three: the rows differing only in configured (not
@@ -925,7 +925,7 @@ let e12_kernel () =
     (match Tx.commit db tx with Ok () | Error `Aborted -> ());
     E.shutdown_pool db;
     (* mirror the engine's clamping so the JSON reports what actually ran *)
-    let effective = min domains (min shard_count cores) in
+    let effective = min domains (min batch_partitions cores) in
     (ns /. float_of_int n_events, words, effective)
   in
   let row domains contended =
@@ -936,8 +936,8 @@ let e12_kernel () =
     [ row 1 false; row 2 false; row 4 false; row cores false; row 1 true; row 4 true ]
   in
   let base = match rows with (_, _, _, ns, _) :: _ -> ns | [] -> assert false in
-  pf "objects=%d triggers/object=%d shards=%d cores=%d batch=%d events@."
-    n_objects shard_triggers_per_obj shard_count cores n_events;
+  pf "objects=%d triggers/object=%d partitions=%d cores=%d batch=%d events@."
+    n_objects batch_triggers_per_obj batch_partitions cores n_events;
   pf "%-10s %8s %5s %12s %14s %16s %9s@." "workload" "domains" "eff" "ns/event"
     "events/sec" "minor words/ev" "speedup";
   List.iter
@@ -946,7 +946,7 @@ let e12_kernel () =
         (base /. ns))
     rows;
   pf "shape: the classify/step sweep is a linear pass over int arrays with a\n\
-      constant allocation envelope. Under the contended skew the hot shards'\n\
+      constant allocation envelope. Under the contended skew the hot members'\n\
       queues serialise on their owning domains; the uniform rows bound the\n\
       achievable scaling.@.";
   let oc = open_out "BENCH_kernel.json" in
@@ -955,14 +955,14 @@ let e12_kernel () =
   p "  \"experiment\": \"E12-kernel\",\n";
   p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
   p
-    "  \"description\": \"E11-shard schema (%d shards, %d objects x %d \
+    "  \"description\": \"E11-shard schema (%d partitions, %d objects x %d \
      perpetual never-completing triggers), batches of %d events (%d per \
      object) through the compiled kernel; contended rows send 80%% of the batch to the objects of %d of \
-     the shards; effective_domains = post_domains clamped to min(shards, \
+     the members; effective_domains = post_domains clamped to min(partitions, \
      cores); minor_words_per_event counts main-domain minor-heap \
      allocation, exact for 1-domain rows\",\n"
-    shard_count n_objects shard_triggers_per_obj n_events events_per_obj
-    hot_shards;
+    batch_partitions n_objects batch_triggers_per_obj n_events events_per_obj
+    hot_members;
   p "  \"cores\": %d,\n" cores;
   p "  \"domain_clamp\": true,\n";
   p "  \"rows\": [\n";
@@ -1001,20 +1001,16 @@ let smoke () =
   let r = D.observe db in
   pf "%a@." Obs.pp r;
   if Obs.get r Obs.Posts = 0 then failwith "smoke: no posts counted";
-  (* sharded backend + parallel post_many: a 2-domain batch must fire
+  (* partitioned + parallel post_many: a 2-domain batch must fire
      exactly like a 1-domain rerun of the same workload, on a uniform
-     batch and on an 80/20 hot-key-skewed one. Clamp and threshold are
-     lifted so the pool machinery really runs even on a 1-core box. *)
-  let batch_firings ?(partitions = 1) ~contended domains =
+     batch and on an 80/20 hot-key-skewed one. The clamp is lifted so
+     the pool machinery really runs even on a 1-core box. *)
+  let batch_firings ?(partitions = 4) ~contended domains =
     let db =
-      D.create_db
-        ~config:
-          { D.Config.default with D.Config.shards = 4; partitions }
-        ()
+      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
     in
     D.set_post_domains db domains;
     D.set_domain_clamp db false;
-    D.set_parallel_threshold db 0;
     let b = D.define_class "s" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
     let b =
@@ -1043,7 +1039,7 @@ let smoke () =
            fired := D.post_many db items)
      with
     | Ok () -> ()
-    | Error `Aborted -> failwith "smoke: shard transaction aborted");
+    | Error `Aborted -> failwith "smoke: batch transaction aborted");
     D.shutdown_pool db;
     !fired
   in
@@ -1051,7 +1047,7 @@ let smoke () =
   and f2 = batch_firings ~contended:false 2 in
   if f1 <> 8 || f2 <> 8 then
     failwith
-      (Printf.sprintf "smoke: sharded post_many fired %d/%d (want 8/8)" f1 f2);
+      (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 8/8)" f1 f2);
   let c1 = batch_firings ~contended:true 1
   and c2 = batch_firings ~contended:true 2 in
   if c1 <> 40 || c2 <> 40 then
@@ -1059,18 +1055,18 @@ let smoke () =
       (Printf.sprintf "smoke: contended post_many fired %d/%d (want 40/40)" c1
          c2);
   pf
-    "smoke ok (sharded post_many: %d/%d firings at 1/2 domains uniform, \
+    "smoke ok (4-partition post_many: %d/%d firings at 1/2 domains uniform, \
      %d/%d contended).@."
     f1 f2 c1 c2;
-  (* partitioned post_many: an oid-sliced engine group must fire exactly
-     like the single engine on the same batches *)
-  let p2 = batch_firings ~partitions:2 ~contended:true 2
-  and p4 = batch_firings ~partitions:4 ~contended:true 1 in
-  if p2 <> 40 || p4 <> 40 then
+  (* the single engine and a 2-member group must fire exactly like the
+     4-member group on the same batches *)
+  let p1 = batch_firings ~partitions:1 ~contended:true 1
+  and p2 = batch_firings ~partitions:2 ~contended:true 2 in
+  if p1 <> 40 || p2 <> 40 then
     failwith
       (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 40/40)"
-         p2 p4);
-  pf "partition smoke ok (40/40 firings at 2/4 partitions).@.";
+         p1 p2);
+  pf "partition smoke ok (40/40 firings at 1/2 partitions).@.";
   (* WAL crash-injection smoke: 50 randomized kill points over a logged
      workload must each recover to the exact shadow image captured when
      the last surviving batch was emitted (the full 500-point harness
@@ -1551,12 +1547,10 @@ let e16_partition () =
   section "E16-partition: post_many throughput vs partition count";
   let module D = Ode_odb.Database in
   let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
-  let triggers_per_obj = shard_triggers_per_obj in
+  let n_objects = batch_n_objects in
+  let triggers_per_obj = batch_triggers_per_obj in
   let mk partitions =
-    let config =
-      { D.Config.default with D.Config.shards = shard_count; partitions }
-    in
+    let config = { D.Config.default with D.Config.partitions } in
     let db = D.create_db ~config () in
     let b = D.define_class "c" in
     let b = D.field b "x" (Value.Int 1) in
@@ -1613,8 +1607,7 @@ let e16_partition () =
       (fun p -> [ (p, "uniform", measure ~hot:false p); (p, "hot", measure ~hot:true p) ])
       counts
   in
-  pf "objects=%d triggers/object=%d shards/member=%d@." n_objects
-    triggers_per_obj shard_count;
+  pf "objects=%d triggers/object=%d@." n_objects triggers_per_obj;
   pf "%-12s %-10s %16s %18s@." "partitions" "batch" "ns/event" "events/sec";
   List.iter
     (fun (p, shape, ns) ->
@@ -1628,11 +1621,11 @@ let e16_partition () =
   p "  \"experiment\": \"E16-partition\",\n";
   p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
   p
-    "  \"description\": \"post_many through an oid-sliced engine group (%d \
-     shards per member): %d objects x %d perpetual never-completing triggers, \
-     one ping per object per batch; uniform spreads the batch over the \
-     members, hot routes it all to one member\",\n"
-    shard_count n_objects triggers_per_obj;
+    "  \"description\": \"post_many through an oid-sliced engine group: %d \
+     objects x %d perpetual never-completing triggers, one ping per object \
+     per batch; uniform spreads the batch over the members, hot routes it \
+     all to one member\",\n"
+    n_objects triggers_per_obj;
   p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
@@ -1705,7 +1698,7 @@ let e17_timer () =
      [pad] extra timers are parked beyond the window (no live object),
      occupying the structure without ever coming due. *)
   let sweep ~objects ~period ~advance_ms ~pad =
-    let db = T.make_db ~shards:8 () in
+    let db = T.make_db () in
     let b = Sc.define_class "node" in
     let b =
       Sc.trigger_str b ~perpetual:true "hb"

@@ -3,9 +3,9 @@
      odes serve --port 7912 --schema examples/odl/stockroom.odl
 
    The database is configured exactly like an embedded one: the
-   Database.Config env vars (ODE_STORE_BACKEND for the shard count,
-   ODE_DURABILITY, ODE_PARTITIONS, ODE_POST_DOMAINS) apply — there is
-   one posting path, one timer queue and one store, so nothing else to
+   Database.Config env vars (ODE_DURABILITY, ODE_PARTITIONS,
+   ODE_POST_DOMAINS) apply — there is one posting path, one timer queue,
+   one store and one oid split (the partitions), so nothing else to
    select — and the serve-specific knobs (port, batch window, outbox
    bound, backpressure) ride on the same Config record. A partitioned engine is wire-transparent:
    coalesced batches route by oid inside post_many, and batch serials

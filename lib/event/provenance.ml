@@ -81,14 +81,22 @@ let rec index_expr (leaves : Expr.leaf list ref) (e : Expr.t) : indexed =
     I_fa_abs (index_expr leaves a, index_expr leaves b, index_expr leaves g)
   | Masked (a, m) -> I_masked (index_expr leaves a, m)
 
-let rec instantiate ~max_matches ~context (e : indexed) : inst =
-  let mk = instantiate ~max_matches ~context in
-  let capm = cap max_matches in
+(* [truncated] is set the first time [capm] drops a match: from then on
+   the match sets are best-effort. *)
+let rec instantiate ~max_matches ~context ~truncated (e : indexed) : inst =
+  let mk = instantiate ~max_matches ~context ~truncated in
+  let capm xs =
+    if List.length xs <= max_matches then xs
+    else begin
+      truncated := true;
+      cap max_matches xs
+    end
+  in
   (* window-pool policy: how new initiators and completions affect the
      pending windows of one operator *)
   let admit ~fresh ~existing =
     match context with
-    | Unrestricted | Chronicle -> cap max_matches (fresh @ existing)
+    | Unrestricted | Chronicle -> capm (fresh @ existing)
     | Recent -> if fresh <> [] then fresh else existing
   in
   match e with
@@ -179,7 +187,7 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
               !links
           in
           let out = capm out in
-          links := cap max_matches (List.map (fun env -> (env, mk a)) out @ !links);
+          links := capm (List.map (fun env -> (env, mk a)) out @ !links);
           out);
       count = (fun () -> List.fold_left (fun acc (_, i) -> acc + i.count ()) 0 !links);
     }
@@ -196,8 +204,7 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
           in
           let out = capm (List.filter_map (fun (l, e) -> if l >= n then Some e else None) hits) in
           links :=
-            cap max_matches
-              (List.map (fun (l, e) -> (min (l + 1) n, e, mk a)) hits @ !links);
+            capm (List.map (fun (l, e) -> (min (l + 1) n, e, mk a)) hits @ !links);
           out);
       count = (fun () -> List.fold_left (fun acc (_, _, i) -> acc + i.count ()) 0 !links);
     }
@@ -215,7 +222,7 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
                  !seen_a)
           in
           let ra = ia.step ~leaf_matches ~mask in
-          seen_a := cap max_matches (ra @ !seen_a);
+          seen_a := capm (ra @ !seen_a);
           out);
       count = (fun () -> ia.count () + ib.count ());
     }
@@ -404,6 +411,7 @@ type t = {
   leaves : Expr.leaf array;
   guards : Rewrite.guard array;
   root : inst;
+  truncated : bool ref;
 }
 
 let make ?(max_matches = 64) ?(context = Unrestricted) expr =
@@ -419,7 +427,9 @@ let make ?(max_matches = 64) ?(context = Unrestricted) expr =
         { Rewrite.g_formals = l.formals; g_mask = l.mask })
       leaves
   in
-  { leaves; guards; root = instantiate ~max_matches ~context indexed }
+  let truncated = ref false in
+  { leaves; guards; truncated;
+    root = instantiate ~max_matches ~context ~truncated indexed }
 
 let leaf_bindings (l : Expr.leaf) (o : Symbol.occurrence) : binding =
   List.filteri (fun i _ -> i < List.length o.args) l.formals
@@ -443,3 +453,4 @@ let post t ~env (occurrence : Symbol.occurrence) =
     t.root.step ~leaf_matches ~mask
 
 let instance_count t = t.root.count ()
+let truncated t = !(t.truncated)

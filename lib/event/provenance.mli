@@ -11,7 +11,8 @@
     The price is exactly what §5 warns about: live partial matches grow
     with the history, so state is unbounded. [max_matches] caps the
     partial-match sets (oldest kept); beyond it provenance is best-effort
-    and the boolean answer may differ from {!Detector.post}. Use this
+    and the boolean answer may differ from {!Detector.post} — {!truncated}
+    reports whether that has happened. Use this
     when actions genuinely need all witness bindings; use the automaton
     everywhere else. *)
 
@@ -55,3 +56,8 @@ val post : t -> env:Mask.env -> Symbol.occurrence -> binding list
 
 val instance_count : t -> int
 (** Live partial matches, for memory accounting. *)
+
+val truncated : t -> bool
+(** Whether any [max_matches] cap has dropped a match so far. Sticky:
+    once true, every later {!post} is best-effort. While false, {!post}
+    is non-empty exactly when {!Detector.post} fires. *)

@@ -7,8 +7,8 @@
     engine below never sees concurrent callers — client concurrency is
     multiplexed into a single serialized request stream, and the
     parallelism {e inside} a [post_many] batch (the [Pool] domains
-    configured by [Config.post_domains]) keeps working untouched
-    underneath.
+    configured by [Config.post_domains], one task per partition member)
+    keeps working untouched underneath.
 
     The coalescer is what makes the wire path fast: [post] /
     [post_many] requests from clients with no open transaction

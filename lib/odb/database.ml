@@ -2,8 +2,8 @@
 
      Schema    — class builders, trigger definitions, detector
                  compilation, dispatch-index construction
-     Store     — the object heap (sharded table, oid allocation,
-                 field access, histories, stats)
+     Store     — the object heap (one table per partition member,
+                 oid allocation, field access, histories, stats)
      Txn       — begin/commit/abort, undo log, locks, the §6
                  [before tcomplete] fixpoint
      Engine    — the §5 posting pipeline (the compiled kernel),
@@ -15,9 +15,9 @@
                  group commit, snapshots, crash recovery)
 
    This module only re-exports (plus the composition root, [create_db],
-   which builds the store and attaches the durability backend); keep it
-   free of logic so the public API stays a stable surface over the
-   layers. *)
+   which builds the engine group and attaches the durability backend);
+   keep it free of logic so the public API stays a stable surface over
+   the layers. *)
 
 module Value = Ode_base.Value
 
@@ -93,12 +93,10 @@ module Config = struct
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    shards : int;
     durability : durability_spec;
     partitions : int;
     post_domains : int;
     domain_clamp : bool;
-    parallel_threshold : int;
     timing : bool;
     serve : serve;
   }
@@ -122,19 +120,16 @@ module Config = struct
       start_time = 0L;
       max_tcomplete_rounds = 1000;
       trace_capacity = 1024;
-      shards = 1;
       durability = `Image;
       partitions = 1;
       post_domains = 1;
       domain_clamp = true;
-      parallel_threshold = 32;
       timing = false;
       serve = default_serve;
     }
 
   (* CI runs the whole suite against the WAL backend with
-     ODE_DURABILITY=wal (optionally wal:<flush_ms>), mirroring
-     ODE_STORE_BACKEND. *)
+     ODE_DURABILITY=wal (optionally wal:<flush_ms>). *)
   let durability_of_env () : durability_spec =
     match Sys.getenv_opt "ODE_DURABILITY" with
     | None | Some "" | Some "image" -> `Image
@@ -152,13 +147,7 @@ module Config = struct
       | Some _ | None -> Types.ode_error "ODE_DURABILITY: unknown backend %S" s)
 
   let of_env () =
-    let c =
-      {
-        default with
-        shards = Store.shards_of_env ();
-        durability = durability_of_env ();
-      }
-    in
+    let c = { default with durability = durability_of_env () } in
     (* CI also runs the suite partitioned: ODE_PARTITIONS=n slices
        every database created through the env path into an n-member
        engine group *)
@@ -179,53 +168,36 @@ module Config = struct
     | None | Some "" -> c
     | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 ->
-        { c with post_domains = n; domain_clamp = false; parallel_threshold = 0 }
+      | Some n when n >= 1 -> { c with post_domains = n; domain_clamp = false }
       | Some n ->
         Types.ode_error "ODE_POST_DOMAINS: domain count must be >= 1 (got %d)" n
       | None -> Types.ode_error "ODE_POST_DOMAINS: bad domain count %S" s)
 end
 
 let create_db ?config () =
-  (* composition root: resolve one [Config.t], then build the store and
-     attach the durability backend — [Types] holds the latter
-     abstractly and cannot depend on [Persist] or [Wal]. *)
+  (* composition root: resolve one [Config.t], then build the engine
+     group (a plain database at one partition) and attach the durability
+     backend — [Types] holds the latter abstractly and cannot depend on
+     [Persist] or [Wal]. *)
   let c = match config with Some c -> c | None -> Config.of_env () in
   let partitions = c.Config.partitions in
-  if partitions < 1 then
-    Types.ode_error "partition count must be >= 1 (got %d)" partitions;
   let db =
-    if partitions = 1 then
-      let dur =
-        match c.Config.durability with
-        | `Image -> Persist.image_backend ()
-        | `Wal cfg -> Wal.backend cfg
-      in
-      Types.make_db ~shards:c.Config.shards ~start_time:c.Config.start_time
-        ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
-        ~trace_capacity:c.Config.trace_capacity ~durability:dur ()
-    else begin
-      let db =
-        Engine_group.make ~shards:c.Config.shards ~partitions
-          ~start_time:c.Config.start_time
-          ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
-          ~trace_capacity:c.Config.trace_capacity ()
-      in
-      db.Types.durability <-
-        (match c.Config.durability with
-        | `Image -> Engine_group.image_backend ()
-        | `Wal cfg -> Engine_group.wal_backend ~partitions cfg);
-      db
-    end
+    Engine_group.make ~partitions ~start_time:c.Config.start_time
+      ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
+      ~trace_capacity:c.Config.trace_capacity ()
   in
+  (* the one branch on partition count: the on-disk WAL layout differs
+     (one log versus per-member p<k>/ logs plus a manifest) *)
+  db.Types.durability <-
+    (match c.Config.durability with
+    | `Image -> Persist.image_backend ()
+    | `Wal cfg when partitions = 1 -> Wal.backend cfg
+    | `Wal cfg -> Engine_group.wal_backend ~partitions cfg);
   Engine.set_post_domains db c.Config.post_domains;
   Engine.set_domain_clamp db c.Config.domain_clamp;
-  Engine.set_parallel_threshold db c.Config.parallel_threshold;
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
-
-let backend_name = Store.backend_name
 
 let durability_name (db : t) = db.Types.durability.Types.dur_name
 let partitions (db : t) = Types.n_partitions db
@@ -233,12 +205,11 @@ let partitions (db : t) = Types.n_partitions db
 let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
-    "backend=%s durability=%s partitions=%d post_domains=%d domain_clamp=%s \
-     parallel_threshold=%d obs=%s timing=%s clock=%Ldms"
-    (backend_name db) (durability_name db) (partitions db)
+    "durability=%s partitions=%d post_domains=%d domain_clamp=%s obs=%s \
+     timing=%s clock=%Ldms"
+    (durability_name db) (partitions db)
     (Engine.post_domains db)
     (onoff (Engine.domain_clamp db))
-    (Engine.parallel_threshold db)
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -277,8 +248,6 @@ let apply_fun = Engine.apply_fun
 let post_many = Engine.post_many
 let set_post_domains = Engine.set_post_domains
 let post_domains = Engine.post_domains
-let set_parallel_threshold = Engine.set_parallel_threshold
-let parallel_threshold = Engine.parallel_threshold
 let set_domain_clamp = Engine.set_domain_clamp
 let domain_clamp = Engine.domain_clamp
 let shutdown_pool = Engine.shutdown_pool

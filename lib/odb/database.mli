@@ -29,7 +29,7 @@
 
     This module is a thin facade: the implementation is layered into
     [Schema] (compiled class/trigger definitions and dispatch indexes),
-    [Store] (the object heap, one sharded table),
+    [Store] (the object heap, one table per partition member),
     [Txn] (transactions, undo, locks), [Engine] (the posting pipeline),
     [Timewheel] (timers), and the pluggable durability layer — [Persist]
     (the ODE1 full-image codec and backend) and [Wal] (the
@@ -157,9 +157,8 @@ type durability_spec = [ `Image | `Wal of Wal.config ]
     Every knob the database (and the [odes serve] network front door
     over it) accepts, gathered into one plain record — the single
     source of truth {!create_db} builds from. The post-hoc setters
-    ({!set_post_domains}, {!set_parallel_threshold},
-    {!set_domain_clamp}, [Ode_obs.Registry.set_timing]) adjust a live
-    database. *)
+    ({!set_post_domains}, {!set_domain_clamp},
+    [Ode_obs.Registry.set_timing]) adjust a live database. *)
 module Config : sig
   type backpressure = Block | Drop
   (** What a full per-subscriber firing outbox does to the server:
@@ -190,19 +189,15 @@ module Config : sig
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    shards : int;
-        (** hashtables the heap is partitioned into by [oid mod n] —
-            {!post_many} parallelises its classify/step phase over
-            them. Observably transparent: same firings, same order,
-            same {!save} bytes at any count (the {!Store} ordering
-            contract). Default 1. *)
     durability : durability_spec;
     partitions : int;
         (** engine members slicing the database by oid ([oid mod n]);
-            1 = the classic single engine. See [Engine_group]. *)
+            1 = the classic single engine. {!post_many} parallelises its
+            classify/step phase over the members. Observably
+            transparent: same firings, same order, same {!save} bytes
+            at any count. See [Engine_group]. *)
     post_domains : int;
-    domain_clamp : bool;
-    parallel_threshold : int;
+    domain_clamp : bool;  (** see {!set_domain_clamp} *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -213,26 +208,23 @@ module Config : sig
       1024-firing outboxes, [Block] backpressure, 16 MiB frames. *)
 
   val default : t
-  (** The documented defaults, environment ignored: 1 shard, image
-      durability, 1 partition, 1 post domain (clamped, threshold 32),
-      timing off, {!default_serve}. *)
+  (** The documented defaults, environment ignored: image durability,
+      1 partition, 1 post domain (clamped), timing off,
+      {!default_serve}. *)
 
   val of_env : unit -> t
-  (** {!default} with the four environment overrides applied — the
+  (** {!default} with the three environment overrides applied — the
       one parser for all of them, raising {!Ode_error} with the
       offending variable named on any malformed value:
 
-      - [ODE_STORE_BACKEND=sharded|sharded:<n>] sets [shards] (8 for
-        plain [sharded]; [heap] is accepted as 1);
       - [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
         ([wal] in a fresh temporary directory — how CI runs the whole
         suite under the log);
       - [ODE_PARTITIONS=<n>] sets [partitions] (how CI runs the whole
         suite partitioned);
-      - [ODE_POST_DOMAINS=<n>] sets [post_domains = n], disables
-        [domain_clamp] and zeroes [parallel_threshold] (the test/CI
-        override that forces the parallel machinery on even on a
-        small box). *)
+      - [ODE_POST_DOMAINS=<n>] sets [post_domains = n] and disables
+        [domain_clamp] (the test/CI override that forces the parallel
+        machinery on even on a small box). *)
 end
 
 val create_db : ?config:Config.t -> unit -> t
@@ -243,24 +235,20 @@ val create_db : ?config:Config.t -> unit -> t
     [before tcomplete] fixpoint at commit; when a commit's rounds
     exceed it, {!commit} raises {!Ode_error} naming the round count
     instead of livelocking. [trace_capacity] (default 1024, must be
-    >= 1) sizes the observability trace ring — see {!observe}. [shards]
-    and [partitions] must be >= 1. The chosen durability backend is
+    >= 1) sizes the observability trace ring — see {!observe}.
+    [partitions] must be >= 1. The chosen durability backend is
     attached (its [dur_attach]) before this returns: a WAL database
     starts logging from its very first commit. *)
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    shard count, durability, partition count, domain/threshold
-    settings, observability state and the clock — e.g.
-    ["backend=sharded:8 durability=wal:/var/ode partitions=2 \
-     post_domains=4 domain_clamp=on parallel_threshold=32 obs=off \
-     timing=off clock=0ms"].
+    durability, partition count, domain settings, observability state
+    and the clock — e.g.
+    ["durability=wal:/var/ode partitions=2 post_domains=4 \
+     domain_clamp=on obs=off timing=off clock=0ms"].
     Surfaced by [odec schema] and the server's [status] verb.
-    {!backend_name} and {!durability_name} are its two components kept
-    as standalone accessors. *)
-
-val backend_name : t -> string
-(** ["sharded:<n>"] — the [backend=] component of {!config_summary}. *)
+    {!durability_name} and {!partitions} are components kept as
+    standalone accessors. *)
 
 val durability_name : t -> string
 (** ["image"] or ["wal:<dir>"] — the [durability=] component of
@@ -320,8 +308,8 @@ val image_bytes : t -> string
 (** The exact bytes {!save} would write, in memory — the canonical
     state fingerprint: two databases in the same logical state (same
     objects, activations, automaton states, timers, counters, clock)
-    produce equal bytes, whatever their shard count, partition count or
-    durability backend.
+    produce equal bytes, whatever their partition count or durability
+    backend.
     Usable with transactions open (unlike {!save}). *)
 
 val recover : t -> unit
@@ -400,12 +388,12 @@ val apply_fun : t -> string -> Value.t list -> Value.t
 
     {!post_many} drives the §5 pipeline over a whole batch of basic
     events in three phases: touch/lock/history sequentially in batch
-    order, then classify + automaton step with one task per heap shard
-    (parallel across up to {!post_domains} domains when
-    [Config.shards > 1] — safe because detection state is per-object
-    and the batch is partitioned by shard), then all firing strictly
-    sequentially. The outcome, firing order included, is bit-identical
-    whatever the domain or shard count. *)
+    order, then classify + automaton step with one task per partition
+    member (parallel across up to {!post_domains} domains when
+    [Config.partitions > 1] — safe because detection state is
+    per-object and the batch is split by owner member), then all firing
+    strictly sequentially. The outcome, firing order included, is
+    bit-identical whatever the domain or partition count. *)
 
 val post_many :
   t -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
@@ -418,7 +406,7 @@ val post_many :
 
 val set_post_domains : t -> int -> unit
 (** Domain count for {!post_many}'s step phase (default 1, i.e. fully
-    sequential). At use the count is clamped to the shard count
+    sequential). At use the count is clamped to the partition count
     and — while {!domain_clamp} holds — to
     [Domain.recommended_domain_count ()], so configuring more domains
     than the machine has cores cannot regress a run. Raises
@@ -426,23 +414,17 @@ val set_post_domains : t -> int -> unit
 
 val post_domains : t -> int
 
-val set_parallel_threshold : t -> int -> unit
-(** Minimum batch size (default 32) below which {!post_many} steps
-    sequentially even when {!post_domains} > 1 — smaller batches lose
-    more to the pool rendezvous than they gain from parallelism. Set 0
-    to always take the parallel machinery. Raises {!Ode_error} if
-    negative. *)
-
-val parallel_threshold : t -> int
-
 val set_domain_clamp : t -> bool -> unit
-(** Whether the effective domain count is clamped to
-    [Domain.recommended_domain_count ()] (default [true]). Turn off
-    only to force oversubscription, e.g. to exercise the multi-domain
-    machinery deterministically on a small machine — the
+(** Whether {!post_many} guards against oversubscription (default
+    [true]): the effective domain count is clamped to
+    [Domain.recommended_domain_count ()], and a batch of fewer than 32
+    events steps sequentially (it loses more to the pool rendezvous
+    than it gains from parallelism). Turn off only to force the
+    configured domains on every batch, e.g. to exercise the
+    multi-domain machinery deterministically on a small machine — the
     [ODE_POST_DOMAINS] environment variable does exactly that at
-    {!create_db}: [ODE_POST_DOMAINS=n] sets {!set_post_domains} [n],
-    disables the clamp and zeroes {!set_parallel_threshold}. *)
+    {!create_db}: [ODE_POST_DOMAINS=n] sets {!set_post_domains} [n] and
+    disables the clamp. *)
 
 val domain_clamp : t -> bool
 

@@ -38,21 +38,18 @@ let record_dispatch obs ~n_active ~n_candidates =
   Registry.add obs Registry.Classified n_candidates;
   Registry.add obs Registry.Index_skipped (max 0 (n_active - n_candidates))
 
-(* Per-lane scratch buffers, built on first kernel post. A lane is a
-   (partition member, shard) pair — just a shard when unpartitioned —
-   and the lane count is fixed at database creation, so the array never
-   resizes. Each scratch is built against its lane's member (lookups
-   route group-wide either way; the siting keeps lane tasks touching
-   only their member's slice). *)
+(* Per-member scratch buffers, built on first kernel post; the member
+   count is fixed at database creation, so the array never resizes.
+   Each scratch is built against its member (lookups route group-wide
+   either way; the siting keeps member tasks touching only their own
+   slice). *)
 let ensure_scratch db =
   if Array.length db.engine.scratch = 0 then
-    db.engine.scratch <-
-      Array.init (Store.lanes db) (fun l ->
-          Store.make_scratch (Store.member_of_lane db l));
+    db.engine.scratch <- Array.map Store.make_scratch (Store.members db);
   db.engine.scratch
 
 (* Retire a scratch's accumulated counter bumps to the registry: one
-   atomic add per counter per post phase (per shard task under
+   atomic add per counter per post phase (per member task under
    [post_many]) instead of one per candidate. *)
 let flush_scratch_counters obs sc =
   if sc.sc_classified <> 0 then begin
@@ -136,13 +133,13 @@ let unsubscribe db s =
         masks may be evaluated; detection state is never touched).
      2. {e step} — advance each candidate activation's automaton and
         collect §9 bindings. Independent per activation; this is the
-        phase [post_many] fans out across domains, one shard per task.
+        phase [post_many] fans out across domains, one member per task.
      3. {e fire} — deactivate one-shots and run fired actions, strictly
         sequential, in batch then declaration order.
 
    [post] runs all three inline on one occurrence; [post_many] runs
-   phase 1+2 per shard (possibly in parallel) and phase 3 once. Both
-   go through the compiled kernel below. *)
+   phase 1+2 per partition member (possibly in parallel) and phase 3
+   once. Both go through the compiled kernel below. *)
 
 let mask_error at msg =
   if at.at_def.t_class = "<database>" then
@@ -159,7 +156,7 @@ let mask_error at msg =
 (* The per-event path with everything hoisted to registration or
    activation time: candidate resolution is one hashtable probe into the
    class's prebuilt [krow]; classification runs once per distinct shared
-   detector, producing a packed int code in the shard scratch's buffer;
+   detector, producing a packed int code in the member scratch's buffer;
    stepping a mask-free detector is one flat-table load on its SoA
    block. The helpers are top-level and tail-recursive (not closures)
    and the counters accumulate in the scratch, so a steady-state post
@@ -204,7 +201,7 @@ let rec classify_pass sc (row : krow) (o_acts : active_trigger option array)
 (* Step pass: advance each active candidate, accumulating the fired
    set in reverse (steady state: no cons). Committed-mode snapshots go
    to [undo] — the caller's segment, merged into the transaction log
-   afterwards (a per-shard segment under [post_many]); an irrelevant
+   afterwards (a per-member segment under [post_many]); an irrelevant
    occurrence provably changes neither the automaton state nor the
    collected bindings, so the undo copies are only taken for relevant
    ones. Mutates only this object's activations, so distinct objects
@@ -286,7 +283,7 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
       if Array.length sc.sc_codes < n_dets then
         sc.sc_codes <- Array.make (max 16 (2 * n_dets)) unclassified
       else Array.fill sc.sc_codes 0 n_dets unclassified;
-      (* the ref retains the last posted object of the shard until the
+      (* the ref retains the last posted object of the member until the
          next post — deliberate: re-wrapping per call is the only
          allocation this assignment costs, and clearing it afterwards
          would need a protect closure *)
@@ -373,7 +370,7 @@ let post db tx obj (basic : Symbol.basic) args =
          { scope = Trace.Obj obj.o_id; basic = kind_name db basic; txn = tx.tx_id;
            at_ms = occurrence.Symbol.at })
   end;
-  let sc = (ensure_scratch db).(Store.lane_of db obj.o_id) in
+  let sc = (ensure_scratch db).(obj.o_id mod Types.n_partitions db) in
   let undo = ref [] in
   (* the undo segment is merged even when a mask blows up mid-walk, so
      an abort still restores the already-stepped committed-mode
@@ -543,7 +540,7 @@ let activate_db_trigger db name params =
     match Hashtbl.find_opt db.engine.db_triggers name with
     | Some at ->
       (* database-scope activations always own their word vector — the
-         SoA blocks are per-shard, and the database scope has none *)
+         SoA blocks are per-member, and the database scope has none *)
       at.at_state <- S_words (Detector.initial def.t_detector);
       at.at_collected <- [];
       at.at_provenance <-
@@ -693,11 +690,10 @@ let set_post_domains db n =
 
 let post_domains db = db.engine.post_domains
 
-let set_parallel_threshold db n =
-  if n < 0 then ode_error "parallel_threshold must be >= 0 (got %d)" n;
-  db.engine.parallel_threshold <- n
-
-let parallel_threshold db = db.engine.parallel_threshold
+(* Below this many events a batch steps inline on the caller while the
+   clamp is on: under a member's worth of events the pool barrier costs
+   more than it amortizes. *)
+let inline_batch = 32
 
 let set_domain_clamp db flag = db.engine.clamp_domains <- flag
 let domain_clamp db = db.engine.clamp_domains
@@ -724,8 +720,8 @@ let ensure_pool db ~size =
 (* Post a batch of basic events in one sweep of the three-phase
    pipeline. Phase 0 (here) and phase 3 (firing) are strictly
    sequential in {e batch order}; phases 1+2 (classify + step) run one
-   task per shard — in parallel across up to [post_domains db] domains
-   over a sharded heap — which is safe because a shard task only
+   task per partition member — in parallel across up to
+   [post_domains db] domains — which is safe because a member task only
    mutates detection state of objects it owns (§5: one automaton per
    trigger per object) and never touches the heap structurally.
 
@@ -734,7 +730,7 @@ let ensure_pool db ~size =
    phase}; fired actions all run after the whole batch has stepped.
    Events addressed to the same object step in batch order. The result
    is bit-identical — firing order included — whatever the domain or
-   shard count, and equals the 1-domain sequential sweep by
+   partition count, and equals the 1-domain sequential sweep by
    construction. Dead or missing oids are skipped, like [system_post].
    Returns the number of firings. *)
 let post_many_nonempty db items =
@@ -774,56 +770,55 @@ let post_many_nonempty db items =
   in
   let resolved = Array.of_list resolved in
   let n = Array.length resolved in
-  let nsh = Store.lanes db in
-  (* Still phase 0: route each event to its lane's queue (owner member
-     × member shard; just the shard when unpartitioned) — a counting
-     sort of item indices into reusable engine buffers, one int per
-     event and no closures — so a lane task walks only its own events
-     instead of filtering the whole batch. *)
+  let nm = Types.n_partitions db in
+  (* Still phase 0: route each event to its owner member's queue — a
+     counting sort of item indices into reusable engine buffers, one int
+     per event and no closures — so a member task walks only its own
+     events instead of filtering the whole batch. *)
   let eng = db.engine in
-  if Array.length eng.q_off < nsh + 1 then begin
-    eng.q_off <- Array.make (nsh + 1) 0;
-    eng.q_cur <- Array.make nsh 0
+  if Array.length eng.q_off < nm + 1 then begin
+    eng.q_off <- Array.make (nm + 1) 0;
+    eng.q_cur <- Array.make nm 0
   end;
   if Array.length eng.q_items < n then
     eng.q_items <- Array.make (max 64 (2 * n)) 0;
   let q_off = eng.q_off
   and q_cur = eng.q_cur
   and q_items = eng.q_items in
-  Array.fill q_off 0 (nsh + 1) 0;
+  Array.fill q_off 0 (nm + 1) 0;
   for i = 0 to n - 1 do
     let obj, _ = resolved.(i) in
-    let s = Store.lane_of db obj.o_id in
-    q_off.(s + 1) <- q_off.(s + 1) + 1
+    let k = obj.o_id mod nm in
+    q_off.(k + 1) <- q_off.(k + 1) + 1
   done;
-  for s = 0 to nsh - 1 do
-    q_off.(s + 1) <- q_off.(s + 1) + q_off.(s);
-    q_cur.(s) <- q_off.(s)
+  for k = 0 to nm - 1 do
+    q_off.(k + 1) <- q_off.(k + 1) + q_off.(k);
+    q_cur.(k) <- q_off.(k)
   done;
   for i = 0 to n - 1 do
     let obj, _ = resolved.(i) in
-    let s = Store.lane_of db obj.o_id in
-    q_items.(q_cur.(s)) <- i;
-    q_cur.(s) <- q_cur.(s) + 1
+    let k = obj.o_id mod nm in
+    q_items.(q_cur.(k)) <- i;
+    q_cur.(k) <- q_cur.(k) + 1
   done;
-  (* Phases 1+2 — one task per shard, each sweeping its queue in batch
+  (* Phases 1+2 — one task per member, each sweeping its queue in batch
      order; fired sets land in a per-item slot (disjoint writes),
-     committed-mode undo snapshots in a per-shard segment.
+     committed-mode undo snapshots in a per-member segment.
      [Fun.protect] flushes the segment even when a mask blows up
-     mid-shard, so the merge below always sees every snapshot that was
+     mid-member, so the merge below always sees every snapshot that was
      taken. *)
   let fired = Array.make n [] in
-  let segments = Array.make nsh [] in
-  let step_shard s =
+  let segments = Array.make nm [] in
+  let step_member k =
     let undo = ref [] in
-    let lo = q_off.(s) and hi = q_off.(s + 1) in
-    (* the shard task owns its scratch; counters batch there and flush
+    let lo = q_off.(k) and hi = q_off.(k + 1) in
+    (* the member task owns its scratch; counters batch there and flush
        once per task, so the inner loop's only shared writes are the
        disjoint [fired] slots *)
-    let sc = scratch.(s) in
+    let sc = scratch.(k) in
     Fun.protect
       ~finally:(fun () ->
-        segments.(s) <- !undo;
+        segments.(k) <- !undo;
         if on then flush_scratch_counters obs sc)
       (fun () ->
         for j = lo to hi - 1 do
@@ -832,27 +827,23 @@ let post_many_nonempty db items =
           fired.(i) <- kernel_post_one db ~undo ~on sc obj occurrence
         done)
   in
-  (* Effective parallelism: never more domains than shards; by default
-     never more than the box has cores (oversubscription buys only
-     contention — [set_domain_clamp] opts out for tests); and below the
-     batch threshold the pool barrier costs more than it amortizes, so
-     small batches step inline on the caller. *)
+  (* Effective parallelism: never more domains than members; and while
+     the clamp is on ([set_domain_clamp] opts out for tests), never more
+     than the box has cores (oversubscription buys only contention) and
+     just one for a batch below [inline_batch] events. *)
   let domains =
-    let d = min db.engine.post_domains nsh in
-    let d =
-      if db.engine.clamp_domains then
-        min d (Domain.recommended_domain_count ())
-      else d
-    in
-    if n < db.engine.parallel_threshold then 1 else d
+    let d = min db.engine.post_domains nm in
+    if not db.engine.clamp_domains then d
+    else if n < inline_batch then 1
+    else min d (Domain.recommended_domain_count ())
   in
   let merge () = Txn.merge_undo_segments tx (Array.to_list segments) in
   (match
      if domains <= 1 || n = 0 then
-       for s = 0 to nsh - 1 do
-         step_shard s
+       for k = 0 to nm - 1 do
+         step_member k
        done
-     else Pool.run_static (ensure_pool db ~size:domains) ~tasks:nsh step_shard
+     else Pool.run_static (ensure_pool db ~size:domains) ~tasks:nm step_member
    with
   | () -> merge ()
   | exception e ->

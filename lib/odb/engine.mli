@@ -36,11 +36,11 @@ val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
     [post_many] drives the same three-phase pipeline over a whole batch:
     phase 0 (touch/lock/history/probes) and phase 3 (firing) run
     sequentially in batch order; the classify + step phases run one task
-    per heap shard, fanned out across up to {!post_domains} domains over
-    a sharded heap. Safe because a shard task only mutates detection
-    state of objects its shard owns (§5: one automaton per trigger per
-    object); committed-mode undo snapshots accumulate in per-shard
-    segments merged deterministically by {!Txn.merge_undo_segments}. *)
+    per partition member, fanned out across up to {!post_domains}
+    domains. Safe because a member task only mutates detection state of
+    objects that member owns (§5: one automaton per trigger per object);
+    committed-mode undo snapshots accumulate in per-member segments
+    merged deterministically by {!Txn.merge_undo_segments}. *)
 
 val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
 (** Post a batch of basic events. Every event is classified and stepped
@@ -48,32 +48,26 @@ val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
     phase (events to the same object step in batch order); all fired
     actions run after the whole batch has stepped, in batch order then
     declaration order. The outcome — firing order included — is
-    bit-identical whatever the domain or shard count. Dead or missing
+    bit-identical whatever the domain or partition count. Dead or missing
     oids are skipped, like {!system_post}. Returns the number of
     firings. *)
 
 val set_post_domains : db -> int -> unit
 (** Target domain count for [post_many]'s step phase (default 1 —
-    fully sequential). At use the count is clamped to the shard count
-    and — while {!domain_clamp} holds — to
+    fully sequential). At use the count is clamped to the partition
+    count and — while {!domain_clamp} holds — to
     [Domain.recommended_domain_count ()]; the cached pool is rebuilt on
     the next batch after a change. Raises {!Types.Ode_error} if < 1. *)
 
 val post_domains : db -> int
 
-val set_parallel_threshold : db -> int -> unit
-(** Minimum batch size (default 32) below which [post_many] steps
-    sequentially even with [post_domains] > 1: a small batch loses more
-    to the pool rendezvous than it gains from the fan-out. 0 means
-    always use the configured domains. Raises {!Types.Ode_error} if
-    negative. *)
-
-val parallel_threshold : db -> int
-
 val set_domain_clamp : db -> bool -> unit
-(** Whether the effective domain count is clamped to
-    [Domain.recommended_domain_count ()] (default [true]). Disabling it
-    deliberately oversubscribes the machine — tests use this to drive
+(** Whether [post_many] protects the machine from oversubscription
+    (default [true]): the effective domain count is clamped to
+    [Domain.recommended_domain_count ()], and a batch of fewer than 32
+    events steps sequentially (it loses more to the pool rendezvous
+    than it gains from the fan-out). Disabling it lifts both, so the
+    configured domains run for every batch — tests use this to drive
     the real multi-domain machinery on a 1-core box. *)
 
 val domain_clamp : db -> bool

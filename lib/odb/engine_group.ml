@@ -1,7 +1,7 @@
 (* Engine group: N engine members slicing one logical database by oid.
 
    Member [k] owns every oid with [oid mod n = k]: its own heap slice
-   (sharded table + SoA blocks), its own timer wheel and its own
+   (table + SoA blocks), its own timer wheel and its own
    durability log. Everything else — schema, transaction state, engine
    state (db-scope automata, scratch, knobs), observability — is the
    {e same} record, shared by construction: members are field-for-field
@@ -12,7 +12,7 @@
    Member 0 is the facade handed to callers; its [part] field (like
    every member's) points at the full member array, which is all the
    routing helpers in [Types]/[Store] need. Determinism: batches are
-   bucketed by lane in batch-index order, timers merge by the
+   bucketed by owner member in batch-index order, timers merge by the
    group-wide [(tm_due, tm_seq)] stamp, and the group image writers in
    [Persist] merge slices back into single-engine byte order — so
    firings, counters and ODE1 bytes are identical at any partition
@@ -20,13 +20,10 @@
 
 open Types
 
-let make ?shards ~partitions ?start_time ?max_tcomplete_rounds
-    ?trace_capacity () =
+let make ~partitions ?start_time ?max_tcomplete_rounds ?trace_capacity () =
   if partitions < 1 then
     ode_error "partition count must be >= 1 (got %d)" partitions;
-  let m0 =
-    make_db ?shards ?start_time ?max_tcomplete_rounds ?trace_capacity ()
-  in
+  let m0 = make_db ?start_time ?max_tcomplete_rounds ?trace_capacity () in
   if partitions = 1 then m0
   else begin
     let members =
@@ -35,9 +32,7 @@ let make ?shards ~partitions ?start_time ?max_tcomplete_rounds
           else
             {
               m0 with
-              store =
-                make_store ~shards:(Array.length m0.store.tables)
-                  ~next_oid:m0.store.next_oid;
+              store = make_store ~next_oid:m0.store.next_oid;
               wheel =
                 {
                   clock_ms = m0.wheel.clock_ms;
@@ -53,21 +48,6 @@ let make ?shards ~partitions ?start_time ?max_tcomplete_rounds
       members;
     m0
   end
-
-(* Full-image durability for a group: the plain image backend with the
-   slice-merging writers swapped in. *)
-let image_backend () =
-  {
-    dur_name = "image";
-    dur_attach = (fun _ -> ());
-    dur_commit = (fun _ _ -> ());
-    dur_save = Persist.group_save;
-    dur_load = Persist.group_load;
-    dur_recover =
-      (fun _ -> ode_error "image durability keeps no log to recover from");
-    dur_sync = (fun _ -> ());
-    dur_close = (fun _ -> ());
-  }
 
 (* WAL durability for a group: one independent log per member under
    [<dir>/p<k>], plus a [group-manifest] at the root pinning the
@@ -109,12 +89,12 @@ let wal_backend ~partitions (cfg : Wal.config) =
         done);
     dur_save =
       (fun db path ->
-        Persist.group_save db path;
+        Persist.save db path;
         let ms = Store.members db in
         Array.iteri (fun k m -> checkpoints.(k) m) ms);
     dur_load =
       (fun db path ->
-        Persist.group_load db path;
+        Persist.load db path;
         let ms = Store.members db in
         Array.iteri (fun k m -> rebaselines.(k) m) ms);
     dur_recover =

@@ -8,14 +8,14 @@
     and a durability log. With [partitions = 1] this is exactly
     {!Types.make_db} — every routing helper collapses to the identity.
 
-    The group durability backends below replace [Persist.image_backend]
-    and [Wal.backend] for a partitioned database; [Database.create_db]
-    picks them when [Config.partitions > 1]. *)
+    The group WAL backend below replaces [Wal.backend] for a
+    partitioned database; [Database.create_db] picks it when
+    [Config.partitions > 1]. ([Persist.image_backend] serves every
+    partition count.) *)
 
 open Types
 
 val make :
-  ?shards:int ->
   partitions:int ->
   ?start_time:int64 ->
   ?max_tcomplete_rounds:int ->
@@ -23,17 +23,11 @@ val make :
   unit ->
   db
 (** Build the member array and return the facade (member 0). Every
-    member gets its own [shards]-wide table (default 1), never shared.
-    The facade is built with the no-op durability backend; callers
-    install one of the backends below (or any other) and [dur_attach]
-    it, exactly as [Database.create_db] does for a single engine.
-    Raises {!Types.Ode_error} if [partitions < 1]. *)
-
-val image_backend : unit -> durability_backend
-(** The full-image codec over merged slices: [dur_save]/[dur_load] are
-    {!Persist.group_save}/{!Persist.group_load} (bit-identical to a
-    single engine's image), commit emission is a no-op, [dur_recover]
-    raises. *)
+    member gets its own table, never shared. The facade is built with
+    the no-op durability backend; callers install one (the group WAL
+    below, [Persist.image_backend], or any other) and [dur_attach] it,
+    exactly as [Database.create_db] does. Raises {!Types.Ode_error} if
+    [partitions < 1]. *)
 
 val wal_backend : partitions:int -> Wal.config -> durability_backend
 (** One WAL per member under [<dir>/p<k>] plus a [group-manifest]

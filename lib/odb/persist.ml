@@ -177,22 +177,35 @@ let read_timer r =
 (* Full images                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let image_bytes db =
+(* The one image encoder: the header counters and clock come from [db]
+   (a group's facade carries the shared ones), then the objects in
+   ascending oid and the timers in (due, seq) order. *)
+let encode db objs timers =
   let w = Codec.writer () in
   Codec.write_string w magic;
   Codec.write_int w db.store.next_oid;
   Codec.write_int w db.txns.next_txn_id;
   Codec.write_int w (Int64.to_int db.wheel.clock_ms);
-  (* shard-count-neutral: [live_objects] sorts to ascending oid per the
-     Store ordering contract *)
-  Codec.write_list w write_obj (Store.live_objects db);
-  (* [Timewheel.pending] emits (due, seq) order *)
-  Codec.write_list w write_timer (Timewheel.pending db);
+  Codec.write_list w write_obj objs;
+  Codec.write_list w write_timer timers;
   Codec.contents w
 
-let save db path =
-  if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
-  Codec.to_file path (image_bytes db)
+(* [live_objects] sorts to ascending oid per the Store ordering
+   contract; [Timewheel.pending] emits (due, seq) order. *)
+let image_bytes db = encode db (Store.live_objects db) (Timewheel.pending db)
+
+(* The one image decoder: the whole image is parsed before any caller
+   touches the heap, so a corrupt image does not leave a half-installed
+   database behind. *)
+let decode data =
+  let r = Codec.reader data in
+  if Codec.read_string r <> magic then raise (Codec.Corrupt "not an Ode image");
+  let next_oid = Codec.read_int r in
+  let next_txn_id = Codec.read_int r in
+  let clock_ms = Int64.of_int (Codec.read_int r) in
+  let objs = Codec.read_list r read_obj_raw in
+  let timers = Codec.read_list r read_timer in
+  (next_oid, next_txn_id, clock_ms, objs, timers)
 
 (* Restored timers keep their saved insertion stamps; the group-wide
    counter must resume past them so later arms sort after. The counter
@@ -211,15 +224,7 @@ let bump_seq_counter db timers =
    slice from its own snapshot. Group images go through
    [group_load_image]. *)
 let load_image db data =
-  let r = Codec.reader data in
-  if Codec.read_string r <> magic then raise (Codec.Corrupt "not an Ode image");
-  let next_oid = Codec.read_int r in
-  let next_txn_id = Codec.read_int r in
-  let clock_ms = Int64.of_int (Codec.read_int r) in
-  (* parse everything before touching the heap, so a corrupt image does
-     not leave a half-installed database behind *)
-  let objs = Codec.read_list r read_obj_raw in
-  let timers = Codec.read_list r read_timer in
+  let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
   Store.reset_heap db;
   Timewheel.clear db;
   db.store.next_oid <- next_oid;
@@ -228,10 +233,6 @@ let load_image db data =
   List.iter (install_obj db) objs;
   List.iter (Timewheel.insert_timer db) timers;
   bump_seq_counter db timers
-
-let load db path =
-  if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";
-  load_image db (Codec.of_file path)
 
 (* ------------------------------------------------------------------ *)
 (* Group images                                                        *)
@@ -246,28 +247,16 @@ let group_image_bytes db =
   match db.part with
   | None -> image_bytes db
   | Some p ->
-    let pr = p.p_members.(0) in
-    let w = Codec.writer () in
-    Codec.write_string w magic;
-    Codec.write_int w pr.store.next_oid;
-    Codec.write_int w pr.txns.next_txn_id;
-    Codec.write_int w (Int64.to_int pr.wheel.clock_ms);
-    let objs =
+    let merged slice cmp =
       Array.fold_left
-        (fun acc m -> List.rev_append (Store.live_objects m) acc)
+        (fun acc m -> List.rev_append (slice m) acc)
         [] p.p_members
-      |> List.sort (fun a b -> compare a.o_id b.o_id)
+      |> List.sort cmp
     in
-    Codec.write_list w write_obj objs;
-    let timers =
-      Array.fold_left
-        (fun acc m -> List.rev_append (Timewheel.pending m) acc)
-        [] p.p_members
-      |> List.sort (fun a b ->
-             compare (a.tm_due, a.tm_seq) (b.tm_due, b.tm_seq))
-    in
-    Codec.write_list w write_timer timers;
-    Codec.contents w
+    encode p.p_members.(0)
+      (merged Store.live_objects (fun a b -> compare a.o_id b.o_id))
+      (merged Timewheel.pending (fun a b ->
+           compare (a.tm_due, a.tm_seq) (b.tm_due, b.tm_seq)))
 
 (* [load_image] for a whole group: reset every member slice, then let
    owner routing scatter the merged image's objects and timers back to
@@ -276,14 +265,7 @@ let group_load_image db data =
   match db.part with
   | None -> load_image db data
   | Some p ->
-    let r = Codec.reader data in
-    if Codec.read_string r <> magic then
-      raise (Codec.Corrupt "not an Ode image");
-    let next_oid = Codec.read_int r in
-    let next_txn_id = Codec.read_int r in
-    let clock_ms = Int64.of_int (Codec.read_int r) in
-    let objs = Codec.read_list r read_obj_raw in
-    let timers = Codec.read_list r read_timer in
+    let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
     Array.iter
       (fun m ->
         Store.reset_heap m;
@@ -298,11 +280,11 @@ let group_load_image db data =
     List.iter (Timewheel.insert_timer db) timers;
     bump_seq_counter db timers
 
-let group_save db path =
+let save db path =
   if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
   Codec.to_file path (group_image_bytes db)
 
-let group_load db path =
+let load db path =
   if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";
   group_load_image db (Codec.of_file path)
 
@@ -310,9 +292,9 @@ let group_load db path =
 (* The full-image durability backend                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [save]/[load] as a [durability_backend]: no incremental log, commits
-   emit nothing, recovery has nothing to replay from. This is the
-   PR-6-and-earlier behaviour, packaged. *)
+(* [save]/[load] as a [durability_backend], at any partition count: no
+   incremental log, commits emit nothing, recovery has nothing to
+   replay from. *)
 let image_backend () =
   {
     dur_name = "image";

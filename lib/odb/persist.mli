@@ -20,18 +20,21 @@ val magic : string
 val save : db -> string -> unit
 (** Persist all live objects (fields, trigger activations and their
     automaton states), pending timers, the oid/txn counters and the
-    clock. Raises {!Types.Ode_error} if a transaction is open. Not
+    clock — {!group_image_bytes}, so a partition group saves the
+    merged image. Raises {!Types.Ode_error} if a transaction is open. Not
     saved: the schema itself (closures are code), database-scope trigger
     activations, the history log, provenance partial matches, and the
     history-recording setting. *)
 
 val load : db -> string -> unit
-(** Restore a {!save}d image into a database whose classes have been
-    registered again. Existing objects and timers are discarded. Raises
-    [Codec.Corrupt] on a bad image or a schema mismatch. *)
+(** Restore a {!save}d image ({!group_load_image}) into a database
+    whose classes have been registered again. Existing objects and
+    timers are discarded. Raises [Codec.Corrupt] on a bad image or a
+    schema mismatch. *)
 
 val image_bytes : db -> string
-(** The exact bytes {!save} would write, without touching the
+(** The exact bytes {!save} would write for an unpartitioned db (a
+    member's own slice for a partition member), without touching the
     filesystem or checking for open transactions — the shared snapshot
     writer ({!Wal} checkpoints call this) and the state fingerprint the
     equivalence and crash-recovery suites compare. *)
@@ -53,8 +56,6 @@ val load_image : db -> string -> unit
 
 val group_image_bytes : db -> string
 val group_load_image : db -> string -> unit
-val group_save : db -> string -> unit
-val group_load : db -> string -> unit
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted
@@ -102,7 +103,8 @@ val read_timer : Ode_base.Codec.reader -> timer
 val image_backend : unit -> durability_backend
 (** The full-image codec as a durability backend: [dur_save]/[dur_load]
     are {!save}/{!load}, commit emission is a no-op, [dur_recover]
-    raises (there is no log). The default of [Database.create_db]. *)
+    raises (there is no log). The default of [Database.create_db] at
+    any partition count. *)
 
 val write_time_spec : Ode_base.Codec.writer -> Ode_event.Symbol.time_spec -> unit
 val read_time_spec : Ode_base.Codec.reader -> Ode_event.Symbol.time_spec

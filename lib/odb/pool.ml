@@ -9,14 +9,11 @@
    then parks on [work_done], which only the last finishing worker
    signals (one mutex acquisition per batch, off the hot path).
 
-   Work distribution is either {e dynamic} ([run]: task indices claimed
-   through the [next] atomic, caller and workers draining one shared
-   queue) or {e static} ([run_static]: participant [w] of [size] owns
-   tasks [w, w + size, ...]). The engine's step phase uses the static
-   form: with tasks = shards, the shard -> domain map is a pure
-   function of the pool size, so every batch pins the same shards (and
-   their scratch buffers) to the same domain — no work-stealing
-   migrates a shard's state across domains mid-run. *)
+   Work distribution is static: participant [w] of [size] owns tasks
+   [w, w + size, ...]. With tasks = partition members, the member ->
+   domain map is a pure function of the pool size, so every batch pins
+   the same members (and their scratch buffers) to the same domain — no
+   work-stealing migrates a member's state across domains mid-run. *)
 
 type t = {
   size : int;  (* parallelism including the calling thread *)
@@ -26,8 +23,6 @@ type t = {
   work_done : Condition.t;
   mutable job : (int -> unit) option;
   mutable n_tasks : int;
-  mutable static : bool;  (* this job's distribution mode *)
-  next : int Atomic.t;  (* dynamic-mode claim counter *)
   generation : int Atomic.t;  (* bumped once per run; spun on *)
   pending : int Atomic.t;  (* workers still inside the current job *)
   sleepers : int Atomic.t;  (* workers parked on [work_ready] *)
@@ -49,22 +44,10 @@ let record_failure t e =
   if t.failure = None then t.failure <- Some e;
   Mutex.unlock t.mu
 
-(* Claim and run tasks until the queue is empty. A raising task records
-   the first failure and the drain continues: sibling tasks' effects
+(* Participant [w] runs its own strided subset. A raising task records
+   the first failure and the chunk continues: sibling tasks' effects
    (undo segments, counters) must still be produced so the caller can
    merge them before re-raising. *)
-let drain t f =
-  let rec go () =
-    let i = Atomic.fetch_and_add t.next 1 in
-    if i < t.n_tasks then begin
-      (try f i with e -> record_failure t e);
-      go ()
-    end
-  in
-  go ()
-
-(* Static mode: participant [w] runs its own strided subset, no shared
-   claim counter. Same failure contract as [drain]. *)
 let run_chunk t f w =
   let i = ref w in
   while !i < t.n_tasks do
@@ -98,7 +81,7 @@ let worker t w () =
       (* the job fields were written before the generation bump; the
          atomic read above orders these plain reads after them *)
       (match t.job with
-      | Some f -> if t.static then run_chunk t f w else drain t f
+      | Some f -> run_chunk t f w
       | None -> ());
       if Atomic.fetch_and_add t.pending (-1) = 1 then begin
         (* last finisher: the caller may already be parked on
@@ -124,8 +107,6 @@ let create ~size =
       work_done = Condition.create ();
       job = None;
       n_tasks = 0;
-      static = false;
-      next = Atomic.make 0;
       generation = Atomic.make 0;
       pending = Atomic.make 0;
       sleepers = Atomic.make 0;
@@ -152,27 +133,20 @@ let rec await_pending t budget =
       Mutex.unlock t.mu
     end
 
-let run_mode t ~tasks ~static f =
+let run_static t ~tasks f =
   if tasks > 0 then
     if t.size = 1 || tasks = 1 then begin
       (* inline fast path: same failure contract, no synchronisation *)
       t.failure <- None;
       t.n_tasks <- tasks;
-      t.static <- static;
-      if static then run_chunk t f 0
-      else begin
-        Atomic.set t.next 0;
-        drain t f
-      end;
+      run_chunk t f 0;
       match t.failure with None -> () | Some e -> raise e
     end
     else begin
-      if Atomic.get t.stop then invalid_arg "Pool.run: pool is shut down";
+      if Atomic.get t.stop then invalid_arg "Pool.run_static: pool is shut down";
       t.job <- Some f;
       t.n_tasks <- tasks;
-      t.static <- static;
       t.failure <- None;
-      Atomic.set t.next 0;
       Atomic.set t.pending (t.size - 1);
       (* publish: the generation bump makes the plain writes above
          visible to any worker that observes it *)
@@ -185,14 +159,11 @@ let run_mode t ~tasks ~static f =
         Mutex.unlock t.mu
       end;
       (* the caller is participant [size - 1] *)
-      if static then run_chunk t f (t.size - 1) else drain t f;
+      run_chunk t f (t.size - 1);
       await_pending t spin_budget;
       t.job <- None;
       match t.failure with None -> () | Some e -> raise e
     end
-
-let run t ~tasks f = run_mode t ~tasks ~static:false f
-let run_static t ~tasks f = run_mode t ~tasks ~static:true f
 
 let shutdown t =
   Mutex.lock t.mu;

@@ -9,19 +9,16 @@
     transitions when the pool is hot, instead of a mutex broadcast and
     a condvar wake per worker per batch.
 
-    Two distribution modes:
-    - {!run} — dynamic: task indices are claimed from a shared atomic
-      counter; good when task costs are unknown.
-    - {!run_static} — static: participant [w] of [size] owns the
-      strided subset [w, w + size, ...]. The task → participant map is
-      a pure function of the pool size, so repeated jobs over the same
-      index space pin each task to the same domain — the engine uses
-      this to keep each store shard (and its scratch state) on one
-      domain across batches.
+    Distribution is static: participant [w] of [size] owns the strided
+    subset [w, w + size, ...]. The task → participant map is a pure
+    function of the pool size, so repeated jobs over the same index
+    space pin each task to the same domain — the engine uses this to
+    keep each partition member (and its scratch state) on one domain
+    across batches.
 
-    The pool is {e not} reentrant: tasks must not call {!run} on the
-    pool executing them, and only one thread may orchestrate a pool at
-    a time. The engine satisfies both by construction — the posting
+    The pool is {e not} reentrant: tasks must not call {!run_static}
+    on the pool executing them, and only one thread may orchestrate a
+    pool at a time. The engine satisfies both by construction — the posting
     pipeline has a single sequential orchestrator and the parallel
     phase never posts. *)
 
@@ -30,26 +27,22 @@ type t
 val create : size:int -> t
 (** [create ~size] spawns [size - 1] worker domains (the caller is the
     [size]-th participant). [size] is clamped below at 1; a size-1 pool
-    spawns nothing and {!run} degenerates to an inline loop, which is
-    also the no-allocation path [post_many] takes on a 1-domain run.
+    spawns nothing and {!run_static} degenerates to an inline loop,
+    which is also the no-allocation path [post_many] takes on a
+    1-domain run.
     Raises [Invalid_argument] beyond 128 (the runtime's domain ceiling
     must be shared with the rest of the process). *)
 
 val size : t -> int
 
-val run : t -> tasks:int -> (int -> unit) -> unit
-(** [run t ~tasks f] executes [f 0 .. f (tasks-1)], each exactly once,
-    distributed dynamically over the pool, and blocks until all have
-    completed. If one or more tasks raise, every remaining task still
-    runs (partial effects must stay mergeable) and then the
-    first-recorded exception is re-raised in the caller. *)
-
 val run_static : t -> tasks:int -> (int -> unit) -> unit
-(** Like {!run}, but with the static strided distribution: participant
-    [w] executes exactly the tasks [i] with [i mod size = w], the
-    caller being participant [size - 1]. Same completion and failure
-    contract as {!run}. *)
+(** [run_static t ~tasks f] executes [f 0 .. f (tasks-1)], each exactly
+    once, and blocks until all have completed: participant [w] executes
+    exactly the tasks [i] with [i mod size = w], the caller being
+    participant [size - 1]. If one or more tasks raise, every remaining
+    task still runs (partial effects must stay mergeable) and then the
+    first-recorded exception is re-raised in the caller. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent; the pool must not be
-    {!run} afterwards. *)
+    run afterwards. *)

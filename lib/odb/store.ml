@@ -2,72 +2,21 @@ module Value = Ode_base.Value
 module Mask = Ode_event.Mask
 open Types
 
-(* ------------------------------------------------------------------ *)
-(* The sharded table                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let default_shards = 8
-
-(* CI forces several shards across the whole suite with
-   ODE_STORE_BACKEND=sharded (optionally sharded:<n>); [heap], the
-   pre-sharding name, is the one-shard table. *)
-let shards_of_env () =
-  match Sys.getenv_opt "ODE_STORE_BACKEND" with
-  | None | Some "" | Some "heap" -> 1
-  | Some "sharded" -> default_shards
-  | Some s -> (
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "sharded" -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-        ode_error "ODE_STORE_BACKEND: bad shard count in %S" s)
-    | Some _ | None -> ode_error "ODE_STORE_BACKEND: unknown backend %S" s)
-
-let shards db = Array.length db.store.tables
-let shard_of db oid = oid mod Array.length db.store.tables
-let backend_name db = Printf.sprintf "sharded:%d" (shards db)
-
-let locked db i f =
-  Mutex.lock db.store.locks.(i);
-  f db.store.tables.(i);
-  Mutex.unlock db.store.locks.(i)
-
-(* ------------------------------------------------------------------ *)
-(* Partition lanes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine's batch pipeline parallelises over {e lanes}: one lane
-   per (partition member, member shard) pair, so a lane task touches
-   exactly one member's slice of one shard — the same no-shared-state
-   guarantee the single-engine pipeline gets from shards alone. For an
-   unpartitioned db a lane {e is} a shard, so the single-engine queue
-   layout (and with it every equivalence baseline) is unchanged. *)
-
-let lanes db = Types.n_partitions db * shards db
-
-let lane_of db oid =
-  match db.part with
-  | None -> shard_of db oid
-  | Some p ->
-    let k = oid mod Array.length p.p_members in
-    (k * shards p.p_members.(k)) + shard_of p.p_members.(k) oid
-
-let member_of_lane db lane =
-  match db.part with
-  | None -> db
-  | Some p -> p.p_members.(lane / shards db)
+let locked db f =
+  Mutex.lock db.store.lock;
+  f db.store.table;
+  Mutex.unlock db.store.lock
 
 (* ------------------------------------------------------------------ *)
 (* Heap operations on the database                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oid allocation is one counter: with [shard_of oid = oid mod n] a
-   monotonically increasing oid stream round-robins the shards, so the
-   partition stays balanced without per-shard counters. Allocation only
-   happens in the sequential phases of the pipeline (object creation is
-   never parallelised), so the counter needs no synchronisation. *)
+(* Oid allocation is one counter: with owner [oid mod n] a
+   monotonically increasing oid stream round-robins the partition
+   members, so the slices stay balanced without per-member counters.
+   Allocation only happens in the sequential phases of the pipeline
+   (object creation is never parallelised), so the counter needs no
+   synchronisation. *)
 let alloc_oid db =
   match db.part with
   | None ->
@@ -106,7 +55,7 @@ let new_obj k oid =
 
 (* Activations of flat-table detectors on heap objects keep their
    automaton state vector — one word per level, one word total for
-   mask-free expressions — in a per-shard block shared by all
+   mask-free expressions — in a per-member block shared by all
    activations of the same detector — the paper's "one integer per
    active trigger per object", laid out so [post_many]'s step phase
    sweeps a contiguous int array. Slot allocation and release only
@@ -115,7 +64,7 @@ let new_obj k oid =
 
 let soa_slot db oid (det : Ode_event.Detector.t) =
   let db = Types.owner_db db oid in
-  let tbl = db.store.soa.(shard_of db oid) in
+  let tbl = db.store.soa in
   let w = Ode_event.Detector.n_state_words det in
   let blk =
     match Hashtbl.find_opt tbl det.uid with
@@ -147,7 +96,7 @@ let soa_slot db oid (det : Ode_event.Detector.t) =
   S_slot (blk, slot)
 
 (* Fresh detection state for an activation of [det] on object [oid]:
-   packed into the shard's SoA block when the detector qualifies, a
+   packed into the owner member's SoA block when the detector qualifies, a
    private word vector otherwise. *)
 let fresh_at_state db oid (det : Ode_event.Detector.t) =
   if Ode_event.Detector.has_flat det then soa_slot db oid det
@@ -166,18 +115,17 @@ let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_at_state at) obj.o_trigg
    the oid's owning member first, so per-member counts stay exact. *)
 let add_obj db obj =
   let db = Types.owner_db db obj.o_id in
-  locked db (shard_of db obj.o_id) (fun tbl -> Hashtbl.add tbl obj.o_id obj);
+  locked db (fun tbl -> Hashtbl.add tbl obj.o_id obj);
   if not obj.o_deleted then db.store.n_live <- db.store.n_live + 1
 
 let remove_obj db oid =
   let db = Types.owner_db db oid in
-  let i = shard_of db oid in
-  match Hashtbl.find_opt db.store.tables.(i) oid with
+  match Hashtbl.find_opt db.store.table oid with
   | None -> ()
   | Some o ->
     if not o.o_deleted then db.store.n_live <- db.store.n_live - 1;
     free_obj_slots o;
-    locked db i (fun tbl -> Hashtbl.remove tbl oid)
+    locked db (fun tbl -> Hashtbl.remove tbl oid)
 
 let mark_deleted db obj =
   if not obj.o_deleted then begin
@@ -196,29 +144,19 @@ let unmark_deleted db obj =
 (* Member-local on purpose: [Persist.load_image] resets one member's
    slice before reinstalling it; group-wide resets walk the members. *)
 let reset_heap db =
-  Array.iteri (fun i _ -> locked db i Hashtbl.reset) db.store.tables;
-  Array.iter Hashtbl.reset db.store.soa;
+  locked db Hashtbl.reset;
+  Hashtbl.reset db.store.soa;
   db.store.n_live <- 0
 
-let find_obj db oid =
-  let m = Types.owner_db db oid in
-  Hashtbl.find_opt m.store.tables.(shard_of m oid) oid
-
-let mem db oid =
-  let m = Types.owner_db db oid in
-  Hashtbl.mem m.store.tables.(shard_of m oid) oid
-
-(* stored objects, delete-marked included: O(shards) *)
-let stored m =
-  Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 m.store.tables
+let find_obj db oid = Hashtbl.find_opt (Types.owner_db db oid).store.table oid
+let mem db oid = Hashtbl.mem (Types.owner_db db oid).store.table oid
+let members db = match db.part with Some p -> p.p_members | None -> [| db |]
 
 let cardinal ?(live = false) db =
-  match db.part with
-  | None -> if live then db.store.n_live else stored db
-  | Some p ->
-    Array.fold_left
-      (fun acc m -> acc + if live then m.store.n_live else stored m)
-      0 p.p_members
+  Array.fold_left
+    (fun acc m ->
+      acc + if live then m.store.n_live else Hashtbl.length m.store.table)
+    0 (members db)
 
 let live_obj db oid =
   match find_obj db oid with
@@ -240,21 +178,18 @@ let class_of db oid = (live_obj db oid).o_class.k_name
    member's WAL checkpoints snapshot only its own slice. Group-wide
    listings ([objects], [objects_of_class], [stats]) walk [members]
    explicitly; the merged-image writer in [Persist] does its own
-   oid-order merge of the member slices. Shard-index order, hash order
-   within a shard — every enumeration the layers above expose sorts
-   (see the ordering contract in store.mli). *)
+   oid-order merge of the member slices. Hash order never leaks: every
+   enumeration the layers above expose sorts (see the ordering contract
+   in store.mli). *)
 let fold_objects f db init =
-  Array.fold_left
-    (fun acc tbl -> Hashtbl.fold (fun _ o acc -> f o acc) tbl acc)
-    init db.store.tables
+  Hashtbl.fold (fun _ o acc -> f o acc) db.store.table init
 
-let iter_objects f db = Array.iter (Hashtbl.iter (fun _ o -> f o)) db.store.tables
-let members db = match db.part with Some p -> p.p_members | None -> [| db |]
+let iter_objects f db = Hashtbl.iter (fun _ o -> f o) db.store.table
 
 (* Enumeration contract: ascending oid, whatever the tables' internal
-   order. Folding a shard array of hashtables enumerates in hash order,
-   which must never leak — commit/abort fan-out and persist snapshots
-   would otherwise depend on the shard (or partition) count. *)
+   order. A hashtable enumerates in hash order, which must never leak —
+   commit/abort fan-out and persist snapshots would otherwise depend on
+   the partition count. *)
 let objects db =
   Array.fold_left
     (fun acc m ->
@@ -305,7 +240,7 @@ let mask_env db obj : Mask.env =
 
 (* A reusable posting-kernel scratch: same bindings as {!mask_env}, but
    the object is indirected through a ref cell so one environment (and
-   its three closures) serves every post handled by a shard instead of
+   its three closures) serves every post handled by a member instead of
    being rebuilt — and reallocated — per event. *)
 let make_scratch db =
   let sc_obj = ref None in

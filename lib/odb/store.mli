@@ -1,64 +1,26 @@
 (** Store layer: the object heap — oid allocation, live-object lookup,
     field access, per-object activations and event histories.
 
-    The heap is one sharded table held in {!Types.store_state}: N
-    hashtables partitioned by [oid mod N], one mutex per shard guarding
-    structural mutation, so the engine's batch pipeline can step
-    automata one-domain-per-shard. One shard is the plain single
-    hashtable. Depends on {!Types} (and reads the schema tables for
-    mask environments); knows nothing about transactions or event
-    posting.
+    Each database (or partition member, see {!Types.partition_state})
+    holds one hashtable in {!Types.store_state}, with one mutex guarding
+    structural mutation. A partitioned database slices the heap by
+    owner ([oid mod n_partitions]), and that slice is what the engine's
+    batch pipeline steps one-domain-per-member. Depends on {!Types}
+    (and reads the schema tables for mask environments); knows nothing
+    about transactions or event posting.
 
     {b Ordering contract.} The tables enumerate in {e unspecified} order
-    (hash order, shard by shard). Every enumeration this layer exposes —
+    (hash order, member by member). Every enumeration this layer exposes —
     {!objects}, {!objects_of_class}, {!live_objects} — therefore sorts
     to {e ascending oid} before returning, so commit and abort fan-out,
     persist snapshots and user-visible listings are bit-identical at
-    any shard count. Code that folds the raw tables directly must
+    any partition count. Code that folds the raw tables directly must
     either be order-insensitive or sort likewise. *)
 
 module Value = Ode_base.Value
 open Types
 
-(** {1 The sharded table} *)
-
-val default_shards : int
-(** What [ODE_STORE_BACKEND=sharded] selects. *)
-
-val shards_of_env : unit -> int
-(** 1, unless the [ODE_STORE_BACKEND] environment variable asks for
-    [sharded] ({!default_shards}) or [sharded:<n>] ([heap], the
-    pre-sharding name, stays accepted as one shard) — how CI runs the
-    whole suite sharded. Raises {!Types.Ode_error} on an unparsable
-    value. *)
-
-val backend_name : db -> string
-(** ["sharded:<n>"]. *)
-
-val shards : db -> int
-(** The partition width the engine may parallelise over. *)
-
-val shard_of : db -> oid -> int
-(** Which shard holds this oid ([oid mod shards]); constant for an
-    object's lifetime. Lookups are lock-free: the engine only mutates
-    the tables from sequential pipeline phases. *)
-
-(** {1 Partition lanes}
-
-    An oid-partitioned engine group ([Engine_group]) gives the batch
-    pipeline one {e lane} per (member, member-shard) pair; a lane task
-    touches exactly one member's slice of one shard. Unpartitioned, a
-    lane is a shard and all three collapse to the plain accessors. *)
-
-val lanes : db -> int
-(** [n_partitions * shards] parallelisable slices. *)
-
-val lane_of : db -> oid -> int
-(** Which lane steps this oid's automata; constant for an object's
-    lifetime ([owner * shards + owner's shard]). *)
-
-val member_of_lane : db -> int -> db
-(** The partition member whose store slice backs a lane. *)
+(** {1 Partition members} *)
 
 val members : db -> db array
 (** The partition members in owner order, [[| db |]] when
@@ -67,9 +29,9 @@ val members : db -> db array
 (** {1 Heap operations} *)
 
 val alloc_oid : db -> oid
-(** One monotone counter: with [shard_of oid = oid mod n] the oid
-    stream round-robins the shards, keeping the partition balanced
-    without per-shard counters. Sequential-phase only. *)
+(** One monotone counter: with owner [oid mod n] the oid stream
+    round-robins the partition members, keeping the slices balanced
+    without per-member counters. Sequential-phase only. *)
 
 val new_obj : klass -> oid -> obj
 (** Fresh object record with the class's field defaults installed. Does
@@ -78,7 +40,7 @@ val new_obj : klass -> oid -> obj
 (** {1 Detection-state blocks}
 
     Activations of flat-table detectors pack their automaton state into
-    a per-shard structure-of-arrays block keyed by detector uid, strided
+    a per-member structure-of-arrays block keyed by detector uid, strided
     by the detector's state width (one word per automaton level) — the
     paper's "one integer per active trigger per object", generalised to
     a small fixed vector for composite-mask hierarchies. Allocation and
@@ -114,7 +76,7 @@ val mem : db -> oid -> bool
 val cardinal : ?live:bool -> db -> int
 (** Stored-object count without scanning: with [~live:true] (maintained
     incrementally) only objects not delete-marked are counted; default
-    counts every stored record, O(shards). *)
+    counts every stored record, O(partitions). *)
 
 val live_obj : db -> oid -> obj
 (** Raises {!Types.Ode_error} on a missing or deleted object. *)
@@ -130,8 +92,8 @@ val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
 val live_objects : db -> obj list
-(** Live objects sorted by ascending oid — the shard-count-neutral
-    enumeration persist snapshots are built from. *)
+(** This member's live objects sorted by ascending oid — the
+    table-order-neutral enumeration persist snapshots are built from. *)
 
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
 (** Raw table fold, {e unspecified order}; for order-insensitive
@@ -155,7 +117,7 @@ val make_scratch : db -> scratch
 (** A reusable posting-kernel buffer: a {!mask_env}-equivalent
     environment reading fields through the scratch's [sc_obj] cell, plus
     a grow-only classification-code buffer. The engine keeps one per
-    shard. *)
+    partition member. *)
 
 (** {1 Event histories (§9)} *)
 

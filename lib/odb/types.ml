@@ -66,28 +66,29 @@ and schema_state = {
          definitions whose alphabet can react, in declaration order *)
 }
 
-(* [Store]: the object heap — [shards] hashtables partitioned by
-   [oid mod shards], one mutex per shard guarding structural mutation.
-   The partition is what the engine's batch pipeline parallelises over:
-   all activations of one object live in exactly one shard, so one
-   domain per shard steps automata with no shared mutable state. The
-   engine only mutates the tables from sequential phases, so lookups
-   (which parallel phases do perform) need no lock — a hashtable that
-   nobody resizes is safe to read concurrently. [Store] owns the code. *)
+(* [Store]: this member's slice of the object heap — one hashtable
+   and one mutex guarding its structural mutation. The partition member
+   is the unit the engine's batch pipeline parallelises over: all
+   activations of one object live in exactly one member (its owner,
+   [oid mod n_partitions]), so one domain per member steps automata
+   with no shared mutable state. The engine only mutates the tables from
+   sequential phases, so lookups (which parallel phases do perform)
+   need no lock — a hashtable that nobody resizes is safe to read
+   concurrently. [Store] owns the code. *)
 and store_state = {
-  tables : (oid, obj) Hashtbl.t array;  (* one per shard *)
-  locks : Mutex.t array;  (* one per shard *)
+  table : (oid, obj) Hashtbl.t;
+  lock : Mutex.t;
   mutable next_oid : int;
   mutable n_live : int;  (* stored objects with [o_deleted = false] *)
   mutable history_limit : int;  (* 0 = recording off *)
-  soa : (int, soa_block) Hashtbl.t array;
-      (* per shard: detector uid -> the structure-of-arrays block packing
-         the fixed-width automaton state vectors of every activation of
-         that detector on objects of the shard (paper §5: "one integer
+  soa : (int, soa_block) Hashtbl.t;
+      (* detector uid -> the structure-of-arrays block packing the
+         fixed-width automaton state vectors of every activation of
+         that detector on this member's objects (paper §5: "one integer
          per active trigger per object", one per level for hierarchical
          automata). Only sequential pipeline phases allocate or free
          slots; the parallel step phase of [post_many] only touches
-         blocks of its own shard. *)
+         blocks of its own member. *)
 }
 
 (* One packed state block: slot [i] of an activation occupies the
@@ -123,38 +124,37 @@ and engine_state = {
       (* default parallelism of [post_many]'s classify/step phase *)
   mutable clamp_domains : bool;
       (* clamp the effective parallelism to
-         [Domain.recommended_domain_count ()] (default true): requesting
-         more domains than the box has cores buys only contention.
-         [ODE_POST_DOMAINS] turns this off — an explicit test override
-         must exercise the parallel machinery even on a 1-core box. *)
-  mutable parallel_threshold : int;
-      (* batches smaller than this run the step phase inline on the
-         caller: below one shard's worth of events the pool barrier
-         costs more than it buys *)
+         [Domain.recommended_domain_count ()] and step batches smaller
+         than [Engine.inline_batch] inline (default true):
+         requesting more domains than the box has cores buys only
+         contention, and below a member's worth of events the pool
+         barrier costs more than it buys. [ODE_POST_DOMAINS] turns both
+         off — an explicit test override must exercise the parallel
+         machinery even on a 1-core box. *)
   mutable pool : Pool.t option;
       (* lazily created domain pool backing [post_many]; sized
          [post_domains] (or the call's [?domains]) and rebuilt when that
          changes. [Engine.shutdown_pool] releases the domains. *)
   mutable q_items : int array;
-      (* reusable per-shard event queues, rebuilt each batch by a
-         counting sort in phase 0: item indices grouped by shard, so a
-         shard task walks only its own events — one int per event, no
-         closures *)
+      (* reusable per-member event queues, rebuilt each batch by a
+         counting sort in phase 0: item indices grouped by owner
+         member, so a member task walks only its own events — one int
+         per event, no closures *)
   mutable q_off : int array;
-      (* shard s owns [q_items.(q_off.(s) .. q_off.(s+1) - 1)] *)
+      (* member k owns [q_items.(q_off.(k) .. q_off.(k+1) - 1)] *)
   mutable q_cur : int array;  (* counting-sort fill cursors *)
   mutable scratch : scratch array;
-      (* per-shard reusable classify/step buffers, built lazily by
+      (* per-member reusable classify/step buffers, built lazily by
          [Engine]; the sequential [post] path uses the posted object's
-         shard's scratch, [post_many]'s step tasks each own their
-         shard's — never two users at once *)
+         owner's scratch, [post_many]'s step tasks each own their
+         member's — never two users at once *)
   kind_names : (Symbol.basic, string) Hashtbl.t;
       (* memoized pretty-printed basic-event keys for the observability
          probes ([Format.asprintf] per post would dominate the enabled
          cost); written only from the sequential posting phases *)
 }
 
-(* Reusable per-shard posting buffers: a mask environment whose field
+(* Reusable per-member posting buffers: a mask environment whose field
    reads resolve against whatever object [sc_obj] currently holds, and a
    grow-only classification-code buffer (one packed code per distinct
    detector of the candidate row). This is what makes the steady-state
@@ -169,7 +169,7 @@ and scratch = {
   mutable sc_slot_steps : int;
   mutable sc_word_steps : int;
       (* counter accumulators, flushed to the registry once per post
-         phase (per shard task under [post_many]) instead of per
+         phase (per member task under [post_many]) instead of per
          candidate — the atomics stay exact, off the inner loop. The
          slot/word split is the kernel-coverage breakdown: transitions
          taken through the flat-table SoA path vs the boxed
@@ -232,7 +232,7 @@ and tnode = {
 (* [Durability]: the persistence strategy, held abstractly as a record
    of backend operations.
    [Persist] packs the full-image ODE1 codec, [Wal] the write-ahead-log
-   backend; [Database.create_db ?durability] resolves the choice. The
+   backend; [Database.create_db] resolves [Config.durability]. The
    default installed by [make_db] is a no-op: raw-layer users (tests,
    benches) pay nothing, and batch emission from [Txn]/[Engine]/
    [Timewheel] goes through [dur_commit] without those layers depending
@@ -331,7 +331,7 @@ and active_trigger = {
 (* Where an activation's automaton state lives. Detectors whose whole
    level stack carries flat transition tables ([Detector.has_flat] —
    all compilable expressions in practice) pack their fixed state
-   vector into the per-shard SoA blocks; everything else — automata
+   vector into the per-member SoA blocks; everything else — automata
    past the flat-cell budget, database-scope activations — keeps its
    own word vector. *)
 and trig_state =
@@ -457,21 +457,20 @@ let make_wheel () =
     tw_index = Hashtbl.create 64;
   }
 
-let make_store ~shards ~next_oid =
-  if shards < 1 then ode_error "shard count must be >= 1 (got %d)" shards;
+let make_store ~next_oid =
   {
-    tables = Array.init shards (fun _ -> Hashtbl.create 64);
-    locks = Array.init shards (fun _ -> Mutex.create ());
+    table = Hashtbl.create 64;
+    lock = Mutex.create ();
     next_oid;
     n_live = 0;
     history_limit = 0;
-    soa = Array.init shards (fun _ -> Hashtbl.create 8);
+    soa = Hashtbl.create 8;
   }
 
 (* The composition root: every layer's state record, initialized empty.
    Lives here because only the knot module sees all the sub-records. *)
-let make_db ?(shards = 1) ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
-    ?(trace_capacity = 1024) ?(durability = noop_durability) () =
+let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
+    ?(trace_capacity = 1024) () =
   if max_tcomplete_rounds < 1 then
     ode_error "max_tcomplete_rounds must be >= 1";
   let db =
@@ -483,7 +482,7 @@ let make_db ?(shards = 1) ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_trigger_defs = Hashtbl.create 4;
           db_dispatch = Hashtbl.create 8;
         };
-      store = make_store ~shards ~next_oid:1;
+      store = make_store ~next_oid:1;
       txns =
         {
           next_txn_id = 1;
@@ -499,7 +498,6 @@ let make_db ?(shards = 1) ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           next_sub_id = 1;
           post_domains = 1;
           clamp_domains = true;
-          parallel_threshold = 32;
           pool = None;
           q_items = [||];
           q_off = [||];
@@ -514,7 +512,7 @@ let make_db ?(shards = 1) ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           timers_dirty = false;
           tm_next_seq = 0;
         };
-      durability;
+      durability = noop_durability;
       obs = Ode_obs.Registry.create ~trace_capacity ();
       part = None;
     }

@@ -67,7 +67,7 @@ let mk_config ?(window = 0) ?(outbox = 1024) ?(max_frame = Frame.max_frame_defau
   }
 
 (* The database is built by the caller (so it follows the CI leg's env
-   backend selection); the server only gets the serve knobs. *)
+   configuration); the server only gets the serve knobs. *)
 let with_server ?window ?outbox ?max_frame ~db f =
   let srv = Server.create ~db ~config:(mk_config ?window ?outbox ?max_frame ()) () in
   Server.start srv;
@@ -765,8 +765,7 @@ let test_config_of_env () =
   with_env "ODE_POST_DOMAINS" "3" (fun () ->
       let c = D.Config.of_env () in
       Alcotest.(check int) "domains" 3 c.D.Config.post_domains;
-      Alcotest.(check bool) "clamp off" false c.D.Config.domain_clamp;
-      Alcotest.(check int) "threshold zero" 0 c.D.Config.parallel_threshold);
+      Alcotest.(check bool) "clamp off" false c.D.Config.domain_clamp);
   with_env "ODE_POST_DOMAINS" "" (fun () ->
       let c = D.Config.of_env () in
       Alcotest.(check int)
@@ -854,7 +853,7 @@ let test_config_reaches_db () =
       Alcotest.(check bool)
         (Printf.sprintf "summary mentions %s" needle)
         true (contains needle))
-    [ "backend=sharded:1"; "durability=image"; "post_domains=1"; "timing=off" ]
+    [ "durability=image"; "partitions=1"; "post_domains=1"; "timing=off" ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -350,12 +350,14 @@ let test_unsubscribe_during_delivery () =
 
 (* Counters must stay {e exact} — not approximate — when [post_many]'s
    classify/step phase runs on 4 domains (the step-phase emissions are
-   atomic, the kind table mutexed). 16 objects × 25 pings on a sharded
-   backend: every counter is pinned to its computed truth and must also
-   equal a 1-domain run of the identical batch bit for bit. *)
+   atomic, the kind table mutexed). 16 objects × 25 pings on an
+   8-member group: every counter is pinned to its computed truth and
+   must also equal a 1-domain run of the identical batch bit for bit. *)
 let test_exact_counters_under_domains () =
   let run domains =
-    let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.shards = 8 } () in
+    let db =
+      D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions = 8 } ()
+    in
     D.set_post_domains db domains;
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in

@@ -1,11 +1,11 @@
 (* Partition equivalence: an oid-sliced engine group must be observably
    identical to the single engine — same firings in the same order, same
    action log, same automaton states, same exact observability counters
-   and byte-identical ODE1 images — at any partition and shard count,
-   under random schemas and random transaction scripts.
-   The generators and runners are shared with test_shard.ml: the same
-   workloads that pinned Heap = Sharded and 1 domain = 4 domains now pin
-   1 partition = 2 = 4.
+   and byte-identical ODE1 images — at any partition count, and
+   [post_many] at any domain count over any partition count (the
+   partition member is the unit its parallel step phase runs one task
+   per), under random schemas and random transaction scripts. The
+   generators and runners are shared with test_shard.ml.
 
    Directed tests cover what the properties cannot see from the facade:
    a cross-partition composite (a database-scope [sequence] whose
@@ -28,8 +28,8 @@ let expect_ok = function
 
 (* Directed tests pin the whole config (environment ignored) so they
    mean the same thing on every CI leg. *)
-let cfg ?(shards = 1) ?durability ~partitions () =
-  let c = { D.Config.default with D.Config.shards; partitions } in
+let cfg ?durability ~partitions () =
+  let c = { D.Config.default with D.Config.partitions } in
   match durability with
   | None -> c
   | Some d -> { c with D.Config.durability = d }
@@ -44,28 +44,31 @@ let fresh_dir () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The second property runs every pairing of domains {1,2,4} with
+   partitions {1,2,4}. test_shard.ml's [Heap = Sharded] and
+   [post_many: 1 domain = 4 domains = Heap] cover 3 and 8 members. *)
 let partitions_transparent =
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:40
     ~name:"partitions 1 = 2 = 4 (firings, states, persist bytes)"
     (QCheck.make ~print:TS.print_case TS.gen_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.triggers);
-      let p1 = TS.run ~partitions:1 ~shards:1 case in
-      p1 = TS.run ~partitions:2 ~shards:1 case
-      && p1 = TS.run ~partitions:4 ~shards:1 case
-      && p1 = TS.run ~partitions:2 ~shards:3 case
-      && p1 = TS.run ~partitions:4 ~shards:4 case)
+      let p1 = TS.run ~partitions:1 case in
+      p1 = TS.run ~partitions:2 case && p1 = TS.run ~partitions:4 case)
 
 let post_many_partitions_equal =
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:40
     ~name:"post_many: partitions 1 = 2 = 4 (exact counters, persist bytes)"
     (QCheck.make ~print:TS.print_batch_case TS.gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.btriggers);
-      let p1 = TS.run_batch ~partitions:1 ~shards:4 ~domains:1 case in
-      p1 = TS.run_batch ~partitions:2 ~shards:4 ~domains:1 case
-      && p1 = TS.run_batch ~partitions:4 ~shards:4 ~domains:4 case
-      && p1 = TS.run_batch ~partitions:2 ~shards:1 ~domains:2 case)
+      let p1 = TS.run_batch ~partitions:1 ~domains:1 case in
+      List.for_all
+        (fun (partitions, domains) ->
+          p1 = TS.run_batch ~partitions ~domains case)
+        (List.concat_map
+           (fun partitions -> List.map (fun d -> (partitions, d)) [ 1; 2; 4 ])
+           [ 1; 2; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Cross-partition composites                                          *)
@@ -121,7 +124,7 @@ let test_cross_partition_sequence () =
 let test_cross_count_image () =
   let fired = ref 0 in
   let mk partitions =
-    let db = D.create_db ~config:(cfg ~shards:4 ~partitions ()) () in
+    let db = D.create_db ~config:(cfg ~partitions ()) () in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
     let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
@@ -185,7 +188,7 @@ let test_wal_group_recover () =
     db
   in
   let wal_config =
-    cfg ~shards:2 ~partitions:2
+    cfg ~partitions:2
       ~durability:
         (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
       ()
@@ -305,8 +308,8 @@ let test_config_surface () =
   in
   Alcotest.(check bool) "summary mentions partitions" true
     (contains "partitions=2");
-  Alcotest.(check bool) "summary names the shard count" true
-    (contains "backend=sharded:1");
+  Alcotest.(check bool) "summary names no store backend" false
+    (contains "backend=");
   let db1 = D.create_db ~config:(cfg ~partitions:1 ()) () in
   Alcotest.(check int) "single engine" 1 (D.partitions db1)
 

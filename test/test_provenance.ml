@@ -9,6 +9,22 @@ let env = Mask.empty_env
 let occ name args : Symbol.occurrence =
   { Symbol.basic = Symbol.Method (After, name); args; at = 0L }
 
+(* Post [occs] to the detector and to provenance side by side: true
+   when they agree at every post up to the first one at which
+   provenance reports a truncated match set. The cap drops matches
+   silently, after which the boolean answer is best-effort; the walk
+   stops there (posting on would only grow capped sets). *)
+let agree_until_truncated det prov occs =
+  let state = Detector.initial det in
+  let rec go = function
+    | [] -> true
+    | o :: rest ->
+      let fired = Detector.post det state ~env o in
+      let matches = Provenance.post prov ~env o in
+      Provenance.truncated prov || (fired = (matches <> []) && go rest)
+  in
+  go occs
+
 let boolean_shadow =
   QCheck.Test.make ~count:300 ~name:"provenance non-empty iff the detector fires"
     (QCheck.make
@@ -23,14 +39,43 @@ let boolean_shadow =
       match Detector.make e with
       | exception Invalid_argument _ -> true
       | det ->
-        let state = Detector.initial det in
-        let prov = Provenance.make ~max_matches:4096 e in
-        List.for_all
-          (fun o ->
-            let fired = Detector.post det state ~env o in
-            let matches = Provenance.post prov ~env o in
-            fired = (matches <> []))
-          occs)
+        agree_until_truncated det (Provenance.make ~max_matches:4096 e) occs)
+
+(* A stream on which the default test cap of 4096 truncates and the
+   answers then part: the cap is the cause, not the detector. With a
+   cap that never bites, provenance agrees with the detector at every
+   post. *)
+let test_truncation_reported () =
+  let e =
+    Expr.relative_n 1
+      Expr.(after "g" |: after "f" |: relative [ after "f"; before "f" ])
+  in
+  let stream =
+    "after_f after_f after_g before_f after_g after_f before_f after_f \
+     before_f after_g after_f after_f before_f before_f after_f before_f"
+  in
+  let occs =
+    List.filter_map
+      (function
+        | "after_f" -> Some (occ "f" [])
+        | "before_f" ->
+          Some { Symbol.basic = Symbol.Method (Before, "f"); args = []; at = 0L }
+        | "after_g" -> Some (occ "g" [])
+        | _ -> None)
+      (String.split_on_char ' ' stream)
+  in
+  Alcotest.(check int) "stream length" 16 (List.length occs);
+  let run max_matches =
+    let prov = Provenance.make ~max_matches e in
+    let agree = agree_until_truncated (Detector.make e) prov occs in
+    (agree, Provenance.truncated prov)
+  in
+  let agree, truncated = run 4096 in
+  Alcotest.(check bool) "4096: truncation reported" true truncated;
+  Alcotest.(check bool) "4096: agreement until it is" true agree;
+  let agree, truncated = run (1 lsl 20) in
+  Alcotest.(check bool) "large cap: no truncation" false truncated;
+  Alcotest.(check bool) "large cap: agrees with the detector" true agree
 
 let formals names =
   List.map (fun n -> { Expr.f_ty = None; f_name = n }) names
@@ -158,6 +203,7 @@ let suite =
       Alcotest.test_case "chains accumulate bindings" `Quick test_chain_accumulates;
       Alcotest.test_case "fa window bindings" `Quick test_fa_window_bindings;
       Alcotest.test_case "cap bounds state" `Quick test_cap_bounds_state;
+      Alcotest.test_case "truncation is reported" `Quick test_truncation_reported;
       Alcotest.test_case "consumption contexts (Snoop)" `Quick test_consumption_contexts;
       Alcotest.test_case "chronicle fa pairing" `Quick test_chronicle_fa;
     ]

@@ -1,16 +1,18 @@
-(* Shard-count equivalence: the heap — the one-shard table — and the
-   sharded table at several shard counts must be observably identical —
-   same firings in the same order, same action log, same automaton
-   states, same object listings, same statistics and byte-identical
-   ODE1 persist images — on random schemas under random transaction
-   scripts with commits, aborts, deletes and simulated-time advances.
-   Likewise [post_many] must be bit-identical across domain counts: the
-   parallel step phase (one task per shard) may not change a single
-   observable, firing order and observability counters included.
+(* The batch-pipeline workloads and the Store surface. [run] drives
+   random schemas under random transaction scripts with commits,
+   aborts, deletes and simulated-time advances; [run_batch] drives
+   [post_many] batches at a chosen domain count. Each summarises every
+   observable — firings in order, the action log, automaton states,
+   object listings, statistics, exact counters and byte-identical ODE1
+   images — and the properties here and in test_partition.ml compare
+   those summaries across partition and domain counts (the partition
+   member is the oid slice the parallel step phase runs one task per).
+   "Heap" below is the single engine, "Sharded" an oid-sliced group.
 
-   Directed tests below cover the Store surface: [cardinal]/[mem] at 1
-   and 4 shards, the ascending-oid enumeration contract, oid
-   round-robin over shards, and the [ODE_STORE_BACKEND] selector. *)
+   Directed tests below cover the Store surface ([cardinal]/[mem] and
+   the ascending-oid enumeration contract, on one engine and on a
+   4-member group), owner routing, an image carried from a group to a
+   single engine, the domain pool, and kernel coverage. *)
 
 open Ode_odb
 open Ode_event
@@ -42,18 +44,17 @@ type case = {
 let n_objects = 5
 let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.triggers
 
-(* Build the schema on a [shards]-wide heap, run every script, and
-   summarise everything the shard counts could disagree on. Nothing is
-   sorted: the {e order} of firings and logged actions is part of the
-   contract. *)
-(* [partitions]: [None] follows the environment (the default, like
+(* Build the schema, run every script, and summarise everything the
+   partition counts could disagree on. Nothing is sorted: the {e order}
+   of firings and logged actions is part of the contract.
+   [partitions]: [None] follows the environment (the default, like
    every other test); [Some n] pins an n-member engine group — the
    partition-equivalence properties in test_partition.ml run this same
    workload at several counts and compare. Pinning also pins [`Image]
    durability: partitioning is transparent to every logical observable,
    but {e how many} WAL batches a commit emits is per-member layout. *)
-let create_db ?partitions ~shards () =
-  let c = { (D.Config.of_env ()) with D.Config.shards } in
+let create_db ?partitions () =
+  let c = D.Config.of_env () in
   match partitions with
   | None -> D.create_db ~config:c ()
   | Some n ->
@@ -61,9 +62,9 @@ let create_db ?partitions ~shards () =
       ~config:{ c with D.Config.partitions = n; durability = `Image }
       ()
 
-let run ?partitions ~shards case =
+let run ?partitions case =
   let log = ref [] in
-  let db = create_db ?partitions ~shards () in
+  let db = create_db ?partitions () in
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
   D.db_trigger_str db ~perpetual:true "census" ~event:"choose 2 (after create)"
@@ -173,17 +174,16 @@ type batch_case = {
 let n_batch_objects = 8
 
 (* Run both batches through [post_many] — the second in a transaction
-   that aborts, exercising the merged per-shard undo segments — and
+   that aborts, exercising the merged per-member undo segments — and
    summarise every observable, the exact counters included. *)
-let run_batch ?partitions ~shards ~domains case =
+let run_batch ?partitions ~domains case =
   let log = ref [] in
-  let db = create_db ?partitions ~shards () in
+  let db = create_db ?partitions () in
   D.set_post_domains db domains;
   (* make the domain count real even on a small box: no core-count
      clamp, no sequential fallback for small batches — these
      properties exist to drive the parallel machinery *)
   D.set_domain_clamp db false;
-  D.set_parallel_threshold db 0;
   D.set_observability db true;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
@@ -251,8 +251,8 @@ let run_batch ?partitions ~shards ~domains case =
       (List.rev !firings_log)
   in
   (* the persist image pins the exact post-batch state words: a domain
-     or shard count that corrupted even one automaton cell would change
-     the bytes *)
+     or partition count that corrupted even one automaton cell would
+     change the bytes *)
   let image =
     let tmp = Filename.temp_file "ode_shard" ".img" in
     D.save db tmp;
@@ -370,23 +370,26 @@ let compiles (e, _, committed, _) =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* "Heap" is the one-shard table, the store before sharding. *)
+(* The odd member count 3 leaves the owner slices unevenly filled;
+   test_partition.ml runs the even counts 2 and 4. *)
 let heap_equals_sharded =
   QCheck.Test.make ~count:40 ~name:"Heap = Sharded (firings, states, persist bytes)"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      let h = run ~shards:1 case in
-      h = run ~shards:4 case && h = run ~shards:3 case)
+      run ~partitions:1 case = run ~partitions:3 case)
 
+(* 8 members over every domain count, against the single engine;
+   test_partition.ml pairs domains with partition counts up to 4. *)
 let post_many_domains_equal =
   QCheck.Test.make ~count:40 ~name:"post_many: 1 domain = 4 domains = Heap"
     (QCheck.make ~print:print_batch_case gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
-      let d1 = run_batch ~shards:8 ~domains:1 case in
-      d1 = run_batch ~shards:8 ~domains:4 case
-      && d1 = run_batch ~shards:1 ~domains:4 case)
+      let d1 = run_batch ~partitions:8 ~domains:1 case in
+      d1 = run_batch ~partitions:8 ~domains:2 case
+      && d1 = run_batch ~partitions:8 ~domains:4 case
+      && d1 = run_batch ~partitions:1 ~domains:4 case)
 
 (* Kernel coverage, detector level: every expression the generators can
    produce — composite masks, [choose]/[every] counting, nesting — must
@@ -418,7 +421,7 @@ let batch_steps_all_slots =
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
       let _, _, _, _, _, counters, _, _ =
-        run_batch ~shards:8 ~domains:2 case
+        run_batch ~partitions:8 ~domains:2 case
       in
       let get n = List.assoc n counters in
       get "word_transitions" = 0
@@ -440,21 +443,17 @@ let simple_class () =
 let simple_schema_class () =
   Schema.field (Schema.define_class "c") "x" (Value.Int 0)
 
-let with_shards shards = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.shards } ()
+let with_partitions partitions =
+  D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions } ()
 
-let test_backend_name () =
-  Alcotest.(check string) "heap" "sharded:1" (D.backend_name (with_shards 1));
-  Alcotest.(check string) "sharded" "sharded:4" (D.backend_name (with_shards 4));
-  Alcotest.(check bool) "zero shards rejected" true
-    (match with_shards 0 with exception D.Ode_error _ -> true | _ -> false)
-
-(* [cardinal]/[mem]/enumeration at the Store layer, at 1 and 4 shards:
-   committed deletes keep the record (mem true, default cardinal counts
-   it) but leave the live count and listings. *)
+(* [cardinal]/[mem]/enumeration on the two heap layouts — one engine's
+   table and a 4-member group's slices: committed deletes keep the
+   record (mem true, default cardinal counts it) but leave the live
+   count and listings. *)
 let test_store_primitives () =
   List.iter
-    (fun shards ->
-      let db = with_shards shards in
+    (fun partitions ->
+      let db = with_partitions partitions in
       D.register_class db (simple_class ());
       let oids =
         expect_ok
@@ -473,8 +472,8 @@ let test_store_primitives () =
 
 let test_store_layer_cardinal_mem () =
   List.iter
-    (fun shards ->
-      let db = Types.make_db ~shards () in
+    (fun partitions ->
+      let db = Engine_group.make ~partitions () in
       Schema.register_class db (simple_schema_class ());
       let oids =
         expect_ok
@@ -502,100 +501,83 @@ let test_store_layer_cardinal_mem () =
       Alcotest.(check int) "aborted create cardinal" 10 (Store.cardinal db))
     [ 1; 4 ]
 
+(* Owner routing: a monotone oid stream round-robins the members of a
+   4-member group, and each object lives in its owner's slice only. *)
 let test_shard_partition () =
-  let db = Types.make_db ~shards:4 () in
+  let db = Engine_group.make ~partitions:4 () in
   Schema.register_class db (simple_schema_class ());
-  Alcotest.(check int) "shards" 4 (Store.shards db);
+  Alcotest.(check int) "members" 4 (Types.n_partitions db);
   let oids =
     expect_ok
       (Txn.with_txn db (fun _ -> List.init 8 (fun _ -> Engine.create db "c" [])))
   in
-  (* a monotone oid stream round-robins the shards *)
-  let shard_counts = Array.make 4 0 in
+  let members = Store.members db in
+  let counts = Array.make 4 0 in
   List.iter
     (fun oid ->
-      let s = Store.shard_of db oid in
-      Alcotest.(check bool) "shard in range" true (s >= 0 && s < 4);
-      shard_counts.(s) <- shard_counts.(s) + 1)
+      let k = oid mod 4 in
+      Alcotest.(check bool) "owner" true (Types.owner_db db oid == members.(k));
+      Array.iteri
+        (fun j m ->
+          Alcotest.(check bool) "in its owner's slice only" (j = k)
+            (Hashtbl.mem m.Types.store.Types.table oid))
+        members;
+      counts.(k) <- counts.(k) + 1)
     oids;
-  Array.iter (fun n -> Alcotest.(check int) "balanced" 2 n) shard_counts;
-  let db_heap = Types.make_db () in
-  Alcotest.(check int) "heap is one shard" 1 (Store.shards db_heap);
-  Alcotest.(check int) "heap shard_of" 0 (Store.shard_of db_heap 17)
+  Array.iter (fun n -> Alcotest.(check int) "balanced" 2 n) counts;
+  let single = Types.make_db () in
+  Alcotest.(check int) "one engine is one member" 1 (Types.n_partitions single);
+  Alcotest.(check bool) "one engine owns every oid" true
+    (Types.owner_db single 17 == single)
 
-let test_env_selector () =
-  let with_env v f =
-    let old = Sys.getenv_opt "ODE_STORE_BACKEND" in
-    Unix.putenv "ODE_STORE_BACKEND" v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "ODE_STORE_BACKEND" (Option.value ~default:"" old))
-      f
-  in
-  with_env "" (fun () ->
-      Alcotest.(check int) "unset" 1 (Store.shards_of_env ()));
-  with_env "heap" (fun () ->
-      Alcotest.(check int) "heap is one shard" 1 (Store.shards_of_env ()));
-  with_env "sharded" (fun () ->
-      Alcotest.(check int) "sharded default" Store.default_shards (Store.shards_of_env ()));
-  with_env "sharded:3" (fun () ->
-      Alcotest.(check int) "sharded:3" 3 (Store.shards_of_env ()));
-  with_env "bogus" (fun () ->
-      Alcotest.check_raises "bogus rejected"
-        (Types.Ode_error "ODE_STORE_BACKEND: unknown backend \"bogus\"")
-        (fun () -> ignore (Store.shards_of_env ())));
-  with_env "sharded:0" (fun () ->
-      Alcotest.check_raises "zero shards rejected"
-        (Types.Ode_error "ODE_STORE_BACKEND: bad shard count in \"sharded:0\"")
-        (fun () -> ignore (Store.shards_of_env ())))
-
-(* The pool itself: every task runs exactly once, failures propagate
-   after the join, shutdown is idempotent. *)
+(* The pool itself: every task runs exactly once, on the participant
+   the strided map assigns it, failures propagate after the join,
+   shutdown is idempotent. *)
 let test_pool () =
   let p = Pool.create ~size:4 in
   Alcotest.(check int) "size" 4 (Pool.size p);
   let hits = Array.make 64 0 in
-  Pool.run p ~tasks:64 (fun i -> hits.(i) <- hits.(i) + 1);
+  Pool.run_static p ~tasks:64 (fun i -> hits.(i) <- hits.(i) + 1);
   Array.iter (fun n -> Alcotest.(check int) "each task once" 1 n) hits;
-  (* reuse across batches *)
+  (* reuse across batches, on a task count that is not a multiple of
+     the pool size *)
   let total = Atomic.make 0 in
-  Pool.run p ~tasks:10 (fun _ -> Atomic.incr total);
-  Alcotest.(check int) "second batch" 10 (Atomic.get total);
+  let shits = Array.make 13 0 in
+  Pool.run_static p ~tasks:13 (fun i ->
+      shits.(i) <- shits.(i) + 1;
+      Atomic.incr total);
+  Array.iter (fun n -> Alcotest.(check int) "second batch task once" 1 n) shits;
+  Alcotest.(check int) "second batch" 13 (Atomic.get total);
+  (* the task -> domain map is a pure function of the pool size: tasks
+     i and i + size land on the same domain, batch after batch *)
+  let dom () = (Domain.self () :> int) in
+  let owner = Array.make 8 (-1) in
+  Pool.run_static p ~tasks:8 (fun i -> owner.(i) <- dom ());
+  for i = 0 to 3 do
+    Alcotest.(check int) "strided ownership" owner.(i) owner.(i + 4)
+  done;
+  let again = Array.make 8 (-1) in
+  Pool.run_static p ~tasks:8 (fun i -> again.(i) <- dom ());
+  Alcotest.(check (array int)) "stable across batches" owner again;
   (* a failing task does not lose the others, and the exception surfaces *)
   let ran = Atomic.make 0 in
   (match
-     Pool.run p ~tasks:8 (fun i ->
+     Pool.run_static p ~tasks:8 (fun i ->
          Atomic.incr ran;
-         if i = 3 then failwith "task 3 failed")
+         if i = 5 then failwith "task 5 failed")
    with
   | () -> Alcotest.fail "expected the task failure to propagate"
-  | exception Failure msg -> Alcotest.(check string) "message" "task 3 failed" msg);
-  Alcotest.(check int) "all tasks still ran" 8 (Atomic.get ran);
-  (* static distribution: same run-once contract on a task count that is
-     not a multiple of the pool size *)
-  let shits = Array.make 13 0 in
-  Pool.run_static p ~tasks:13 (fun i -> shits.(i) <- shits.(i) + 1);
-  Array.iter (fun n -> Alcotest.(check int) "static task once" 1 n) shits;
-  let sran = Atomic.make 0 in
-  (match
-     Pool.run_static p ~tasks:8 (fun i ->
-         Atomic.incr sran;
-         if i = 5 then failwith "static task 5 failed")
-   with
-  | () -> Alcotest.fail "expected the static task failure to propagate"
-  | exception Failure msg ->
-    Alcotest.(check string) "static message" "static task 5 failed" msg);
-  Alcotest.(check int) "static siblings still ran" 8 (Atomic.get sran);
+  | exception Failure msg -> Alcotest.(check string) "message" "task 5 failed" msg);
+  Alcotest.(check int) "siblings still ran" 8 (Atomic.get ran);
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *)
 
-(* Persist round-trip across shard counts: an image saved from a
-   4-shard heap loads into a 1-shard one and detection picks up
-   mid-sequence. *)
+(* An image saved mid-sequence from a 4-member group loads into a single
+   engine and detection picks up where it left off. *)
 let test_cross_backend_image () =
   let fired = ref 0 in
-  let mk shards =
-    let db = with_shards shards in
+  let mk partitions =
+    let db = with_partitions partitions in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
     let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
@@ -624,18 +606,16 @@ let test_cross_backend_image () =
 
 let suite =
   [
-    Alcotest.test_case "backend names" `Quick test_backend_name;
     Alcotest.test_case "store primitives on both backends" `Quick test_store_primitives;
     Alcotest.test_case "cardinal and mem" `Quick test_store_layer_cardinal_mem;
     Alcotest.test_case "shard partition" `Quick test_shard_partition;
-    Alcotest.test_case "ODE_STORE_BACKEND selector" `Quick test_env_selector;
     Alcotest.test_case "domain pool" `Quick test_pool;
     Alcotest.test_case "cross-backend image" `Quick test_cross_backend_image;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         heap_equals_sharded;
-        post_many_domains_equal;
         all_expressions_flat;
         batch_steps_all_slots;
+        post_many_domains_equal;
       ]
