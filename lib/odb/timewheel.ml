@@ -42,7 +42,11 @@ let cmp_key (a : timer) (b : timer) =
 (* prefix and therefore re-place strictly below l: one pass, high to   *)
 (* low, terminates. Buckets are intrusive doubly-linked lists — O(1)   *)
 (* unlink — and [tw_index] maps oid to its live nodes, so eager        *)
-(* cancellation is O(timers-on-that-object).                           *)
+(* cancellation and the same-instant group pull are                    *)
+(* O(timers-on-that-object). Every node due at or before the clock     *)
+(* lives in the past list, kept in (due, seq) order: the due run.      *)
+(* Its head is the minimum, so a tick that delivers N same-instant     *)
+(* timers does O(N) work, not O(N^2).                                  *)
 (* ------------------------------------------------------------------ *)
 
 let bits = 6
@@ -53,7 +57,7 @@ let nlevels = Types.wheel_levels
 (* [tn_level] address codes outside 0..nlevels-1 *)
 let lvl_ovf = -1 (* beyond the top level's rotation *)
 let lvl_detached = -2
-let lvl_past = -3 (* due <= clock: recovery clock-skew only *)
+let lvl_past = -3 (* due <= clock: the (due, seq)-sorted due run *)
 
 (* The lowest level whose current rotation covers [due]: the smallest l
    with [due >> bits*(l+1) = clock >> bits*(l+1)]; [lvl_ovf] when even
@@ -85,7 +89,9 @@ let link w n level slot =
   n.tn_slot <- slot;
   n.tn_prev <- None;
   n.tn_next <- h;
-  (match h with Some h2 -> h2.tn_prev <- Some n | None -> ());
+  (match h with
+  | Some h2 -> h2.tn_prev <- Some n
+  | None -> if level = lvl_past then w.tw_past_last <- Some n);
   set_head w level slot (Some n);
   if level >= 0 then w.tw_counts.(level) <- w.tw_counts.(level) + 1
   else if level = lvl_ovf then w.tw_ovf_n <- w.tw_ovf_n + 1
@@ -97,7 +103,9 @@ let unlink_node w n =
   (match n.tn_prev with
   | Some p -> p.tn_next <- n.tn_next
   | None -> set_head w n.tn_level n.tn_slot n.tn_next);
-  (match n.tn_next with Some s -> s.tn_prev <- n.tn_prev | None -> ());
+  (match n.tn_next with
+  | Some s -> s.tn_prev <- n.tn_prev
+  | None -> if n.tn_level = lvl_past then w.tw_past_last <- n.tn_prev);
   (if n.tn_level >= 0 then
      w.tw_counts.(n.tn_level) <- w.tw_counts.(n.tn_level) - 1
    else if n.tn_level = lvl_ovf then w.tw_ovf_n <- w.tw_ovf_n - 1
@@ -107,9 +115,32 @@ let unlink_node w n =
   n.tn_level <- lvl_detached;
   match w.tw_peek with Some m when m == n -> w.tw_peek <- None | _ -> ()
 
+(* One node into the due run at its (due, seq) place, walking back from
+   the tail: O(1) when it sorts last, as each timer of an image load's
+   ascending list does. Bulk paths use [merge_past] instead. *)
+let insert_past w n =
+  let rec back = function
+    | Some p as at ->
+      w.tw_visited <- w.tw_visited + 1;
+      if key_lt n.tn_timer p.tn_timer then back p.tn_prev else at
+    | None -> None
+  in
+  match back w.tw_past_last with
+  | None -> link w n lvl_past 0
+  | Some p ->
+    n.tn_level <- lvl_past;
+    n.tn_slot <- 0;
+    n.tn_prev <- Some p;
+    n.tn_next <- p.tn_next;
+    (match p.tn_next with
+    | Some s -> s.tn_prev <- Some n
+    | None -> w.tw_past_last <- Some n);
+    p.tn_next <- Some n;
+    w.tw_past_n <- w.tw_past_n + 1
+
 let place w ~clock n =
   let due = n.tn_timer.tm_due in
-  if due <= clock then link w n lvl_past 0
+  if due <= clock then insert_past w n
   else
     let l = level_of ~clock due in
     if l < 0 then link w n lvl_ovf 0 else link w n l (slot_of l due)
@@ -132,34 +163,56 @@ let drain_bucket w level slot =
   set_head w level slot None;
   (if level >= 0 then w.tw_counts.(level) <- w.tw_counts.(level) - List.length ns
    else if level = lvl_ovf then w.tw_ovf_n <- 0
-   else w.tw_past_n <- 0);
+   else begin
+     w.tw_past_n <- 0;
+     w.tw_past_last <- None
+   end);
   ns
+
+(* Link [ns] into the due run together with whatever it already holds:
+   one sort (descending, so prepending leaves the run ascending), one
+   relink — bulk paths never walk the run once per node. *)
+let merge_past w ns =
+  match ns with
+  | [] -> ()
+  | _ ->
+    List.rev_append ns (drain_bucket w lvl_past 0)
+    |> List.sort (fun a b -> cmp_key b.tn_timer a.tn_timer)
+    |> List.iter (fun n -> link w n lvl_past 0)
 
 (* Move the wheel's notion of "now" from [from_] to [to_], cascading
    each moved cursor's destination bucket downward. Correctness leans
    on the advance-to-minimum discipline of [advance_to]: no pending due
    lies strictly below [to_], so buckets the cursors skip over are
-   empty and only the destination slots need draining. Dues equal to
-   [to_] descend all the way to level 0 (their slot is the new cursor
-   at every level), which is where delivery reads them. *)
+   empty and only the destination slots need draining. Every node due
+   at [to_] — from a cascaded bucket or from the level-0 cursor slot —
+   joins the due run in one [merge_past], which is where delivery reads
+   it; the rest re-place strictly lower. *)
 let wheel_advance w ~from_ ~to_ =
   if to_ > from_ then begin
+    let due = ref [] in
+    let re_place n =
+      if n.tn_timer.tm_due <= to_ then due := n :: !due
+      else place w ~clock:to_ n
+    in
     if
       Int64.shift_right_logical to_ (bits * nlevels)
       <> Int64.shift_right_logical from_ (bits * nlevels)
-    then List.iter (place w ~clock:to_) (drain_bucket w lvl_ovf 0);
+    then List.iter re_place (drain_bucket w lvl_ovf 0);
     for l = nlevels - 1 downto 1 do
       if
         Int64.shift_right_logical to_ (bits * l)
         <> Int64.shift_right_logical from_ (bits * l)
-      then List.iter (place w ~clock:to_) (drain_bucket w l (slot_of l to_))
-    done
+      then List.iter re_place (drain_bucket w l (slot_of l to_))
+    done;
+    merge_past w (List.rev_append (drain_bucket w 0 (slot_of 0 to_)) !due)
   end
 
-let bucket_min best h =
+let bucket_min w h =
   let rec go best = function
     | None -> best
     | Some n ->
+      w.tw_visited <- w.tw_visited + 1;
       let best =
         match best with
         | Some b when key_lt b.tn_timer n.tn_timer -> best
@@ -167,15 +220,15 @@ let bucket_min best h =
       in
       go best n.tn_next
   in
-  go best h
+  go None h
 
-(* The global minimum, recomputed: the past list beats everything, then
+(* The global minimum, recomputed: the due run's head beats everything, then
    the lowest non-empty level (levels are due-disjoint: everything at
    level l+1 is due after everything at level l), then overflow. Within
    a level the first non-empty slot at or after the cursor holds the
    minimum due (slot index is monotone in due within a rotation). *)
 let recompute_peek w ~clock =
-  if w.tw_past_n > 0 then bucket_min None w.tw_past
+  if w.tw_past_n > 0 then w.tw_past
   else begin
     let best = ref None in
     let l = ref 0 in
@@ -184,20 +237,20 @@ let recompute_peek w ~clock =
         let cur = slot_of !l clock in
         let s = ref cur in
         while Option.is_none !best && !s < wslots do
-          best := bucket_min None w.tw_slots.(!l).(!s);
+          best := bucket_min w w.tw_slots.(!l).(!s);
           incr s
         done;
         (* defensive: a node below the cursor would mean a discipline
            violation upstream; scan the wrap rather than lose it *)
         let s = ref 0 in
         while Option.is_none !best && !s < cur do
-          best := bucket_min None w.tw_slots.(!l).(!s);
+          best := bucket_min w w.tw_slots.(!l).(!s);
           incr s
         done
       end;
       incr l
     done;
-    match !best with Some _ as b -> b | None -> bucket_min None w.tw_ovf
+    match !best with Some _ as b -> b | None -> bucket_min w w.tw_ovf
   end
 
 let wheel_peek w ~clock =
@@ -217,20 +270,12 @@ let index_add w n =
   | Some ns -> Hashtbl.replace w.tw_index oid (n :: ns)
   | None -> Hashtbl.add w.tw_index oid [ n ]
 
-let index_remove w n =
-  let oid = n.tn_timer.tm_oid in
-  match Hashtbl.find_opt w.tw_index oid with
-  | None -> ()
-  | Some ns -> (
-    match List.filter (fun m -> m != n) ns with
-    | [] -> Hashtbl.remove w.tw_index oid
-    | ns' -> Hashtbl.replace w.tw_index oid ns')
+let new_node tm =
+  { tn_timer = tm; tn_prev = None; tn_next = None; tn_level = lvl_detached;
+    tn_slot = 0 }
 
 let wheel_insert w ~clock tm =
-  let n =
-    { tn_timer = tm; tn_prev = None; tn_next = None; tn_level = lvl_detached;
-      tn_slot = 0 }
-  in
+  let n = new_node tm in
   place w ~clock n;
   index_add w n;
   w.tw_n <- w.tw_n + 1;
@@ -238,12 +283,6 @@ let wheel_insert w ~clock tm =
   | Some m when key_lt tm m.tn_timer -> w.tw_peek <- Some n
   | Some _ -> ()
   | None -> if w.tw_n = 1 then w.tw_peek <- Some n
-
-(* Fully remove one node: bucket, count, index. *)
-let remove_node w n =
-  unlink_node w n;
-  index_remove w n;
-  w.tw_n <- w.tw_n - 1
 
 (* Every pending timer, in (due, seq) order — the serialization and
    delivery order. *)
@@ -290,14 +329,31 @@ let insert_timer db tm = member_insert (Types.owner_db db tm.tm_oid) tm
 let pending db = wheel_all db.wheel.tq
 let pending_count db = db.wheel.tq.tw_n
 
+let nodes_visited db =
+  Array.fold_left (fun acc m -> acc + m.wheel.tq.tw_visited) 0 (Store.members db)
+
 let clear db =
   db.wheel.tq <- make_wheel ();
   db.wheel.timers_dirty <- true
 
-(* A fresh wheel holding [tms], every timer placed at [clock]. *)
+(* A fresh wheel holding [tms], every timer placed at [clock]; the ones
+   already due form the due run in one [merge_past]. *)
 let rebuild tms ~clock =
   let w = make_wheel () in
-  List.iter (wheel_insert w ~clock) tms;
+  let due =
+    List.fold_left
+      (fun due tm ->
+        let n = new_node tm in
+        index_add w n;
+        w.tw_n <- w.tw_n + 1;
+        if tm.tm_due <= clock then n :: due
+        else begin
+          place w ~clock n;
+          due
+        end)
+      [] tms
+  in
+  merge_past w due;
   w
 
 (* Bulk-load a (due, seq)-sorted queue (WAL replay, image load): every
@@ -334,34 +390,17 @@ let resync db =
 (* Eager cancellation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Cancel every pending timer on [oid], returning them in (due, seq)
-   order — [Engine] records them in a [U_timers_cancelled] undo entry
-   so an abort restores the queue byte-for-byte (seqs preserved). *)
-let cancel_object db oid =
-  let m = Types.owner_db db oid in
+(* Remove the pending timers of [oid] on member [m] that satisfy
+   [pick], returning them in (due, seq) order. One pass over the
+   object's index entry: O(timers-on-that-object). *)
+let take m oid pick =
   let w = m.wheel.tq in
   match Hashtbl.find_opt w.tw_index oid with
   | None -> []
-  | Some ns ->
-    Hashtbl.remove w.tw_index oid;
-    List.iter
-      (fun n ->
-        unlink_node w n;
-        w.tw_n <- w.tw_n - 1)
-      ns;
-    m.wheel.timers_dirty <- true;
-    List.sort cmp_key (List.map (fun n -> n.tn_timer) ns)
-
-(* Cancel the pending timers of one trigger on one object (deactivate,
-   or the epoch bump of a re-activation), in (due, seq) order. *)
-let cancel_trigger db oid tname =
-  let m = Types.owner_db db oid in
-  let w = m.wheel.tq in
-  match Hashtbl.find_opt w.tw_index oid with
-  | None -> []
-  | Some ns ->
-    let gone, kept = List.partition (fun n -> n.tn_timer.tm_trigger = tname) ns in
-    if gone <> [] then begin
+  | Some ns -> (
+    match List.partition pick ns with
+    | [], _ -> []
+    | gone, kept ->
       (match kept with
       | [] -> Hashtbl.remove w.tw_index oid
       | _ -> Hashtbl.replace w.tw_index oid kept);
@@ -370,24 +409,24 @@ let cancel_trigger db oid tname =
           unlink_node w n;
           w.tw_n <- w.tw_n - 1)
         gone;
-      m.wheel.timers_dirty <- true
-    end;
-    List.sort cmp_key (List.map (fun n -> n.tn_timer) gone)
+      m.wheel.timers_dirty <- true;
+      List.sort cmp_key (List.map (fun n -> n.tn_timer) gone))
+
+(* Cancel every pending timer on [oid], returning them in (due, seq)
+   order — [Engine] records them in a [U_timers_cancelled] undo entry
+   so an abort restores the queue byte-for-byte (seqs preserved). *)
+let cancel_object db oid = take (Types.owner_db db oid) oid (fun _ -> true)
+
+(* Cancel the pending timers of one trigger on one object (deactivate,
+   or the epoch bump of a re-activation), in (due, seq) order. *)
+let cancel_trigger db oid tname =
+  take (Types.owner_db db oid) oid (fun n -> n.tn_timer.tm_trigger = tname)
 
 (* Cancel one specific pending timer, matched by physical identity —
    the undo of [U_timers_armed]. Absent timers (already delivered or
    cancelled) are ignored. *)
 let cancel_timer db (tm : timer) =
-  let m = Types.owner_db db tm.tm_oid in
-  let w = m.wheel.tq in
-  match Hashtbl.find_opt w.tw_index tm.tm_oid with
-  | None -> ()
-  | Some ns -> (
-    match List.find_opt (fun n -> n.tn_timer == tm) ns with
-    | None -> ()
-    | Some n ->
-      remove_node w n;
-      m.wheel.timers_dirty <- true)
+  ignore (take (Types.owner_db db tm.tm_oid) tm.tm_oid (fun n -> n.tn_timer == tm))
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
@@ -463,30 +502,13 @@ let member_peek m ~target =
   | _ -> None
 
 (* Pull every pending timer for one (object, spec, instant) out of one
-   member's queue, in seq order. Reads only the level-0 head bucket
-   (plus the recovery-skew past list) — never the whole queue. *)
+   member's queue, in seq order. Reads only the object's index entry —
+   never the due run, whose length is the number of timers due now. *)
 let member_pull_group m ~due ~oid ~spec =
   let w = m.wheel.tq in
-  let matches n =
-    n.tn_timer.tm_due = due && n.tn_timer.tm_oid = oid
-    && n.tn_timer.tm_spec = spec
-  in
-  let collect acc h =
-    let rec go acc = function
-      | None -> acc
-      | Some n ->
-        let nx = n.tn_next in
-        go (if matches n then n :: acc else acc) nx
-    in
-    go acc h
-  in
-  (* after [wheel_advance ~to_:due] every due-== node sits in the
-     level-0 cursor bucket; the past list only holds recovery skew *)
-  let ns = collect (collect [] w.tw_slots.(0).(slot_of 0 due)) w.tw_past in
-  List.iter (remove_node w) ns;
-  m.wheel.timers_dirty <- true;
-  List.sort (fun a b -> cmp_key a.tn_timer b.tn_timer) ns
-  |> List.map (fun n -> n.tn_timer)
+  take m oid (fun n ->
+      w.tw_visited <- w.tw_visited + 1;
+      n.tn_timer.tm_due = due && n.tn_timer.tm_spec = spec)
 
 (* The partition-generic merge: the due timers of a group live spread
    over the member wheels, each member queue a (due, seq)-sorted

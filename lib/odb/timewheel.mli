@@ -4,8 +4,13 @@
 
     The queue is a hierarchical hashed timing wheel (Varghese–Lauck — 8
     levels of 64 slots, cascade-on-advance, O(1) arm and cancel; see
-    {!Types.twheel}) delivering in (due, [tm_seq]) order. Its executable
-    reference, a sorted list, lives in the test suite as an oracle.
+    {!Types.twheel}) delivering in (due, [tm_seq]) order. Advancing the
+    clock moves every timer due at the new instant into one
+    (due, seq)-sorted list, the due run, and each delivery pulls its
+    (object, spec, instant) group through the per-object index — so a
+    tick delivering N same-instant timers costs O(N), counted by
+    {!nodes_visited}. Its executable reference, a sorted list, lives in
+    the test suite as an oracle.
 
     Depends on {!Store} (liveness checks for timer garbage-collection)
     and {!Clock} (calendar-pattern matching). Delivering a due timer
@@ -71,6 +76,13 @@ val pending : db -> timer list
 
 val pending_count : db -> int
 (** [List.length (pending db)], O(1). *)
+
+val nodes_visited : db -> int
+(** Wheel nodes looked at so far by minimum scans, due-run inserts and
+    same-instant group pulls, summed over partition members: the work
+    counter behind the O(group) delivery claim. A wheel rebuilt by
+    {!clear}, {!replace}, {!resync} or a backward {!set_member_clock}
+    starts again from 0. *)
 
 val clear : db -> unit
 (** Drop every pending timer of this member (image load reset). *)

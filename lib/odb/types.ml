@@ -199,14 +199,17 @@ and wheel_state = {
    slot holds exactly one instant. Buckets are intrusive doubly-linked
    node lists (O(1) unlink for eager cancellation via [tw_index]).
    [tw_ovf] holds timers beyond the top level's rotation; [tw_past]
-   holds timers at or before the current clock (only reachable through
-   crash-recovery clock skew), delivered first. *)
+   holds every timer due at or before the current clock, sorted by
+   (due, seq): the due run. Advancing the clock moves the timers due
+   at the new instant there, so its head is the minimum and delivery
+   reads it first. *)
 and twheel = {
   tw_slots : tnode option array array;  (* level -> slot -> bucket head *)
   tw_counts : int array;  (* pending nodes per level *)
   mutable tw_ovf : tnode option;  (* beyond the top rotation *)
   mutable tw_ovf_n : int;
-  mutable tw_past : tnode option;  (* due <= clock (recovery skew) *)
+  mutable tw_past : tnode option;  (* due <= clock, (due, seq)-sorted *)
+  mutable tw_past_last : tnode option;  (* its tail, for sorted inserts *)
   mutable tw_past_n : int;
   mutable tw_n : int;  (* total pending nodes *)
   mutable tw_peek : tnode option;
@@ -214,8 +217,13 @@ and twheel = {
          (recomputed lazily) — kept so the per-delivery head probe in
          [Timewheel.advance_to] is O(1) between mutations *)
   tw_index : (oid, tnode list) Hashtbl.t;
-      (* live handles per object — the eager-cancellation index; holds
-         only linked nodes (delivery and cancellation both unlink) *)
+      (* live handles per object — the eager-cancellation index and the
+         same-instant group pull; holds only linked nodes (delivery and
+         cancellation both unlink) *)
+  mutable tw_visited : int;
+      (* nodes looked at by minimum scans, sorted inserts and group
+         pulls: the wheel's work counter, read by
+         [Timewheel.nodes_visited] *)
 }
 
 (* One pending timer's wheel handle. [tn_level] is the bucket address:
@@ -451,10 +459,12 @@ let make_wheel () =
     tw_ovf = None;
     tw_ovf_n = 0;
     tw_past = None;
+    tw_past_last = None;
     tw_past_n = 0;
     tw_n = 0;
     tw_peek = None;
     tw_index = Hashtbl.create 64;
+    tw_visited = 0;
   }
 
 let make_store ~next_oid =

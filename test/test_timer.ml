@@ -3,9 +3,11 @@
    firing trace and pending queue over arbitrary arm / cancel / re-arm /
    abort / advance interleavings, at every partition count — and the
    ODE1 image bytes must agree across partition counts and survive WAL
-   replay. Plus the satellites: equal-deadline (due, seq) order, eager
-   cancellation visible in [stats.state_bytes], the clock-only-replay
-   regression, and the fleet scenario against the oracle. *)
+   replay. Plus deterministic pins: equal-deadline (due, seq) order,
+   eager cancellation visible in [stats.state_bytes], the
+   clock-only-replay regression, the fleet scenario against the oracle,
+   same-instant edge cases of the due run, and the wheel's work counted
+   in nodes visited rather than timed. *)
 
 open Ode_odb
 module D = Database
@@ -368,6 +370,209 @@ let test_fleet_small () =
   Alcotest.(check bool) "list oracle: same pending timers" true
     (image_pending fleet.F.db = Ref_timerq.pending model)
 
+(* ------------------------------------------------------------------ *)
+(* The due run: same-instant edge cases                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A [boss] action that deactivates two [tick] peers due at the same
+   instant as itself — one armed before it (smaller seq, already
+   delivered), one after (still in the due run) — and optionally
+   aborts. Returns the firing trace up to 140 ms. *)
+let run_boss ~abort ~partitions =
+  let db = mk_db ~partitions () in
+  let peers = ref [] in
+  D.register_class db
+    (D.define_class "peer"
+    |> (fun b -> D.trigger_str b ~perpetual:true "tick" ~event:"every time(MS=70)"
+          ~action:(fun _ _ -> ()))
+    |> fun b ->
+    D.trigger_str b ~perpetual:true "boss" ~event:"every time(MS=70)"
+      ~action:(fun db _ ->
+        List.iter (fun p -> D.deactivate db p "tick") !peers;
+        if abort then raise D.Tabort));
+  let fired = ref [] in
+  let _s =
+    D.subscribe_firings db (fun f -> fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
+  in
+  let arm t =
+    expect_ok
+      (D.with_txn db (fun _ ->
+           let oid = D.create db "peer" [] in
+           D.activate db oid t [];
+           oid))
+  in
+  let early = arm "tick" in
+  let boss = arm "boss" in
+  let late = arm "tick" in
+  peers := [ early; late ];
+  D.advance_clock db 140L;
+  ((early, boss, late), List.rev !fired)
+
+let test_deactivate_same_instant () =
+  let ((early, boss, _late), trace) = run_boss ~abort:false ~partitions:1 in
+  Alcotest.(check (list (triple string int int64)))
+    "the earlier peer fires, the later one is cancelled before its turn"
+    [ ("tick", early, 70L); ("boss", boss, 70L); ("boss", boss, 140L) ]
+    trace;
+  Alcotest.(check (list (triple string int int64)))
+    "same trace at 4 partitions" trace
+    (snd (run_boss ~abort:false ~partitions:4))
+
+(* The abort's [U_timers_cancelled] undo re-inserts the later peer at
+   the current instant: it rejoins the due run and still fires in
+   (due, seq) order, after the boss. *)
+let test_deactivate_same_instant_abort () =
+  let ((early, boss, late), trace) = run_boss ~abort:true ~partitions:1 in
+  Alcotest.(check (list (triple string int int64)))
+    "both peers keep firing, the later one after the boss"
+    [ ("tick", early, 70L); ("boss", boss, 70L); ("tick", late, 70L);
+      ("tick", early, 140L); ("boss", boss, 140L); ("tick", late, 140L) ]
+    trace;
+  Alcotest.(check (list (triple string int int64)))
+    "same trace at 4 partitions" trace
+    (snd (run_boss ~abort:true ~partitions:4))
+
+(* A burst armed at one instant whose due lies in the next 64 ms
+   block: the cascade moves the whole burst into the due run at once. *)
+let test_block_crossing_burst () =
+  let run partitions =
+    let db = mk_db ~partitions () in
+    D.register_class db (schema ());
+    let model = reference trigger_decls in
+    let fired = ref [] in
+    let _s =
+      D.subscribe_firings db (fun f ->
+          fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
+    in
+    D.advance_clock db 30L;
+    Ref_timerq.advance model 30L;
+    expect_ok
+      (D.with_txn db (fun _ ->
+           for _ = 1 to 240 do
+             let oid = D.create db "probe" [] in
+             Ref_timerq.create_object model oid;
+             D.activate db oid "tick" [];
+             Ref_timerq.activate model oid "tick"
+           done));
+    D.advance_clock db 300L;
+    Ref_timerq.advance model 300L;
+    let trace = List.rev !fired in
+    Alcotest.(check int) "240 objects fire at 100, 170, 240 and 310" (4 * 240)
+      (List.length trace);
+    Alcotest.(check bool) "list oracle: same firing trace" true
+      (trace = Ref_timerq.fired model);
+    Alcotest.(check bool) "list oracle: same pending timers" true
+      (image_pending db = Ref_timerq.pending model);
+    trace
+  in
+  Alcotest.(check bool) "same trace at 4 partitions" true (run 1 = run 4)
+
+(* ------------------------------------------------------------------ *)
+(* Work per delivery, counted                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Wheel nodes visited per delivery on fleet ticks whose heartbeats all
+   fall due at the same instants: flat in the fleet size. A wheel that
+   scans the due run per delivery visits O(fleet) nodes each time. The
+   fleet is [Fleet.setup]'s, built on the engine layer ([Database.t] is
+   abstract, and the counter reads the member wheels): one heartbeat
+   per vehicle at the scenario's round-robin cadences plus the one-shot
+   service check, at the environment's partition count. *)
+let raw_fleet ~vehicles =
+  let module F = Ode_scenarios.Fleet in
+  let db =
+    Engine_group.make ~partitions:(D.Config.of_env ()).D.Config.partitions ()
+  in
+  let delivered = ref 0 in
+  let b = Schema.define_class "vehicle" in
+  let b =
+    Array.fold_left
+      (fun b (name, ms) ->
+        Schema.trigger_str b ~perpetual:true name
+          ~event:(Printf.sprintf "every time(MS=%d)" ms)
+          ~action:(fun _ _ -> incr delivered))
+      b F.cadences
+  in
+  let b =
+    Schema.trigger_str b "service"
+      ~event:(Printf.sprintf "after time(MS=%d)" F.service_after_ms)
+      ~action:(fun _ _ -> incr delivered)
+  in
+  Engine.register_class db b;
+  expect_ok
+    (Txn.with_txn db (fun _ ->
+         for j = 0 to vehicles - 1 do
+           let oid = Engine.create db "vehicle" [] in
+           Engine.activate db oid (F.cadence_of j) [];
+           Engine.activate db oid "service" []
+         done));
+  (db, delivered)
+
+let test_visits_per_delivery_flat () =
+  let per_delivery vehicles =
+    let db, delivered = raw_fleet ~vehicles in
+    let v0 = Timewheel.nodes_visited db in
+    for _ = 1 to 20 do
+      Timewheel.advance_clock db 50L
+    done;
+    Alcotest.(check bool) "every heartbeat came due" true (!delivered >= vehicles);
+    float_of_int (Timewheel.nodes_visited db - v0) /. float_of_int !delivered
+  in
+  let small = per_delivery 500 in
+  let mid = per_delivery 4_000 in
+  let large = per_delivery 16_000 in
+  let show =
+    Printf.sprintf "%.2f / %.2f / %.2f at 500 / 4000 / 16000" small mid large
+  in
+  Alcotest.(check bool) ("at most 4 per delivery: " ^ show) true
+    (small <= 4. && mid <= 4. && large <= 4.);
+  Alcotest.(check bool) ("flat in the fleet size: " ^ show) true
+    (large <= 1.25 *. small)
+
+(* Raw timers on a bare engine: they belong to no live object, so
+   delivery rejects each one and this exercises only the queue —
+   insert, cascade, group pull. *)
+let raw_timer ~due i =
+  {
+    Types.tm_due = due;
+    tm_seq = i;
+    tm_oid = 1 + i;
+    tm_trigger = "m";
+    tm_epoch = 0;
+    tm_spec = Ode_event.Symbol.After_period 1L;
+    tm_anchor = 0L;
+  }
+
+(* A million timers spread over 5,000 s, armed and then drained to
+   empty in one clock hop. *)
+let test_million_timers () =
+  let db = Types.make_db () in
+  let rng = Random.State.make [| 9191 |] in
+  for i = 0 to 999_999 do
+    Timewheel.insert_timer db
+      (raw_timer ~due:(Int64.of_int (1 + Random.State.int rng 5_000_000)) i)
+  done;
+  Alcotest.(check int) "all armed" 1_000_000 (Timewheel.pending_count db);
+  Timewheel.advance_clock db 5_000_001L;
+  Alcotest.(check int) "drained to empty" 0 (Timewheel.pending_count db)
+
+(* 100,000 timers due at one instant, drained in one hop: the due run
+   is read head-first, so the hop visits a bounded number of nodes per
+   timer. *)
+let test_aligned_drain () =
+  let n = 100_000 in
+  let db = Types.make_db () in
+  for i = 0 to n - 1 do
+    Timewheel.insert_timer db (raw_timer ~due:777_777L i)
+  done;
+  let v0 = Timewheel.nodes_visited db in
+  Timewheel.advance_clock db 1_000_000L;
+  Alcotest.(check int) "drained to empty" 0 (Timewheel.pending_count db);
+  let visited = Timewheel.nodes_visited db - v0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "at most 4 visits per timer (%d for %d)" visited n)
+    true (visited <= 4 * n)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_oracle;
@@ -379,4 +584,16 @@ let suite =
     Alcotest.test_case "clock-only WAL batch replay (regression)" `Quick
       test_clock_only_replay;
     Alcotest.test_case "fleet scenario, wheel vs list" `Quick test_fleet_small;
+    Alcotest.test_case "same-instant peer deactivated by an action" `Quick
+      test_deactivate_same_instant;
+    Alcotest.test_case "same-instant peer restored by Tabort" `Quick
+      test_deactivate_same_instant_abort;
+    Alcotest.test_case "burst cascading across a 64 ms block" `Quick
+      test_block_crossing_burst;
+    Alcotest.test_case "fleet: nodes visited per delivery flat" `Quick
+      test_visits_per_delivery_flat;
+    Alcotest.test_case "million raw timers arm and drain" `Quick
+      test_million_timers;
+    Alcotest.test_case "100k same-instant timers drain in O(n)" `Quick
+      test_aligned_drain;
   ]
