@@ -2,10 +2,16 @@
 
    The paper (SIGMOD '92) has no numeric tables or figures; its evaluation
    is a set of efficiency claims about automaton-based composite-event
-   detection. Each experiment E1–E8 below measures one claim; the mapping
-   is recorded in DESIGN.md §6 and the results commentary in
-   EXPERIMENTS.md. The harness prints shape tables first, then runs one
-   Bechamel micro-benchmark per experiment. *)
+   detection. Each experiment E1–E8 below measures one claim, E9–E12 are
+   the ablations and the §9 extension; the mapping is recorded in
+   DESIGN.md §6 and the results commentary in EXPERIMENTS.md. The
+   harness prints shape tables first, then runs one Bechamel
+   micro-benchmark per experiment ([micro]). The system's performance
+   benchmark is odebench ([bench/e2e/], [BENCHMARK.json]), not this
+   harness.
+
+   Usage: [dune exec bench/main.exe -- [ID...]]; no ids runs them all,
+   an unknown id exits 2 and prints the list. *)
 
 open Ode_event
 module P = Ode_lang.Parser
@@ -602,1173 +608,6 @@ let e12 () =
       is what the one-word design buys.@."
 
 (* ------------------------------------------------------------------ *)
-(* E9-dispatch: the per-class dispatch index on the posting hot path    *)
-(* ------------------------------------------------------------------ *)
-
-(* A method call on an object carrying N active triggers whose alphabets
-   never contain the posted events: the dispatch index touches none of
-   them, so the cost stays flat in N. Emits BENCH_dispatch.json for
-   EXPERIMENTS.md. *)
-(* an object of class [hot] carrying [n] armed triggers that can never
-   react to the posted events — shared by E9-dispatch and E10-obs *)
-let inert_trigger_db n =
-  let module D = Ode_odb.Database in
-  let db = D.create_db () in
-  let b = D.define_class "hot" in
-  let b = D.field b "n" (Value.Int 0) in
-  let b =
-    D.method_ b ~kind:D.Updating "work" (fun db oid _ ->
-        D.set_field db oid "n" (Value.add (D.get_field db oid "n") (Value.Int 1));
-        Value.Unit)
-  in
-  let rec add b i =
-    if i >= n then b
-    else
-      add
-        (D.trigger_str b ~perpetual:true
-           (Printf.sprintf "t%d" i)
-           ~event:(Printf.sprintf "after m%d" i)
-           ~action:(fun _ _ -> ()))
-        (i + 1)
-  in
-  let b = add b 0 in
-  D.register_class db b;
-  match
-    D.with_txn db (fun _ ->
-        let oid = D.create db "hot" [] in
-        for i = 0 to n - 1 do
-          D.activate db oid (Printf.sprintf "t%d" i) []
-        done;
-        oid)
-  with
-  | Ok oid -> (db, oid)
-  | Error `Aborted -> failwith "abort"
-
-let e9_dispatch () =
-  section "E9-dispatch: post throughput vs inert active triggers";
-  let module D = Ode_odb.Database in
-  let measure n =
-    let db, oid = inert_trigger_db n in
-    let tx = D.begin_txn db in
-    let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    ns
-  in
-  let rows = List.map (fun n -> (n, measure n)) [ 1; 10; 100; 1000 ] in
-  pf "%-10s %18s@." "triggers" "indexed ns/call";
-  List.iter (fun (n, indexed) -> pf "%-10d %18.0f@." n indexed) rows;
-  pf "shape: a call posts 6 basic events; the index touches only triggers\n\
-      whose alphabet can react, so the cost is flat in N.@.";
-  let oc = open_out "BENCH_dispatch.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E9-dispatch\",\n";
-  p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
-  p "  \"description\": \"object with N inert active triggers through the \
-     per-class dispatch index\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (n, indexed) ->
-      p "    {\"inert_triggers\": %d, \"indexed_ns_per_call\": %.0f}%s\n" n indexed
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_dispatch.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E10-obs: observability overhead on the posting hot path             *)
-(* ------------------------------------------------------------------ *)
-
-(* The E9-dispatch workload on the (default) indexed path, with the
-   Ode_obs registry disabled — one boolean load per probe site — vs.
-   enabled (counters, per-kind table, latency histograms, trace ring).
-   Emits BENCH_obs.json for EXPERIMENTS.md. *)
-let e10_obs () =
-  section "E10-obs: method-call cost with observability off vs on";
-  let module D = Ode_odb.Database in
-  let measure ~obs n =
-    let db, oid = inert_trigger_db n in
-    D.set_observability db obs;
-    let tx = D.begin_txn db in
-    let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    ns
-  in
-  let rows =
-    List.map
-      (fun n ->
-        let off = measure ~obs:false n in
-        let on = measure ~obs:true n in
-        (n, off, on))
-      [ 1; 10; 100; 1000 ]
-  in
-  pf "%-10s %16s %16s %10s@." "triggers" "obs-off ns/call" "obs-on ns/call"
-    "overhead";
-  List.iter
-    (fun (n, off, on) ->
-      pf "%-10d %16.0f %16.0f %9.2fx@." n off on (on /. off))
-    rows;
-  pf "shape: disabled probes cost one boolean load; enabled ones pay counter,\n\
-      kind-table and span-ring updates per post — clock reads and latency\n\
-      histograms only start once a trace sink (or set_timing) asks for them.@.";
-  let oc = open_out "BENCH_obs.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E10-obs\",\n";
-  p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
-  p "  \"description\": \"indexed dispatch, N inert active triggers: Ode_obs \
-     registry disabled vs enabled (no trace sink, so timestamping stays \
-     gated off)\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (n, off, on) ->
-      p
-        "    {\"inert_triggers\": %d, \"obs_off_ns_per_call\": %.0f, \
-         \"obs_on_ns_per_call\": %.0f, \"overhead\": %.2f}%s\n"
-        n off on (on /. off)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_obs.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E11-shard: batch posting throughput vs domain count                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [post_many] on an 8-member engine group: N objects, each carrying
-   perpetual never-completing triggers (half of them masked), one ping
-   per object per batch. Zero firings, so the batch is almost pure
-   classify/step — the phase the domain pool parallelises — and the
-   rows isolate its scaling. The 1-domain row {e is} the sequential
-   baseline: at [post_domains = 1] the pipeline takes the inline
-   no-pool path. Emits BENCH_shard.json for EXPERIMENTS.md.
-
-   Honest-measurement note: the speedup column can only reach the
-   available cores; [cores] is recorded in the JSON so a 1-core CI run
-   showing ~1.0x is read as a hardware limit, not a regression. *)
-(* shared by E11-shard and E12-kernel: N objects on an oid-sliced engine
-   group, each carrying perpetual never-completing triggers (half of
-   them masked) *)
-let batch_n_objects = 256
-let batch_triggers_per_obj = 4
-let batch_partitions = 8
-
-let batch_workload () =
-  let module Sc = Ode_odb.Schema in
-  let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
-  let db = Ode_odb.Engine_group.make ~partitions:batch_partitions () in
-  let b = Sc.define_class "c" in
-  let b = Sc.field b "x" (Value.Int 1) in
-  let rec add b i =
-    if i >= batch_triggers_per_obj then b
-    else
-      add
-        (Sc.trigger_str b ~perpetual:true
-           (Printf.sprintf "t%d" i)
-           ~event:
-             (if i mod 2 = 0 then "after ping ; after never"
-              else "after ping && x > 0 ; after never")
-           ~action:(fun _ _ -> ()))
-        (i + 1)
-  in
-  Sc.register_class db (add b 0);
-  match
-    Tx.with_txn db (fun _ ->
-        List.init batch_n_objects (fun _ ->
-            let oid = E.create db "c" [] in
-            for i = 0 to batch_triggers_per_obj - 1 do
-              E.activate db oid (Printf.sprintf "t%d" i) []
-            done;
-            oid))
-  with
-  | Ok oids -> (db, oids)
-  | Error `Aborted -> failwith "abort"
-
-let e11_shard () =
-  section "E11-shard: post_many classify/step throughput vs domain count";
-  let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
-  let module Sym = Ode_event.Symbol in
-  let n_objects = batch_n_objects in
-  let triggers_per_obj = batch_triggers_per_obj in
-  let partitions = batch_partitions in
-  let measure domains =
-    let db, oids = batch_workload () in
-    E.set_post_domains db domains;
-    let items =
-      List.map (fun oid -> (oid, Sym.Method (Sym.After, "ping"), [])) oids
-    in
-    let tx = Tx.begin_txn db in
-    ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
-    let ns = measure_ns (fun () -> ignore (E.post_many db items)) in
-    (match Tx.commit db tx with Ok () | Error `Aborted -> ());
-    E.shutdown_pool db;
-    ns /. float_of_int n_objects
-  in
-  let rows = List.map (fun d -> (d, measure d)) [ 1; 2; 4 ] in
-  let base = snd (List.hd rows) in
-  let cores = Domain.recommended_domain_count () in
-  pf "objects=%d triggers/object=%d partitions=%d cores=%d@." n_objects
-    triggers_per_obj partitions cores;
-  pf "%-10s %16s %18s %12s@." "domains" "ns/event" "events/sec" "speedup";
-  List.iter
-    (fun (d, ns) ->
-      pf "%-10d %16.0f %18.0f %11.2fx@." d ns (1e9 /. ns) (base /. ns))
-    rows;
-  pf "shape: the step phase is embarrassingly parallel (§5: one integer per\n\
-      trigger per object); scaling is bounded by min(domains, partitions, cores).@.";
-  let oc = open_out "BENCH_shard.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E11-shard\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"post_many on an engine group (%d partitions): %d \
-     objects x %d perpetual never-completing triggers, one ping per object \
-     per batch; 1-domain row is the sequential baseline\",\n"
-    partitions n_objects triggers_per_obj;
-  p "  \"cores\": %d,\n" cores;
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (d, ns) ->
-      p
-        "    {\"domains\": %d, \"ns_per_event\": %.0f, \"events_per_sec\": %.0f, \
-         \"speedup_vs_1\": %.2f}%s\n"
-        d ns (1e9 /. ns) (base /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_shard.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E12-kernel: the compiled posting kernel across domains and skews     *)
-(* ------------------------------------------------------------------ *)
-
-(* The E11-shard schema (256 objects x 4 perpetual never-completing
-   triggers, zero firings) through the compiled posting kernel —
-   per-class candidate rows, packed classification codes, flat-table
-   stepping over the SoA state, per-member queues and scratch.
-
-   Batches are 4 events/object (wide enough that one pool rendezvous
-   amortises over ~1k events), under two skews: [uniform] spreads the
-   batch round-robin over every object, [contended] sends 80% of the
-   events to the objects of 20% of the members — the hot-key skew that
-   makes static member ownership degenerate into a straggler domain.
-   The 1-domain rows are the sequential comparison; 2/4/recommended
-   rows show the parallel step phase composing with it. Each row also
-   reports minor-heap words allocated per posted event (main domain
-   only, so the column is exact for the sequential rows and a lower
-   bound for the parallel ones) and its {e effective} domain count:
-   post_domains clamped to min(partitions, recommended cores) — on a small
-   box the extra-domain rows honestly collapse onto the sequential one
-   instead of reporting oversubscription noise as scaling. Emits
-   BENCH_kernel.json. *)
-let e12_kernel () =
-  section "E12-kernel: compiled posting kernel (domains, skew, allocations)";
-  let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
-  let module Sym = Ode_event.Symbol in
-  let n_objects = batch_n_objects in
-  let events_per_obj = 4 in
-  let n_events = n_objects * events_per_obj in
-  let cores = Domain.recommended_domain_count () in
-  let hot_members = max 1 (batch_partitions / 5) in
-  let build_items ~contended oids =
-    let ping oid = (oid, Sym.Method (Sym.After, "ping"), []) in
-    if not contended then
-      List.concat_map
-        (fun oid -> List.init events_per_obj (fun _ -> ping oid))
-        oids
-    else begin
-      (* 80% of the batch on the objects of the first 20% of members
-         (owner = oid mod partitions) *)
-      let hot, cold =
-        List.partition (fun oid -> oid mod batch_partitions < hot_members) oids
-      in
-      let hot = Array.of_list hot and cold = Array.of_list cold in
-      List.init n_events (fun k ->
-          if k mod 5 < 4 then ping hot.(k mod Array.length hot)
-          else ping cold.(k mod Array.length cold))
-    end
-  in
-  let measure ~domains ~contended =
-    let db, oids = batch_workload () in
-    E.set_post_domains db domains;
-    let items = build_items ~contended oids in
-    let tx = Tx.begin_txn db in
-    ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
-    (* best of three: the rows differing only in configured (not
-       effective) domains run identical code, and should read as such *)
-    let ns =
-      List.fold_left min infinity
-        (List.init 3 (fun _ ->
-             measure_ns (fun () -> ignore (E.post_many db items))))
-    in
-    let batches = 50 in
-    let w0 = Gc.minor_words () in
-    for _ = 1 to batches do
-      ignore (E.post_many db items)
-    done;
-    let words =
-      (Gc.minor_words () -. w0) /. float_of_int (batches * n_events)
-    in
-    (match Tx.commit db tx with Ok () | Error `Aborted -> ());
-    E.shutdown_pool db;
-    (* mirror the engine's clamping so the JSON reports what actually ran *)
-    let effective = min domains (min batch_partitions cores) in
-    (ns /. float_of_int n_events, words, effective)
-  in
-  let row domains contended =
-    let ns, w, eff = measure ~domains ~contended in
-    ((if contended then "contended" else "uniform"), domains, eff, ns, w)
-  in
-  let rows =
-    [ row 1 false; row 2 false; row 4 false; row cores false; row 1 true; row 4 true ]
-  in
-  let base = match rows with (_, _, _, ns, _) :: _ -> ns | [] -> assert false in
-  pf "objects=%d triggers/object=%d partitions=%d cores=%d batch=%d events@."
-    n_objects batch_triggers_per_obj batch_partitions cores n_events;
-  pf "%-10s %8s %5s %12s %14s %16s %9s@." "workload" "domains" "eff" "ns/event"
-    "events/sec" "minor words/ev" "speedup";
-  List.iter
-    (fun (wl, d, eff, ns, w) ->
-      pf "%-10s %8d %5d %12.0f %14.0f %16.1f %8.2fx@." wl d eff ns (1e9 /. ns) w
-        (base /. ns))
-    rows;
-  pf "shape: the classify/step sweep is a linear pass over int arrays with a\n\
-      constant allocation envelope. Under the contended skew the hot members'\n\
-      queues serialise on their owning domains; the uniform rows bound the\n\
-      achievable scaling.@.";
-  let oc = open_out "BENCH_kernel.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E12-kernel\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"E11-shard schema (%d partitions, %d objects x %d \
-     perpetual never-completing triggers), batches of %d events (%d per \
-     object) through the compiled kernel; contended rows send 80%% of the batch to the objects of %d of \
-     the members; effective_domains = post_domains clamped to min(partitions, \
-     cores); minor_words_per_event counts main-domain minor-heap \
-     allocation, exact for 1-domain rows\",\n"
-    batch_partitions n_objects batch_triggers_per_obj n_events events_per_obj
-    hot_members;
-  p "  \"cores\": %d,\n" cores;
-  p "  \"domain_clamp\": true,\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (wl, d, eff, ns, w) ->
-      p
-        "    {\"workload\": \"%s\", \"domains\": %d, \
-         \"effective_domains\": %d, \"ns_per_event\": %.0f, \
-         \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"speedup_vs_seq\": %.2f}%s\n"
-        wl d eff ns (1e9 /. ns) w (base /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_kernel.json@."
-
-(* ------------------------------------------------------------------ *)
-(* smoke: a one-iteration CI pass over the instrumented pipeline       *)
-(* ------------------------------------------------------------------ *)
-
-(* Runs a single transaction with observability enabled and dumps the
-   registry — a fast end-to-end check that the probes are wired, meant
-   for the CI bench-smoke step, not for timing. *)
-let smoke () =
-  section "smoke: one instrumented transaction";
-  let module D = Ode_odb.Database in
-  let module Obs = Ode_obs.Registry in
-  let db, oid = inert_trigger_db 10 in
-  D.set_observability db true;
-  (match D.with_txn db (fun _ -> ignore (D.call db oid "work" [])) with
-  | Ok () -> ()
-  | Error `Aborted -> failwith "smoke transaction aborted");
-  let r = D.observe db in
-  pf "%a@." Obs.pp r;
-  if Obs.get r Obs.Posts = 0 then failwith "smoke: no posts counted";
-  (* partitioned + parallel post_many: a 2-domain batch must fire
-     exactly like a 1-domain rerun of the same workload, on a uniform
-     batch and on an 80/20 hot-key-skewed one. The clamp is lifted so
-     the pool machinery really runs even on a 1-core box. *)
-  let batch_firings ?(partitions = 4) ~contended domains =
-    let db =
-      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
-    in
-    D.set_post_domains db domains;
-    D.set_domain_clamp db false;
-    let b = D.define_class "s" in
-    let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
-    let b =
-      D.trigger_str b ~perpetual:true "hit" ~event:"after ping"
-        ~action:(fun _ _ -> ())
-    in
-    D.register_class db b;
-    let fired = ref 0 in
-    (match
-       D.with_txn db (fun _ ->
-           let oids =
-             List.init 8 (fun _ ->
-                 let oid = D.create db "s" [] in
-                 D.activate db oid "hit" [];
-                 oid)
-           in
-           let ping oid = (oid, Symbol.Method (Symbol.After, "ping"), []) in
-           let items =
-             if contended then
-               (* 32 of 40 events on two objects, rest spread out *)
-               List.init 40 (fun k ->
-                   if k mod 5 < 4 then ping (List.nth oids (k mod 2))
-                   else ping (List.nth oids (2 + (k mod 6))))
-             else List.map ping oids
-           in
-           fired := D.post_many db items)
-     with
-    | Ok () -> ()
-    | Error `Aborted -> failwith "smoke: batch transaction aborted");
-    D.shutdown_pool db;
-    !fired
-  in
-  let f1 = batch_firings ~contended:false 1
-  and f2 = batch_firings ~contended:false 2 in
-  if f1 <> 8 || f2 <> 8 then
-    failwith
-      (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 8/8)" f1 f2);
-  let c1 = batch_firings ~contended:true 1
-  and c2 = batch_firings ~contended:true 2 in
-  if c1 <> 40 || c2 <> 40 then
-    failwith
-      (Printf.sprintf "smoke: contended post_many fired %d/%d (want 40/40)" c1
-         c2);
-  pf
-    "smoke ok (4-partition post_many: %d/%d firings at 1/2 domains uniform, \
-     %d/%d contended).@."
-    f1 f2 c1 c2;
-  (* the single engine and a 2-member group must fire exactly like the
-     4-member group on the same batches *)
-  let p1 = batch_firings ~partitions:1 ~contended:true 1
-  and p2 = batch_firings ~partitions:2 ~contended:true 2 in
-  if p1 <> 40 || p2 <> 40 then
-    failwith
-      (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 40/40)"
-         p1 p2);
-  pf "partition smoke ok (40/40 firings at 1/2 partitions).@.";
-  (* WAL crash-injection smoke: 50 randomized kill points over a logged
-     workload must each recover to the exact shadow image captured when
-     the last surviving batch was emitted (the full 500-point harness
-     with behavioural probes lives in test/test_wal.ml). *)
-  let module Wal = Ode_odb.Wal in
-  let module Persist = Ode_odb.Persist in
-  let module Codec = Ode_base.Codec in
-  let fresh_dir () =
-    let d = Filename.temp_file "ode_bench_wal" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o755;
-    d
-  in
-  let wal_schema () =
-    let b = D.define_class "w" in
-    let b = D.field b "q" (Value.Int 0) in
-    let b =
-      D.method_ b ~kind:D.Updating "bump" (fun db oid _ ->
-          D.set_field db oid "q"
-            (Value.add (D.get_field db oid "q") (Value.Int 1));
-          Value.Unit)
-    in
-    D.trigger_str b ~perpetual:true "seq" ~event:"after bump; after bump"
-      ~action:(fun _ _ -> ())
-  in
-  let dir = fresh_dir () in
-  let shadows = ref [] in
-  let cfg =
-    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0
-      ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
-      dir
-  in
-  let with_wal cfg = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability = `Wal cfg } () in
-  let wdb = with_wal cfg in
-  D.register_class wdb (wal_schema ());
-  let base = D.image_bytes wdb in
-  let rng = Random.State.make [| 4242 |] in
-  for i = 1 to 10 do
-    if i mod 3 = 0 then D.advance_clock wdb 25L;
-    let tx = D.begin_txn wdb in
-    let oid =
-      match D.objects wdb with
-      | o :: _ when Random.State.bool rng -> o
-      | _ ->
-        let o = D.create wdb "w" [] in
-        D.activate wdb o "seq" [];
-        o
-    in
-    ignore (D.call wdb oid "bump" []);
-    if i mod 4 = 0 then D.abort wdb tx
-    else
-      match D.commit wdb tx with Ok () | Error `Aborted -> ()
-  done;
-  D.close_durability wdb;
-  let shadows = Array.of_list (List.rev !shadows) in
-  let log = Codec.of_file (Wal.wal_path dir 0) in
-  let snap = Codec.of_file (Wal.snap_path dir 0) in
-  let hdr = String.length Wal.header in
-  for point = 1 to 50 do
-    let cut = hdr + Random.State.int rng (String.length log - hdr + 1) in
-    let damaged = String.sub log 0 cut in
-    let n = List.length (Wal.scan_bytes damaged).Wal.frames in
-    let dir2 = fresh_dir () in
-    Codec.to_file (Wal.snap_path dir2 0) snap;
-    Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = with_wal (Wal.config dir2) in
-    D.register_class rdb (wal_schema ());
-    D.recover rdb;
-    let expected = if n = 0 then base else shadows.(n - 1) in
-    if not (String.equal (D.image_bytes rdb) expected) then
-      failwith
-        (Printf.sprintf
-           "crash smoke: kill point %d (cut at %d, %d batches) recovered a \
-            diverging state"
-           point cut n)
-  done;
-  pf "crash smoke ok (50/50 kill points recovered byte-identical, %d batches \
-      logged).@."
-    (Array.length shadows);
-  (* wire smoke: an in-process server, two clients over loopback, a
-     subscriber that must see firings, a clean stop *)
-  let module Server = Ode_net.Server in
-  let module Client = Ode_net.Client in
-  let module NP = Ode_net.Protocol in
-  let module NJ = Ode_net.Json in
-  let sdb = D.create_db ~config:D.Config.default () in
-  let config =
-    {
-      D.Config.default with
-      D.Config.serve = { D.Config.default_serve with D.Config.port = 0 };
-    }
-  in
-  let srv = Server.create ~db:sdb ~config () in
-  Server.start srv;
-  let port = Server.port srv in
-  let sub = Client.connect ~port () in
-  let wire_ok = function
-    | Ok j -> j
-    | Error (code, msg) -> failwith (Printf.sprintf "smoke: wire [%s] %s" code msg)
-  in
-  ignore
-    (wire_ok
-       (Client.request sub
-          (NP.Schema
-             "class cell { int n = 0; public: cell() { activate T(); } update \
-              void hit(int q) { n = n + q; } update void seen() { } trigger: \
-              T() : perpetual after hit(q) && q > 0 ==> seen(); };")));
-  let oid =
-    match NJ.member "oid" (wire_ok (Client.request sub (NP.Create ("cell", [])))) with
-    | Some (NJ.Int oid) -> oid
-    | _ -> failwith "smoke: wire create returned no oid"
-  in
-  ignore (wire_ok (Client.request sub (NP.Subscribe NP.Block)));
-  let poster = Client.connect ~port () in
-  let item =
-    { NP.i_oid = oid; i_event = Symbol.Method (After, "hit"); i_args = [ Value.Int 3 ] }
-  in
-  ignore (wire_ok (Client.request poster (NP.Post_many (List.init 8 (fun _ -> item)))));
-  Client.close poster;
-  let rec wire_drain n =
-    match Client.wait_firing ~timeout_s:1.0 sub with
-    | Some _ -> wire_drain (n + 1)
-    | None -> n
-  in
-  let wired = wire_drain 0 in
-  Client.close sub;
-  Server.stop srv;
-  D.shutdown_pool sdb;
-  if wired <> 8 then
-    failwith (Printf.sprintf "smoke: wire subscriber saw %d/8 firings" wired);
-  pf "wire smoke ok (8/8 firings streamed over loopback, clean stop).@."
-
-(* ------------------------------------------------------------------ *)
-(* E14-wal: commit durability cost — WAL vs full-image saves            *)
-(* ------------------------------------------------------------------ *)
-
-(* One deposit-commit per measurement against a resident population of
-   1k/10k/100k objects, under three durability disciplines: a full
-   [save] after every commit (the only option before the WAL), the WAL
-   with an fsync per commit (flush window 0), and the WAL under a 50 ms
-   group-commit window. Reports commits/sec and p50/p99 latency, and
-   writes BENCH_wal.json. *)
-let e14_wal () =
-  section "E14-wal: commit throughput and p99 latency vs full-image saves";
-  let module D = Ode_odb.Database in
-  let module Wal = Ode_odb.Wal in
-  let fresh_dir () =
-    let d = Filename.temp_file "ode_e14" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o755;
-    d
-  in
-  let schema () =
-    let b = D.define_class "acct" in
-    let b = D.field b "q" (Value.Int 0) in
-    let b =
-      D.method_ b ~kind:D.Updating "deposit" (fun db oid _ ->
-          D.set_field db oid "q" (Value.add (D.get_field db oid "q") (Value.Int 1));
-          Value.Unit)
-    in
-    (* a perpetual never-completing trigger so each commit pays a
-       realistic posting pipeline, not just the field write *)
-    D.trigger_str b ~perpetual:true "watch" ~event:"after deposit; before delete"
-      ~action:(fun _ _ -> ())
-  in
-  let populate db n =
-    let oids = Array.make n 0 in
-    (match
-       D.with_txn db (fun _ ->
-           for i = 0 to n - 1 do
-             let oid = D.create db "acct" [] in
-             D.activate db oid "watch" [];
-             oids.(i) <- oid
-           done)
-     with
-    | Ok () -> ()
-    | Error `Aborted -> failwith "e14: population aborted");
-    oids
-  in
-  let percentile samples p =
-    let a = Array.copy samples in
-    Array.sort compare a;
-    a.(min (Array.length a - 1) (int_of_float (ceil (p *. float_of_int (Array.length a))) - 1))
-  in
-  let run ~n ~commits ~durability ~save_every_commit =
-    let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability } () in
-    D.register_class db (schema ());
-    let oids = populate db n in
-    let tmp = Filename.temp_file "ode_e14_img" ".img" in
-    let samples = Array.make commits 0.0 in
-    let commit_one i =
-      (match
-         D.with_txn db (fun _ ->
-             ignore (D.call db oids.(i mod n) "deposit" []))
-       with
-      | Ok () -> ()
-      | Error `Aborted -> failwith "e14: commit aborted");
-      if save_every_commit then D.save db tmp
-    in
-    commit_one 0 (* warm-up: first touch pays population cache misses *);
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to commits do
-      let c0 = Unix.gettimeofday () in
-      commit_one i;
-      samples.(i - 1) <- (Unix.gettimeofday () -. c0) *. 1e6
-    done;
-    D.sync_durability db;
-    let total = Unix.gettimeofday () -. t0 in
-    D.close_durability db;
-    Sys.remove tmp;
-    ( float_of_int commits /. total,
-      percentile samples 0.50,
-      percentile samples 0.99 )
-  in
-  let configs ~n =
-    [
-      ( "image-save",
-        (fun () -> run ~n ~commits:(max 20 (200_000 / n)) ~durability:`Image
-             ~save_every_commit:true) );
-      ( "wal-fsync",
-        (fun () -> run ~n ~commits:2_000
-             ~durability:(`Wal (Wal.config ~flush_ms:0 ~snapshot_every:0 (fresh_dir ())))
-             ~save_every_commit:false) );
-      ( "wal-group-50ms",
-        (fun () -> run ~n ~commits:2_000
-             ~durability:(`Wal (Wal.config ~flush_ms:50 ~snapshot_every:0 (fresh_dir ())))
-             ~save_every_commit:false) );
-    ]
-  in
-  let all_rows =
-    List.concat_map
-      (fun n ->
-        pf "@.objects=%d@." n;
-        pf "%-16s %14s %12s %12s %10s@." "durability" "commits/sec" "p50 (us)"
-          "p99 (us)" "speedup";
-        let rows =
-          List.map (fun (name, f) -> let r = f () in (name, r)) (configs ~n)
-        in
-        let base, _, _ = List.assoc "image-save" rows in
-        List.iter
-          (fun (name, (cps, p50, p99)) ->
-            pf "%-16s %14.0f %12.1f %12.1f %9.1fx@." name cps p50 p99 (cps /. base))
-          rows;
-        List.map (fun (name, r) -> (n, name, r)) rows)
-      [ 1_000; 10_000; 100_000 ]
-  in
-  pf "shape: a redo batch is O(touched objects); a full image is O(database).\n\
-      The group-commit window amortises the fsync across the batches that\n\
-      arrive inside it, at the cost of that window of durability.@.";
-  let oc = open_out "BENCH_wal.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E14-wal\",\n";
-  p "  \"unit\": \"commits per second; per-commit latency percentiles in \
-     microseconds\",\n";
-  p
-    "  \"description\": \"one-object deposit commits against a resident \
-     population, under: a full ODE1 image save per commit, the WAL with an \
-     fsync per commit (flush_ms=0), and the WAL under a 50ms group-commit \
-     window\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length all_rows - 1 in
-  List.iteri
-    (fun i (n, name, (cps, p50, p99)) ->
-      let base, _, _ =
-        let _, _, r =
-          List.find (fun (n', name', _) -> n' = n && name' = "image-save") all_rows
-        in
-        r
-      in
-      p
-        "    {\"objects\": %d, \"durability\": \"%s\", \"commits_per_sec\": \
-         %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, \"speedup_vs_image\": %.1f}%s\n"
-        n name cps p50 p99 (cps /. base)
-        (if i = last then "" else ","))
-    all_rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_wal.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E15: the wire front door — multi-client soak over loopback          *)
-(* ------------------------------------------------------------------ *)
-
-(* An in-process server (its select loop on one thread) and N client
-   threads posting batches over real loopback sockets: end-to-end wire
-   throughput and per-request latency for 1, 4 and 16 clients, with one
-   drop-policy subscriber watching the firing stream the whole time.
-   Emits BENCH_serve.json. *)
-let e15_serve () =
-  section "E15: odes serve over loopback (events/sec and request p99 by client count)";
-  let module DB = Ode_odb.Database in
-  let module Server = Ode_net.Server in
-  let module Client = Ode_net.Client in
-  let module NP = Ode_net.Protocol in
-  let module NJ = Ode_net.Json in
-  let schema =
-    {|
-    class meter {
-      int total = 0;
-      int spikes = 0;
-    public:
-      meter() { activate Spike(); }
-      update void bump(int q) { total = total + q; }
-      update void mark() { spikes = spikes + 1; }
-    trigger:
-      Spike() : perpetual after bump(q) && q > 5 ==> mark();
-    };
-    |}
-  in
-  let jint key j =
-    match NJ.member key j with
-    | Some (NJ.Int n) -> n
-    | _ -> failwith ("e15: reply carried no " ^ key)
-  in
-  let rpc c req =
-    match Client.request c req with
-    | Ok j -> j
-    | Error (code, msg) -> failwith (Printf.sprintf "e15: [%s] %s" code msg)
-  in
-  let run ~clients ~events_per_client ~batch =
-    let db = DB.create_db ~config:DB.Config.default () in
-    ignore (Ode_odl.Odl.load_schema db schema);
-    let config =
-      {
-        DB.Config.default with
-        DB.Config.serve =
-          { DB.Config.default_serve with DB.Config.port = 0; batch_window_ms = 1 };
-      }
-    in
-    let srv = Server.create ~db ~config () in
-    Server.start srv;
-    let port = Server.port srv in
-    let sub = Client.connect ~port () in
-    (* one object per client so the soak exercises candidate selection,
-       not one hot history *)
-    let oids =
-      Array.init clients (fun _ -> jint "oid" (rpc sub (NP.Create ("meter", []))))
-    in
-    ignore (rpc sub (NP.Subscribe NP.Drop));
-    let requests = events_per_client / batch in
-    let lat = Array.make (clients * requests) 0.0 in
-    (* a reply reports its whole batch's firing total, and coalescing
-       puts many requests in one batch — dedup by batch serial or the
-       sum multiplies *)
-    let mu = Mutex.create () in
-    let by_batch = Hashtbl.create 1024 in
-    let t0 = Unix.gettimeofday () in
-    let worker k =
-      Thread.create
-        (fun () ->
-          let c = Client.connect ~port () in
-          let items =
-            List.init batch (fun i ->
-                {
-                  NP.i_oid = oids.(k);
-                  i_event = Symbol.Method (After, "bump");
-                  i_args = [ Value.Int (i mod 10) ];
-                })
-          in
-          for r = 0 to requests - 1 do
-            let q0 = Unix.gettimeofday () in
-            let j = rpc c (NP.Post_many items) in
-            lat.((k * requests) + r) <- Unix.gettimeofday () -. q0;
-            Mutex.lock mu;
-            Hashtbl.replace by_batch (jint "batch" j) (jint "firings" j);
-            Mutex.unlock mu
-          done;
-          Client.close c)
-        ()
-    in
-    let threads = List.init clients worker in
-    List.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
-    let seen = List.length (Client.poll_firings sub) + Client.lagged_total sub in
-    Client.close sub;
-    Server.stop srv;
-    DB.shutdown_pool db;
-    Array.sort compare lat;
-    let pct p =
-      lat.(min (Array.length lat - 1) (int_of_float (p *. float_of_int (Array.length lat))))
-      *. 1e6
-    in
-    let fired = Hashtbl.fold (fun _ n acc -> acc + n) by_batch 0 in
-    let total = float_of_int (clients * requests * batch) in
-    (total /. dt, pct 0.5, pct 0.99, fired, seen)
-  in
-  pf "%8s %14s %12s %12s %12s %12s@." "clients" "events/sec" "p50 (us)" "p99 (us)"
-    "firings" "observed";
-  let rows =
-    List.map
-      (fun clients ->
-        let events_per_client = 20_000 in
-        let ev_s, p50, p99, fired, seen =
-          run ~clients ~events_per_client ~batch:100
-        in
-        if fired = 0 then failwith "e15: soak produced no firings";
-        pf "%8d %14.0f %12.1f %12.1f %12d %12d@." clients ev_s p50 p99 fired seen;
-        (clients, events_per_client, ev_s, p50, p99, fired))
-      [ 1; 4; 16 ]
-  in
-  pf "shape: one select loop owns the engine; throughput climbs with client\n\
-      count while batches coalesce, and p99 absorbs the coalescing window.@.";
-  let oc = open_out "BENCH_serve.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E15-serve\",\n";
-  p "  \"unit\": \"end-to-end wire events per second; per-request latency \
-     percentiles in microseconds\",\n";
-  p
-    "  \"description\": \"N concurrent clients posting 100-event post_many \
-     batches over loopback to odes serve (1ms coalescing window), one \
-     drop-policy subscriber streaming firings throughout\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (clients, events, ev_s, p50, p99, fired) ->
-      p
-        "    {\"clients\": %d, \"events_per_client\": %d, \"events_per_sec\": \
-         %.0f, \"req_p50_us\": %.1f, \"req_p99_us\": %.1f, \"firings\": %d}%s\n"
-        clients events ev_s p50 p99 fired
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_serve.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E16-partition: post_many throughput vs partition count               *)
-(* ------------------------------------------------------------------ *)
-
-(* The E11-shard workload through an oid-sliced engine group: 256
-   objects x 4 perpetual never-completing triggers, one ping per object
-   per batch, zero firings — measured at 1/2/4 partitions on two batch
-   shapes. [uniform] spreads the batch round-robin over the members
-   (oids are allocated round-robin); [hot] routes every event to
-   objects of one member, the worst-case skew, so the row pair bounds
-   what routing costs and what slicing buys. Partitioning is observably
-   transparent (test/test_partition.ml proves bit-identical images);
-   this experiment prices it. Emits BENCH_partition.json. *)
-let e16_partition () =
-  section "E16-partition: post_many throughput vs partition count";
-  let module D = Ode_odb.Database in
-  let module Sym = Ode_event.Symbol in
-  let n_objects = batch_n_objects in
-  let triggers_per_obj = batch_triggers_per_obj in
-  let mk partitions =
-    let config = { D.Config.default with D.Config.partitions } in
-    let db = D.create_db ~config () in
-    let b = D.define_class "c" in
-    let b = D.field b "x" (Value.Int 1) in
-    let rec add b i =
-      if i >= triggers_per_obj then b
-      else
-        add
-          (D.trigger_str b ~perpetual:true
-             (Printf.sprintf "t%d" i)
-             ~event:
-               (if i mod 2 = 0 then "after ping ; after never"
-                else "after ping && x > 0 ; after never")
-             ~action:(fun _ _ -> ()))
-          (i + 1)
-    in
-    D.register_class db (add b 0);
-    match
-      D.with_txn db (fun _ ->
-          List.init n_objects (fun _ ->
-              let oid = D.create db "c" [] in
-              for i = 0 to triggers_per_obj - 1 do
-                D.activate db oid (Printf.sprintf "t%d" i) []
-              done;
-              oid))
-    with
-    | Ok oids -> (db, oids)
-    | Error `Aborted -> failwith "abort"
-  in
-  let measure ~hot partitions =
-    let db, oids = mk partitions in
-    let targets =
-      if not hot then oids
-      else
-        (* every event on one member's slice *)
-        match List.filter (fun o -> o mod partitions = 0) oids with
-        | [] -> oids
-        | hots ->
-          let n = List.length hots in
-          List.init n_objects (fun i -> List.nth hots (i mod n))
-    in
-    let items =
-      List.map (fun oid -> (oid, Sym.Method (Sym.After, "ping"), [])) targets
-    in
-    let tx = D.begin_txn db in
-    ignore (D.post_many db items) (* warm-up batch pays the tbegin posts *);
-    let ns = measure_ns (fun () -> ignore (D.post_many db items)) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    D.shutdown_pool db;
-    ns /. float_of_int n_objects
-  in
-  let counts = [ 1; 2; 4 ] in
-  let rows =
-    List.concat_map
-      (fun p -> [ (p, "uniform", measure ~hot:false p); (p, "hot", measure ~hot:true p) ])
-      counts
-  in
-  pf "objects=%d triggers/object=%d@." n_objects triggers_per_obj;
-  pf "%-12s %-10s %16s %18s@." "partitions" "batch" "ns/event" "events/sec";
-  List.iter
-    (fun (p, shape, ns) ->
-      pf "%-12d %-10s %16.0f %18.0f@." p shape ns (1e9 /. ns))
-    rows;
-  pf "shape: routing adds one owner lookup per event; a hot-key batch lands\n\
-      every event on one member and forfeits the slicing.@.";
-  let oc = open_out "BENCH_partition.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E16-partition\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"post_many through an oid-sliced engine group: %d \
-     objects x %d perpetual never-completing triggers, one ping per object \
-     per batch; uniform spreads the batch over the members, hot routes it \
-     all to one member\",\n"
-    n_objects triggers_per_obj;
-  p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (parts, shape, ns) ->
-      p
-        "    {\"partitions\": %d, \"batch\": \"%s\", \"ns_per_event\": %.0f, \
-         \"events_per_sec\": %.0f}%s\n"
-        parts shape ns (1e9 /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_partition.json@."
-
-(* ------------------------------------------------------------------ *)
-(* E17-timer: the timing wheel vs the sorted-list queue                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Two costs of the timing wheel. [arm]: marginal insert into a queue
-   already holding n timers (raw [Timewheel] inserts, no engine around
-   them) — O(1) amortized at any occupancy. [sweep]: [advance_to] over
-   a fleet of objects with staggered periodic triggers, every delivery
-   re-arming its timer — O(k) for k deliveries. The 1M-pending sweep row
-   fills the structure with parked timers due beyond the window, so
-   cascade and occupancy costs are real. Emits BENCH_timer.json. *)
-let e17_timer () =
-  section "E17-timer: timing wheel (arm / advance sweep)";
-  let module T = Ode_odb.Types in
-  let module Tw = Ode_odb.Timewheel in
-  let module Sc = Ode_odb.Schema in
-  let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
-  let module Obs = Ode_obs.Registry in
-  let horizon = 10_000_000 in
-  let mk_timer i due =
-    {
-      T.tm_due = due;
-      tm_seq = i;
-      tm_oid = 1 + (i mod 9973);
-      tm_trigger = "t";
-      tm_epoch = 0;
-      tm_spec = Symbol.Every (Int64.of_int horizon);
-      tm_anchor = 0L;
-    }
-  in
-  let rand_due rng = Int64.of_int (1 + Random.State.int rng horizon) in
-  let cmp a b =
-    match Int64.compare a.T.tm_due b.T.tm_due with
-    | 0 -> compare a.T.tm_seq b.T.tm_seq
-    | c -> c
-  in
-  (* marginal arm cost at occupancy n, measured over k fresh inserts *)
-  let arm ~n ~k =
-    let db = T.make_db () in
-    let rng = Random.State.make [| 1717; n |] in
-    Tw.replace db
-      (List.sort cmp (List.init n (fun i -> mk_timer i (rand_due rng))));
-    let dues = Array.init k (fun _ -> rand_due rng) in
-    let (), total =
-      time_once (fun () ->
-          Array.iteri (fun i due -> Tw.insert_timer db (mk_timer (n + i) due)) dues)
-    in
-    total /. float_of_int k
-  in
-  (* a fleet sweep: [objects] nodes with an every-[period]-ms heartbeat,
-     activation staggered over one period so due instants spread out;
-     then advance [advance_ms], every delivery re-arming its timer.
-     [pad] extra timers are parked beyond the window (no live object),
-     occupying the structure without ever coming due. *)
-  let sweep ~objects ~period ~advance_ms ~pad =
-    let db = T.make_db () in
-    let b = Sc.define_class "node" in
-    let b =
-      Sc.trigger_str b ~perpetual:true "hb"
-        ~event:(Printf.sprintf "every time(MS=%d)" period)
-        ~action:(fun _ _ -> ())
-    in
-    Sc.register_class db b;
-    let per_ms = max 1 (objects / period) in
-    let made = ref 0 in
-    while !made < objects do
-      let n = min per_ms (objects - !made) in
-      (match
-         Tx.with_txn db (fun _ ->
-             for _ = 1 to n do
-               let oid = E.create db "node" [] in
-               E.activate db oid "hb" []
-             done)
-       with
-      | Ok () -> ()
-      | Error `Aborted -> failwith "sweep setup aborted");
-      made := !made + n;
-      if !made < objects then Tw.advance_clock db 1L
-    done;
-    let rng = Random.State.make [| 4242; objects |] in
-    let parked_from = Int64.add (Tw.now db) (Int64.of_int (advance_ms + period)) in
-    for i = 0 to pad - 1 do
-      Tw.insert_timer db
-        {
-          T.tm_due = Int64.add parked_from (rand_due rng);
-          tm_seq = Tw.fresh_seq db;
-          tm_oid = 1_000_000_000 + i;
-          tm_trigger = "parked";
-          tm_epoch = 0;
-          tm_spec = Symbol.After_period 1L;
-          tm_anchor = 0L;
-        }
-    done;
-    let pending = Tw.pending_count db in
-    Obs.set_enabled db.T.obs true;
-    let (), total =
-      time_once (fun () -> Tw.advance_clock db (Int64.of_int advance_ms))
-    in
-    let delivered = Obs.get db.T.obs Obs.Timer_deliveries in
-    if delivered = 0 then failwith "sweep delivered nothing";
-    (pending, delivered, total /. float_of_int delivered)
-  in
-  pf "%10s %8s %16s@." "occupancy" "arms" "wheel ns/arm";
-  let arm_rows =
-    List.map
-      (fun n ->
-        let ns = arm ~n ~k:10_000 in
-        pf "%10d %8d %16.1f@." n 10_000 ns;
-        (n, ns))
-      [ 10_000; 100_000; 1_000_000 ]
-  in
-  pf "%10s %12s %18s@." "pending" "deliveries" "wheel ns/delivery";
-  let sweep_rows =
-    List.map
-      (fun (objects, period, advance_ms, pad) ->
-        let p, d, ns = sweep ~objects ~period ~advance_ms ~pad in
-        pf "%10d %12d %18.0f@." p d ns;
-        (p, d, ns))
-      [
-        (10_000, 1_000, 10_000, 0);
-        (100_000, 10_000, 1_000, 0);
-        (10_000, 1_000, 10_000, 990_000);
-      ]
-  in
-  pf "shape: arming is O(1) at any occupancy; a sweep is O(k) in deliveries.@.";
-  let oc = open_out "BENCH_timer.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E17-timer\",\n";
-  p
-    "  \"unit\": \"ns per armed timer / ns per delivered timer (delivery = \
-     system txn + time-event post + periodic re-arm)\",\n";
-  p
-    "  \"description\": \"hierarchical timing wheel: marginal arm cost at \
-     fixed occupancy (raw queue inserts, dues uniform over %d ms) and a \
-     fleet advance sweep (staggered every-period heartbeats, each delivery \
-     re-arming; the 1M-pending row pads the wheel with parked timers)\",\n"
-    horizon;
-  p "  \"arm_rows\": [\n";
-  let last = List.length arm_rows - 1 in
-  List.iteri
-    (fun i (n, w) ->
-      p "    {\"occupancy\": %d, \"wheel_ns_per_arm\": %.1f}%s\n" n w
-        (if i = last then "" else ","))
-    arm_rows;
-  p "  ],\n";
-  p "  \"sweep_rows\": [\n";
-  let last = List.length sweep_rows - 1 in
-  List.iteri
-    (fun i (pend, deliv, w) ->
-      p "    {\"pending\": %d, \"deliveries\": %d, \"wheel_ns_per_delivery\": %.0f}%s\n"
-        pend deliv w
-        (if i = last then "" else ","))
-    sweep_rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_timer.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1895,11 +734,8 @@ let bechamel_suite () =
 let () =
   let all =
     [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-      ("e7", e7); ("e8", e8); ("e9", e9); ("e9d", e9_dispatch); ("e10", e10);
-      ("e10o", e10_obs); ("e11", e11); ("e11s", e11_shard); ("e12", e12);
-      ("e12k", e12_kernel); ("e14w", e14_wal); ("e15s", e15_serve);
-      ("e16p", e16_partition); ("e17t", e17_timer); ("micro", bechamel_suite);
-      ("smoke", smoke) ]
+      ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
+      ("e12", e12); ("micro", bechamel_suite) ]
   in
   let selected =
     match List.tl (Array.to_list Sys.argv) with

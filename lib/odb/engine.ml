@@ -599,59 +599,61 @@ let union_oids oids accessed =
         end)
       accessed
 
-(* Post a transaction event to every object the finished transaction
-   accessed, inside a fresh system transaction (§5: commit/abort events
-   belong to no user transaction). A [Tabort] raised by an action there
-   aborts only the system transaction. *)
-let system_post db oids basic =
+(* Detach a finished system transaction, give the caller back its
+   current transaction, and emit one durability batch over [oids] plus
+   everything the system transaction touched. *)
+let end_system db oids sys saved =
+  (* [Txn.detach] would reset current; restore by hand *)
+  db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns;
+  db.txns.current <- saved;
+  db.durability.dur_commit db (union_oids oids (List.rev sys.tx_accessed @ List.rev sys.tx_dirty))
+
+(* Post [basic] to [target] inside a fresh system transaction (§5:
+   commit/abort and time events belong to no user transaction), via
+   [post_to db sys target basic]. A [Tabort] raised by an action aborts
+   only the system transaction; any other exception aborts it too and
+   is re-raised once the transaction is detached and its batch is out.
+   [post_to] is a top-level function, not a closure, so a delivery
+   allocates nothing for it. *)
+let in_system_txn db oids post_to target basic =
   let sys = Txn.begin_system db in
-  let saved_current = db.txns.current in
+  let saved = db.txns.current in
   db.txns.current <- Some sys;
-  let finish () =
-    db.txns.current <- saved_current;
-    (* [Txn.detach] would reset current; restore by hand afterwards *)
-    db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns
-  in
-  (try
-     List.iter
-       (fun oid ->
-         match Store.live_obj_opt db oid with
-         | Some obj -> ignore (post db sys obj basic [])
-         | None -> ())
-       oids;
-     sys.tx_status <- Committed;
-     Txn.release_locks db sys;
-     finish ()
-   with
-  | Tabort ->
+  match post_to db sys target basic with
+  | () ->
+    sys.tx_status <- Committed;
+    Txn.release_locks db sys;
+    end_system db oids sys saved
+  | exception Tabort ->
     (* [Txn.abort] emitted a batch for [sys.tx_accessed]; the union
-       batch below additionally captures the fan-out targets whose
+       batch additionally captures the fan-out targets whose
        full-history advances survived the undo *)
     Txn.abort db sys;
-    finish ()
-  | e ->
+    end_system db oids sys saved
+  | exception e ->
     Txn.abort db sys;
-    finish ();
-    db.durability.dur_commit db (union_oids oids (List.rev sys.tx_accessed @ List.rev sys.tx_dirty));
-    raise e);
-  db.durability.dur_commit db (union_oids oids (List.rev sys.tx_accessed @ List.rev sys.tx_dirty))
+    end_system db oids sys saved;
+    raise e
+
+let post_live db sys oids basic =
+  List.iter
+    (fun oid ->
+      match Store.live_obj_opt db oid with
+      | Some obj -> ignore (post db sys obj basic [])
+      | None -> ())
+    oids
+
+let post_obj db sys obj basic = ignore (post db sys obj basic [])
+
+(* Post a transaction event to every object the finished transaction
+   accessed. *)
+let system_post db oids basic = in_system_txn db oids post_live oids basic
 
 (* Deliver one time-event occurrence to an object, inside a system
    transaction so fired actions can mutate objects transactionally. *)
 let deliver_time_event db oid spec =
   match Store.live_obj_opt db oid with
-  | Some obj ->
-    let sys = Txn.begin_system db in
-    let saved = db.txns.current in
-    db.txns.current <- Some sys;
-    (try
-       ignore (post db sys obj (Symbol.Time spec) []);
-       sys.tx_status <- Committed;
-       Txn.release_locks db sys
-     with Tabort -> Txn.abort db sys);
-    db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns;
-    db.txns.current <- saved;
-    db.durability.dur_commit db (union_oids [ oid ] (List.rev sys.tx_accessed @ List.rev sys.tx_dirty))
+  | Some obj -> in_system_txn db [ oid ] post_obj obj (Symbol.Time spec)
   | None -> ()
 
 (* Wire the upward calls: Txn's commit/abort and Timewheel's delivery

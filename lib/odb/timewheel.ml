@@ -510,6 +510,16 @@ let member_pull_group m ~due ~oid ~spec =
       w.tw_visited <- w.tw_visited + 1;
       n.tn_timer.tm_due = due && n.tn_timer.tm_spec = spec)
 
+(* Re-arm the still-live timers of a delivered group. *)
+let rearm db group =
+  List.iter
+    (fun t ->
+      if timer_alive db t then
+        match reschedule db t ~fired_at:t.tm_due with
+        | Some t' -> insert_timer db t'
+        | None -> ())
+    group
+
 (* The partition-generic merge: the due timers of a group live spread
    over the member wheels, each member queue a (due, seq)-sorted
    subsequence of the single-engine queue — so repeatedly taking the
@@ -565,15 +575,16 @@ let advance_to db target =
             (Ode_obs.Trace.Timer_delivered
                { oid = tm.tm_oid; at_ms = tm.tm_due })
         end;
-        !deliver_hook db tm.tm_oid tm.tm_spec
+        (* an action that raised something other than [Tabort] had its
+           system transaction aborted; the clock stops at this instant,
+           and the group is re-armed and logged as after a [Tabort] *)
+        try !deliver_hook db tm.tm_oid tm.tm_spec
+        with e ->
+          rearm db group;
+          db.durability.dur_commit db [];
+          raise e
       end;
-      List.iter
-        (fun t ->
-          if timer_alive db t then
-            match reschedule db t ~fired_at:t.tm_due with
-            | Some t' -> insert_timer db t'
-            | None -> ())
-        group;
+      rearm db group;
       loop ()
   in
   loop ();

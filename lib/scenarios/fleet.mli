@@ -6,8 +6,8 @@
     action bumps its [beats] field, plus (by default) a one-shot
     service check [after time(MS=30000)] bumping [alerts]. A fleet of
     n vehicles therefore holds ~2n pending timers, which is the
-    workload the timing wheel representation exists for ([odes bench
-    e17t] builds its million-timer rows on this module). *)
+    workload the timing wheel representation exists for (odebench's
+    [fleet_timers] workload runs it). *)
 
 module D = Ode_odb.Database
 

@@ -432,6 +432,79 @@ let test_deactivate_same_instant_abort () =
     "same trace at 4 partitions" trace
     (snd (run_boss ~abort:true ~partitions:4))
 
+(* A time-event action that fails with an exception other than [Tabort]:
+   the exception reaches the [advance_clock] caller, but the delivery's
+   system transaction is aborted and detached like a [Tabort] one, its
+   periodic timer is re-armed and the interrupted advance is logged. Run
+   at the environment's partition count, on its durability and on an
+   explicit WAL recovered right after the failure. *)
+let test_failing_time_action () =
+  let run ?wal_dir () =
+    let partitions = (D.Config.of_env ()).D.Config.partitions in
+    let durability =
+      Option.map
+        (fun dir ->
+          `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
+        wal_dir
+    in
+    let db = mk_db ?durability ~partitions () in
+    let fail = ref true and runs = ref 0 in
+    let schema () =
+      let b = D.define_class "flaky" in
+      let b = D.field b "n" (Value.Int 0) in
+      let b =
+        D.method_ b ~kind:D.Updating "poke" (fun db oid _ ->
+            D.set_field db oid "n" (Value.add (D.get_field db oid "n") (Value.Int 1));
+            Value.Unit)
+      in
+      D.trigger_str b ~perpetual:true "tick" ~event:"every time(MS=70)"
+        ~action:(fun db ctx ->
+          incr runs;
+          ignore (D.call db ctx.D.fc_oid "poke" []);
+          if !fail then begin
+            fail := false;
+            failwith "action failed"
+          end)
+    in
+    D.register_class db (schema ());
+    let oid =
+      expect_ok
+        (D.with_txn db (fun _ ->
+             let oid = D.create db "flaky" [] in
+             D.activate db oid "tick" [];
+             oid))
+    in
+    Alcotest.check_raises "the action's exception reaches the caller"
+      (Failure "action failed") (fun () -> D.advance_clock db 100L);
+    Alcotest.(check bool) "no transaction left open" true (D.current_txn db = None);
+    Alcotest.(check int) "the failed delivery's update is undone" 0
+      (Value.to_int (D.get_field db oid "n"));
+    (* on a WAL, the log written up to the failure must rebuild the
+       same image, and the recovered database carries on *)
+    let db =
+      match wal_dir with
+      | None -> db
+      | Some dir ->
+        let img = D.image_bytes db in
+        D.close_durability db;
+        let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions () in
+        D.register_class rdb (schema ());
+        D.recover rdb;
+        Alcotest.(check bool) "WAL recovery rebuilds the same image" true
+          (String.equal (D.image_bytes rdb) img);
+        rdb
+    in
+    expect_ok (D.with_txn db (fun _ -> ignore (D.call db oid "poke" [])));
+    Alcotest.(check int) "the periodic timer is still armed" 1 (D.stats db).D.n_timers;
+    D.advance_clock db 1000L;
+    Alcotest.(check bool) "the trigger fires again" true (!runs > 1);
+    Alcotest.(check int) "later deliveries commit" !runs
+      (Value.to_int (D.get_field db oid "n"));
+    D.close_durability db
+  in
+  run ();
+  run ~wal_dir:(fresh_dir ()) ()
+
 (* A burst armed at one instant whose due lies in the next 64 ms
    block: the cascade moves the whole burst into the due run at once. *)
 let test_block_crossing_burst () =
@@ -588,6 +661,8 @@ let suite =
       test_deactivate_same_instant;
     Alcotest.test_case "same-instant peer restored by Tabort" `Quick
       test_deactivate_same_instant_abort;
+    Alcotest.test_case "failing time action leaks no transaction" `Quick
+      test_failing_time_action;
     Alcotest.test_case "burst cascading across a 64 ms block" `Quick
       test_block_crossing_burst;
     Alcotest.test_case "fleet: nodes visited per delivery flat" `Quick
