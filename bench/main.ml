@@ -67,6 +67,7 @@ let e1 () =
   let m = !e1_alphabet_m in
   let compiled = Compile.compile ~m lowered in
   let mask _ = true in
+  let eval () id = mask id in
   pf "expr: %s@." e1_expr;
   pf "(re-evaluation is O(history) per event and is skipped past 3000)@.";
   pf "%8s %14s %14s %14s %12s@." "history" "dfa ns/ev" "tree ns/ev" "reeval ns/ev"
@@ -76,11 +77,11 @@ let e1 () =
       (fun n ->
         let h = seeded_history ~m ~len:n 42 in
         let state = Compile.initial compiled in
-        Array.iter (fun sym -> ignore (Compile.step compiled state sym ~mask)) h;
+        Array.iter (fun sym -> ignore (Compile.step compiled state 0 sym eval ())) h;
         let i = ref 0 in
         let dfa_ns =
           measure_ns (fun () ->
-              ignore (Compile.step compiled state h.(!i mod n) ~mask);
+              ignore (Compile.step compiled state 0 h.(!i mod n) eval ());
               incr i)
         in
         (* stateful baselines grow with every post: time a fixed batch of
@@ -617,15 +618,16 @@ let bechamel_suite () =
   let m = !e1_alphabet_m in
   let compiled = Compile.compile ~m lowered in
   let mask _ = true in
+  let eval () id = mask id in
   let h = seeded_history ~m ~len:1000 42 in
   (* E1 *)
   let dfa_state = Compile.initial compiled in
-  Array.iter (fun sym -> ignore (Compile.step compiled dfa_state sym ~mask)) h;
+  Array.iter (fun sym -> ignore (Compile.step compiled dfa_state 0 sym eval ())) h;
   let i1 = ref 0 in
   let e1_dfa =
     Test.make ~name:"e1-dfa-step"
       (Staged.stage (fun () ->
-           ignore (Compile.step compiled dfa_state h.(!i1 mod 1000) ~mask);
+           ignore (Compile.step compiled dfa_state 0 h.(!i1 mod 1000) eval ());
            incr i1))
   in
   let tree = Ode_baseline.Incr.make lowered in

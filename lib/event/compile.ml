@@ -11,7 +11,6 @@ type t = {
   top_deps : int array;
   top_dfa : Dfa.t;
   flat : int array option;
-  all_flat : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -196,6 +195,9 @@ let rec compile_flat ~m (e : flat) : Dfa.t =
 
 let max_deps = 16
 
+(* [step] carries the levels' derived-event bits in one int. *)
+let max_levels = 62
+
 (* Extract levels innermost-first. Returns the list of
    (mask_id, expression-with-derived-leaves) plus the top expression. *)
 let flatten (e : Lowered.t) =
@@ -306,6 +308,8 @@ let flatten_dfa (d : Dfa.t) =
 let compile ~m (e : Lowered.t) : t =
   if m < 1 then invalid_arg "Compile.compile: alphabet must be non-empty";
   let level_specs, top = flatten e in
+  if List.length level_specs > max_levels then
+    invalid_arg "Compile.compile: more than 62 composite-mask levels";
   let build_level body =
     let deps = Array.of_list (derived_refs body) in
     if Array.length deps > max_deps then
@@ -333,15 +337,7 @@ let compile ~m (e : Lowered.t) : t =
   in
   let top_deps, top_dfa = build_level top in
   let flat = flatten_within top_dfa in
-  let levels = Array.of_list levels in
-  (* [step_flat]/[step_cells] carry derived bits in one int, so stacks
-     beyond 62 levels keep the boxed path even if every table fit *)
-  let all_flat =
-    flat <> None
-    && Array.length levels <= 62
-    && Array.for_all (fun l -> l.l_flat <> None) levels
-  in
-  { base_m = m; levels; top_deps; top_dfa; flat; all_flat }
+  { base_m = m; levels = Array.of_list levels; top_deps; top_dfa; flat }
 
 let compile_pure ~m (e : Lowered.t) : Dfa.t =
   let c = compile ~m e in
@@ -358,18 +354,21 @@ let total_dfa_states t =
 
 type state = int array
 
+let write_initial t cells off =
+  let n = Array.length t.levels in
+  for i = 0 to n - 1 do
+    cells.(off + i) <- t.levels.(i).l_dfa.start
+  done;
+  cells.(off + n) <- t.top_dfa.start
+
 let initial t =
-  Array.init (n_state_words t) (fun i ->
-      if i < Array.length t.levels then t.levels.(i).l_dfa.start else t.top_dfa.start)
+  let state = Array.make (n_state_words t) 0 in
+  write_initial t state 0;
+  state
 
-let ext_symbol base_sym deps fired =
-  let bits = ref 0 in
-  Array.iteri (fun j idx -> if fired.(idx) then bits := !bits lor (1 lsl j)) deps;
-  (base_sym * (1 lsl Array.length deps)) + !bits
-
-(* Derived-event bits carried as one int: levels are capped well below the
-   word size in practice ([max_deps] bounds the fan-in, and expressions
-   with > 62 Masked nodes fall back to the boxed path below). *)
+(* Derived-event bits carried as one int ([compile] caps the stack at
+   62 levels): bit [i] of [fired_bits] is "level [i] accepted, mask
+   true"; this maps a level's dependencies to its local extension bits. *)
 let rec ext_bits deps fired_bits j acc =
   if j >= Array.length deps then acc
   else
@@ -378,173 +377,55 @@ let rec ext_bits deps fired_bits j acc =
     in
     ext_bits deps fired_bits (j + 1) acc
 
-let[@inline] ext_symbol_bits base_sym deps fired_bits =
-  (base_sym * (1 lsl Array.length deps)) + ext_bits deps fired_bits 0 0
-
-let step_boxed t state base_sym ~mask =
-  let n_levels = Array.length t.levels in
-  let fired = Array.make n_levels false in
-  for i = 0 to n_levels - 1 do
-    let level = t.levels.(i) in
-    let sym = ext_symbol base_sym level.l_deps fired in
-    let q = Dfa.step level.l_dfa state.(i) sym in
-    state.(i) <- q;
-    fired.(i) <- Dfa.accepts_state level.l_dfa q && mask level.l_mask
-  done;
-  let sym = ext_symbol base_sym t.top_deps fired in
-  let q = Dfa.step t.top_dfa state.(n_levels) sym in
-  state.(n_levels) <- q;
-  Dfa.accepts_state t.top_dfa q
-
-let rec step_levels t state base_sym ~mask i fired_bits =
-  let n_levels = Array.length t.levels in
-  if i < n_levels then begin
-    let level = t.levels.(i) in
-    let sym = ext_symbol_bits base_sym level.l_deps fired_bits in
-    let q = Dfa.step level.l_dfa state.(i) sym in
-    state.(i) <- q;
-    let fired_bits =
-      if Dfa.accepts_state level.l_dfa q && mask level.l_mask then
-        fired_bits lor (1 lsl i)
-      else fired_bits
-    in
-    step_levels t state base_sym ~mask (i + 1) fired_bits
-  end
-  else begin
-    let sym = ext_symbol_bits base_sym t.top_deps fired_bits in
-    let q = Dfa.step t.top_dfa state.(n_levels) sym in
-    state.(n_levels) <- q;
-    Dfa.accepts_state t.top_dfa q
-  end
-
-(* Fully-flat hierarchical stepping: one packed-table load per level
-   (extended symbol = base symbol shifted past the level's derived
-   bits), mask filters consulted only on acceptance. [cells]/[off] is
-   the structure-of-arrays form — the word-vector paths pass the state
-   array with offset 0. The two variants differ only in how masks are
-   evaluated (caller closure vs inline mask table). *)
-let rec step_flat t cells off base_sym ~mask i fired_bits =
-  let n_levels = Array.length t.levels in
-  if i < n_levels then begin
-    let level = t.levels.(i) in
-    let d = Array.length level.l_deps in
-    let sym = (base_sym lsl d) lor ext_bits level.l_deps fired_bits 0 0 in
-    let f = match level.l_flat with Some f -> f | None -> assert false in
-    let cell = f.((cells.(off + i) * (t.base_m lsl d)) + sym) in
-    cells.(off + i) <- cell lsr 1;
-    let fired_bits =
-      if cell land 1 = 1 && mask level.l_mask then fired_bits lor (1 lsl i)
-      else fired_bits
-    in
-    step_flat t cells off base_sym ~mask (i + 1) fired_bits
-  end
-  else begin
-    let d = Array.length t.top_deps in
-    let sym = (base_sym lsl d) lor ext_bits t.top_deps fired_bits 0 0 in
-    let f = match t.flat with Some f -> f | None -> assert false in
-    let cell = f.((cells.(off + i) * (t.base_m lsl d)) + sym) in
-    cells.(off + i) <- cell lsr 1;
+(* Advance one level's word at [cells.(k)] on its extended symbol and
+   report whether the level accepts: one load from the packed table
+   when the level has one, the [Dfa] row otherwise. *)
+let[@inline] advance flat (dfa : Dfa.t) cells k sym =
+  match flat with
+  | Some f ->
+    let cell = f.((cells.(k) * dfa.m) + sym) in
+    cells.(k) <- cell lsr 1;
     cell land 1 = 1
-  end
+  | None ->
+    let q = dfa.delta.(cells.(k)).(sym) in
+    cells.(k) <- q;
+    dfa.accept.(q)
 
-let step t state base_sym ~mask =
-  if base_sym < 0 || base_sym >= t.base_m then invalid_arg "Compile.step: bad symbol";
-  if Array.length t.levels = 0 then
-    match t.flat with
-    | Some f ->
-      let cell = f.((state.(0) * t.base_m) + base_sym) in
-      state.(0) <- cell lsr 1;
-      cell land 1 = 1
-    | None -> step_levels t state base_sym ~mask 0 0
-  else if t.all_flat then step_flat t state 0 base_sym ~mask 0 0
-  else if Array.length t.levels > 62 then step_boxed t state base_sym ~mask
-  else step_levels t state base_sym ~mask 0 0
-
-(* Same stepping, but mask filters are evaluated inline from the mask
-   table — no per-step closure, which is what keeps the database's
-   posting kernel allocation-free on the automaton side. *)
-let rec step_levels_masks t state base_sym ~masks ~env i fired_bits =
-  let n_levels = Array.length t.levels in
-  if i < n_levels then begin
+let rec step_levels t cells off base_sym eval arg i fired_bits =
+  if i < Array.length t.levels then begin
     let level = t.levels.(i) in
-    let sym = ext_symbol_bits base_sym level.l_deps fired_bits in
-    let q = Dfa.step level.l_dfa state.(i) sym in
-    state.(i) <- q;
+    let sym =
+      (base_sym lsl Array.length level.l_deps)
+      lor ext_bits level.l_deps fired_bits 0 0
+    in
     let fired_bits =
-      if Dfa.accepts_state level.l_dfa q && Mask.eval_bool env masks.(level.l_mask)
+      if advance level.l_flat level.l_dfa cells (off + i) sym
+         && eval arg level.l_mask
       then fired_bits lor (1 lsl i)
       else fired_bits
     in
-    step_levels_masks t state base_sym ~masks ~env (i + 1) fired_bits
+    step_levels t cells off base_sym eval arg (i + 1) fired_bits
   end
-  else begin
-    let sym = ext_symbol_bits base_sym t.top_deps fired_bits in
-    let q = Dfa.step t.top_dfa state.(n_levels) sym in
-    state.(n_levels) <- q;
-    Dfa.accepts_state t.top_dfa q
-  end
-
-(* [step_flat] with masks evaluated inline from the mask table — no
-   per-step closure; the kernel's allocation-free form. *)
-let rec step_flat_masks t cells off base_sym ~masks ~env i fired_bits =
-  let n_levels = Array.length t.levels in
-  if i < n_levels then begin
-    let level = t.levels.(i) in
-    let d = Array.length level.l_deps in
-    let sym = (base_sym lsl d) lor ext_bits level.l_deps fired_bits 0 0 in
-    let f = match level.l_flat with Some f -> f | None -> assert false in
-    let cell = f.((cells.(off + i) * (t.base_m lsl d)) + sym) in
-    cells.(off + i) <- cell lsr 1;
-    let fired_bits =
-      if cell land 1 = 1 && Mask.eval_bool env masks.(level.l_mask) then
-        fired_bits lor (1 lsl i)
-      else fired_bits
+  else
+    let sym =
+      (base_sym lsl Array.length t.top_deps) lor ext_bits t.top_deps fired_bits 0 0
     in
-    step_flat_masks t cells off base_sym ~masks ~env (i + 1) fired_bits
-  end
-  else begin
-    let d = Array.length t.top_deps in
-    let sym = (base_sym lsl d) lor ext_bits t.top_deps fired_bits 0 0 in
-    let f = match t.flat with Some f -> f | None -> assert false in
-    let cell = f.((cells.(off + i) * (t.base_m lsl d)) + sym) in
-    cells.(off + i) <- cell lsr 1;
+    advance t.flat t.top_dfa cells (off + i) sym
+
+let step t cells off base_sym eval arg =
+  match t.flat with
+  | Some f when Array.length t.levels = 0 ->
+    (* mask-free and packed: the paper's one table load per event *)
+    let cell = f.((cells.(off) * t.base_m) + base_sym) in
+    cells.(off) <- cell lsr 1;
     cell land 1 = 1
-  end
-
-let step_masks t state base_sym ~masks ~env =
-  if base_sym < 0 || base_sym >= t.base_m then invalid_arg "Compile.step: bad symbol";
-  if Array.length t.levels = 0 then
-    match t.flat with
-    | Some f ->
-      let cell = f.((state.(0) * t.base_m) + base_sym) in
-      state.(0) <- cell lsr 1;
-      cell land 1 = 1
-    | None -> step_levels_masks t state base_sym ~masks ~env 0 0
-  else if t.all_flat then step_flat_masks t state 0 base_sym ~masks ~env 0 0
-  else if Array.length t.levels > 62 then
-    step_boxed t state base_sym ~mask:(fun id -> Mask.eval_bool env masks.(id))
-  else step_levels_masks t state base_sym ~masks ~env 0 0
-
-let has_flat t = t.all_flat
-
-let write_initial t cells off =
-  let n = Array.length t.levels in
-  for i = 0 to n - 1 do
-    cells.(off + i) <- t.levels.(i).l_dfa.start
-  done;
-  cells.(off + n) <- t.top_dfa.start
-
-let step_cells t cells off sym ~masks ~env =
-  if Array.length t.levels = 0 then
-    match t.flat with
-    | Some f ->
-      let cell = f.((cells.(off) * t.base_m) + sym) in
-      cells.(off) <- cell lsr 1;
-      cell land 1 = 1
-    | None -> invalid_arg "Compile.step_cells: automaton has no flat tables"
-  else if t.all_flat then step_flat_masks t cells off sym ~masks ~env 0 0
-  else invalid_arg "Compile.step_cells: automaton has no flat tables"
+  | Some _ | None -> step_levels t cells off base_sym eval arg 0 0
 
 let run t ~mask history =
   let state = initial t in
-  Array.mapi (fun p sym -> step t state sym ~mask:(fun id -> mask id p)) history
+  let eval p id = mask id p in
+  Array.mapi
+    (fun p sym ->
+      if sym < 0 || sym >= t.base_m then invalid_arg "Compile.run: bad symbol";
+      step t state 0 sym eval p)
+    history

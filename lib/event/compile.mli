@@ -18,13 +18,14 @@ type level = {
   l_dfa : Dfa.t;  (** over the extended alphabet [m * 2^|l_deps|] *)
   l_flat : int array option;
       (** this level's row-major packed transition table over its
-          extended alphabet; [None] only when the stack blew the shared
-          cell budget *)
+          extended alphabet; [None] when the stack blew the shared cell
+          budget, and {!step} then reads [l_dfa]'s rows *)
 }
 
 type t = {
   base_m : int;  (** atom alphabet size, including "other" *)
-  levels : level array;  (** innermost first; one per [Masked] node *)
+  levels : level array;
+      (** innermost first; one per [Masked] node, at most 62 *)
   top_deps : int array;
   top_dfa : Dfa.t;
   flat : int array option;
@@ -32,12 +33,7 @@ type t = {
           its extended alphabet [base_m * 2^|top_deps|]. Cell
           [q * m_ext + sym] holds [(q' lsl 1) lor accept(q')], so a
           step is one array load per level. [None] when the table would
-          exceed the internal cell cap. *)
-  all_flat : bool;
-      (** every level and the top carry a packed table (and the stack
-          is at most 62 levels): the whole automaton steps through
-          {!step_cells} — one load per level, masks evaluated only on
-          acceptance. *)
+          exceed the detector's shared cell budget. *)
 }
 
 val minimization : bool ref
@@ -45,7 +41,9 @@ val minimization : bool ref
     Exposed for the E10 ablation benchmark; leave on in production. *)
 
 val compile : m:int -> Lowered.t -> t
-(** [m] must match the selectors' length in the expression's [Atom]s. *)
+(** [m] must match the selectors' length in the expression's [Atom]s.
+    Raises [Invalid_argument] when a level references more than 16 lower
+    levels or the expression has more than 62 [Masked] nodes. *)
 
 val compile_pure : m:int -> Lowered.t -> Dfa.t
 (** Single-automaton compilation; raises [Invalid_argument] if the
@@ -60,43 +58,30 @@ type state = int array
 
 val initial : t -> state
 
-val step : t -> state -> int -> mask:(int -> bool) -> bool
-(** [step t state symbol ~mask] advances every level on the base [symbol]
-    (extended with derived bits computed level by level), consulting
-    [mask mask_id] whenever a level's DFA accepts, and returns whether the
-    top-level event occurs at this point. [state] is updated in place.
-    {!all_flat} automata step through the packed tables — one table
-    load per level, no allocation. *)
-
-val step_masks : t -> state -> int -> masks:Mask.t array -> env:Mask.env -> bool
-(** {!step} with the mask filter evaluated inline from a mask table
-    instead of through a caller-built closure — the allocation-free form
-    the posting kernel uses ([masks] is the detector's composite-mask
-    table, evaluated in [env] "now"). *)
-
-val has_flat : t -> bool
-(** The automaton is fully packed ({!all_flat}): every level steps
-    through a flat table, so the whole [n_state_words t]-word state
-    vector is eligible for the database's structure-of-arrays packing. *)
-
 val write_initial : t -> int array -> int -> unit
 (** [write_initial t cells off] writes the initial state vector
     ([n_state_words t] words — level starts, then the top start) into
     [cells] at [off]. *)
 
-val step_cells : t -> int array -> int -> int -> masks:Mask.t array -> env:Mask.env -> bool
-(** [step_cells t cells off sym ~masks ~env] steps the
-    [n_state_words t]-word state vector held at [cells.(off ..)] in
-    place through the per-level {!flat} tables and returns top-level
-    acceptance — the structure-of-arrays entry point: the database
-    packs the state vectors of all activations sharing a detector into
-    one int array per shard and sweeps it linearly. Composite masks are
-    evaluated inline against [env] when a level accepts (mask-free
-    automata never consult them). Raises [Invalid_argument] unless
-    {!has_flat}. *)
+val step : t -> int array -> int -> int -> ('a -> int -> bool) -> 'a -> bool
+(** [step t cells off sym eval arg] advances the [n_state_words t]-word
+    state vector held at [cells.(off ..)] in place on the base symbol
+    [sym] and returns whether the top-level event occurs at this point.
+    Levels run innermost first, each on [sym] extended with the bits of
+    the lower levels it references; a level advances through its packed
+    table when it has one and through its [Dfa] rows otherwise.
+    [eval arg mask_id] is consulted only when a level accepts, and
+    decides whether that level's derived event occurs. A word vector
+    from {!initial} is [off = 0]; the database packs the vectors of all
+    activations sharing a detector into one int array per partition
+    member. With a closure [eval] built once and passed [arg] (the
+    detector passes its mask table's evaluator and the mask
+    environment) a step allocates nothing. [sym] must lie in
+    [0 .. base_m - 1]. *)
 
 val run : t -> mask:(int -> int -> bool) -> int array -> bool array
-(** Run over a whole history; [mask mask_id position]. Fresh state. *)
+(** Run over a whole history; [mask mask_id position]. Fresh state.
+    Raises [Invalid_argument] on a symbol outside the alphabet. *)
 
 (** Building blocks, exposed for tests and for {!Committed}: *)
 

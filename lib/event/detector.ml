@@ -10,6 +10,7 @@ type t = {
   compiled : Compile.t;
   mode : mode;
   has_formals : bool;
+  eval_mask : Mask.env -> int -> bool;
 }
 
 type state = int array
@@ -26,7 +27,10 @@ let build ~mode expr =
   in
   let uid = !next_uid in
   incr next_uid;
-  { uid; expr; alphabet; masks; compiled; mode; has_formals }
+  (* built once, so a step hands [Compile.step] a closure it already
+     has and allocates nothing *)
+  let eval_mask env id = Mask.eval_bool env masks.(id) in
+  { uid; expr; alphabet; masks; compiled; mode; has_formals; eval_mask }
 
 (* Triggers with identical specifications can share one compiled detector
    (the paper compiles per class; sharing extends that across declarations).
@@ -56,32 +60,19 @@ let classify_code t ~env occurrence =
 
 let[@inline] code_relevant code = code >= 0 && Rewrite.code_bits code <> 0
 
-let post_code t state ~env code =
+let post_code t cells off ~env code =
   (* §5: the automaton is advanced only "for each active trigger for which
      a logical event has occurred". An occurrence matching none of this
      trigger's logical events is not part of its history at all — it must
      not break adjacency (sequence) or feed negations. *)
   let sym = Rewrite.sym_of_code t.alphabet code in
   if sym = Rewrite.other t.alphabet then false
-  else Compile.step_masks t.compiled state sym ~masks:t.masks ~env
+  else Compile.step t.compiled cells off sym t.eval_mask env
 
 let post t state ~env occurrence =
-  post_code t state ~env (classify_code t ~env occurrence)
-
-let has_flat t = Compile.has_flat t.compiled
-
-let initial_word t = t.compiled.Compile.top_dfa.Dfa.start
+  post_code t state 0 ~env (classify_code t ~env occurrence)
 
 let write_initial t cells off = Compile.write_initial t.compiled cells off
-
-let post_code_slot t cells off ~env code =
-  let sym = Rewrite.sym_of_code t.alphabet code in
-  if sym = Rewrite.other t.alphabet then false
-  else Compile.step_cells t.compiled cells off sym ~masks:t.masks ~env
-
-let copy_state = Array.copy
-
-let[@inline] top_state (state : state) = state.(Array.length state - 1)
 
 let collect_key_bits t key bits (occurrence : Symbol.occurrence) =
   let gs = t.alphabet.Rewrite.guards.(key) in
@@ -111,6 +102,18 @@ let collect_code t code (occurrence : Symbol.occurrence) =
 let collect t ~env occurrence =
   collect_code t (classify_code t ~env occurrence) occurrence
 
+let check_state t state =
+  let c = t.compiled in
+  let n = Array.length c.Compile.levels in
+  if Array.length state <> n + 1 then
+    raise (Codec.Corrupt "trigger state size mismatch (schema changed?)");
+  Array.iteri
+    (fun i q ->
+      let dfa = if i < n then c.levels.(i).l_dfa else c.top_dfa in
+      if q < 0 || q >= Dfa.n_states dfa then
+        raise (Codec.Corrupt "trigger state word outside its automaton"))
+    state
+
 let encode_state t state =
   if Array.length state <> n_state_words t then
     invalid_arg "Detector.encode_state: size mismatch";
@@ -121,6 +124,5 @@ let encode_state t state =
 let decode_state t s =
   let r = Codec.reader s in
   let state = Codec.read_array r Codec.read_int in
-  if Array.length state <> n_state_words t then
-    raise (Codec.Corrupt "Detector.decode_state: size mismatch");
+  check_state t state;
   state

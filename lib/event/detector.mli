@@ -28,6 +28,10 @@ type t = {
   has_formals : bool;
       (** precomputed: does any logical event declare formals? When
           false, {!collect} can never bind anything and is skipped. *)
+  eval_mask : Mask.env -> int -> bool;
+      (** [eval_mask env id] evaluates composite mask [masks.(id)] in
+          [env]; built once, it is the evaluator every {!post_code}
+          hands {!Compile.step} *)
 }
 
 type state = int array
@@ -61,15 +65,6 @@ val post : t -> state -> env:Mask.env -> Symbol.occurrence -> bool
     by a withdrawal" — detectable even though every method call also
     posts access/update events. *)
 
-val copy_state : state -> state
-
-val top_state : state -> int
-(** The top-level automaton word — the last entry of the state vector
-    (levels below it belong to masked subexpressions). This is the
-    paper's "one integer of state per activation" for mask-free
-    triggers; the database's observability layer reports it in
-    [Advanced] trace spans. *)
-
 (** {2 Dispatch relevance and split classification}
 
     The database's hot path posts each occurrence to many triggers. These
@@ -100,11 +95,15 @@ val code_relevant : int -> bool
     events? When false, stepping is a no-op and collection binds
     nothing — callers may skip undo logging (state provably unchanged). *)
 
-val post_code : t -> state -> env:Mask.env -> int -> bool
-(** The automaton-stepping half of {!post}, given a prior
-    {!classify_code} result (composite masks are still evaluated in
-    [env] "now"). Allocation-free: masks are evaluated through
-    {!Compile.step_masks}, not a per-step closure. *)
+val post_code : t -> int array -> int -> env:Mask.env -> int -> bool
+(** [post_code t cells off ~env code] is the automaton-stepping half of
+    {!post}, given a prior {!classify_code} result: it advances the
+    [n_state_words t]-word state vector stored at [cells.(off ..)] in
+    place — a vector from {!initial} is [off = 0], an activation's slot
+    in the database's structure-of-arrays block is [slot * width] — and
+    reports whether the trigger event occurred. Composite masks are
+    evaluated in [env] "now", only when their level accepts.
+    Allocation-free. *)
 
 val collect_code :
   t -> int -> Symbol.occurrence -> (string * Ode_base.Value.t) list
@@ -112,27 +111,9 @@ val collect_code :
     result: no guard mask is re-evaluated; formals and arguments are
     walked in lockstep. *)
 
-val has_flat : t -> bool
-(** Every level of the compiled automaton carries a packed flat table
-    ({!Compile.all_flat}) — its whole detection state is a fixed vector
-    of [n_state_words t] integers, eligible for the database's
-    structure-of-arrays packing. Mask-free expressions have one level
-    and one word; composite-mask and counting expressions a few. *)
-
-val initial_word : t -> int
-(** The start state of the top automaton — the initial value of the
-    {e last} state word (the only word, for mask-free detectors). *)
-
 val write_initial : t -> int array -> int -> unit
 (** [write_initial t cells off] writes the detector's initial
     [n_state_words t]-word state vector into [cells] at [off]. *)
-
-val post_code_slot : t -> int array -> int -> env:Mask.env -> int -> bool
-(** [post_code_slot t cells off ~env code] steps the
-    [n_state_words t]-word state vector stored at [cells.(off ..)] in
-    place through the flat tables; composite masks are evaluated in
-    [env] "now" when their level accepts ({!has_flat} detectors only;
-    raises [Invalid_argument] otherwise). *)
 
 val collect :
   t -> env:Mask.env -> Symbol.occurrence -> (string * Ode_base.Value.t) list
@@ -144,8 +125,14 @@ val collect :
     (latest-occurrence-wins) and hands them to the action when the
     composite event fires. *)
 
+val check_state : t -> state -> unit
+(** Raise [Ode_base.Codec.Corrupt] unless the vector has
+    [n_state_words t] words and each lies in its level's DFA state
+    range — a word outside it would send the next step out of the
+    transition table. *)
+
 val encode_state : t -> state -> string
 val decode_state : t -> string -> state
 (** Persistence of per-object trigger state. [decode_state] raises
-    [Ode_base.Codec.Corrupt] on malformed input or state/automaton size
-    mismatch. *)
+    [Ode_base.Codec.Corrupt] on malformed input or a vector
+    {!check_state} rejects. *)

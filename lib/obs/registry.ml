@@ -12,8 +12,6 @@ type counter =
   | Classified
   | Index_skipped
   | Transitions
-  | Slot_transitions
-  | Word_transitions
   | Firings
   | Tcomplete_rounds
   | Undo_entries
@@ -35,32 +33,30 @@ let counter_index = function
   | Classified -> 2
   | Index_skipped -> 3
   | Transitions -> 4
-  | Slot_transitions -> 5
-  | Word_transitions -> 6
-  | Firings -> 7
-  | Tcomplete_rounds -> 8
-  | Undo_entries -> 9
-  | Timer_deliveries -> 10
-  | Lock_conflicts -> 11
-  | Classes_registered -> 12
-  | Triggers_indexed -> 13
-  | Wal_batches -> 14
-  | Wal_flushes -> 15
-  | Wal_snapshots -> 16
-  | Wal_replayed -> 17
-  | Net_connections -> 18
-  | Net_requests -> 19
-  | Net_outbox_dropped -> 20
+  | Firings -> 5
+  | Tcomplete_rounds -> 6
+  | Undo_entries -> 7
+  | Timer_deliveries -> 8
+  | Lock_conflicts -> 9
+  | Classes_registered -> 10
+  | Triggers_indexed -> 11
+  | Wal_batches -> 12
+  | Wal_flushes -> 13
+  | Wal_snapshots -> 14
+  | Wal_replayed -> 15
+  | Net_connections -> 16
+  | Net_requests -> 17
+  | Net_outbox_dropped -> 18
 
-let n_counters = 21
+let n_counters = 19
 
 let all_counters =
   [
-    Posts; Db_posts; Classified; Index_skipped; Transitions;
-    Slot_transitions; Word_transitions; Firings; Tcomplete_rounds;
-    Undo_entries; Timer_deliveries; Lock_conflicts; Classes_registered;
-    Triggers_indexed; Wal_batches; Wal_flushes; Wal_snapshots;
-    Wal_replayed; Net_connections; Net_requests; Net_outbox_dropped;
+    Posts; Db_posts; Classified; Index_skipped; Transitions; Firings;
+    Tcomplete_rounds; Undo_entries; Timer_deliveries; Lock_conflicts;
+    Classes_registered; Triggers_indexed; Wal_batches; Wal_flushes;
+    Wal_snapshots; Wal_replayed; Net_connections; Net_requests;
+    Net_outbox_dropped;
   ]
 
 let counter_name = function
@@ -69,8 +65,6 @@ let counter_name = function
   | Classified -> "classified"
   | Index_skipped -> "index_skipped"
   | Transitions -> "transitions"
-  | Slot_transitions -> "slot_transitions"
-  | Word_transitions -> "word_transitions"
   | Firings -> "firings"
   | Tcomplete_rounds -> "tcomplete_rounds"
   | Undo_entries -> "undo_entries"

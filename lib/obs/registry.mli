@@ -25,13 +25,9 @@
       classifier [Engine]
     - [Index_skipped] — active triggers the dispatch index pruned
       without touching [Engine]
-    - [Transitions] — automaton advances on relevant occurrences
-      [Engine], around {!Ode_event.Detector.post_code}
-    - [Slot_transitions] / [Word_transitions] — the same advances split
-      by state representation: flat-table structure-of-arrays slots vs
-      boxed word vectors [Engine]. The kernel-coverage check: with
-      every object-scope detector flat-eligible, [Word_transitions]
-      counts only database-scope advances
+    - [Transitions] — automaton advances on relevant occurrences, both
+      scopes [Engine], around {!Ode_event.Detector.post_code}; every
+      advance steps a structure-of-arrays slot
     - [Firings] — trigger firings, both scopes [Engine]
     - [Tcomplete_rounds] — §6 [before tcomplete] fixpoint rounds [Txn]
     - [Undo_entries] — undo-log entries accumulated by finished (either
@@ -61,8 +57,6 @@ type counter =
   | Classified
   | Index_skipped
   | Transitions
-  | Slot_transitions
-  | Word_transitions
   | Firings
   | Tcomplete_rounds
   | Undo_entries

@@ -63,14 +63,6 @@ let flush_scratch_counters obs sc =
   if sc.sc_transitions <> 0 then begin
     Registry.add obs Registry.Transitions sc.sc_transitions;
     sc.sc_transitions <- 0
-  end;
-  if sc.sc_slot_steps <> 0 then begin
-    Registry.add obs Registry.Slot_transitions sc.sc_slot_steps;
-    sc.sc_slot_steps <- 0
-  end;
-  if sc.sc_word_steps <> 0 then begin
-    Registry.add obs Registry.Word_transitions sc.sc_word_steps;
-    sc.sc_word_steps <- 0
   end
 
 (* ------------------------------------------------------------------ *)
@@ -198,63 +190,73 @@ let rec classify_pass sc (row : krow) (o_acts : active_trigger option array)
     classify_pass sc row o_acts occurrence (i + 1)
   end
 
-(* Step pass: advance each active candidate, accumulating the fired
-   set in reverse (steady state: no cons). Committed-mode snapshots go
-   to [undo] — the caller's segment, merged into the transaction log
-   afterwards (a per-member segment under [post_many]); an irrelevant
-   occurrence provably changes neither the automaton state nor the
-   collected bindings, so the undo copies are only taken for relevant
-   ones. Mutates only this object's activations, so distinct objects
-   step safely in parallel. *)
+(* §9 parameter collection: the formals this occurrence binds, latest
+   occurrence winning. *)
+let collect_bindings at det code occurrence =
+  List.iter
+    (fun (name, v) ->
+      at.at_collected <- (name, v) :: List.remove_assoc name at.at_collected)
+    (Detector.collect_code det code occurrence)
+
+(* Advance one activation on a classified occurrence, at either scope:
+   collect §9 bindings, feed provenance, step its slot, then count and
+   trace the advance. Committed-mode snapshots go to [undo] (database
+   triggers are always Full_history, so they never take one); an
+   irrelevant occurrence provably changes neither the automaton state
+   nor the collected bindings, so the snapshots are only taken for
+   relevant ones. Masks are evaluated in [sc]'s environment; callers
+   attribute a [Mask.Eval_error] to the trigger (kept out of here so
+   the helper inlines into the kernel's step pass). *)
+let[@inline] advance db ~undo ~on sc (at : active_trigger) code oid occurrence =
+  let det = at.at_def.t_detector in
+  let relevant = Detector.code_relevant code in
+  let old_top = if on then at_top_state at else 0 in
+  if relevant then begin
+    if det.Detector.mode = Detector.Committed then
+      undo :=
+        U_trigger_collected (at, at.at_collected)
+        :: U_trigger_state (at, at_state_copy at)
+        :: !undo;
+    if det.Detector.has_formals then collect_bindings at det code occurrence
+  end;
+  (match at.at_provenance with
+  | Some prov ->
+    at.at_last_witnesses <-
+      Ode_event.Provenance.post prov ~env:sc.sc_env occurrence
+  | None -> ());
+  let fired =
+    Detector.post_code det at.at_blk.blk_state (at_off at) ~env:sc.sc_env code
+  in
+  if on && relevant then begin
+    sc.sc_transitions <- sc.sc_transitions + 1;
+    Registry.span db.obs
+      (Trace.Advanced
+         { scope =
+             (if at.at_def.t_class = "<database>" then Trace.Db
+              else Trace.Obj oid);
+           trigger = at.at_def.t_name; old_state = old_top;
+           new_state = at_top_state at })
+  end;
+  fired
+
+(* Step pass: advance each active candidate in declaration order,
+   accumulating the fired set in reverse (steady state: no cons).
+   Committed-mode snapshots go to [undo] — the caller's segment, merged
+   into the transaction log afterwards (a per-member segment under
+   [post_many]). Mutates only this object's activations, so distinct
+   objects step safely in parallel. *)
 let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
   if i >= Array.length row.kr_defs then List.rev acc
   else
     match obj.o_acts.(row.kr_defs.(i).t_index) with
     | Some at when at.at_active ->
-      let j = row.kr_det_of.(i) in
-      let det = row.kr_dets.(j) in
-      let code = sc.sc_codes.(j) in
-      let relevant = Detector.code_relevant code in
-      let old_top = if on then at_top_state at else 0 in
-      let fired_now =
-        try
-          if relevant && det.Detector.mode = Detector.Committed then begin
-            undo := U_trigger_state (at, at_state_copy at) :: !undo;
-            undo := U_trigger_collected (at, at.at_collected) :: !undo
-          end;
-          if relevant then
-            (match Detector.collect_code det code occurrence with
-            | [] -> ()
-            | bindings ->
-              List.iter
-                (fun (name, v) ->
-                  at.at_collected <-
-                    (name, v) :: List.remove_assoc name at.at_collected)
-                bindings);
-          (match at.at_provenance with
-          | Some prov ->
-            at.at_last_witnesses <-
-              Ode_event.Provenance.post prov ~env:sc.sc_env occurrence
-          | None -> ());
-          match at.at_state with
-          | S_slot (blk, slot) ->
-            Detector.post_code_slot det blk.blk_state (slot * blk.blk_words)
-              ~env:sc.sc_env code
-          | S_words w -> Detector.post_code det w ~env:sc.sc_env code
+      let code = sc.sc_codes.(row.kr_det_of.(i)) in
+      let fired =
+        try advance db ~undo ~on sc at code obj.o_id occurrence
         with Mask.Eval_error msg -> mask_error at msg
       in
-      if on && relevant then begin
-        sc.sc_transitions <- sc.sc_transitions + 1;
-        (match at.at_state with
-        | S_slot _ -> sc.sc_slot_steps <- sc.sc_slot_steps + 1
-        | S_words _ -> sc.sc_word_steps <- sc.sc_word_steps + 1);
-        Registry.span db.obs
-          (Trace.Advanced
-             { scope = Trace.Obj obj.o_id; trigger = at.at_def.t_name;
-               old_state = old_top; new_state = at_top_state at })
-      end;
-      step_pass db ~undo ~on sc row obj occurrence (i + 1)
-        (if fired_now then at :: acc else acc)
+      let acc = if fired then at :: acc else acc in
+      step_pass db ~undo ~on sc row obj occurrence (i + 1) acc
     | Some _ | None ->
       step_pass db ~undo ~on sc row obj occurrence (i + 1) acc
 
@@ -416,50 +418,6 @@ let classify_code_cached cache detector ~env occurrence =
     if n < classify_cache_cap then cache := (detector, c) :: !cache;
     c
 
-(* Step one database-scope activation from its packed code. Database
-   triggers are always Full_history mode, so no undo snapshots are ever
-   due. *)
-let step_db_code db (at : active_trigger) ~env code occurrence =
-  let obs = db.obs in
-  let on = Registry.enabled obs in
-  let det = at.at_def.t_detector in
-  try
-    let relevant = Detector.code_relevant code in
-    if relevant then
-      (match Detector.collect_code det code occurrence with
-      | [] -> ()
-      | bindings ->
-        List.iter
-          (fun (name, v) ->
-            at.at_collected <-
-              (name, v) :: List.remove_assoc name at.at_collected)
-          bindings);
-    (match at.at_provenance with
-    | Some prov ->
-      at.at_last_witnesses <- Ode_event.Provenance.post prov ~env occurrence
-    | None -> ());
-    let old_top = if on then at_top_state at else 0 in
-    let r =
-      match at.at_state with
-      | S_words w -> Detector.post_code det w ~env code
-      | S_slot (blk, slot) ->
-        Detector.post_code_slot det blk.blk_state (slot * blk.blk_words) ~env
-          code
-    in
-    if on && relevant then begin
-      Registry.incr obs Registry.Transitions;
-      Registry.incr obs
-        (match at.at_state with
-        | S_slot _ -> Registry.Slot_transitions
-        | S_words _ -> Registry.Word_transitions);
-      Registry.span obs
-        (Trace.Advanced
-           { scope = Trace.Db; trigger = at.at_def.t_name;
-             old_state = old_top; new_state = at_top_state at })
-    end;
-    r
-  with Mask.Eval_error msg -> mask_error at msg
-
 let post_db db (basic : Symbol.basic) args =
   let obs = db.obs in
   let on = Registry.enabled obs in
@@ -482,30 +440,39 @@ let post_db db (basic : Symbol.basic) args =
   | candidates ->
     let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
     let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
-    (* The event is classified {e at its origin} — the partition member
-       owning the affected oid, whose mask environment sees that
-       member's slice directly (dereferences still route group-wide;
-       unpartitioned, the origin is [db] itself) — into one packed int
-       code per distinct detector, and the codes are stepped on the
-       facade-owned automata. Every candidate is classified before any
-       steps, as on the object scope. *)
-    let env = Store.db_mask_env (Types.owner_db db affected) in
+    (* The event is classified {e at its origin} — in the scratch of
+       the partition member owning the affected oid, with no object
+       bound (dereferences route group-wide) — into one packed int code
+       per distinct detector, and the codes step the facade-owned
+       activations. Every candidate is classified before any steps, as
+       on the object scope. *)
+    let sc = (ensure_scratch db).(affected mod Types.n_partitions db) in
+    sc.sc_obj := None;
     let cache = ref [] in
     let coded =
       List.map
         (fun (at : active_trigger) ->
           let code =
-            try classify_code_cached cache at.at_def.t_detector ~env occurrence
+            try
+              classify_code_cached cache at.at_def.t_detector ~env:sc.sc_env
+                occurrence
             with Mask.Eval_error msg -> mask_error at msg
           in
           (at, code))
         candidates
     in
+    let undo = ref [] in
     let fired =
-      List.filter_map
-        (fun (at, code) ->
-          if step_db_code db at ~env code occurrence then Some at else None)
-        coded
+      Fun.protect
+        ~finally:(fun () -> if on then flush_scratch_counters obs sc)
+        (fun () ->
+          List.filter_map
+            (fun (at, code) ->
+              match advance db ~undo ~on sc at code affected occurrence with
+              | true -> Some at
+              | false -> None
+              | exception Mask.Eval_error msg -> mask_error at msg)
+            coded)
     in
     List.iter
       (fun at ->
@@ -539,9 +506,7 @@ let activate_db_trigger db name params =
   | Some def -> (
     match Hashtbl.find_opt db.engine.db_triggers name with
     | Some at ->
-      (* database-scope activations always own their word vector — the
-         SoA blocks are per-member, and the database scope has none *)
-      at.at_state <- S_words (Detector.initial def.t_detector);
+      at_state_reset at;
       at.at_collected <- [];
       at.at_provenance <-
         (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
@@ -551,11 +516,13 @@ let activate_db_trigger db name params =
       at.at_epoch <- at.at_epoch + 1;
       at.at_params <- params
     | None ->
+      let at_blk, at_slot = Store.private_slot def.t_detector in
       Hashtbl.add db.engine.db_triggers name
         {
           at_def = def;
           at_params = params;
-          at_state = S_words (Detector.initial def.t_detector);
+          at_blk;
+          at_slot;
           at_collected = [];
           at_provenance =
             (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
@@ -982,7 +949,7 @@ let activate db oid tname params =
   (match Hashtbl.find_opt obj.o_triggers tname with
   | Some at ->
     (* Re-activation re-arms the trigger: fresh automaton state, in
-       place — an SoA slot keeps its slot, a word vector is replaced. *)
+       place in its slot. *)
     tx.tx_undo <-
       U_trigger_state (at, at_state_copy at)
       :: U_trigger_active (Some obj, at, at.at_active)
@@ -1005,11 +972,13 @@ let activate db oid tname params =
     | [] -> ()
     | armed -> tx.tx_undo <- U_timers_armed armed :: tx.tx_undo)
   | None ->
+    let at_blk, at_slot = Store.soa_slot db oid def.t_detector in
     let at =
       {
         at_def = def;
         at_params = params;
-        at_state = Store.fresh_at_state db oid def.t_detector;
+        at_blk;
+        at_slot;
         at_collected = [];
         at_provenance =
           (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)

@@ -62,9 +62,6 @@ let write_obj w obj =
     (fun w (name, (at : active_trigger)) ->
       Codec.write_string w name;
       Codec.write_list w Codec.write_value at.at_params;
-      (* [at_state_copy] reads whichever representation the
-         activation uses, so SoA-packed and word-vector states
-         serialize to identical bytes *)
       Codec.write_array w Codec.write_int (at_state_copy at);
       Codec.write_list w
         (fun w (name, v) ->
@@ -104,33 +101,42 @@ let read_obj_raw r =
   in
   (oid, cname, fields, triggers)
 
-(* Materialize a parsed object into the heap: class re-resolved by
-   name, activations rebuilt with fresh detection-state representations
-   (SoA slot or word vector) then overwritten with the saved words. *)
-let install_obj db (oid, cname, fields, triggers) =
+(* Check a parsed object against the schema — class and triggers
+   resolved by name, every state vector inside its automaton — and
+   return what installs it: each activation gets a fresh slot, then
+   the saved words. Nothing is touched until the returned function
+   runs, so a loader can check a whole image before it resets the
+   heap. *)
+let resolve_obj db (oid, cname, fields, triggers) =
   let k =
     match Schema.find_class db cname with
     | Some k -> k
     | None -> raise (Codec.Corrupt ("image references unregistered class " ^ cname))
   in
-  let obj = Store.new_obj k oid in
-  (* saved field values override the class defaults installed by
-     [Store.new_obj] *)
-  List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) fields;
-  List.iter
-    (fun (name, params, state, collected, active, epoch) ->
-      match Hashtbl.find_opt k.k_triggers name with
-      | None -> raise (Codec.Corrupt ("image references unknown trigger " ^ name))
-      | Some def ->
-        if Array.length state <> Detector.n_state_words def.t_detector then
-          raise (Codec.Corrupt "trigger state size mismatch (schema changed?)");
+  let triggers =
+    List.map
+      (fun (name, params, state, collected, active, epoch) ->
+        match Hashtbl.find_opt k.k_triggers name with
+        | None -> raise (Codec.Corrupt ("image references unknown trigger " ^ name))
+        | Some def ->
+          Detector.check_state def.t_detector state;
+          (name, def, params, state, collected, active, epoch))
+      triggers
+  in
+  fun () ->
+    let obj = Store.new_obj k oid in
+    (* saved field values override the class defaults installed by
+       [Store.new_obj] *)
+    List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) fields;
+    List.iter
+      (fun (name, def, params, state, collected, active, epoch) ->
+        let at_blk, at_slot = Store.soa_slot db oid def.t_detector in
         let at =
           {
             at_def = def;
             at_params = params;
-            (* fresh representation (SoA slot or word vector), then
-               overwrite with the saved words *)
-            at_state = Store.fresh_at_state db oid def.t_detector;
+            at_blk;
+            at_slot;
             at_collected = collected;
             (* provenance instances are volatile: rebuilt empty after a
                load (documented in save) *)
@@ -146,8 +152,10 @@ let install_obj db (oid, cname, fields, triggers) =
         if active then obj.o_n_active <- obj.o_n_active + 1;
         Hashtbl.add obj.o_triggers name at;
         if def.t_index >= 0 then obj.o_acts.(def.t_index) <- Some at)
-    triggers;
-  Store.add_obj db obj
+      triggers;
+    Store.add_obj db obj
+
+let install_obj db raw = resolve_obj db raw ()
 
 let write_timer w (tm : timer) =
   Codec.write_int w (Int64.to_int tm.tm_due);
@@ -194,8 +202,9 @@ let encode db objs timers =
    contract; [Timewheel.pending] emits (due, seq) order. *)
 let image_bytes db = encode db (Store.live_objects db) (Timewheel.pending db)
 
-(* The one image decoder: the whole image is parsed before any caller
-   touches the heap, so a corrupt image does not leave a half-installed
+(* The one image decoder. Loaders parse the whole image and check every
+   object against the schema ([resolve_obj]) before they touch the
+   heap, so a corrupt image does not leave a half-installed or wiped
    database behind. *)
 let decode data =
   let r = Codec.reader data in
@@ -225,12 +234,13 @@ let bump_seq_counter db timers =
    [group_load_image]. *)
 let load_image db data =
   let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
+  let installs = List.map (resolve_obj db) objs in
   Store.reset_heap db;
   Timewheel.clear db;
   db.store.next_oid <- next_oid;
   db.txns.next_txn_id <- next_txn_id;
   db.wheel.clock_ms <- clock_ms;
-  List.iter (install_obj db) objs;
+  List.iter (fun install -> install ()) installs;
   List.iter (Timewheel.insert_timer db) timers;
   bump_seq_counter db timers
 
@@ -266,6 +276,8 @@ let group_load_image db data =
   | None -> load_image db data
   | Some p ->
     let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
+    (* [resolve_obj]'s installs route to the owning member *)
+    let installs = List.map (resolve_obj db) objs in
     Array.iter
       (fun m ->
         Store.reset_heap m;
@@ -275,8 +287,7 @@ let group_load_image db data =
         m.wheel.clock_ms <- clock_ms)
       p.p_members;
     db.txns.next_txn_id <- next_txn_id;
-    (* [install_obj]/[insert_timer] route to the owning member *)
-    List.iter (install_obj db) objs;
+    List.iter (fun install -> install ()) installs;
     List.iter (Timewheel.insert_timer db) timers;
     bump_seq_counter db timers
 

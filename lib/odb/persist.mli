@@ -30,7 +30,7 @@ val load : db -> string -> unit
 (** Restore a {!save}d image ({!group_load_image}) into a database
     whose classes have been registered again. Existing objects and
     timers are discarded. Raises [Codec.Corrupt] on a bad image or a
-    schema mismatch. *)
+    schema mismatch, and then leaves the database as it was. *)
 
 val image_bytes : db -> string
 (** The exact bytes {!save} would write for an unpartitioned db (a
@@ -40,8 +40,9 @@ val image_bytes : db -> string
     equivalence and crash-recovery suites compare. *)
 
 val load_image : db -> string -> unit
-(** [load] from in-memory bytes: parse fully, then reset the heap and
-    install. A [Codec.Corrupt] raised during the parse leaves the
+(** [load] from in-memory bytes: parse fully and check every object
+    against the schema, then reset the heap and install. A
+    [Codec.Corrupt] raised by the parse or the check leaves the
     database untouched. Member-local for a partition member (its WAL
     recovery restores only its own slice); see {!group_load_image}. *)
 
@@ -59,7 +60,7 @@ val group_load_image : db -> string -> unit
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted
-    trigger activations (params, state words via [at_state_copy],
+    trigger activations (params, state words,
     collected §9 bindings, active flag, epoch). *)
 
 val read_obj_raw :
@@ -92,10 +93,11 @@ val install_obj :
     list ->
   unit
 (** Materialize a {!read_obj_raw} result into the heap: re-resolve the
-    class by name, rebuild activations with fresh detection-state
-    representations, restore the saved state words, [Store.add_obj].
-    Raises [Codec.Corrupt] on an unregistered class, unknown trigger or
-    state-width mismatch. *)
+    class by name, give each activation a fresh detection-state slot,
+    restore the saved state words, [Store.add_obj]. Raises
+    [Codec.Corrupt] — before touching the heap — on an unregistered
+    class, an unknown trigger, or state words
+    {!Ode_event.Detector.check_state} rejects. *)
 
 val write_timer : Ode_base.Codec.writer -> timer -> unit
 val read_timer : Ode_base.Codec.reader -> timer

@@ -53,30 +53,21 @@ let new_obj k oid =
 (* Structure-of-arrays detection-state blocks                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Activations of flat-table detectors on heap objects keep their
-   automaton state vector — one word per level, one word total for
-   mask-free expressions — in a per-member block shared by all
-   activations of the same detector — the paper's "one integer per
-   active trigger per object", laid out so [post_many]'s step phase
-   sweeps a contiguous int array. Slot allocation and release only
-   happen in sequential pipeline phases (activation, undo, object
-   removal). *)
+(* Every activation keeps its automaton state vector — one word per
+   level, one word total for mask-free expressions — in a slot of a
+   block shared by all activations of the same detector on the owner
+   member's objects: the paper's "one integer per active trigger per
+   object", laid out so [post_many]'s step phase sweeps a contiguous
+   int array. Slot allocation and release only happen in sequential
+   pipeline phases (activation, undo, object removal). *)
 
-let soa_slot db oid (det : Ode_event.Detector.t) =
-  let db = Types.owner_db db oid in
-  let tbl = db.store.soa in
+let new_block (det : Ode_event.Detector.t) ~slots =
   let w = Ode_event.Detector.n_state_words det in
-  let blk =
-    match Hashtbl.find_opt tbl det.uid with
-    | Some b -> b
-    | None ->
-      let b =
-        { blk_words = w; blk_state = Array.make (16 * w) 0; blk_n = 0;
-          blk_free = [] }
-      in
-      Hashtbl.add tbl det.uid b;
-      b
-  in
+  { blk_words = w; blk_state = Array.make (slots * w) 0; blk_n = 0;
+    blk_free = [] }
+
+let take_slot blk det =
+  let w = blk.blk_words in
   let slot =
     match blk.blk_free with
     | s :: rest ->
@@ -93,21 +84,25 @@ let soa_slot db oid (det : Ode_event.Detector.t) =
       s
   in
   Ode_event.Detector.write_initial det blk.blk_state (slot * w);
-  S_slot (blk, slot)
+  (blk, slot)
 
-(* Fresh detection state for an activation of [det] on object [oid]:
-   packed into the owner member's SoA block when the detector qualifies, a
-   private word vector otherwise. *)
-let fresh_at_state db oid (det : Ode_event.Detector.t) =
-  if Ode_event.Detector.has_flat det then soa_slot db oid det
-  else S_words (Ode_event.Detector.initial det)
+let soa_slot db oid (det : Ode_event.Detector.t) =
+  let tbl = (Types.owner_db db oid).store.soa in
+  let blk =
+    match Hashtbl.find_opt tbl det.uid with
+    | Some b -> b
+    | None ->
+      let b = new_block det ~slots:16 in
+      Hashtbl.add tbl det.uid b;
+      b
+  in
+  take_slot blk det
 
-let free_at_state at =
-  match at.at_state with
-  | S_words _ -> ()
-  | S_slot (blk, slot) -> blk.blk_free <- slot :: blk.blk_free
+(* Outside every member's table, so [reset_heap] never drops it. *)
+let private_slot det = take_slot (new_block det ~slots:1) det
 
-let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_at_state at) obj.o_triggers
+let free_slot at = at.at_blk.blk_free <- at.at_slot :: at.at_blk.blk_free
+let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_slot at) obj.o_triggers
 
 (* The live-object count is maintained at the four mutation points
    (add, remove, delete-mark, undelete-mark) so [stats] and [cardinal
@@ -223,25 +218,11 @@ let get_field db oid name =
 (* Mask-evaluation environments                                        *)
 (* ------------------------------------------------------------------ *)
 
-let mask_env db obj : Mask.env =
-  {
-    var = (fun name -> Hashtbl.find_opt obj.o_fields name);
-    deref =
-      (fun oid fieldname ->
-        match live_obj_opt db oid with
-        | Some o -> Hashtbl.find_opt o.o_fields fieldname
-        | None -> None);
-    call =
-      (fun name args ->
-        match Hashtbl.find_opt db.schema.functions name with
-        | Some f -> f db args
-        | None -> raise (Mask.Eval_error ("unknown database function " ^ name)));
-  }
-
-(* A reusable posting-kernel scratch: same bindings as {!mask_env}, but
-   the object is indirected through a ref cell so one environment (and
-   its three closures) serves every post handled by a member instead of
-   being rebuilt — and reallocated — per event. *)
+(* A reusable posting-kernel scratch. Field reads resolve against the
+   object in the [sc_obj] cell (none: database scope), dereferences and
+   database functions against the heap and schema; the indirection lets
+   one environment (and its three closures) serve every post handled by
+   a member instead of being rebuilt — and reallocated — per event. *)
 let make_scratch db =
   let sc_obj = ref None in
   let sc_env : Mask.env =
@@ -264,22 +245,7 @@ let make_scratch db =
     }
   in
   { sc_obj; sc_env; sc_codes = Array.make 16 (-1); sc_classified = 0;
-    sc_skipped = 0; sc_transitions = 0; sc_slot_steps = 0; sc_word_steps = 0 }
-
-let db_mask_env db : Mask.env =
-  {
-    var = (fun _ -> None);
-    deref =
-      (fun oid fieldname ->
-        match live_obj_opt db oid with
-        | Some o -> Hashtbl.find_opt o.o_fields fieldname
-        | None -> None);
-    call =
-      (fun name args ->
-        match Hashtbl.find_opt db.schema.functions name with
-        | Some f -> f db args
-        | None -> raise (Mask.Eval_error ("unknown database function " ^ name)));
-  }
+    sc_skipped = 0; sc_transitions = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Event histories (§9)                                                *)

@@ -39,21 +39,26 @@ val new_obj : klass -> oid -> obj
 
 (** {1 Detection-state blocks}
 
-    Activations of flat-table detectors pack their automaton state into
-    a per-member structure-of-arrays block keyed by detector uid, strided
-    by the detector's state width (one word per automaton level) — the
-    paper's "one integer per active trigger per object", generalised to
-    a small fixed vector for composite-mask hierarchies. Allocation and
-    release happen only in sequential pipeline phases. *)
+    Every activation keeps its automaton state in a slot of a
+    structure-of-arrays block, strided by the detector's state width
+    (one word per automaton level) — the paper's "one integer per active
+    trigger per object", generalised to a small fixed vector for
+    composite-mask hierarchies. Object activations share a per-member
+    block keyed by detector uid. Allocation and release happen only in
+    sequential pipeline phases. *)
 
-val fresh_at_state : db -> oid -> Ode_event.Detector.t -> trig_state
-(** Fresh initial detection state for an activation of this detector on
-    this object: an SoA slot when the detector qualifies
-    ({!Ode_event.Detector.has_flat}), a private word vector otherwise. *)
+val soa_slot : db -> oid -> Ode_event.Detector.t -> soa_block * int
+(** A slot holding the detector's initial state, in the block the
+    owner member of [oid] keeps for this detector. *)
 
-val free_at_state : active_trigger -> unit
-(** Return the activation's SoA slot (if any) to its block's free list.
-    Call only when the activation is being discarded. *)
+val private_slot : Ode_event.Detector.t -> soa_block * int
+(** A slot holding the detector's initial state, in a fresh one-slot
+    block outside every member's table — a database-scope activation's,
+    which {!reset_heap} leaves alone. *)
+
+val free_slot : active_trigger -> unit
+(** Return the activation's slot to its block's free list. Call only
+    when the activation is being discarded. *)
 
 val add_obj : db -> obj -> unit
 val remove_obj : db -> oid -> unit
@@ -106,18 +111,13 @@ val get_field : db -> oid -> string -> Value.t
 
 (** {1 Mask-evaluation environments} *)
 
-val mask_env : db -> obj -> Ode_event.Mask.env
-(** Field reads resolve against [obj]; dereferences and database
-    functions against the heap and schema. *)
-
-val db_mask_env : db -> Ode_event.Mask.env
-(** No object in scope: only dereferences and database functions. *)
-
 val make_scratch : db -> scratch
-(** A reusable posting-kernel buffer: a {!mask_env}-equivalent
-    environment reading fields through the scratch's [sc_obj] cell, plus
-    a grow-only classification-code buffer. The engine keeps one per
-    partition member. *)
+(** A reusable posting-kernel buffer: a mask environment whose field
+    reads resolve against the object in the scratch's [sc_obj] cell (no
+    fields when it holds [None], as for database-scope posts) and whose
+    dereferences and database functions resolve against the heap and
+    schema, plus a grow-only classification-code buffer. The engine
+    keeps one per partition member. *)
 
 (** {1 Event histories (§9)} *)
 

@@ -115,7 +115,7 @@ let apply_undo db entry =
       set_trigger_active (Some obj) at false;
       let idx = at.at_def.t_index in
       if idx >= 0 && idx < Array.length obj.o_acts then obj.o_acts.(idx) <- None;
-      Store.free_at_state at;
+      Store.free_slot at;
       Hashtbl.remove obj.o_triggers name)
 
 (* Fold the per-shard undo segments a parallel classify/step phase

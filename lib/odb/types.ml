@@ -166,14 +166,9 @@ and scratch = {
   mutable sc_classified : int;
   mutable sc_skipped : int;
   mutable sc_transitions : int;
-  mutable sc_slot_steps : int;
-  mutable sc_word_steps : int;
       (* counter accumulators, flushed to the registry once per post
          phase (per member task under [post_many]) instead of per
-         candidate — the atomics stay exact, off the inner loop. The
-         slot/word split is the kernel-coverage breakdown: transitions
-         taken through the flat-table SoA path vs the boxed
-         word-vector fallback. *)
+         candidate — the atomics stay exact, off the inner loop *)
 }
 
 (* [Timewheel]: simulated time. *)
@@ -328,23 +323,18 @@ and fire_context = {
 and active_trigger = {
   at_def : trigger_def;
   mutable at_params : Value.t list;  (* activation arguments, passed to the action *)
-  mutable at_state : trig_state;
+  at_blk : soa_block;
+  at_slot : int;
+      (* the automaton state vector lives at
+         [at_blk.blk_state.(at_slot * at_blk.blk_words ..)]: an object's
+         activation in its owner member's block for the detector, a
+         database-scope activation in a private one-slot block *)
   mutable at_collected : (string * Value.t) list;  (* §9 parameter collection *)
   mutable at_provenance : Ode_event.Provenance.t option;  (* when t_witnesses *)
   mutable at_last_witnesses : (string * Value.t) list list;
   mutable at_active : bool;
   mutable at_epoch : int;  (* bumped on (re)activation; stale timers check it *)
 }
-
-(* Where an activation's automaton state lives. Detectors whose whole
-   level stack carries flat transition tables ([Detector.has_flat] —
-   all compilable expressions in practice) pack their fixed state
-   vector into the per-member SoA blocks; everything else — automata
-   past the flat-cell budget, database-scope activations — keeps its
-   own word vector. *)
-and trig_state =
-  | S_words of Detector.state
-  | S_slot of soa_block * int
 
 and obj = {
   o_id : oid;
@@ -380,7 +370,7 @@ and undo_entry =
   | U_create of obj
   | U_delete of obj
   | U_trigger_state of active_trigger * int array
-      (* snapshot of the state words, whatever the representation *)
+      (* snapshot of the state words *)
   | U_trigger_collected of active_trigger * (string * Value.t) list
   | U_trigger_active of obj option * active_trigger * bool
       (* the owning object (None for database scope) so undo can keep
@@ -554,37 +544,23 @@ let owner_db db oid =
 (* ------------------------------------------------------------------ *)
 (* Detection-state accessors                                          *)
 (*                                                                    *)
-(* All reads and writes of [at_state] outside the kernel's inner loop *)
-(* go through these, so undo snapshots, persistence images and the    *)
-(* public [trigger_state] API are byte-identical whichever            *)
-(* representation the activation uses.                                *)
+(* All reads and writes of an activation's state words outside the    *)
+(* kernel's inner loop go through these: undo snapshots, persistence  *)
+(* images and the public [trigger_state] API.                         *)
 (* ------------------------------------------------------------------ *)
 
-let at_state_copy at =
-  match at.at_state with
-  | S_words w -> Array.copy w
-  | S_slot (b, i) -> Array.sub b.blk_state (i * b.blk_words) b.blk_words
+let[@inline] at_off at = at.at_slot * at.at_blk.blk_words
+
+let at_state_copy at = Array.sub at.at_blk.blk_state (at_off at) at.at_blk.blk_words
 
 let at_state_restore at w =
-  match at.at_state with
-  | S_words _ -> at.at_state <- S_words w
-  | S_slot (b, i) -> Array.blit w 0 b.blk_state (i * b.blk_words) b.blk_words
+  Array.blit w 0 at.at_blk.blk_state (at_off at) at.at_blk.blk_words
 
 let at_state_reset at =
-  match at.at_state with
-  | S_words _ -> at.at_state <- S_words (Detector.initial at.at_def.t_detector)
-  | S_slot (b, i) ->
-    Detector.write_initial at.at_def.t_detector b.blk_state (i * b.blk_words)
+  Detector.write_initial at.at_def.t_detector at.at_blk.blk_state (at_off at)
 
-let at_top_state at =
-  match at.at_state with
-  | S_words w -> Detector.top_state w
-  | S_slot (b, i) -> b.blk_state.(((i + 1) * b.blk_words) - 1)
-
-let at_state_len at =
-  match at.at_state with
-  | S_words w -> Array.length w
-  | S_slot (b, _) -> b.blk_words
+let at_top_state at = at.at_blk.blk_state.(at_off at + at.at_blk.blk_words - 1)
+let at_state_len at = at.at_blk.blk_words
 
 (* Single point maintaining the per-object active count next to the
    flag; [obj_opt] is [None] for database-scope activations. *)

@@ -103,7 +103,7 @@ let test_kernel_allocations () =
    advances a two-word SoA slot through the per-level flat tables and
    evaluates the mask against the object environment. Pins the
    multi-level kernel path to a constant (if larger) envelope — a
-   per-level or per-dependency allocation in [Compile.step_flat_masks]
+   per-level or per-dependency allocation in [Compile.step]
    would scale it and blow the budget. *)
 let test_multi_level_allocations () =
   match Sys.backend_type with

@@ -11,10 +11,11 @@
    commits and aborts, comparing firings, collected §9 bindings,
    witnesses, automaton states and activation flags.
 
-   [kernel_codes_match_semantics] additionally pins the kernel's
-   classify/step primitives ([Detector.classify_code] / [post_code] /
-   [post_code_slot]) directly against the §4 denotational semantics, so
-   the engine-level property cannot pass by both sides sharing a broken
+   [kernel_codes_match_semantics] and [masked_slots_match_semantics]
+   additionally pin the kernel's classify/step primitives
+   ([Detector.classify_code] / [post_code] on a slot inside a larger
+   block) directly against the §4 denotational semantics, so the
+   engine-level property cannot pass by both sides sharing a broken
    detector. *)
 
 open Ode_odb
@@ -262,15 +263,49 @@ let index_equals_scan =
       let actual, expected = run case in
       actual = expected)
 
+(* Step a code stream through a detector's state vector stored at
+   offset 1 of a block with one guard cell on each side, as the
+   database's SoA blocks hold it. Fails the property when stepping
+   writes outside the slot. *)
+let step_in_slot det ~set_env steps =
+  let w = Detector.n_state_words det in
+  let cells = Array.make (w + 2) 0 in
+  Detector.write_initial det cells 1;
+  let fired =
+    List.map
+      (fun (code, at) ->
+        let env = set_env at in
+        Detector.post_code det cells 1 ~env code)
+      steps
+  in
+  if cells.(0) <> 0 || cells.(w + 1) <> 0 then
+    QCheck.Test.fail_report "slot stepping clobbered neighbouring cells";
+  fired
+
+(* The §4 reference for a classified stream: drop the occurrences none
+   of the trigger's logical events matched, label the rest with
+   [Semantics.eval], and report [false] at the dropped ones. *)
+let semantics_fired ?oracle alphabet lowered classified =
+  let kept = List.filter (fun s -> s <> Rewrite.other alphabet) classified in
+  let labels = Semantics.eval ?oracle lowered (Array.of_list kept) in
+  let j = ref (-1) in
+  List.map
+    (fun s ->
+      if s = Rewrite.other alphabet then false
+      else begin
+        incr j;
+        labels.(!j)
+      end)
+    classified
+
 (* The kernel's own primitives against the §4 reference semantics: for a
    random surface expression and occurrence stream, classify each
-   occurrence to a packed code, step the detector by code (both the
-   word-vector variant and — when the detector has a flat table — the
-   one-word SoA slot variant), and compare the accept stream with
-   [Semantics.eval] over the classified, filtered symbol history. Mirrors
-   [test_pipeline]'s detector property but through the kernel entry
-   points, so a discrepancy between [post] and [post_code]/[post_code_slot]
-   cannot hide behind a shared implementation. *)
+   occurrence to a packed code, step the detector's slot by code, and
+   compare the accept stream with [Semantics.eval] over the classified,
+   filtered symbol history. Mirrors [test_pipeline]'s detector property
+   but through the kernel entry points, so a discrepancy between [post]
+   and [post_code] on a slot cannot hide behind a shared
+   implementation. *)
 let kernel_codes_match_semantics =
   let env = Ode_event.Mask.empty_env in
   QCheck.Test.make ~count:300 ~name:"kernel classify/step codes = semantics"
@@ -285,55 +320,23 @@ let kernel_codes_match_semantics =
       match Detector.make e with
       | exception Invalid_argument _ -> true (* state-limit: skip *)
       | det ->
-        let codes = List.map (Detector.classify_code det ~env) occs in
-        let state = Detector.initial det in
-        let fired = List.map (Detector.post_code det state ~env) codes in
-        (if Detector.has_flat det then begin
-           let w = Detector.n_state_words det in
-           let cells = Array.make (w + 2) 0 in
-           Detector.write_initial det cells 1;
-           let slot_fired =
-             List.map (Detector.post_code_slot det cells 1 ~env) codes
-           in
-           if slot_fired <> fired then
-             QCheck.Test.fail_report "SoA slot stepping diverged from word vector";
-           if Array.sub cells 1 w <> state then
-             QCheck.Test.fail_report
-               "slot state diverged from word-vector state";
-           if cells.(0) <> 0 || cells.(w + 1) <> 0 then
-             QCheck.Test.fail_report "slot stepping clobbered neighbouring cells"
-         end);
-        (* reference: classify, drop non-events, evaluate denotationally *)
+        let codes = List.map (fun o -> (Detector.classify_code det ~env o, ())) occs in
+        let fired = step_in_slot det ~set_env:(fun () -> env) codes in
         let alphabet, lowered, _ = Rewrite.build e in
         let classified =
           List.map (fun occ -> Rewrite.classify alphabet ~env occ) occs
         in
-        let kept =
-          List.filter (fun s -> s <> Rewrite.other alphabet) classified
-        in
-        let labels = Semantics.eval lowered (Array.of_list kept) in
-        let expected = ref [] in
-        let j = ref 0 in
-        List.iter
-          (fun s ->
-            if s = Rewrite.other alphabet then expected := false :: !expected
-            else begin
-              expected := labels.(!j) :: !expected;
-              incr j
-            end)
-          classified;
-        fired = List.rev !expected)
+        fired = semantics_fired alphabet lowered classified)
 
-(* Multi-level automata through the flat tables: wrap random
-   subexpressions in composite masks (each mask a [cm<i> = true] lookup
-   the environment answers differently at different positions of the
-   stream), then step the same code stream through the word-vector path
-   and the SoA slot path. Both must agree on every firing and end in
-   identical state words — and every such expression must be
-   kernel-eligible, masks, counting and nesting included. *)
-let masked_slots_match_words =
+(* Multi-level automata on a slot: wrap random subexpressions in
+   composite masks (each mask a [cm<i> = true] lookup the environment
+   answers differently at different positions of the stream), step the
+   code stream through the slot, and compare with [Semantics.eval]
+   under the oracle that evaluates each mask in the environment of the
+   position asking. *)
+let masked_slots_match_semantics =
   QCheck.Test.make ~count:300
-    ~name:"multi-level slot stepping = word stepping under varying masks"
+    ~name:"multi-level slot stepping = semantics under varying masks"
     (QCheck.make
        ~print:(fun (e, steps) ->
          Fmt.str "%a on %d occurrences" Expr.pp e (List.length steps))
@@ -346,40 +349,41 @@ let masked_slots_match_words =
       match Detector.make e with
       | exception Invalid_argument _ -> true (* state-limit: skip *)
       | det ->
-        if not (Detector.has_flat det) then
-          QCheck.Test.fail_report "masked expression missed the flat tables";
-        let current = ref [| true; true; true |] in
-        let env =
+        let env_of flags =
           {
             Ode_event.Mask.empty_env with
             var =
               (fun n ->
                 match n with
-                | "cm0" -> Some (Value.Bool !current.(0))
-                | "cm1" -> Some (Value.Bool !current.(1))
-                | "cm2" -> Some (Value.Bool !current.(2))
+                | "cm0" -> Some (Value.Bool flags.(0))
+                | "cm1" -> Some (Value.Bool flags.(1))
+                | "cm2" -> Some (Value.Bool flags.(2))
                 | _ -> None);
           }
         in
-        let state = Detector.initial det in
-        let w = Detector.n_state_words det in
-        let cells = Array.make (w + 2) 0 in
-        Detector.write_initial det cells 1;
-        let agree =
-          List.for_all
+        let codes =
+          List.map
             (fun (occ, flags) ->
-              current := flags;
-              let code = Detector.classify_code det ~env occ in
-              let word_fired = Detector.post_code det state ~env code in
-              let slot_fired = Detector.post_code_slot det cells 1 ~env code in
-              word_fired = slot_fired)
+              (Detector.classify_code det ~env:(env_of flags) occ, flags))
             steps
         in
-        if not agree then
-          QCheck.Test.fail_report "slot and word paths fired differently";
-        if Array.sub cells 1 w <> state then
-          QCheck.Test.fail_report "slot state diverged from word-vector state";
-        cells.(0) = 0 && cells.(w + 1) = 0)
+        let fired = step_in_slot det ~set_env:env_of codes in
+        let alphabet, lowered, masks = Rewrite.build e in
+        let classified =
+          List.map
+            (fun (occ, flags) -> Rewrite.classify alphabet ~env:(env_of flags) occ)
+            steps
+        in
+        (* semantics positions count the kept occurrences only *)
+        let kept_flags =
+          List.filter_map
+            (fun ((_, flags), s) ->
+              if s = Rewrite.other alphabet then None else Some flags)
+            (List.combine steps classified)
+          |> Array.of_list
+        in
+        let oracle id p = Mask.eval_bool (env_of kept_flags.(p)) masks.(id) in
+        fired = semantics_fired ~oracle alphabet lowered classified)
 
 (* A directed case, so the property above cannot pass vacuously with
    the kernel and the reference broken the same way: check actual
@@ -439,5 +443,5 @@ let suite =
        [
          index_equals_scan;
          kernel_codes_match_semantics;
-         masked_slots_match_words;
+         masked_slots_match_semantics;
        ]

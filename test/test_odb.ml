@@ -600,6 +600,49 @@ let test_stats () =
   Alcotest.(check int) "activations" 5 s.D.n_active_triggers;
   Alcotest.(check int) "8 bytes per activation" 40 s.D.state_bytes
 
+(* [n] composite masks nested through an [|]: level [k] is
+   [(level (k-1) | after never) && n = 0], so every [incr] satisfies all
+   of them, and the stack needs one state word per level plus the top. *)
+let nested_masks n =
+  let rec level k =
+    if k = 0 then Ode_event.Expr.after "incr"
+    else
+      Ode_event.Expr.Masked
+        ( Ode_event.Expr.Or (level (k - 1), Ode_event.Expr.after "never"),
+          Ode_event.Mask.(Cmp (Ge, Var "n", Const (Value.Int 0))) )
+  in
+  level n
+
+(* [Compile.step] carries the levels' derived bits in one int: 62 levels
+   compile and fire through the database, 63 are rejected when the
+   trigger is declared. *)
+let test_mask_level_limit () =
+  let fired = ref 0 in
+  let triggers b =
+    D.trigger b ~perpetual:true "deep" ~event:(nested_masks 62)
+      ~action:(fun _ _ -> incr fired)
+  in
+  let db = fresh_db ~triggers () in
+  expect_ok
+    (D.with_txn db (fun _ ->
+         let oid = D.create db "counter" [] in
+         D.activate db oid "deep" [];
+         Alcotest.(check int) "one word per level" 63
+           (D.trigger_state_words db oid "deep");
+         ignore (D.call db oid "incr" []);
+         ignore (D.call db oid "incr" [])));
+  Alcotest.(check int) "fires on every incr" 2 !fired;
+  match
+    D.trigger (counter_class ()) "too_deep" ~event:(nested_masks 63)
+      ~action:(fun _ _ -> ())
+  with
+  | _ -> Alcotest.fail "63 composite-mask levels accepted"
+  | exception D.Ode_error msg ->
+    Alcotest.(check string) "names the trigger and the limit"
+      "trigger counter.too_deep: Compile.compile: more than 62 composite-mask \
+       levels"
+      msg
+
 let suite =
   [
     Alcotest.test_case "create/call/commit" `Quick test_basics;
@@ -626,4 +669,6 @@ let suite =
     Alcotest.test_case "state events (bare boolean)" `Quick test_state_event_trigger;
     Alcotest.test_case "witness triggers (§9 provenance)" `Quick test_witness_trigger;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "at most 62 composite-mask levels" `Quick
+      test_mask_level_limit;
   ]

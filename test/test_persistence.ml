@@ -281,6 +281,103 @@ let test_committed_mode_abort_history () =
   Alcotest.(check bool) "final images byte-identical" true
     (String.equal img_direct img_loaded)
 
+(* One class, two schema versions: trigger [counter] keeps its name and
+   its one-word state but its automaton shrinks from [choose 60] (62
+   states) to [after deposit; after deposit] (a handful), and [extra]
+   exists only in the first version. *)
+let versioned_class ~v1 =
+  let b =
+    D.define_class "item"
+    |> (fun b -> D.field b "qty" (Value.Int 0))
+    |> fun b ->
+    D.method_ b ~kind:D.Updating "deposit" (fun db oid _ ->
+        D.set_field db oid "qty" (Value.add (D.get_field db oid "qty") (Value.Int 1));
+        Value.Unit)
+  in
+  let b =
+    D.trigger b ~perpetual:true "counter"
+      ~event:
+        (P.parse_event
+           (if v1 then "choose 60 (after deposit)"
+            else "after deposit; after deposit"))
+      ~action:(fun _ _ -> ())
+  in
+  if v1 then
+    D.trigger b ~perpetual:true "extra"
+      ~event:(P.parse_event "after deposit") ~action:(fun _ _ -> ())
+  else b
+
+let versioned_db ~partitions ~v1 =
+  let db =
+    D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions } ()
+  in
+  D.register_class db (versioned_class ~v1);
+  db
+
+let create_items db ~n ~triggers ~deposits =
+  expect_ok
+    (D.with_txn db (fun _ ->
+         List.init n (fun _ ->
+             let oid = D.create db "item" [] in
+             List.iter (fun t -> D.activate db oid t []) triggers;
+             for _ = 1 to deposits do
+               ignore (D.call db oid "deposit" [])
+             done;
+             oid)))
+
+let rejects_corrupt f =
+  match f () with
+  | () -> false
+  | exception Ode_base.Codec.Corrupt _ -> true
+
+(* A saved state word must lie inside its automaton: [counter]'s word
+   after 50 deposits is a valid [choose 60] state but none of the small
+   automaton's, which would send every later step out of its transition
+   table. *)
+let test_state_word_range () =
+  List.iter
+    (fun partitions ->
+      let v1 = versioned_db ~partitions ~v1:true in
+      let oid =
+        List.hd (create_items v1 ~n:1 ~triggers:[ "counter" ] ~deposits:50)
+      in
+      let state = D.trigger_state v1 oid "counter" in
+      Alcotest.(check int) "one state word" 1 (Array.length state);
+      Alcotest.(check bool) "deep state word" true (state.(0) > 10);
+      D.save v1 tmp;
+      let v2 = versioned_db ~partitions ~v1:false in
+      Alcotest.(check bool) "load rejects the word" true
+        (rejects_corrupt (fun () -> D.load v2 tmp));
+      let det v1 =
+        Ode_event.Detector.make
+          (P.parse_event
+             (if v1 then "choose 60 (after deposit)"
+              else "after deposit; after deposit"))
+      in
+      Alcotest.(check bool) "decode_state rejects the word" true
+        (rejects_corrupt (fun () ->
+             ignore
+               (Ode_event.Detector.decode_state (det false)
+                  (Ode_event.Detector.encode_state (det true) state)))))
+    [ 1; 3 ]
+
+(* A load the schema rejects must leave the database as it was: every
+   object is checked before the heap is reset. *)
+let test_rejected_load_keeps_db () =
+  List.iter
+    (fun partitions ->
+      let v1 = versioned_db ~partitions ~v1:true in
+      ignore (create_items v1 ~n:2 ~triggers:[ "counter"; "extra" ] ~deposits:1);
+      D.save v1 tmp;
+      let v2 = versioned_db ~partitions ~v1:false in
+      ignore (create_items v2 ~n:5 ~triggers:[ "counter" ] ~deposits:1);
+      let before = D.image_bytes v2 in
+      Alcotest.(check bool) "unknown trigger rejected" true
+        (rejects_corrupt (fun () -> D.load v2 tmp));
+      Alcotest.(check int) "objects kept" 5 (List.length (D.objects v2));
+      Alcotest.(check bool) "image unchanged" true (D.image_bytes v2 = before))
+    [ 1; 3 ]
+
 let suite =
   [
     Alcotest.test_case "image round-trip" `Quick test_roundtrip;
@@ -293,4 +390,8 @@ let suite =
       test_equal_deadline_timers;
     Alcotest.test_case "committed-mode abort history survives load" `Quick
       test_committed_mode_abort_history;
+    Alcotest.test_case "load rejects state words outside the automaton" `Quick
+      test_state_word_range;
+    Alcotest.test_case "rejected load leaves the database as it was" `Quick
+      test_rejected_load_keeps_db;
   ]

@@ -393,10 +393,8 @@ let post_many_domains_equal =
 
 (* Kernel coverage, detector level: every expression the generators can
    produce — composite masks, [choose]/[every] counting, nesting — must
-   compile to the flat-table representation in both history modes. The
-   multi-level tables made the full algebra kernel-eligible; this pins
-   that no compilable expression silently falls back to the boxed
-   interpreter. *)
+   compile to packed tables at every level in both history modes, so no
+   compilable expression silently steps through the DFA rows instead. *)
 let all_expressions_flat =
   QCheck.Test.make ~count:300 ~name:"kernel coverage: every compilable expression has flat tables"
     (QCheck.make
@@ -407,25 +405,48 @@ let all_expressions_flat =
         (fun mode ->
           match Detector.make ~mode e with
           | exception Invalid_argument _ -> true (* state-limit: skip *)
-          | det -> Detector.has_flat det)
+          | det ->
+            let c = det.Detector.compiled in
+            c.Compile.flat <> None
+            && Array.for_all (fun l -> l.Compile.l_flat <> None) c.levels)
         [ Detector.Full_history; Detector.Committed ])
 
-(* Kernel coverage, pipeline level: with every object-scope detector
-   flat-eligible and no database-scope triggers in the batch schema,
-   every automaton advance must go through a SoA slot — the boxed
-   word-vector counter stays at zero. *)
-let batch_steps_all_slots =
-  QCheck.Test.make ~count:30
-    ~name:"post_many: object-scope advances are all flat-table slots"
-    (QCheck.make ~print:print_batch_case gen_batch_case)
-    (fun case ->
-      QCheck.assume (List.for_all compiles case.btriggers);
-      let _, _, _, _, _, counters, _, _ =
-        run_batch ~partitions:8 ~domains:2 case
-      in
-      let get n = List.assoc n counters in
-      get "word_transitions" = 0
-      && get "slot_transitions" = get "transitions")
+(* The other branch of [Compile.step]: an automaton past the packed-cell
+   budget steps through its [Dfa] rows. Stripping every table from a
+   compiled stack must change neither the firings nor the final state
+   words, under a scripted mask stream. *)
+let dfa_rows_equal_tables =
+  let m = 4 in
+  QCheck.Test.make ~count:300
+    ~name:"kernel coverage: DFA-row stepping = packed-table stepping"
+    (QCheck.make
+       ~print:(fun ((e, _), h, seed) ->
+         Fmt.str "%s on %s (seed %d)" (Gen.lowered_print e)
+           (Gen.history_print h) seed)
+       QCheck.Gen.(
+         let* em = Gen.gen_lowered_masked ~m () in
+         let* len = int_range 0 20 in
+         let* h = Gen.gen_history ~m ~len in
+         let* seed = int_bound 10_000 in
+         return (em, h, seed)))
+    (fun ((e, _), h, seed) ->
+      match Compile.compile ~m e with
+      | exception Invalid_argument _ -> true (* state-limit: skip *)
+      | packed ->
+        let rows =
+          { packed with
+            Compile.flat = None;
+            levels =
+              Array.map (fun l -> { l with Compile.l_flat = None }) packed.levels }
+        in
+        let oracle = Gen.oracle_of_seed seed in
+        let eval p id = oracle id p in
+        let drive c =
+          let state = Compile.initial c in
+          let fired = Array.mapi (fun p sym -> Compile.step c state 0 sym eval p) h in
+          (fired, state)
+        in
+        drive packed = drive rows)
 
 (* ------------------------------------------------------------------ *)
 (* Directed tests                                                      *)
@@ -616,6 +637,6 @@ let suite =
       [
         heap_equals_sharded;
         all_expressions_flat;
-        batch_steps_all_slots;
+        dfa_rows_equal_tables;
         post_many_domains_equal;
       ]
