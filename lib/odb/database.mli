@@ -505,7 +505,10 @@ val subscriber_count : t -> int
 
     They are always [Full_history] (no per-transaction rollback: schema
     events may happen outside transactions) and their actions run in
-    whatever transaction — possibly none — posted the event. *)
+    whatever transaction — possibly none — posted the event ([f_txn] is
+    then 0). A time event is rejected when the trigger is declared
+    ([Ode_error "database trigger T: time events need an object
+    scope"]): timers are armed per object, so it could never fire. *)
 
 val db_trigger :
   t ->

@@ -26,18 +26,6 @@ let kind_name db basic =
     Hashtbl.add db.engine.kind_names basic s;
     s
 
-(* Database-scope activations only — object scope reads the maintained
-   [o_n_active] counter instead of folding the activation table. *)
-let count_active triggers =
-  Hashtbl.fold (fun _ at n -> if at.at_active then n + 1 else n) triggers 0
-
-(* Counters for one database-scope dispatch decision: how many
-   candidates reach the classifier, and how many active triggers the
-   index pruned away. *)
-let record_dispatch obs ~n_active ~n_candidates =
-  Registry.add obs Registry.Classified n_candidates;
-  Registry.add obs Registry.Index_skipped (max 0 (n_active - n_candidates))
-
 (* Per-member scratch buffers, built on first kernel post; the member
    count is fixed at database creation, so the array never resizes.
    Each scratch is built against its member (lookups route group-wide
@@ -66,41 +54,8 @@ let flush_scratch_counters obs sc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Database-scope candidate selection                                  *)
-(* ------------------------------------------------------------------ *)
-
-let db_candidate_triggers db (basic : Symbol.basic) =
-  match Hashtbl.find_opt db.schema.db_dispatch (Symbol.basic_key basic) with
-  | None -> []
-  | Some defs ->
-    List.filter_map
-      (fun (d : trigger_def) ->
-        match Hashtbl.find_opt db.engine.db_triggers d.t_name with
-        | Some at when at.at_active -> Some at
-        | Some _ | None -> None)
-      defs
-
-(* ------------------------------------------------------------------ *)
 (* Firing notification: subscriptions                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* The only notification surface. Every firing — object or database
-   scope — flows through here to the subscribers in subscription
-   order. *)
-let notify_firing db (f : firing) =
-  let obs = db.obs in
-  if Registry.enabled obs then begin
-    Registry.incr obs Registry.Firings;
-    Registry.span obs
-      (Trace.Fired
-         {
-           scope = (if f.f_class = "<database>" then Trace.Db else Trace.Obj f.f_oid);
-           trigger = f.f_trigger;
-           txn = f.f_txn;
-           at_ms = f.f_at;
-         })
-  end;
-  List.iter (fun s -> if s.s_active then s.s_fn f) db.engine.subscribers
 
 let subscribe_firings db fn =
   let s = { s_id = db.engine.next_sub_id; s_fn = fn; s_active = true } in
@@ -134,12 +89,8 @@ let unsubscribe db s =
    once. Both go through the compiled kernel below. *)
 
 let mask_error at msg =
-  if at.at_def.t_class = "<database>" then
-    ode_error "database trigger %s: mask evaluation failed: %s"
-      at.at_def.t_name msg
-  else
-    ode_error "trigger %s.%s: mask evaluation failed: %s" at.at_def.t_class
-      at.at_def.t_name msg
+  ode_error "%s: mask evaluation failed: %s"
+    (trigger_label at.at_def.t_class at.at_def.t_name) msg
 
 (* ------------------------------------------------------------------ *)
 (* The compiled posting kernel                                         *)
@@ -232,7 +183,7 @@ let[@inline] advance db ~undo ~on sc (at : active_trigger) code oid occurrence =
     Registry.span db.obs
       (Trace.Advanced
          { scope =
-             (if at.at_def.t_class = "<database>" then Trace.Db
+             (if at.at_def.t_class = db_class_name then Trace.Db
               else Trace.Obj oid);
            trigger = at.at_def.t_name; old_state = old_top;
            new_state = at_top_state at })
@@ -286,10 +237,8 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
         sc.sc_codes <- Array.make (max 16 (2 * n_dets)) unclassified
       else Array.fill sc.sc_codes 0 n_dets unclassified;
       (* the ref retains the last posted object of the member until the
-         next post — deliberate: re-wrapping per call is the only
-         allocation this assignment costs, and clearing it afterwards
-         would need a protect closure *)
-      sc.sc_obj := Some obj;
+         next post: clearing it afterwards would need a protect closure *)
+      sc.sc_obj := obj;
       classify_pass sc row obj.o_acts occurrence 0;
       step_pass db ~undo ~on sc row obj occurrence 0 []
     end
@@ -297,16 +246,6 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
 (* ------------------------------------------------------------------ *)
 (* The firing pipeline                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let log_firing db tx (at : active_trigger) obj =
-  notify_firing db
-    {
-      f_trigger = at.at_def.t_name;
-      f_class = at.at_def.t_class;
-      f_oid = obj.o_id;
-      f_at = db.wheel.clock_ms;
-      f_txn = tx.tx_id;
-    }
 
 (* Run one fired action. The span is emitted whenever observability is
    on; the clock is only read — and the histogram only fed — when
@@ -329,28 +268,44 @@ let run_action db (at : active_trigger) ~scope ctx =
       (Trace.Action_ran { scope; trigger = at.at_def.t_name; ns = 0 })
   end
 
-(* Phase 2 of the pipeline: deactivate one-shot triggers, log and run the
-   actions of the set that fired. *)
-let post_fired db tx obj occurrence fired =
+(* Phase 3 at either scope: deactivate one-shots, notify the firing to
+   the registry and the subscribers (in subscription order), and run
+   the actions of the set that fired, in declaration order. [oid] is the
+   firing's object — the posted one, or the affected one at database
+   scope — and [txn] the posting transaction, if any ([f_txn] 0 without
+   one). *)
+let post_fired db ~oid ~scope txn obj occurrence fired =
+  let obs = db.obs in
+  let f_txn = match txn with Some tx -> tx.tx_id | None -> 0 in
   List.iter
     (fun at ->
-      if not at.at_def.t_perpetual then begin
-        if at.at_def.t_detector.Detector.mode = Detector.Committed then
-          tx.tx_undo <- U_trigger_active (Some obj, at, at.at_active) :: tx.tx_undo;
-        set_trigger_active (Some obj) at false
+      let def = at.at_def in
+      if not def.t_perpetual then begin
+        (match txn with
+        | Some tx when def.t_detector.Detector.mode = Detector.Committed ->
+          tx.tx_undo <- U_trigger_active (obj, at, at.at_active) :: tx.tx_undo
+        | Some _ | None -> ());
+        set_trigger_active obj at false
       end;
-      log_firing db tx at obj;
-      run_action db at ~scope:(Trace.Obj obj.o_id)
+      let f_at = db.wheel.clock_ms in
+      if Registry.enabled obs then begin
+        Registry.incr obs Registry.Firings;
+        Registry.span obs
+          (Trace.Fired { scope; trigger = def.t_name; txn = f_txn; at_ms = f_at })
+      end;
+      let f =
+        { f_trigger = def.t_name; f_class = def.t_class; f_oid = oid; f_at; f_txn }
+      in
+      List.iter (fun s -> if s.s_active then s.s_fn f) db.engine.subscribers;
+      run_action db at ~scope
         {
-          fc_oid = obj.o_id;
+          fc_oid = oid;
           fc_params = at.at_params;
           fc_occurrence = occurrence;
           fc_collected = at.at_collected;
-          fc_witnesses =
-            (if at.at_def.t_witnesses then Some at.at_last_witnesses else None);
+          fc_witnesses = (if def.t_witnesses then Some at.at_last_witnesses else None);
         })
-    fired;
-  fired <> []
+    fired
 
 (* The §5 monitoring pipeline: advance the automaton of every active
    trigger the occurrence can concern (per the class's candidate rows),
@@ -394,147 +349,76 @@ let post db tx obj (basic : Symbol.basic) args =
       if on then flush_scratch_counters obs sc;
       raise e
   in
-  let result = post_fired db tx obj occurrence fired in
+  (* the common no-fire path builds neither [Some tx] nor a scope *)
+  if fired <> [] then
+    post_fired db ~oid:obj.o_id ~scope:(Trace.Obj obj.o_id) (Some tx) obj
+      occurrence fired;
   if timed then Registry.record_ns obs Registry.Post (Registry.now_ns () - t0);
-  result
+  fired <> []
 
-(* Packed-code classification for the database scope, once per distinct
-   shared detector (triggers declaring the same event share one, see
-   [Detector.make ~share]), with first-user mask-failure attribution.
-   The cache is per occurrence; a short assoc list on physical identity
-   beats hashing for the handful of candidates a post touches, and the
-   cap keeps a post touching many distinct detectors linear. *)
-let classify_cache_cap = 16
+(* The database scope's one object, its slot array grown to its class
+   when a [Schema.db_trigger] declared since the last use added a
+   definition. *)
+let db_obj db =
+  let obj = db.engine.db_obj in
+  let n = Hashtbl.length obj.o_class.k_triggers in
+  let have = Array.length obj.o_acts in
+  if have < n then obj.o_acts <- Array.append obj.o_acts (Array.make (n - have) None);
+  obj
 
-let classify_code_cached cache detector ~env occurrence =
-  let rec find n = function
-    | [] -> Error n
-    | (d, c) :: rest -> if d == detector then Ok c else find (n + 1) rest
-  in
-  match find 0 !cache with
-  | Ok c -> c
-  | Error n ->
-    let c = Detector.classify_code detector ~env occurrence in
-    if n < classify_cache_cap then cache := (detector, c) :: !cache;
-    c
-
+(* Post to the database scope (§3): the database object goes through
+   the kernel like any object, classified {e at the event's origin} —
+   in the scratch of the member owning the affected oid (the first [Oid]
+   argument, member 0 without one) — and fires through [post_fired]
+   into whatever transaction, possibly none, posted the event.
+   Database triggers are always Full_history, so the kernel takes no
+   undo snapshot here. *)
 let post_db db (basic : Symbol.basic) args =
   let obs = db.obs in
   let on = Registry.enabled obs in
-  let txn_id = match db.txns.current with Some tx -> tx.tx_id | None -> 0 in
+  let txn = db.txns.current in
   if on then begin
     Registry.incr obs Registry.Db_posts;
     Registry.incr_kind obs (kind_name db basic);
     Registry.span obs
       (Trace.Posted
-         { scope = Trace.Db; basic = kind_name db basic; txn = txn_id;
+         { scope = Trace.Db; basic = kind_name db basic;
+           txn = (match txn with Some tx -> tx.tx_id | None -> 0);
            at_ms = db.wheel.clock_ms })
   end;
-  let candidates = db_candidate_triggers db basic in
-  if on then
-    record_dispatch obs
-      ~n_active:(count_active db.engine.db_triggers)
-      ~n_candidates:(List.length candidates);
-  match candidates with
-  | [] -> ()
-  | candidates ->
-    let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
-    let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
-    (* The event is classified {e at its origin} — in the scratch of
-       the partition member owning the affected oid, with no object
-       bound (dereferences route group-wide) — into one packed int code
-       per distinct detector, and the codes step the facade-owned
-       activations. Every candidate is classified before any steps, as
-       on the object scope. *)
-    let sc = (ensure_scratch db).(affected mod Types.n_partitions db) in
-    sc.sc_obj := None;
-    let cache = ref [] in
-    let coded =
-      List.map
-        (fun (at : active_trigger) ->
-          let code =
-            try
-              classify_code_cached cache at.at_def.t_detector ~env:sc.sc_env
-                occurrence
-            with Mask.Eval_error msg -> mask_error at msg
-          in
-          (at, code))
-        candidates
-    in
-    let undo = ref [] in
-    let fired =
-      Fun.protect
-        ~finally:(fun () -> if on then flush_scratch_counters obs sc)
-        (fun () ->
-          List.filter_map
-            (fun (at, code) ->
-              match advance db ~undo ~on sc at code affected occurrence with
-              | true -> Some at
-              | false -> None
-              | exception Mask.Eval_error msg -> mask_error at msg)
-            coded)
-    in
-    List.iter
-      (fun at ->
-        if not at.at_def.t_perpetual then set_trigger_active None at false;
-        notify_firing db
-          {
-            f_trigger = at.at_def.t_name;
-            f_class = "<database>";
-            f_oid = affected;
-            f_at = db.wheel.clock_ms;
-            f_txn = txn_id;
-          };
-        run_action db at ~scope:Trace.Db
-          {
-            fc_oid = affected;
-            fc_params = at.at_params;
-            fc_occurrence = occurrence;
-            fc_collected = at.at_collected;
-            fc_witnesses =
-              (if at.at_def.t_witnesses then Some at.at_last_witnesses else None);
-          })
+  let obj = db_obj db in
+  let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
+  let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
+  let sc = (ensure_scratch db).(affected mod Types.n_partitions db) in
+  let fired =
+    match kernel_post_one db ~undo:(ref []) ~on sc obj occurrence with
+    | fired ->
+      if on then flush_scratch_counters obs sc;
       fired
+    | exception e ->
+      if on then flush_scratch_counters obs sc;
+      raise e
+  in
+  if fired <> [] then post_fired db ~oid:affected ~scope:Trace.Db txn obj occurrence fired
 
 (* ------------------------------------------------------------------ *)
 (* Database-scope trigger activation (§3)                              *)
 (* ------------------------------------------------------------------ *)
 
 let activate_db_trigger db name params =
-  match Schema.find_db_trigger db name with
-  | None -> ode_error "no database trigger %s" name
-  | Some def -> (
-    match Hashtbl.find_opt db.engine.db_triggers name with
-    | Some at ->
-      at_state_reset at;
-      at.at_collected <- [];
-      at.at_provenance <-
-        (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
-         else None);
-      at.at_last_witnesses <- [];
-      at.at_active <- true;
-      at.at_epoch <- at.at_epoch + 1;
-      at.at_params <- params
-    | None ->
-      let at_blk, at_slot = Store.private_slot def.t_detector in
-      Hashtbl.add db.engine.db_triggers name
-        {
-          at_def = def;
-          at_params = params;
-          at_blk;
-          at_slot;
-          at_collected = [];
-          at_provenance =
-            (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
-             else None);
-          at_last_witnesses = [];
-          at_active = true;
-          at_epoch = 0;
-        })
+  let obj = db_obj db in
+  match Hashtbl.find_opt obj.o_triggers name with
+  | Some at -> rearm obj at params
+  | None -> (
+    match Hashtbl.find_opt obj.o_class.k_triggers name with
+    | None -> ode_error "no database trigger %s" name
+    | Some def ->
+      attach obj (new_activation def (Store.private_slot def.t_detector) params))
 
 let deactivate_db_trigger db name =
-  match Hashtbl.find_opt db.engine.db_triggers name with
-  | Some at -> at.at_active <- false
+  let obj = db_obj db in
+  match Hashtbl.find_opt obj.o_triggers name with
+  | Some at -> set_trigger_active obj at false
   | None -> ()
 
 (* Class registration announces itself on the database scope. *)
@@ -827,7 +711,8 @@ let post_many_nonempty db items =
     | ats ->
       let obj, occurrence = resolved.(i) in
       count := !count + List.length ats;
-      ignore (post_fired db tx obj occurrence ats)
+      post_fired db ~oid:obj.o_id ~scope:(Trace.Obj obj.o_id) (Some tx) obj
+        occurrence ats
   done;
   if timed then Registry.record_ns obs Registry.Post (Registry.now_ns () - t0);
   !count
@@ -851,7 +736,7 @@ let create db cname args =
     | None -> ode_error "no such class %s" cname
   in
   let oid = Store.alloc_oid db in
-  let obj = Store.new_obj k oid in
+  let obj = new_obj k oid in
   Store.add_obj db obj;
   tx.tx_undo <- U_create obj :: tx.tx_undo;
   touch db tx obj;
@@ -946,56 +831,30 @@ let activate db oid tname params =
      access (no [after tbegin], no event fan-out membership) — record
      the oid for the redo-batch footprint only *)
   tx.tx_dirty <- oid :: tx.tx_dirty;
-  (match Hashtbl.find_opt obj.o_triggers tname with
-  | Some at ->
-    (* Re-activation re-arms the trigger: fresh automaton state, in
-       place in its slot. *)
-    tx.tx_undo <-
-      U_trigger_state (at, at_state_copy at)
-      :: U_trigger_active (Some obj, at, at.at_active)
-      :: U_trigger_epoch (at, at.at_epoch)
-      :: tx.tx_undo;
-    at_state_reset at;
-    at.at_collected <- [];
-    at.at_provenance <-
-      (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event) else None);
-    at.at_last_witnesses <- [];
-    set_trigger_active (Some obj) at true;
-    at.at_epoch <- at.at_epoch + 1;
-    (* the epoch bump orphans the previous incarnation's timers: cancel
-       them now instead of letting them ride to their due instant *)
-    (match Timewheel.cancel_trigger db oid tname with
-    | [] -> ()
-    | cancelled -> tx.tx_undo <- U_timers_cancelled cancelled :: tx.tx_undo);
-    at.at_params <- params;
-    (match Timewheel.schedule_trigger_timers db obj at with
-    | [] -> ()
-    | armed -> tx.tx_undo <- U_timers_armed armed :: tx.tx_undo)
-  | None ->
-    let at_blk, at_slot = Store.soa_slot db oid def.t_detector in
-    let at =
-      {
-        at_def = def;
-        at_params = params;
-        at_blk;
-        at_slot;
-        at_collected = [];
-        at_provenance =
-          (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
-           else None);
-        at_last_witnesses = [];
-        at_active = true;
-        at_epoch = 0;
-      }
-    in
-    obj.o_n_active <- obj.o_n_active + 1;
-    Hashtbl.add obj.o_triggers tname at;
-    if def.t_index >= 0 then obj.o_acts.(def.t_index) <- Some at;
-    tx.tx_undo <- U_trigger_added (obj, tname) :: tx.tx_undo;
-    match Timewheel.schedule_trigger_timers db obj at with
-    | [] -> ()
-    | armed -> tx.tx_undo <- U_timers_armed armed :: tx.tx_undo);
-  ()
+  let at =
+    match Hashtbl.find_opt obj.o_triggers tname with
+    | Some at ->
+      tx.tx_undo <-
+        U_trigger_state (at, at_state_copy at)
+        :: U_trigger_active (obj, at, at.at_active)
+        :: U_trigger_epoch (at, at.at_epoch)
+        :: tx.tx_undo;
+      rearm obj at params;
+      (* the epoch bump orphans the previous incarnation's timers: cancel
+         them now instead of letting them ride to their due instant *)
+      (match Timewheel.cancel_trigger db oid tname with
+      | [] -> ()
+      | cancelled -> tx.tx_undo <- U_timers_cancelled cancelled :: tx.tx_undo);
+      at
+    | None ->
+      let at = new_activation def (Store.soa_slot db oid def.t_detector) params in
+      attach obj at;
+      tx.tx_undo <- U_trigger_added (obj, tname) :: tx.tx_undo;
+      at
+  in
+  match Timewheel.schedule_trigger_timers db obj at with
+  | [] -> ()
+  | armed -> tx.tx_undo <- U_timers_armed armed :: tx.tx_undo
 
 let deactivate db oid tname =
   let tx = Txn.require_txn db in
@@ -1004,8 +863,8 @@ let deactivate db oid tname =
   | None -> ()
   | Some at ->
     tx.tx_dirty <- oid :: tx.tx_dirty;
-    tx.tx_undo <- U_trigger_active (Some obj, at, at.at_active) :: tx.tx_undo;
-    set_trigger_active (Some obj) at false;
+    tx.tx_undo <- U_trigger_active (obj, at, at.at_active) :: tx.tx_undo;
+    set_trigger_active obj at false;
     (* eager cancellation: the deactivated trigger's pending timers
        leave the queue now (undo re-inserts them, seqs intact) *)
     (match Timewheel.cancel_trigger db oid tname with

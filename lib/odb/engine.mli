@@ -1,7 +1,7 @@
 (** Engine layer: the §5 event-posting pipeline — the compiled posting
     kernel (per-class candidate rows, packed classification codes,
-    flat-table stepping), the database-scope dispatch index, the firing
-    pipeline, system-transaction posting — plus the object and trigger
+    flat-table stepping) at both scopes, the firing pipeline,
+    system-transaction posting — plus the object and trigger
     operations that compose the layers below (create/delete/call drive
     Store + Txn + the pipeline).
 
@@ -24,7 +24,12 @@ val post : db -> txn -> obj -> Ode_event.Symbol.basic -> Value.t list -> bool
 
 val post_db : db -> Ode_event.Symbol.basic -> Value.t list -> unit
 (** Post to the database scope (§3): [after defclass], [after create],
-    [before delete]. *)
+    [before delete]. The database-scope triggers are the activations of
+    one database object (the instance of [schema.db_class], outside
+    every member table), so the post goes through the same kernel as
+    {!post} — classified in the scratch of the member owning the
+    affected oid — and fires through the same firing phase, in the
+    current transaction if there is one ([f_txn] 0 otherwise). *)
 
 val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
 (** Post a transaction event to the listed objects inside a fresh system
@@ -95,11 +100,6 @@ val unsubscribe : db -> subscription -> unit
 (** Remove a subscription. Safe to call twice; a subscription captured
     inside a callback list being walked is silenced immediately
     ([s_active] is cleared before removal). *)
-
-val notify_firing : db -> firing -> unit
-(** Deliver one firing to all subscribers (and the observability
-    registry). Exposed for the façade and tests; the pipeline calls it
-    internally. *)
 
 val touch : db -> txn -> obj -> unit
 (** Record first access and lazily post [after tbegin] (§3.1(4)). *)

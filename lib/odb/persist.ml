@@ -120,38 +120,24 @@ let resolve_obj db (oid, cname, fields, triggers) =
         | None -> raise (Codec.Corrupt ("image references unknown trigger " ^ name))
         | Some def ->
           Detector.check_state def.t_detector state;
-          (name, def, params, state, collected, active, epoch))
+          (def, params, state, collected, active, epoch))
       triggers
   in
   fun () ->
-    let obj = Store.new_obj k oid in
+    let obj = new_obj k oid in
     (* saved field values override the class defaults installed by
-       [Store.new_obj] *)
+       [new_obj] *)
     List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) fields;
     List.iter
-      (fun (name, def, params, state, collected, active, epoch) ->
-        let at_blk, at_slot = Store.soa_slot db oid def.t_detector in
-        let at =
-          {
-            at_def = def;
-            at_params = params;
-            at_blk;
-            at_slot;
-            at_collected = collected;
-            (* provenance instances are volatile: rebuilt empty after a
-               load (documented in save) *)
-            at_provenance =
-              (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)
-               else None);
-            at_last_witnesses = [];
-            at_active = active;
-            at_epoch = epoch;
-          }
-        in
+      (fun (def, params, state, collected, active, epoch) ->
+        (* provenance instances are volatile: rebuilt empty after a
+           load (documented in save) *)
+        let at = new_activation def (Store.soa_slot db oid def.t_detector) params in
         at_state_restore at state;
-        if active then obj.o_n_active <- obj.o_n_active + 1;
-        Hashtbl.add obj.o_triggers name at;
-        if def.t_index >= 0 then obj.o_acts.(def.t_index) <- Some at)
+        at.at_collected <- collected;
+        at.at_active <- active;
+        at.at_epoch <- epoch;
+        attach obj at)
       triggers;
     Store.add_obj db obj
 

@@ -29,41 +29,39 @@ let field b name default =
 let method_ b ?arity ~kind name impl =
   { b with b_methods = { m_name = name; m_kind = kind; m_arity = arity; m_impl = impl } :: b.b_methods }
 
-let trigger b ?(perpetual = false) ?(mode = Detector.Full_history)
+(* One trigger definition at either scope. Detectors are made with
+   [~share]: triggers declaring the same event reuse one compiled
+   detector, so [Engine.post] classifies once for all of them. *)
+let make_def ~cls ?(perpetual = false) ?(mode = Detector.Full_history)
     ?(witnesses = false) name ~event ~action =
   let detector =
-    (* ~share: triggers declaring the same event reuse one compiled
-       detector, so [Engine.post] classifies once for all of them *)
     try Detector.make ~mode ~share:true event
-    with Invalid_argument msg -> ode_error "trigger %s.%s: %s" b.b_name name msg
+    with Invalid_argument msg -> ode_error "%s: %s" (trigger_label cls name) msg
   in
-  let def =
-    {
-      t_name = name;
-      t_class = b.b_name;
-      t_event = event;
-      t_detector = detector;
-      t_perpetual = perpetual;
-      t_witnesses = witnesses;
-      t_action = action;
-      t_index = -1;  (* assigned at register_class *)
-    }
-  in
+  {
+    t_name = name;
+    t_class = cls;
+    t_event = event;
+    t_detector = detector;
+    t_perpetual = perpetual;
+    t_witnesses = witnesses;
+    t_action = action;
+    t_index = 0;  (* assigned by [compile_class] *)
+  }
+
+let parse_event ~cls name event =
+  match Ode_lang.Parser.event_of_string event with
+  | Error msg -> ode_error "%s: %s" (trigger_label cls name) msg
+  | Ok expr -> expr
+
+let trigger b ?perpetual ?mode ?witnesses name ~event ~action =
+  let def = make_def ~cls:b.b_name ?perpetual ?mode ?witnesses name ~event ~action in
   { b with b_triggers = def :: b.b_triggers }
 
 let trigger_str b ?perpetual ?mode ?witnesses name ~event ~action =
-  match Ode_lang.Parser.event_of_string event with
-  | Error msg -> ode_error "trigger %s.%s: %s" b.b_name name msg
-  | Ok expr -> trigger b ?perpetual ?mode ?witnesses name ~event:expr ~action
-
-(* Append [d] to the dispatch bucket of every basic-event key its
-   detector's alphabet guards on. Buckets keep declaration order. *)
-let index_trigger_def dispatch (d : trigger_def) =
-  List.iter
-    (fun key ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt dispatch key) in
-      Hashtbl.replace dispatch key (prev @ [ d ]))
-    (Detector.relevant_basics d.t_detector)
+  trigger b ?perpetual ?mode ?witnesses name
+    ~event:(parse_event ~cls:b.b_name name event)
+    ~action
 
 (* Compile one dispatch bucket into the posting kernel's candidate row:
    defs stay in declaration order; the distinct detectors behind them
@@ -89,19 +87,35 @@ let make_krow (defs : trigger_def list) =
   in
   { kr_defs; kr_dets = Array.of_list !dets; kr_det_of }
 
+(* (Re)compile [k]'s trigger index from [defs], in declaration order:
+   duplicate check, dense [t_index] — so dispatch, and therefore action
+   execution on a shared occurrence, is deterministic — and one
+   candidate row per basic-event key an alphabet guards on. *)
+let compile_class k (defs : trigger_def list) =
+  Hashtbl.reset k.k_triggers;
+  let buckets = Hashtbl.create 16 in
+  List.iteri
+    (fun i (d : trigger_def) ->
+      if Hashtbl.mem k.k_triggers d.t_name then
+        ode_error "class %s: duplicate trigger %s" k.k_name d.t_name;
+      Hashtbl.add k.k_triggers d.t_name d;
+      d.t_index <- i;
+      List.iter
+        (fun key ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
+          Hashtbl.replace buckets key (d :: prev))
+        (Detector.relevant_basics d.t_detector))
+    defs;
+  Hashtbl.reset k.k_rows;
+  Hashtbl.iter
+    (fun key rev_defs -> Hashtbl.replace k.k_rows key (make_krow (List.rev rev_defs)))
+    buckets
+
 let register_class db b =
   if Hashtbl.mem db.schema.classes b.b_name then
     ode_error "class %s already defined" b.b_name;
   let k =
-    {
-      k_name = b.b_name;
-      k_fields = List.rev b.b_fields;
-      k_methods = Hashtbl.create 8;
-      k_triggers = Hashtbl.create 8;
-      k_n_triggers = List.length b.b_triggers;
-      k_rows = Hashtbl.create 16;
-      k_constructor = b.b_constructor;
-    }
+    new_class ?constructor:b.b_constructor b.b_name (List.rev b.b_fields)
   in
   List.iter
     (fun m ->
@@ -109,22 +123,7 @@ let register_class db b =
         ode_error "class %s: duplicate method %s" b.b_name m.m_name;
       Hashtbl.add k.k_methods m.m_name m)
     b.b_methods;
-  List.iter
-    (fun (d : trigger_def) ->
-      if Hashtbl.mem k.k_triggers d.t_name then
-        ode_error "class %s: duplicate trigger %s" b.b_name d.t_name;
-      Hashtbl.add k.k_triggers d.t_name d)
-    b.b_triggers;
-  (* b_triggers is accumulated in reverse; index in declaration order so
-     dispatch (and therefore action execution on a shared occurrence) is
-     deterministic *)
-  let in_order = List.rev b.b_triggers in
-  List.iteri (fun i (d : trigger_def) -> d.t_index <- i) in_order;
-  let dispatch = Hashtbl.create 16 in
-  List.iter (index_trigger_def dispatch) in_order;
-  Hashtbl.iter
-    (fun key defs -> Hashtbl.replace k.k_rows key (make_krow defs))
-    dispatch;
+  compile_class k (List.rev b.b_triggers);
   Hashtbl.add db.schema.classes b.b_name k;
   if Registry.enabled db.obs then begin
     Registry.incr db.obs Registry.Classes_registered;
@@ -140,33 +139,25 @@ let n_classes db = Hashtbl.length db.schema.classes
 
 let find_fun db name = Hashtbl.find_opt db.schema.functions name
 
-let db_trigger db ?(perpetual = false) ?(witnesses = false) name ~event ~action =
-  if Hashtbl.mem db.schema.db_trigger_defs name then
+(* A database-scope trigger is one more trigger of the database class,
+   declared last. Time events are rejected: timers are armed per
+   object, so one would never fire here. *)
+let db_trigger db ?perpetual ?witnesses name ~event ~action =
+  let k = db.schema.db_class in
+  if Hashtbl.mem k.k_triggers name then
     ode_error "database trigger %s already defined" name;
-  let detector =
-    try Detector.make ~mode:Detector.Full_history ~share:true event
-    with Invalid_argument msg -> ode_error "database trigger %s: %s" name msg
+  let def = make_def ~cls:k.k_name ?perpetual ?witnesses name ~event ~action in
+  if List.mem Symbol.Key_time (Detector.relevant_basics def.t_detector) then
+    ode_error "database trigger %s: time events need an object scope" name;
+  let defs =
+    Hashtbl.fold (fun _ d acc -> d :: acc) k.k_triggers []
+    |> List.sort (fun a b -> compare a.t_index b.t_index)
   in
-  let def =
-    {
-      t_name = name;
-      t_class = "<database>";
-      t_event = event;
-      t_detector = detector;
-      t_perpetual = perpetual;
-      t_witnesses = witnesses;
-      t_action = action;
-      t_index = -1;  (* database scope: no per-object slot *)
-    }
-  in
-  Hashtbl.add db.schema.db_trigger_defs name def;
-  index_trigger_def db.schema.db_dispatch def;
+  compile_class k (defs @ [ def ]);
   if Registry.enabled db.obs then
     Registry.incr db.obs Registry.Triggers_indexed
 
 let db_trigger_str db ?perpetual ?witnesses name ~event ~action =
-  match Ode_lang.Parser.event_of_string event with
-  | Error msg -> ode_error "database trigger %s: %s" name msg
-  | Ok expr -> db_trigger db ?perpetual ?witnesses name ~event:expr ~action
-
-let find_db_trigger db name = Hashtbl.find_opt db.schema.db_trigger_defs name
+  db_trigger db ?perpetual ?witnesses name
+    ~event:(parse_event ~cls:db_class_name name event)
+    ~action

@@ -1,6 +1,7 @@
 (** Schema layer: class builders, trigger definitions, detector
-    compilation, and construction of the per-class / per-database
-    dispatch indexes (paper §5).
+    compilation, and construction of the per-class dispatch indexes
+    (paper §5) — the database scope's included, compiled as the class
+    [schema.db_class].
 
     Bottom of the subsystem stack — depends only on {!Types}. Everything
     here runs at registration time; the posting hot path only {e reads}
@@ -71,8 +72,11 @@ val db_trigger :
   event:Ode_event.Expr.t ->
   action:(db -> fire_context -> unit) ->
   unit
-(** Define a database-scope trigger (§3) and index it in the
-    database-scope dispatch table. Activation is {!Engine}'s job.
+(** Define a database-scope trigger (§3): one more trigger of the
+    database class, recompiled with it last. Activation is {!Engine}'s
+    job. An event with a time component is rejected
+    ([Ode_error "database trigger T: time events need an object
+    scope"]): timers are armed per object.
     [witnesses] (default false) tracks full per-match provenance, as for
     object-scope triggers: the action's [fc_witnesses] is then
     [Some matches] instead of [None]. *)
@@ -85,10 +89,3 @@ val db_trigger_str :
   event:string ->
   action:(db -> fire_context -> unit) ->
   unit
-
-val find_db_trigger : db -> string -> trigger_def option
-
-val index_trigger_def :
-  (Ode_event.Symbol.basic_key, trigger_def list) Hashtbl.t -> trigger_def -> unit
-(** Append a definition to the dispatch bucket of every basic-event key
-    its detector's alphabet guards on, keeping declaration order. *)

@@ -31,24 +31,6 @@ let alloc_oid db =
     Array.iter (fun m -> m.store.next_oid <- oid + 1) p.p_members;
     oid
 
-let new_obj k oid =
-  let obj =
-    {
-      o_id = oid;
-      o_class = k;
-      o_fields = Hashtbl.create 8;
-      o_triggers = Hashtbl.create 4;
-      o_acts = Array.make k.k_n_triggers None;
-      o_n_active = 0;
-      o_deleted = false;
-      o_lock = Lock.Free;
-      o_history = [];
-      o_history_len = 0;
-    }
-  in
-  List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) k.k_fields;
-  obj
-
 (* ------------------------------------------------------------------ *)
 (* Structure-of-arrays detection-state blocks                          *)
 (* ------------------------------------------------------------------ *)
@@ -219,19 +201,16 @@ let get_field db oid name =
 (* ------------------------------------------------------------------ *)
 
 (* A reusable posting-kernel scratch. Field reads resolve against the
-   object in the [sc_obj] cell (none: database scope), dereferences and
+   object in the [sc_obj] cell (the field-less database object until the
+   first post, and for database-scope posts), dereferences and
    database functions against the heap and schema; the indirection lets
    one environment (and its three closures) serve every post handled by
    a member instead of being rebuilt — and reallocated — per event. *)
 let make_scratch db =
-  let sc_obj = ref None in
+  let sc_obj = ref db.engine.db_obj in
   let sc_env : Mask.env =
     {
-      var =
-        (fun name ->
-          match !sc_obj with
-          | Some o -> Hashtbl.find_opt o.o_fields name
-          | None -> None);
+      var = (fun name -> Hashtbl.find_opt !sc_obj.o_fields name);
       deref =
         (fun oid fieldname ->
           match live_obj_opt db oid with
@@ -334,7 +313,7 @@ let stats db =
     (members db);
   Hashtbl.iter
     (fun _ at -> state_bytes := !state_bytes + activation_bytes at)
-    db.engine.db_triggers;
+    db.engine.db_obj.o_triggers;
   {
     n_objects = cardinal ~live:true db;
     n_classes = Hashtbl.length db.schema.classes;

@@ -33,10 +33,6 @@ val alloc_oid : db -> oid
     round-robins the partition members, keeping the slices balanced
     without per-member counters. Sequential-phase only. *)
 
-val new_obj : klass -> oid -> obj
-(** Fresh object record with the class's field defaults installed. Does
-    not add it to the heap. *)
-
 (** {1 Detection-state blocks}
 
     Every activation keeps its automaton state in a slot of a
@@ -113,8 +109,8 @@ val get_field : db -> oid -> string -> Value.t
 
 val make_scratch : db -> scratch
 (** A reusable posting-kernel buffer: a mask environment whose field
-    reads resolve against the object in the scratch's [sc_obj] cell (no
-    fields when it holds [None], as for database-scope posts) and whose
+    reads resolve against the object in the scratch's [sc_obj] cell (the
+    field-less database object for database-scope posts) and whose
     dereferences and database functions resolve against the heap and
     schema, plus a grow-only classification-code buffer. The engine
     keeps one per partition member. *)

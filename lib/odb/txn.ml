@@ -112,17 +112,16 @@ let apply_undo db entry =
     match Hashtbl.find_opt obj.o_triggers name with
     | None -> ()
     | Some at ->
-      set_trigger_active (Some obj) at false;
-      let idx = at.at_def.t_index in
-      if idx >= 0 && idx < Array.length obj.o_acts then obj.o_acts.(idx) <- None;
+      set_trigger_active obj at false;
+      obj.o_acts.(at.at_def.t_index) <- None;
       Store.free_slot at;
       Hashtbl.remove obj.o_triggers name)
 
-(* Fold the per-shard undo segments a parallel classify/step phase
+(* Fold the per-member undo segments a parallel classify/step phase
    produced into the transaction's log. Entries within one segment are
    newest-first already; segments touch disjoint objects (the pipeline
-   partitions by shard), so their relative order is semantically free —
-   we fix it to ascending shard index for determinism across domain
+   partitions by member), so their relative order is semantically free —
+   we fix it to ascending member index for determinism across domain
    counts. Runs on the orchestrating thread, after the phase joins. *)
 let merge_undo_segments tx segments =
   tx.tx_undo <- List.concat segments @ tx.tx_undo

@@ -52,7 +52,7 @@ type db = {
 
 (* The partition group: members in owner order. Member 0 is the facade
    — the db callers hold and the home of shared counters (oid/txn
-   allocation, timer sequence numbers, db-scope automata). *)
+   allocation, timer sequence numbers). *)
 and partition_state = { p_members : db array; p_index : int }
 
 (* [Schema]: compiled class and trigger definitions. Written at class
@@ -60,10 +60,10 @@ and partition_state = { p_members : db array; p_index : int }
 and schema_state = {
   classes : (string, klass) Hashtbl.t;
   functions : (string, db -> Value.t list -> Value.t) Hashtbl.t;
-  db_trigger_defs : (string, trigger_def) Hashtbl.t;  (* database scope (§3) *)
-  db_dispatch : (Symbol.basic_key, trigger_def list) Hashtbl.t;
-      (* dispatch index for database-scope triggers: posted basic ->
-         definitions whose alphabet can react, in declaration order *)
+  db_class : klass;
+      (* the database scope (§3) as one more class, named
+         [db_class_name]: its triggers are the database-scope
+         definitions, recompiled in place by each [Schema.db_trigger] *)
 }
 
 (* [Store]: this member's slice of the object heap — one hashtable
@@ -115,8 +115,11 @@ and txn_state = {
 
 (* [Engine]: the posting pipeline's own state. *)
 and engine_state = {
-  db_triggers : (string, active_trigger) Hashtbl.t;
-      (* activations of database-scope triggers *)
+  db_obj : obj;
+      (* the database scope's one object, instance of
+         [schema.db_class]: its activations are the database-scope
+         ones. Outside every member table, so [reset_heap] and images
+         never see it. *)
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
   mutable next_sub_id : int;
@@ -160,7 +163,7 @@ and engine_state = {
    detector of the candidate row). This is what makes the steady-state
    kernel path allocation-free. *)
 and scratch = {
-  sc_obj : obj option ref;
+  sc_obj : obj ref;
   sc_env : Ode_event.Mask.env;
   mutable sc_codes : int array;
   mutable sc_classified : int;
@@ -265,14 +268,15 @@ and klass = {
   k_fields : (string * Value.t) list;  (* declaration order, with defaults *)
   k_methods : (string, meth) Hashtbl.t;
   k_triggers : (string, trigger_def) Hashtbl.t;
-  k_n_triggers : int;  (* sizes each object's [o_acts] slot array *)
+      (* by name; its size is the length of each object's [o_acts] *)
   k_rows : (Symbol.basic_key, krow) Hashtbl.t;
-      (* §5 hot-path index, built once at schema registration: posted
+      (* §5 hot-path index, built at schema registration (the database
+         class's again at each [Schema.db_trigger]): posted
          basic -> the posting kernel's compiled candidate row of trigger
          definitions whose alphabet can react to it, in declaration
          order, with the distinct shared detectors factored out so one
          post classifies each detector exactly once and never
-         allocates. Static per class — activation state is consulted
+         allocates. Activation state is consulted
          through [o_acts], so trigger (de)activation needs no
          invalidation. *)
   k_constructor : (db -> oid -> Value.t list -> unit) option;
@@ -303,9 +307,9 @@ and trigger_def = {
   t_witnesses : bool;  (* track full per-match provenance (§9) *)
   t_action : db -> fire_context -> unit;
   mutable t_index : int;
-      (* dense per-class slot, assigned at [Schema.register_class] in
+      (* dense per-class slot, assigned by [Schema]'s class compiler in
          declaration order; indexes [o_acts] on every object of the
-         class. [-1] for database-scope definitions. *)
+         class, the database object included *)
 }
 
 and fire_context = {
@@ -341,9 +345,11 @@ and obj = {
   o_class : klass;
   o_fields : (string, Value.t) Hashtbl.t;
   o_triggers : (string, active_trigger) Hashtbl.t;
-  o_acts : active_trigger option array;
+  mutable o_acts : active_trigger option array;
       (* activations by [t_index] — the kernel's candidate rows resolve
-         through this dense array instead of the name hashtable *)
+         through this dense array instead of the name hashtable. Only
+         the database object's ever grows: [Schema.db_trigger] adds a
+         definition to its class after it was made. *)
   mutable o_n_active : int;  (* activations with [at_active = true] *)
   mutable o_deleted : bool;
   mutable o_lock : Lock.t;
@@ -372,9 +378,8 @@ and undo_entry =
   | U_trigger_state of active_trigger * int array
       (* snapshot of the state words *)
   | U_trigger_collected of active_trigger * (string * Value.t) list
-  | U_trigger_active of obj option * active_trigger * bool
-      (* the owning object (None for database scope) so undo can keep
-         [o_n_active] exact *)
+  | U_trigger_active of obj * active_trigger * bool
+      (* the owning object, so undo can keep [o_n_active] exact *)
   | U_trigger_added of obj * string
   | U_trigger_epoch of active_trigger * int
       (* the epoch before a re-activation bumped it, so an abort
@@ -457,6 +462,40 @@ let make_wheel () =
     tw_visited = 0;
   }
 
+(* The database scope's class: [f_class] of its firings, and the
+   scope [Engine] reads off a definition. *)
+let db_class_name = "<database>"
+
+let new_class ?constructor name fields =
+  {
+    k_name = name;
+    k_fields = fields;
+    k_methods = Hashtbl.create 8;
+    k_triggers = Hashtbl.create 8;
+    k_rows = Hashtbl.create 16;
+    k_constructor = constructor;
+  }
+
+(* A fresh object record with the class's field defaults installed,
+   not yet in any heap. *)
+let new_obj k oid =
+  let obj =
+    {
+      o_id = oid;
+      o_class = k;
+      o_fields = Hashtbl.create 8;
+      o_triggers = Hashtbl.create 4;
+      o_acts = Array.make (Hashtbl.length k.k_triggers) None;
+      o_n_active = 0;
+      o_deleted = false;
+      o_lock = Lock.Free;
+      o_history = [];
+      o_history_len = 0;
+    }
+  in
+  List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) k.k_fields;
+  obj
+
 let make_store ~next_oid =
   {
     table = Hashtbl.create 64;
@@ -473,15 +512,11 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
     ?(trace_capacity = 1024) () =
   if max_tcomplete_rounds < 1 then
     ode_error "max_tcomplete_rounds must be >= 1";
+  let db_class = new_class db_class_name [] in
   let db =
     {
       schema =
-        {
-          classes = Hashtbl.create 8;
-          functions = Hashtbl.create 8;
-          db_trigger_defs = Hashtbl.create 4;
-          db_dispatch = Hashtbl.create 8;
-        };
+        { classes = Hashtbl.create 8; functions = Hashtbl.create 8; db_class };
       store = make_store ~next_oid:1;
       txns =
         {
@@ -493,7 +528,7 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
         };
       engine =
         {
-          db_triggers = Hashtbl.create 4;
+          db_obj = new_obj db_class 0;
           subscribers = [];
           next_sub_id = 1;
           post_domains = 1;
@@ -563,11 +598,46 @@ let at_top_state at = at.at_blk.blk_state.(at_off at + at.at_blk.blk_words - 1)
 let at_state_len at = at.at_blk.blk_words
 
 (* Single point maintaining the per-object active count next to the
-   flag; [obj_opt] is [None] for database-scope activations. *)
-let set_trigger_active obj_opt at v =
+   flag. *)
+let set_trigger_active obj at v =
   if at.at_active <> v then begin
-    (match obj_opt with
-    | Some o -> o.o_n_active <- o.o_n_active + (if v then 1 else -1)
-    | None -> ());
+    obj.o_n_active <- obj.o_n_active + (if v then 1 else -1);
     at.at_active <- v
   end
+
+(* ------------------------------------------------------------------ *)
+(* Activation lifecycle, at either scope                              *)
+(* ------------------------------------------------------------------ *)
+
+let fresh_provenance def =
+  if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event) else None
+
+(* A fresh, active activation of [def] whose words live in slot
+   [at_slot] of [at_blk] (already initial). *)
+let new_activation def (at_blk, at_slot) params =
+  { at_def = def; at_params = params; at_blk; at_slot; at_collected = [];
+    at_provenance = fresh_provenance def; at_last_witnesses = [];
+    at_active = true; at_epoch = 0 }
+
+(* Install [at] on [obj], by name and by slot. *)
+let attach obj at =
+  if at.at_active then obj.o_n_active <- obj.o_n_active + 1;
+  Hashtbl.add obj.o_triggers at.at_def.t_name at;
+  obj.o_acts.(at.at_def.t_index) <- Some at
+
+(* Re-activation re-arms in place: initial words, no bindings or
+   witnesses, active, a new epoch (orphaning the previous incarnation's
+   timers) and the new arguments. *)
+let rearm obj at params =
+  at_state_reset at;
+  at.at_collected <- [];
+  at.at_provenance <- fresh_provenance at.at_def;
+  at.at_last_witnesses <- [];
+  set_trigger_active obj at true;
+  at.at_epoch <- at.at_epoch + 1;
+  at.at_params <- params
+
+(* Errors name a trigger the way its scope declares it. *)
+let trigger_label cls name =
+  if cls = db_class_name then "database trigger " ^ name
+  else Printf.sprintf "trigger %s.%s" cls name

@@ -5,13 +5,13 @@
    fire — one [Engine.post] allocates only the fixed per-entry
    envelope: the [Symbol.occurrence] record and its boxed [int64]
    timestamp, the [Symbol.Key] dispatch-key wrapper, the committed-mode
-   undo [ref], and the [Some obj] stored into the scratch slot —
-   measured at ~24 minor-heap words per event on OCaml 5.1/native. The
-   classify/step sweep itself — candidate counting, packed-code
-   classification, flat-table stepping over the SoA state — allocates
-   nothing: it is a constant envelope, independent of the number of
-   candidate triggers. The threshold below is double the measured
-   budget to absorb compiler-version noise, and tight enough that any
+   undo [ref] and the closure merging it — measured at ~15 minor-heap
+   words per event on OCaml 5.1/native. The classify/step sweep itself
+   — candidate counting, packed-code classification, flat-table
+   stepping over the SoA state — allocates nothing: it is a constant
+   envelope, independent of the number of candidate triggers. The
+   threshold below was set at double an earlier ~24-word measurement
+   to absorb compiler-version noise, and is tight enough that any
    per-candidate or per-code allocation sneaking back into the kernel
    (a closure, a boxed ref, a tuple — typically 3+ words times four
    candidates here) blows straight through it.
@@ -30,9 +30,9 @@ let words_per_event_threshold = 48.0
 (* Multi-level automata pay the same fixed envelope plus, per accepted
    inner level, one composite-mask evaluation — an [env.var] lookup
    returning [Some v] and the comparison's boxed intermediates —
-   measured at ~40 words per event on the two-level automaton below.
+   measured at ~31 words per event on the two-level automaton below.
    Still a constant per event, but a larger one; hence a separate
-   budget, again double the measurement. *)
+   budget, again double an earlier (~40-word) measurement. *)
 let multi_level_words_per_event_threshold = 80.0
 
 (* A raw-layer db sliced like the environment asks (ODE_PARTITIONS), so

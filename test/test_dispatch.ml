@@ -6,8 +6,10 @@
    contract by brute force — every active trigger stepped through its
    own word vector with [Detector.post] — and the engine-level property
    drives both with one random schema (masked composite events,
-   one-shot/perpetual, committed-mode, witness-tracking triggers, a
-   database-scope trigger) under random transaction scripts with
+   one-shot/perpetual, committed-mode, witness-tracking triggers, and
+   one to three database-scope triggers drawn from a small event pool,
+   one-shot or perpetual, some tracking witnesses, often sharing a
+   detector) under random transaction scripts with
    commits and aborts, comparing firings, collected §9 bindings,
    witnesses, automaton states and activation flags.
 
@@ -36,14 +38,28 @@ type script = { ops : op list; commit : bool }
 type case = {
   (* event, perpetual, committed-mode, witnesses *)
   triggers : (Expr.t * bool * bool * bool) list;
+  (* database scope: event, perpetual, witnesses (always Full_history) *)
+  db_triggers : (Expr.t * bool * bool) list;
   scripts : script list;
 }
 
 let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.triggers
+let db_trigger_names case = List.mapi (fun i _ -> Printf.sprintf "d%d" i) case.db_triggers
 
 module R = Ref_poster
 
-let census_event = Ode_lang.Parser.parse_event "choose 2 (after create)"
+(* Database-scope events over what that scope posts ([after defclass],
+   [after create(oid, class)]): a small pool, so drawn triggers often
+   share an event and so a detector. *)
+let db_events =
+  List.map Ode_lang.Parser.parse_event
+    [
+      "choose 2 (after create)";
+      "after create(o, cls)";
+      "every 2 (after create(o, cls))";
+      "after defclass | after create(o, cls) && cls == \"c\"";
+      "relative(after defclass, after create)";
+    ]
 let cm_fields = [ ("cm0", Value.Bool true); ("cm1", Value.Bool true); ("cm2", Value.Bool true) ]
 
 (* The observables a posting path could get wrong: firings, the action
@@ -62,10 +78,18 @@ let run case =
   D.enable_history db ~limit:1_000_000;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
-  (* one database-scope trigger so [post_db]'s index is exercised too *)
-  D.db_trigger db ~perpetual:true "census" ~event:census_event
-    ~action:(fun _ ctx -> log := ("census", [ ("oid", Value.Int ctx.D.fc_oid) ], None) :: !log);
-  D.activate_db_trigger db "census" [];
+  (* database-scope triggers, so [post_db]'s path is exercised too *)
+  let db_names = db_trigger_names case in
+  List.iter2
+    (fun name (event, perpetual, witnesses) ->
+      D.db_trigger db ~perpetual ~witnesses name ~event ~action:(fun _ ctx ->
+          log :=
+            ( name,
+              ("oid", Value.Int ctx.D.fc_oid) :: List.sort compare ctx.D.fc_collected,
+              ctx.D.fc_witnesses )
+            :: !log))
+    db_names case.db_triggers;
+  List.iter (fun n -> D.activate_db_trigger db n []) db_names;
   let names = trigger_names case in
   let b = D.define_class "c" in
   let b = List.fold_left (fun b (n, v) -> D.field b n v) b cm_fields in
@@ -95,7 +119,8 @@ let run case =
             R.create ~oid ~fields:cm_fields
               ~triggers:
                 (List.map2 (fun n (e, p, c, w) -> (n, e, p, c, w)) names case.triggers)
-              ~db_triggers:[ ("census", census_event, true, false) ]
+              ~db_triggers:
+                (List.map2 (fun n (e, p, w) -> (n, e, p, w)) db_names case.db_triggers)
           in
           R.post_db model ~txn:0
             (db_occ (Symbol.Method (After, "defclass")) [ Value.String "c" ]);
@@ -178,7 +203,8 @@ let run case =
       ~log:
         (List.map
            (fun (f : R.fired) ->
-             if f.R.db_scope then (f.R.trigger, [ ("oid", Value.Int f.R.oid) ], None)
+             if f.R.db_scope then
+               (f.R.trigger, ("oid", Value.Int f.R.oid) :: f.R.collected, f.R.witnesses)
              else (f.R.trigger, f.R.collected, f.R.witnesses))
            fired)
       ~states:(R.states model)
@@ -213,11 +239,16 @@ let gen_script =
   let open QCheck.Gen in
   map2 (fun ops commit -> { ops; commit }) (list_size (int_range 1 6) gen_op) bool
 
+let gen_db_trigger =
+  let open QCheck.Gen in
+  map3 (fun e perpetual witnesses -> (e, perpetual, witnesses)) (oneofl db_events) bool bool
+
 let gen_case =
   let open QCheck.Gen in
-  map2
-    (fun triggers scripts -> { triggers; scripts })
+  map3
+    (fun triggers db_triggers scripts -> { triggers; db_triggers; scripts })
     (list_size (int_range 1 4) gen_trigger)
+    (list_size (int_range 1 3) gen_db_trigger)
     (list_size (int_range 1 6) gen_script)
 
 let pp_op ppf = function
@@ -229,7 +260,7 @@ let pp_op ppf = function
   | New_obj -> Fmt.pf ppf "new"
 
 let print_case case =
-  Fmt.str "@[<v>%a@,%a@]"
+  Fmt.str "@[<v>%a@,%a@,%a@]"
     Fmt.(
       list (fun ppf (e, p, c, w) ->
           Fmt.pf ppf "trigger%s%s%s: %a"
@@ -238,6 +269,13 @@ let print_case case =
             (if w then " witnesses" else "")
             Expr.pp e))
     case.triggers
+    Fmt.(
+      list (fun ppf (e, p, w) ->
+          Fmt.pf ppf "database trigger%s%s: %a"
+            (if p then " perpetual" else "")
+            (if w then " witnesses" else "")
+            Expr.pp e))
+    case.db_triggers
     Fmt.(
       list (fun ppf s ->
           Fmt.pf ppf "%s [%a]"
