@@ -13,13 +13,21 @@
     - All object access happens inside a transaction; [after tbegin] is
       posted to an object lazily, immediately before the transaction's
       first access to it (§3.1).
+    - Transaction events ([after tbegin], [before tcomplete],
+      [after tcommit], [before tabort], [after tabort]) are posted only
+      to objects whose class declares a trigger on them, or to every
+      object while history recording is on ({!enable_history} counts
+      as listening, so {!object_history} stays complete). To any other
+      object such a post would advance no automaton. Which objects
+      listen changes no transaction id.
     - A public member-function call on an object posts, in order:
       [before access], [before read]/[before update], [before f], the
       body, [after f], [after read]/[after update], [after access].
     - Trigger actions run immediately, as part of the transaction that
       posted the event. Actions of triggers fired by [after tcommit] /
-      [after tabort] run in a {e system} transaction (§5). A trigger
-      action may raise {!Tabort} to abort the surrounding transaction.
+      [after tabort] run in a {e system} transaction (§5), opened only
+      when an accessed object listens to the event. A trigger action
+      may raise {!Tabort} to abort the surrounding transaction.
     - [before tcomplete] is posted repeatedly at commit until a round
       fires no triggers (§6); then the transaction commits.
     - Masks are evaluated against the database with {e no} events posted:
@@ -134,7 +142,9 @@ val register_class : t -> class_builder -> unit
     the trigger definitions whose alphabet can react to it, built once
     here so that posting an occurrence touches only those triggers
     instead of scanning every activation on the object (§5's O(1)
-    per-trigger claim, made per-event). *)
+    per-trigger claim, made per-event). The name [<database>] is
+    reserved for the database scope's class; a class of that name raises
+    {!Ode_error}. *)
 
 val register_fun : t -> string -> (t -> Value.t list -> Value.t) -> unit
 (** Register a database function callable from masks, e.g.
@@ -342,15 +352,23 @@ val current_txn : t -> txn option
 val txn_id : txn -> int
 
 val commit : t -> txn -> (unit, [ `Aborted ]) result
-(** Runs the [before tcomplete] rounds, then commits and posts
-    [after tcommit] via a system transaction. If a trigger action raises
-    {!Tabort} during the rounds, the transaction is aborted instead and
-    [Error `Aborted] is returned. *)
+(** Runs the [before tcomplete] rounds over the accessed objects that
+    listen to it, then commits and posts [after tcommit] via a system
+    transaction to the accessed objects that listen to it. When none
+    does, no system transaction is opened and the durability backend
+    writes one batch instead of two; the system transaction's id is
+    consumed all the same, so transaction ids do not depend on which
+    classes listen. If a trigger action raises {!Tabort} during the
+    rounds, the transaction is aborted instead and [Error `Aborted] is
+    returned. *)
 
 val abort : t -> txn -> unit
-(** Posts [before tabort], undoes all effects (fields, created/deleted
-    objects, committed-mode trigger states), releases locks, then posts
-    [after tabort] via a system transaction. *)
+(** Posts [before tabort] to the accessed objects that listen to it,
+    undoes all effects (fields, created/deleted objects, committed-mode
+    trigger states), releases locks, then posts [after tabort] via a
+    system transaction to the accessed objects that listen to it,
+    opening none (but consuming its id, as {!commit} does) when no
+    object listens. *)
 
 val with_txn : t -> (txn -> 'a) -> ('a, [ `Aborted ]) result
 (** [begin_txn]; run; [commit]. {!Tabort} (from an action or the body)
@@ -506,9 +524,12 @@ val subscriber_count : t -> int
     They are always [Full_history] (no per-transaction rollback: schema
     events may happen outside transactions) and their actions run in
     whatever transaction — possibly none — posted the event ([f_txn] is
-    then 0). A time event is rejected when the trigger is declared
-    ([Ode_error "database trigger T: time events need an object
-    scope"]): timers are armed per object, so it could never fire. *)
+    then 0). Any other event is rejected when the trigger is declared,
+    since the database scope is never posted it and the trigger could
+    never fire: a time event with [Ode_error "database trigger T: time
+    events need an object scope"] (timers are armed per object), any
+    other with [Ode_error "database trigger T: E is never posted at
+    database scope"]. *)
 
 val db_trigger :
   t ->

@@ -496,8 +496,8 @@ let post_live db sys oids basic =
 
 let post_obj db sys obj basic = ignore (post db sys obj basic [])
 
-(* Post a transaction event to every object the finished transaction
-   accessed. *)
+(* Post a transaction event to the objects of a finished transaction
+   that listen to it ([Txn.finish] picks them). *)
 let system_post db oids basic = in_system_txn db oids post_live oids basic
 
 (* Deliver one time-event occurrence to an object, inside a system
@@ -530,7 +530,8 @@ let touch db tx obj =
   if not (Hashtbl.mem tx.tx_seen obj.o_id) then begin
     Hashtbl.add tx.tx_seen obj.o_id ();
     tx.tx_accessed <- obj.o_id :: tx.tx_accessed;
-    if not tx.tx_system then ignore (post db tx obj Symbol.Tbegin [])
+    if (not tx.tx_system) && listens db obj Symbol.Tbegin then
+      ignore (post db tx obj Symbol.Tbegin [])
   end
 
 (* ------------------------------------------------------------------ *)

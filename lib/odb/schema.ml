@@ -112,6 +112,8 @@ let compile_class k (defs : trigger_def list) =
     buckets
 
 let register_class db b =
+  if b.b_name = db_class_name then
+    ode_error "class %s: the name is reserved for the database scope" b.b_name;
   if Hashtbl.mem db.schema.classes b.b_name then
     ode_error "class %s already defined" b.b_name;
   let k =
@@ -139,16 +141,29 @@ let n_classes db = Hashtbl.length db.schema.classes
 
 let find_fun db name = Hashtbl.find_opt db.schema.functions name
 
+(* The only events the database scope is posted: class registration,
+   object creation and deletion. *)
+let db_keys =
+  List.map Symbol.basic_key
+    [ Symbol.Method (Symbol.After, "defclass"); Symbol.Create; Symbol.Delete ]
+
 (* A database-scope trigger is one more trigger of the database class,
-   declared last. Time events are rejected: timers are armed per
-   object, so one would never fire here. *)
+   declared last. An event the database scope is never posted is
+   rejected, as it would never fire here; time events get their own
+   message, since timers are armed per object. *)
 let db_trigger db ?perpetual ?witnesses name ~event ~action =
   let k = db.schema.db_class in
   if Hashtbl.mem k.k_triggers name then
     ode_error "database trigger %s already defined" name;
   let def = make_def ~cls:k.k_name ?perpetual ?witnesses name ~event ~action in
-  if List.mem Symbol.Key_time (Detector.relevant_basics def.t_detector) then
+  let keys = Detector.relevant_basics def.t_detector in
+  if List.mem Symbol.Key_time keys then
     ode_error "database trigger %s: time events need an object scope" name;
+  (match List.find_opt (fun key -> not (List.mem key db_keys)) keys with
+  | Some key ->
+    ode_error "database trigger %s: %a is never posted at database scope" name
+      Symbol.pp_basic_key key
+  | None -> ());
   let defs =
     Hashtbl.fold (fun _ d acc -> d :: acc) k.k_triggers []
     |> List.sort (fun a b -> compare a.t_index b.t_index)

@@ -9,9 +9,10 @@ open Types
 (* ------------------------------------------------------------------ *)
 
 (* Commit and abort post events ([before tcomplete], [before tabort],
-   [after tcommit]/[after tabort]) — an upward call into the posting
-   pipeline. The compile-time dependency stays Engine -> Txn; [Engine]
-   fills these at load time. *)
+   [after tcommit]/[after tabort]) to the accessed objects that listen
+   ([Types.listens]) — an upward call into the posting pipeline. The
+   compile-time dependency stays Engine -> Txn; [Engine] fills these at
+   load time. *)
 
 let post_hook : (db -> txn -> obj -> Symbol.basic -> Value.t list -> bool) ref =
   ref (fun _ _ _ _ _ -> false)
@@ -130,19 +131,47 @@ let merge_undo_segments tx segments =
 (* Abort and commit                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Post [basic] to the live objects [tx] accessed that listen to it, in
+   first-access order; whether any post fired a trigger. *)
+let post_listeners db tx basic =
+  List.fold_left
+    (fun fired oid ->
+      match Store.live_obj_opt db oid with
+      | Some obj when listens db obj basic -> !post_hook db tx obj basic [] || fired
+      | Some _ | None -> fired)
+    false (List.rev tx.tx_accessed)
+
+(* Emit a finished transaction's redo batch, then post [basic]
+   ([after tcommit] or [after tabort]) in a system transaction to the
+   accessed objects that listen. When none does, no system transaction
+   is opened, yet its txn id is consumed all the same, and before the
+   batch, so the batch logs the counter the system transaction's own
+   batch would have: txn ids, firings' [f_txn] and images come out as
+   if every object listened. *)
+let finish db tx basic =
+  let accessed = List.rev tx.tx_accessed in
+  let listeners =
+    if tx.tx_system then []
+    else
+      List.filter
+        (fun oid ->
+          match Store.live_obj_opt db oid with
+          | Some obj -> listens db obj basic
+          | None -> false)
+        accessed
+  in
+  if (not tx.tx_system) && listeners = [] then
+    db.txns.next_txn_id <- db.txns.next_txn_id + 1;
+  db.durability.dur_commit db (accessed @ List.rev tx.tx_dirty);
+  if listeners <> [] then !system_post_hook db listeners basic
+
 let abort db tx =
   if tx.tx_status <> Active then ode_error "transaction already finished";
   (* Post [before tabort] while the transaction's effects are still
      visible; actions fired here are undone along with everything else. *)
   if (not tx.tx_system) && not db.txns.in_abort then begin
     db.txns.in_abort <- true;
-    (try
-       List.iter
-         (fun oid ->
-           match Store.live_obj_opt db oid with
-           | Some obj -> ignore (!post_hook db tx obj (Symbol.Tabort Before) [])
-           | None -> ())
-         (List.rev tx.tx_accessed)
+    (try ignore (post_listeners db tx (Symbol.Tabort Before))
      with Tabort -> () (* already aborting *));
     db.txns.in_abort <- false
   end;
@@ -161,9 +190,7 @@ let abort db tx =
      (including those of the [before tabort] posts above) survive the
      undo by design, and the txn-id counter moved — so an abort emits a
      redo batch like a commit does. *)
-  db.durability.dur_commit db (List.rev tx.tx_accessed @ List.rev tx.tx_dirty);
-  if not tx.tx_system then
-    !system_post_hook db (List.rev tx.tx_accessed) (Symbol.Tabort After)
+  finish db tx (Symbol.Tabort After)
 
 let commit db tx =
   if tx.tx_status <> Active then ode_error "transaction already finished";
@@ -191,15 +218,7 @@ let commit db tx =
             db.txns.max_tcomplete_rounds;
         n_rounds := n;
         if on then Registry.incr obs Registry.Tcomplete_rounds;
-        let fired = ref false in
-        List.iter
-          (fun oid ->
-            match Store.live_obj_opt db oid with
-            | Some obj ->
-              if !post_hook db tx obj Symbol.Tcomplete [] then fired := true
-            | None -> ())
-          (List.rev tx.tx_accessed);
-        if !fired then rounds (n + 1)
+        if post_listeners db tx Symbol.Tcomplete then rounds (n + 1)
       in
       rounds 1
     end
@@ -217,12 +236,9 @@ let commit db tx =
     (* commit is the durability boundary: emit one redo batch covering
        everything this transaction touched (the tcomplete rounds above
        already extended [tx_accessed] and [tx_dirty] holds the
-       (de)activation targets that carry no access semantics); the
-       [after tcommit] system transaction below emits its own batch *)
-    db.durability.dur_commit db
-      (List.rev tx.tx_accessed @ List.rev tx.tx_dirty);
-    if not tx.tx_system then
-      !system_post_hook db (List.rev tx.tx_accessed) Symbol.Tcommit;
+       (de)activation targets that carry no access semantics); an
+       [after tcommit] system transaction emits its own batch *)
+    finish db tx Symbol.Tcommit;
     if timed then Registry.record_ns obs Registry.Commit (Registry.now_ns () - t0);
     Ok ()
   | exception Tabort ->

@@ -641,3 +641,12 @@ let rearm obj at params =
 let trigger_label cls name =
   if cls = db_class_name then "database trigger " ^ name
   else Printf.sprintf "trigger %s.%s" cls name
+
+(* Whether [obj] listens to transaction event [basic]: its class
+   declares a trigger whose alphabet holds the event (the class's
+   dispatch row exists), or history recording is on, so
+   [object_history] keeps listing every event. First touch, commit and
+   abort post a transaction event only to listeners: to anyone else the
+   post would step no automaton and record nothing (§5). *)
+let listens db obj basic =
+  db.store.history_limit > 0 || Hashtbl.mem obj.o_class.k_rows (Symbol.basic_key basic)

@@ -33,5 +33,6 @@ let () =
       ("soak", Test_soak.suite);
       ("committed-integration", Test_committed_integration.suite);
       ("wal", Test_wal.suite);
+      ("txn-events", Test_txn_events.suite);
       ("net", Test_net.suite);
     ]

@@ -20,10 +20,13 @@ let kind basic = Format.asprintf "%a" Symbol.pp_basic_key (Symbol.basic_key basi
 
 (* One object of class [c] with two armed perpetual triggers: [hit] on
    [after ping] (fires on every call) and [inert] on an event never
-   posted (pruned by the dispatch index).
+   posted (pruned by the dispatch index). With [~listening:true] the
+   class also declares [txn], on [after tbegin], [before tcomplete] and
+   [after tcommit], never activated: the class then listens to those
+   transaction events, so they are posted to the object.
    Setup runs with observability OFF so the counters reflect only the
    scripted transactions. *)
-let scripted_db ?trace_capacity () =
+let scripted_db ?trace_capacity ?(listening = false) () =
   (* image durability pinned: these tests assert exact span sequences
      and counts of the posting pipeline, which the WAL's own
      [Wal_flushed] spans would interleave with under the
@@ -49,6 +52,13 @@ let scripted_db ?trace_capacity () =
     D.trigger_str b ~perpetual:true "inert" ~event:"after never_posted"
       ~action:(fun _ _ -> ())
   in
+  let b =
+    if not listening then b
+    else
+      D.trigger_str b ~perpetual:true "txn"
+        ~event:"after tbegin | before tcomplete | after tcommit"
+        ~action:(fun _ _ -> ())
+  in
   D.register_class db b;
   let oid =
     expect_ok
@@ -67,18 +77,23 @@ let ping db oid =
 (* Pinned counters                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each transaction posts exactly 9 occurrences to the object:
-   [after tbegin], the 6 events around the call ([before access],
-   [before update], [before ping], [after ping], [after update],
-   [after access]), one [before tcomplete] (the §6 fixpoint converges in
-   one round: nothing fires on tcomplete), and [after tcommit] from the
-   system transaction. Of 2 active triggers, the index hands the
-   classifier one candidate on the [after ping] post and prunes the
-   rest: 1 + 2*8 = 17 skips per transaction. *)
+(* Each transaction posts exactly 6 occurrences to the object, the 6
+   events around the call ([before access], [before update],
+   [before ping], [after ping], [after update], [after access]): the
+   class declares no trigger on a transaction event, so none is posted
+   (the §6 fixpoint still runs its one round). Of 2 active triggers, the
+   index hands the classifier one candidate on the [after ping] post and
+   prunes the rest: 1 + 2*5 = 11 skips per transaction.
+   When the class listens ([~listening:true]), 3 more are posted:
+   [after tbegin], one [before tcomplete] (the fixpoint converges in one
+   round: nothing fires on tcomplete), and [after tcommit] from the
+   system transaction: 9 posts and 1 + 2*8 = 17 skips. *)
 let n_txns = 5
 
-let test_pinned_counters () =
-  let db, oid = scripted_db () in
+let test_pinned_counters ~listening () =
+  let db, oid = scripted_db ~listening () in
+  let posts = if listening then 9 else 6 in
+  let txn_kind = if listening then n_txns else 0 in
   D.set_observability db true;
   (* latency histograms are sink-gated; force timing so the probe-count
      pins below stay meaningful without attaching a sink *)
@@ -87,10 +102,12 @@ let test_pinned_counters () =
     ping db oid
   done;
   let r = D.observe db in
-  Alcotest.(check int) "posts" (9 * n_txns) (Obs.get r Obs.Posts);
+  Alcotest.(check int) "posts" (posts * n_txns) (Obs.get r Obs.Posts);
   Alcotest.(check int) "db posts" 0 (Obs.get r Obs.Db_posts);
   Alcotest.(check int) "classified" n_txns (Obs.get r Obs.Classified);
-  Alcotest.(check int) "index skipped" (17 * n_txns) (Obs.get r Obs.Index_skipped);
+  Alcotest.(check int) "index skipped"
+    ((1 + (2 * (posts - 1))) * n_txns)
+    (Obs.get r Obs.Index_skipped);
   Alcotest.(check int) "transitions" n_txns (Obs.get r Obs.Transitions);
   Alcotest.(check int) "firings" n_txns (Obs.get r Obs.Firings);
   Alcotest.(check int) "tcomplete rounds" n_txns (Obs.get r Obs.Tcomplete_rounds);
@@ -103,10 +120,10 @@ let test_pinned_counters () =
     (count (kind (Symbol.Method (Symbol.After, "ping"))));
   Alcotest.(check int) "before ping" n_txns
     (count (kind (Symbol.Method (Symbol.Before, "ping"))));
-  Alcotest.(check int) "after tbegin" n_txns (count (kind Symbol.Tbegin));
-  Alcotest.(check int) "before tcomplete" n_txns (count (kind Symbol.Tcomplete));
-  Alcotest.(check int) "after tcommit" n_txns (count (kind Symbol.Tcommit));
-  Alcotest.(check int) "post latencies" (9 * n_txns)
+  Alcotest.(check int) "after tbegin" txn_kind (count (kind Symbol.Tbegin));
+  Alcotest.(check int) "before tcomplete" txn_kind (count (kind Symbol.Tcomplete));
+  Alcotest.(check int) "after tcommit" txn_kind (count (kind Symbol.Tcommit));
+  Alcotest.(check int) "post latencies" (posts * n_txns)
     (Hist.count (Obs.hist r Obs.Post));
   Alcotest.(check int) "call latencies" n_txns (Hist.count (Obs.hist r Obs.Call));
   Alcotest.(check int) "commit latencies" n_txns
@@ -122,7 +139,7 @@ let test_timing_gate () =
   D.set_observability db true;
   let r = D.observe db in
   ping db oid;
-  Alcotest.(check int) "counters exact without a sink" 9 (Obs.get r Obs.Posts);
+  Alcotest.(check int) "counters exact without a sink" 6 (Obs.get r Obs.Posts);
   List.iter
     (fun p ->
       Alcotest.(check int)
@@ -130,23 +147,23 @@ let test_timing_gate () =
         0
         (Hist.count (Obs.hist r p)))
     Obs.all_probes;
-  Alcotest.(check int) "spans still emitted" 15
+  Alcotest.(check int) "spans still emitted" 11
     (List.length (Trace.spans (Obs.trace r)));
   (* attaching a sink turns the clock reads back on *)
   let sink = Trace.add_sink (Obs.trace r) (fun _ -> ()) in
   ping db oid;
-  Alcotest.(check int) "post latencies with a sink" 9
+  Alcotest.(check int) "post latencies with a sink" 6
     (Hist.count (Obs.hist r Obs.Post));
   Alcotest.(check int) "call latencies with a sink" 1
     (Hist.count (Obs.hist r Obs.Call));
   Trace.remove_sink (Obs.trace r) sink;
   ping db oid;
-  Alcotest.(check int) "gated again after detach" 9
+  Alcotest.(check int) "gated again after detach" 6
     (Hist.count (Obs.hist r Obs.Post));
   (* and the explicit override works without any sink *)
   Obs.set_timing r true;
   ping db oid;
-  Alcotest.(check int) "forced timing feeds histograms" 18
+  Alcotest.(check int) "forced timing feeds histograms" 12
     (Hist.count (Obs.hist r Obs.Post))
 
 let test_disabled_counts_nothing () =
@@ -227,7 +244,7 @@ let test_reset_keeps_enabled () =
   Alcotest.(check int) "counters zeroed" 0 (Obs.get r Obs.Posts);
   Alcotest.(check int) "trace cleared" 0 (List.length (Trace.spans (Obs.trace r)));
   ping db oid;
-  Alcotest.(check int) "counting resumes" 9 (Obs.get r Obs.Posts)
+  Alcotest.(check int) "counting resumes" 6 (Obs.get r Obs.Posts)
 
 (* ------------------------------------------------------------------ *)
 (* Trace ring                                                          *)
@@ -251,11 +268,11 @@ let test_span_order () =
   D.set_observability db true;
   ping db oid;
   let spans = Trace.spans (Obs.trace (D.observe db)) in
-  (* user txn begins; tbegin + the 4 pre-body posts; the [after ping]
-     post advances [hit], which fires and runs its action; the 2
-     post-body posts; tcomplete; commit; then the system txn posting
-     [after tcommit] *)
-  Alcotest.(check string) "pipeline span sequence" "BpppppafrpppCbp"
+  (* user txn begins; the 4 pre-body posts; the [after ping] post
+     advances [hit], which fires and runs its action; the 2 post-body
+     posts; commit. No transaction event is posted and no system
+     transaction opens: the class does not listen to them. *)
+  Alcotest.(check string) "pipeline span sequence" "BppppafrppC"
     (String.concat "" (List.map tag spans));
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped (Obs.trace (D.observe db)))
 
@@ -266,9 +283,9 @@ let test_ring_truncation () =
   let tr = Obs.trace (D.observe db) in
   Alcotest.(check int) "capacity" 4 (Trace.capacity tr);
   Alcotest.(check int) "ring keeps capacity spans" 4 (List.length (Trace.spans tr));
-  Alcotest.(check int) "older spans counted as dropped" 11 (Trace.dropped tr);
+  Alcotest.(check int) "older spans counted as dropped" 7 (Trace.dropped tr);
   (* the retained spans are the MOST RECENT ones, oldest first *)
-  Alcotest.(check string) "tail of the sequence" "pCbp"
+  Alcotest.(check string) "tail of the sequence" "rppC"
     (String.concat "" (List.map tag (Trace.spans tr)));
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (List.length (Trace.spans tr));
@@ -281,10 +298,10 @@ let test_sinks_see_everything () =
   let n = ref 0 in
   let sink = Trace.add_sink tr (fun _ -> incr n) in
   ping db oid;
-  Alcotest.(check int) "sink saw every span, ring kept 4" 15 !n;
+  Alcotest.(check int) "sink saw every span, ring kept 4" 11 !n;
   Trace.remove_sink tr sink;
   ping db oid;
-  Alcotest.(check int) "detached sink sees nothing" 15 !n
+  Alcotest.(check int) "detached sink sees nothing" 11 !n
 
 let test_trace_validation () =
   match Trace.create ~capacity:0 with
@@ -394,8 +411,8 @@ let test_exact_counters_under_domains () =
   Alcotest.(check int) "1-domain firings" 400 f1;
   Alcotest.(check int) "4-domain firings" 400 f4;
   let get name l = List.assoc name l in
-  (* 400 pings + 16 each of tbegin / tcomplete / tcommit *)
-  Alcotest.(check int) "posts" 448 (get "posts" c4);
+  (* 400 pings; the class listens to no transaction event *)
+  Alcotest.(check int) "posts" 400 (get "posts" c4);
   Alcotest.(check int) "classified" 400 (get "classified" c4);
   Alcotest.(check int) "transitions" 400 (get "transitions" c4);
   Alcotest.(check int) "firings counter" 400 (get "firings" c4);
@@ -406,9 +423,12 @@ let test_exact_counters_under_domains () =
 
 let suite =
   [
-    Alcotest.test_case "pinned pipeline counters" `Quick test_pinned_counters;
+    Alcotest.test_case "pinned pipeline counters" `Quick
+      (test_pinned_counters ~listening:false);
     Alcotest.test_case "exact counters under 4 domains" `Quick
       test_exact_counters_under_domains;
+    Alcotest.test_case "pinned counters, listening" `Quick
+      (test_pinned_counters ~listening:true);
     Alcotest.test_case "timing gate" `Quick test_timing_gate;
     Alcotest.test_case "disabled = all zeros" `Quick test_disabled_counts_nothing;
     Alcotest.test_case "abort + undo accounting" `Quick test_abort_and_undo;

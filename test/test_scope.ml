@@ -390,6 +390,39 @@ let test_db_time_event_rejected () =
       D.activate_db_trigger db "tick" []);
   Alcotest.(check int) "no timer armed" 0 (D.stats db).D.n_timers
 
+(* The database scope is posted [after defclass], [after create] and
+   [before delete] only: a trigger on any other event would be
+   accepted and never fire, so it is rejected when declared. *)
+let test_db_unposted_event_rejected () =
+  let db = scope_db ~partitions:1 in
+  expect_ode_error
+    "database trigger tc: after tcommit is never posted at database scope"
+    (fun () ->
+      D.db_trigger_str db "tc" ~event:"after tcommit" ~action:(fun _ _ -> ()));
+  expect_ode_error "database trigger m: after m is never posted at database scope"
+    (fun () -> D.db_trigger_str db "m" ~event:"after m" ~action:(fun _ _ -> ()));
+  expect_ode_error
+    "database trigger mixed: before tabort is never posted at database scope"
+    (fun () ->
+      D.db_trigger_str db "mixed" ~event:"after create; before tabort"
+        ~action:(fun _ _ -> ()));
+  List.iter
+    (fun name ->
+      expect_ode_error ("no database trigger " ^ name) (fun () ->
+          D.activate_db_trigger db name []))
+    [ "tc"; "m"; "mixed" ];
+  (* the three posted events are still accepted *)
+  D.db_trigger_str db "ok" ~event:"after defclass | after create | before delete"
+    ~action:(fun _ _ -> ());
+  D.activate_db_trigger db "ok" []
+
+(* [<database>] names the database scope's class: a user class of that
+   name would have its triggers reported as database triggers. *)
+let test_db_class_name_reserved () =
+  let db = scope_db ~partitions:1 in
+  expect_ode_error "class <database>: the name is reserved for the database scope"
+    (fun () -> D.register_class db (widget_class "<database>"))
+
 let test_history_recording () =
   let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = 1000L } () in
   D.enable_history db ~limit:100;
@@ -499,6 +532,9 @@ let suite =
     Alcotest.test_case "db-scope late declaration" `Quick test_db_late_declaration;
     Alcotest.test_case "db-scope errors" `Quick test_db_errors;
     Alcotest.test_case "db-scope time events rejected" `Quick test_db_time_event_rejected;
+    Alcotest.test_case "db-scope unposted events rejected" `Quick
+      test_db_unposted_event_rejected;
+    Alcotest.test_case "database class name reserved" `Quick test_db_class_name_reserved;
     Alcotest.test_case "history recording (§9)" `Quick test_history_recording;
     Alcotest.test_case "history limit" `Quick test_history_limit;
     Alcotest.test_case "history off by default" `Quick test_history_off_by_default;
