@@ -3,13 +3,13 @@
      odes serve --port 7912 --schema examples/odl/stockroom.odl
 
    The database is configured exactly like an embedded one: the
-   Database.Config env vars (ODE_DURABILITY, ODE_PARTITIONS,
-   ODE_POST_DOMAINS) apply — there is one posting path, one timer queue,
-   one store and one oid split (the partitions), so nothing else to
-   select — and the serve-specific knobs (port, batch window, outbox
-   bound, backpressure) ride on the same Config record. A partitioned engine is wire-transparent:
-   coalesced batches route by oid inside post_many, and batch serials
-   and firing totals in replies are identical at any partition count. *)
+   Database.Config env vars (ODE_DURABILITY, ODE_PARTITIONS) apply —
+   there is one posting path, one timer queue, one store and one oid
+   split (the partitions), so nothing else to select — and the
+   serve-specific knobs (port, batch window, outbox bound,
+   backpressure) ride on the same Config record. A partitioned engine
+   is wire-transparent: batch serials and firing totals in replies are
+   identical at any partition count. *)
 
 module D = Ode_odb.Database
 module Server = Ode_net.Server

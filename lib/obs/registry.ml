@@ -93,11 +93,10 @@ let probe_name = function
   | Action -> "action"
 
 (* Counters are [Atomic] and the kind table and trace ring are guarded
-   by [mu] because the engine's parallel step phase ([Engine.post_many])
-   emits [Transitions]/[Classified]/[Index_skipped] bumps and [Advanced]
-   spans from worker domains — counts must stay exact, not approximate,
-   under a multi-domain run. Histograms stay plain: every [record_ns]
-   site runs in a sequential pipeline phase. *)
+   by [mu], so counts stay exact, not approximate, even if more than one
+   thread emits into the same registry. The engine itself emits from
+   the one thread that posts. Histograms stay plain: every [record_ns]
+   site is on that thread. *)
 type t = {
   mutable on : bool;
   mutable force_timing : bool;

@@ -10,12 +10,12 @@
     {!set_enabled} on the registry returned by [Database.observe].
 
     {b Thread safety.} Counters are atomic and the kind table and trace
-    ring are mutex-guarded, because the engine's parallel step phase
-    ([Engine.post_many]) emits from worker domains — counts stay exact
-    under a multi-domain run. Trace sinks run while the registry mutex
+    ring are mutex-guarded, so counts stay exact even if more than one
+    thread emits into the same registry; the engine itself emits from
+    the one thread that posts. Trace sinks run while the registry mutex
     is held: keep them quick and never re-enter the registry from one.
     Histograms ({!record_ns}) are {e not} synchronised — every latency
-    probe sits in a sequential pipeline phase. *)
+    probe sits on the posting thread. *)
 
 (** What is counted where (emitting layer in brackets):
 

@@ -95,8 +95,6 @@ module Config = struct
     trace_capacity : int;
     durability : durability_spec;
     partitions : int;
-    post_domains : int;
-    domain_clamp : bool;
     timing : bool;
     serve : serve;
   }
@@ -122,8 +120,6 @@ module Config = struct
       trace_capacity = 1024;
       durability = `Image;
       partitions = 1;
-      post_domains = 1;
-      domain_clamp = true;
       timing = false;
       serve = default_serve;
     }
@@ -151,27 +147,14 @@ module Config = struct
     (* CI also runs the suite partitioned: ODE_PARTITIONS=n slices
        every database created through the env path into an n-member
        engine group *)
-    let c =
-      match Sys.getenv_opt "ODE_PARTITIONS" with
-      | None | Some "" -> c
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> { c with partitions = n }
-        | Some n ->
-          Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)"
-            n
-        | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
-    in
-    (* the test/CI override that forces the parallel machinery on even
-       for small batches and past the core-count clamp *)
-    match Sys.getenv_opt "ODE_POST_DOMAINS" with
+    match Sys.getenv_opt "ODE_PARTITIONS" with
     | None | Some "" -> c
     | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> { c with post_domains = n; domain_clamp = false }
+      | Some n when n >= 1 -> { c with partitions = n }
       | Some n ->
-        Types.ode_error "ODE_POST_DOMAINS: domain count must be >= 1 (got %d)" n
-      | None -> Types.ode_error "ODE_POST_DOMAINS: bad domain count %S" s)
+        Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)" n
+      | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
 end
 
 let create_db ?config () =
@@ -193,8 +176,6 @@ let create_db ?config () =
     | `Image -> Persist.image_backend ()
     | `Wal cfg when partitions = 1 -> Wal.backend cfg
     | `Wal cfg -> Engine_group.wal_backend ~partitions cfg);
-  Engine.set_post_domains db c.Config.post_domains;
-  Engine.set_domain_clamp db c.Config.domain_clamp;
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
@@ -205,11 +186,8 @@ let partitions (db : t) = Types.n_partitions db
 let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
-    "durability=%s partitions=%d post_domains=%d domain_clamp=%s obs=%s \
-     timing=%s clock=%Ldms"
+    "durability=%s partitions=%d obs=%s timing=%s clock=%Ldms"
     (durability_name db) (partitions db)
-    (Engine.post_domains db)
-    (onoff (Engine.domain_clamp db))
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -246,11 +224,6 @@ let call = Engine.call
 let has_method = Engine.has_method
 let apply_fun = Engine.apply_fun
 let post_many = Engine.post_many
-let set_post_domains = Engine.set_post_domains
-let post_domains = Engine.post_domains
-let set_domain_clamp = Engine.set_domain_clamp
-let domain_clamp = Engine.domain_clamp
-let shutdown_pool = Engine.shutdown_pool
 let get_field = Store.get_field
 let set_field = Engine.set_field
 

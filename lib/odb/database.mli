@@ -166,9 +166,8 @@ type durability_spec = [ `Image | `Wal of Wal.config ]
 
     Every knob the database (and the [odes serve] network front door
     over it) accepts, gathered into one plain record — the single
-    source of truth {!create_db} builds from. The post-hoc setters
-    ({!set_post_domains}, {!set_domain_clamp},
-    [Ode_obs.Registry.set_timing]) adjust a live database. *)
+    source of truth {!create_db} builds from. The post-hoc setter
+    [Ode_obs.Registry.set_timing] adjusts a live database. *)
 module Config : sig
   type backpressure = Block | Drop
   (** What a full per-subscriber firing outbox does to the server:
@@ -202,12 +201,9 @@ module Config : sig
     durability : durability_spec;
     partitions : int;
         (** engine members slicing the database by oid ([oid mod n]);
-            1 = the classic single engine. {!post_many} parallelises its
-            classify/step phase over the members. Observably
-            transparent: same firings, same order, same {!save} bytes
-            at any count. See [Engine_group]. *)
-    post_domains : int;
-    domain_clamp : bool;  (** see {!set_domain_clamp} *)
+            1 = the classic single engine. Observably transparent:
+            same firings, same order, same {!save} bytes at any count.
+            See [Engine_group]. *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -219,11 +215,10 @@ module Config : sig
 
   val default : t
   (** The documented defaults, environment ignored: image durability,
-      1 partition, 1 post domain (clamped), timing off,
-      {!default_serve}. *)
+      1 partition, timing off, {!default_serve}. *)
 
   val of_env : unit -> t
-  (** {!default} with the three environment overrides applied — the
+  (** {!default} with the two environment overrides applied — the
       one parser for all of them, raising {!Ode_error} with the
       offending variable named on any malformed value:
 
@@ -231,10 +226,7 @@ module Config : sig
         ([wal] in a fresh temporary directory — how CI runs the whole
         suite under the log);
       - [ODE_PARTITIONS=<n>] sets [partitions] (how CI runs the whole
-        suite partitioned);
-      - [ODE_POST_DOMAINS=<n>] sets [post_domains = n] and disables
-        [domain_clamp] (the test/CI override that forces the parallel
-        machinery on even on a small box). *)
+        suite partitioned). *)
 end
 
 val create_db : ?config:Config.t -> unit -> t
@@ -252,10 +244,9 @@ val create_db : ?config:Config.t -> unit -> t
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    durability, partition count, domain settings, observability state
-    and the clock — e.g.
-    ["durability=wal:/var/ode partitions=2 post_domains=4 \
-     domain_clamp=on obs=off timing=off clock=0ms"].
+    durability, partition count, observability state and the clock —
+    e.g. ["durability=wal:/var/ode partitions=2 obs=off timing=off \
+    clock=0ms"].
     Surfaced by [odec schema] and the server's [status] verb.
     {!durability_name} and {!partitions} are components kept as
     standalone accessors. *)
@@ -405,50 +396,20 @@ val apply_fun : t -> string -> Value.t list -> Value.t
 (** {1 Batch event posting}
 
     {!post_many} drives the §5 pipeline over a whole batch of basic
-    events in three phases: touch/lock/history sequentially in batch
-    order, then classify + automaton step with one task per partition
-    member (parallel across up to {!post_domains} domains when
-    [Config.partitions > 1] — safe because detection state is
-    per-object and the batch is split by owner member), then all firing
-    strictly sequentially. The outcome, firing order included, is
-    bit-identical whatever the domain or partition count. *)
+    events in three phases, each in batch order: touch/lock/history,
+    then classify + automaton step, then all firing. The outcome —
+    firing order, and the error a failing mask raises — is
+    bit-identical whatever the partition count. *)
 
 val post_many :
   t -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
-(** Post a batch of basic events inside the current transaction. Every
-    event steps against the detection state as of the start of the
-    batch (same-object events step in batch order); fired actions all
-    run after the whole batch has stepped, in batch order then
-    declaration order. Dead or missing oids are skipped. Returns the
-    number of firings. Requires an active transaction. *)
-
-val set_post_domains : t -> int -> unit
-(** Domain count for {!post_many}'s step phase (default 1, i.e. fully
-    sequential). At use the count is clamped to the partition count
-    and — while {!domain_clamp} holds — to
-    [Domain.recommended_domain_count ()], so configuring more domains
-    than the machine has cores cannot regress a run. Raises
-    {!Ode_error} if < 1. *)
-
-val post_domains : t -> int
-
-val set_domain_clamp : t -> bool -> unit
-(** Whether {!post_many} guards against oversubscription (default
-    [true]): the effective domain count is clamped to
-    [Domain.recommended_domain_count ()], and a batch of fewer than 32
-    events steps sequentially (it loses more to the pool rendezvous
-    than it gains from parallelism). Turn off only to force the
-    configured domains on every batch, e.g. to exercise the
-    multi-domain machinery deterministically on a small machine — the
-    [ODE_POST_DOMAINS] environment variable does exactly that at
-    {!create_db}: [ODE_POST_DOMAINS=n] sets {!set_post_domains} [n] and
-    disables the clamp. *)
-
-val domain_clamp : t -> bool
-
-val shutdown_pool : t -> unit
-(** Join and discard the cached domain pool, if any; idempotent. Call
-    before discarding a database that ran multi-domain batches. *)
+(** Post a batch of basic events inside the current transaction. Events
+    classify and step in batch order; fired actions all run after the
+    whole batch has stepped, in batch order then declaration order. A
+    failing mask raises {!Ode_error} at the first failing event in
+    batch order, after the events before it stepped. Dead or missing
+    oids are skipped. Returns the number of firings. Requires an active
+    transaction. *)
 
 val get_field : t -> oid -> string -> Value.t
 (** Raw field read for method bodies and examples; posts no events. *)

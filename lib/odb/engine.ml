@@ -26,19 +26,22 @@ let kind_name db basic =
     Hashtbl.add db.engine.kind_names basic s;
     s
 
-(* Per-member scratch buffers, built on first kernel post; the member
-   count is fixed at database creation, so the array never resizes.
-   Each scratch is built against its member (lookups route group-wide
-   either way; the siting keeps member tasks touching only their own
-   slice). *)
-let ensure_scratch db =
-  if Array.length db.engine.scratch = 0 then
-    db.engine.scratch <- Array.map Store.make_scratch (Store.members db);
-  db.engine.scratch
+(* The posting scratch, built on first kernel post and shared by
+   [post], [post_db] and [post_many]: the pipeline posts one occurrence
+   at a time, so there is never more than one user. Its mask
+   environment routes lookups group-wide, so one scratch serves every
+   partition member. *)
+let scratch db =
+  match db.engine.scratch with
+  | Some sc -> sc
+  | None ->
+    let sc = Store.make_scratch db in
+    db.engine.scratch <- Some sc;
+    sc
 
 (* Retire a scratch's accumulated counter bumps to the registry: one
-   atomic add per counter per post phase (per member task under
-   [post_many]) instead of one per candidate. *)
+   atomic add per counter per post (per batch under [post_many])
+   instead of one per candidate. *)
 let flush_scratch_counters obs sc =
   if sc.sc_classified <> 0 then begin
     Registry.add obs Registry.Classified sc.sc_classified;
@@ -79,14 +82,13 @@ let unsubscribe db s =
         alphabet, once per distinct shared detector. Read-only (guard
         masks may be evaluated; detection state is never touched).
      2. {e step} — advance each candidate activation's automaton and
-        collect §9 bindings. Independent per activation; this is the
-        phase [post_many] fans out across domains, one member per task.
+        collect §9 bindings. Independent per activation.
      3. {e fire} — deactivate one-shots and run fired actions, strictly
         sequential, in batch then declaration order.
 
    [post] runs all three inline on one occurrence; [post_many] runs
-   phase 1+2 per partition member (possibly in parallel) and phase 3
-   once. Both go through the compiled kernel below. *)
+   phases 1+2 over the whole batch, in batch order, and phase 3 once.
+   Both go through the compiled kernel below. *)
 
 let mask_error at msg =
   ode_error "%s: mask evaluation failed: %s"
@@ -99,7 +101,7 @@ let mask_error at msg =
 (* The per-event path with everything hoisted to registration or
    activation time: candidate resolution is one hashtable probe into the
    class's prebuilt [krow]; classification runs once per distinct shared
-   detector, producing a packed int code in the member scratch's buffer;
+   detector, producing a packed int code in the scratch's buffer;
    stepping a mask-free detector is one flat-table load on its SoA
    block. The helpers are top-level and tail-recursive (not closures)
    and the counters accumulate in the scratch, so a steady-state post
@@ -192,10 +194,9 @@ let[@inline] advance db ~undo ~on sc (at : active_trigger) code oid occurrence =
 
 (* Step pass: advance each active candidate in declaration order,
    accumulating the fired set in reverse (steady state: no cons).
-   Committed-mode snapshots go to [undo] — the caller's segment, merged
-   into the transaction log afterwards (a per-member segment under
-   [post_many]). Mutates only this object's activations, so distinct
-   objects step safely in parallel. *)
+   Committed-mode snapshots go to [undo], which the caller merges into
+   the transaction log afterwards. Mutates only this object's
+   activations. *)
 let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
   if i >= Array.length row.kr_defs then List.rev acc
   else
@@ -236,8 +237,8 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
       if Array.length sc.sc_codes < n_dets then
         sc.sc_codes <- Array.make (max 16 (2 * n_dets)) unclassified
       else Array.fill sc.sc_codes 0 n_dets unclassified;
-      (* the ref retains the last posted object of the member until the
-         next post: clearing it afterwards would need a protect closure *)
+      (* the ref retains the last posted object until the next post:
+         clearing it afterwards would need a protect closure *)
       sc.sc_obj := obj;
       classify_pass sc row obj.o_acts occurrence 0;
       step_pass db ~undo ~on sc row obj occurrence 0 []
@@ -327,7 +328,7 @@ let post db tx obj (basic : Symbol.basic) args =
          { scope = Trace.Obj obj.o_id; basic = kind_name db basic; txn = tx.tx_id;
            at_ms = occurrence.Symbol.at })
   end;
-  let sc = (ensure_scratch db).(obj.o_id mod Types.n_partitions db) in
+  let sc = scratch db in
   let undo = ref [] in
   (* the undo segment is merged even when a mask blows up mid-walk, so
      an abort still restores the already-stepped committed-mode
@@ -367,12 +368,11 @@ let db_obj db =
   obj
 
 (* Post to the database scope (§3): the database object goes through
-   the kernel like any object, classified {e at the event's origin} —
-   in the scratch of the member owning the affected oid (the first [Oid]
-   argument, member 0 without one) — and fires through [post_fired]
-   into whatever transaction, possibly none, posted the event.
-   Database triggers are always Full_history, so the kernel takes no
-   undo snapshot here. *)
+   the kernel like any object and fires through [post_fired] into
+   whatever transaction, possibly none, posted the event; the firing's
+   object is the affected oid (the first [Oid] argument, 0 without
+   one). Database triggers are always Full_history, so the kernel takes
+   no undo snapshot here. *)
 let post_db db (basic : Symbol.basic) args =
   let obs = db.obs in
   let on = Registry.enabled obs in
@@ -389,7 +389,7 @@ let post_db db (basic : Symbol.basic) args =
   let obj = db_obj db in
   let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
   let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
-  let sc = (ensure_scratch db).(affected mod Types.n_partitions db) in
+  let sc = scratch db in
   let fired =
     match kernel_post_one db ~undo:(ref []) ~on sc obj occurrence with
     | fired ->
@@ -535,67 +535,27 @@ let touch db tx obj =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Batch posting: post_many and the domain pool                         *)
+(* Batch posting                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let set_post_domains db n =
-  if n < 1 then ode_error "post_domains must be >= 1 (got %d)" n;
-  db.engine.post_domains <- n
-
-let post_domains db = db.engine.post_domains
-
-(* Below this many events a batch steps inline on the caller while the
-   clamp is on: under a member's worth of events the pool barrier costs
-   more than it amortizes. *)
-let inline_batch = 32
-
-let set_domain_clamp db flag = db.engine.clamp_domains <- flag
-let domain_clamp db = db.engine.clamp_domains
-
-let shutdown_pool db =
-  match db.engine.pool with
-  | Some p ->
-    db.engine.pool <- None;
-    Pool.shutdown p
-  | None -> ()
-
-(* The pool is lazily built and cached on the database; resized (torn
-   down and respawned) only when [set_post_domains] changed the target
-   size since the last batch. *)
-let ensure_pool db ~size =
-  match db.engine.pool with
-  | Some p when Pool.size p = size -> p
-  | Some _ | None ->
-    shutdown_pool db;
-    let p = Pool.create ~size in
-    db.engine.pool <- Some p;
-    p
-
 (* Post a batch of basic events in one sweep of the three-phase
-   pipeline. Phase 0 (here) and phase 3 (firing) are strictly
-   sequential in {e batch order}; phases 1+2 (classify + step) run one
-   task per partition member — in parallel across up to
-   [post_domains db] domains — which is safe because a member task only
-   mutates detection state of objects it owns (§5: one automaton per
-   trigger per object) and never touches the heap structurally.
+   pipeline, every phase in {e batch order}: phase 0 resolves the whole
+   batch, phases 1+2 (classify + step) walk it on the one scratch, and
+   phase 3 fires once every event has stepped.
 
-   Batch semantics: every event in the batch is classified and stepped
-   against the detection state {e as of the start of the batch's step
-   phase}; fired actions all run after the whole batch has stepped.
-   Events addressed to the same object step in batch order. The result
-   is bit-identical — firing order included — whatever the domain or
-   partition count, and equals the 1-domain sequential sweep by
-   construction. Dead or missing oids are skipped, like [system_post].
-   Returns the number of firings. *)
+   Fired actions all run after the whole batch has stepped, so no
+   action sees a partly stepped batch. The result — firing order, and
+   the error a failing mask raises included — is bit-identical whatever
+   the partition count. Dead or missing oids are skipped, like
+   [system_post]. Returns the number of firings. *)
 let post_many_nonempty db items =
   let tx = Txn.require_txn db in
   let obs = db.obs in
   let on = Registry.enabled obs in
   let timed = Registry.timing obs in
   let t0 = if timed then Registry.now_ns () else 0 in
-  let scratch = ensure_scratch db in
-  (* Phase 0 — sequential, batch order: resolve targets, first-touch
-     [after tbegin], write locks, §9 history, Posted probes. *)
+  (* Phase 0: resolve targets, first-touch [after tbegin], write locks,
+     §9 history, Posted probes. *)
   let resolved =
     List.filter_map
       (fun (oid, basic, args) ->
@@ -624,87 +584,29 @@ let post_many_nonempty db items =
   in
   let resolved = Array.of_list resolved in
   let n = Array.length resolved in
-  let nm = Types.n_partitions db in
-  (* Still phase 0: route each event to its owner member's queue — a
-     counting sort of item indices into reusable engine buffers, one int
-     per event and no closures — so a member task walks only its own
-     events instead of filtering the whole batch. *)
-  let eng = db.engine in
-  if Array.length eng.q_off < nm + 1 then begin
-    eng.q_off <- Array.make (nm + 1) 0;
-    eng.q_cur <- Array.make nm 0
-  end;
-  if Array.length eng.q_items < n then
-    eng.q_items <- Array.make (max 64 (2 * n)) 0;
-  let q_off = eng.q_off
-  and q_cur = eng.q_cur
-  and q_items = eng.q_items in
-  Array.fill q_off 0 (nm + 1) 0;
-  for i = 0 to n - 1 do
-    let obj, _ = resolved.(i) in
-    let k = obj.o_id mod nm in
-    q_off.(k + 1) <- q_off.(k + 1) + 1
-  done;
-  for k = 0 to nm - 1 do
-    q_off.(k + 1) <- q_off.(k + 1) + q_off.(k);
-    q_cur.(k) <- q_off.(k)
-  done;
-  for i = 0 to n - 1 do
-    let obj, _ = resolved.(i) in
-    let k = obj.o_id mod nm in
-    q_items.(q_cur.(k)) <- i;
-    q_cur.(k) <- q_cur.(k) + 1
-  done;
-  (* Phases 1+2 — one task per member, each sweeping its queue in batch
-     order; fired sets land in a per-item slot (disjoint writes),
-     committed-mode undo snapshots in a per-member segment.
-     [Fun.protect] flushes the segment even when a mask blows up
-     mid-member, so the merge below always sees every snapshot that was
-     taken. *)
+  (* Phases 1+2: fired sets land in a per-item slot. The undo list and
+     the counters are merged even when a mask blows up mid-batch, so an
+     abort still restores the already-stepped committed-mode
+     candidates. *)
   let fired = Array.make n [] in
-  let segments = Array.make nm [] in
-  let step_member k =
-    let undo = ref [] in
-    let lo = q_off.(k) and hi = q_off.(k + 1) in
-    (* the member task owns its scratch; counters batch there and flush
-       once per task, so the inner loop's only shared writes are the
-       disjoint [fired] slots *)
-    let sc = scratch.(k) in
-    Fun.protect
-      ~finally:(fun () ->
-        segments.(k) <- !undo;
-        if on then flush_scratch_counters obs sc)
-      (fun () ->
-        for j = lo to hi - 1 do
-          let i = q_items.(j) in
-          let obj, occurrence = resolved.(i) in
-          fired.(i) <- kernel_post_one db ~undo ~on sc obj occurrence
-        done)
+  let sc = scratch db in
+  let undo = ref [] in
+  let merge () =
+    if !undo <> [] then tx.tx_undo <- !undo @ tx.tx_undo;
+    if on then flush_scratch_counters obs sc
   in
-  (* Effective parallelism: never more domains than members; and while
-     the clamp is on ([set_domain_clamp] opts out for tests), never more
-     than the box has cores (oversubscription buys only contention) and
-     just one for a batch below [inline_batch] events. *)
-  let domains =
-    let d = min db.engine.post_domains nm in
-    if not db.engine.clamp_domains then d
-    else if n < inline_batch then 1
-    else min d (Domain.recommended_domain_count ())
-  in
-  let merge () = Txn.merge_undo_segments tx (Array.to_list segments) in
   (match
-     if domains <= 1 || n = 0 then
-       for k = 0 to nm - 1 do
-         step_member k
-       done
-     else Pool.run_static (ensure_pool db ~size:domains) ~tasks:nm step_member
+     for i = 0 to n - 1 do
+       let obj, occurrence = resolved.(i) in
+       fired.(i) <- kernel_post_one db ~undo ~on sc obj occurrence
+     done
    with
   | () -> merge ()
   | exception e ->
     merge ();
     raise e);
   (* Phase 3 — sequential firing: batch order, declaration order within
-     one event (preserved by construction above). *)
+     one event. *)
   let count = ref 0 in
   for i = 0 to n - 1 do
     match fired.(i) with
@@ -719,7 +621,7 @@ let post_many_nonempty db items =
   !count
 
 (* An empty batch is a true no-op past the open-transaction check: no
-   queue rebuild, no scratch, no pool wake — and, for callers batching
+   scratch, no probe — and, for callers batching
    at a durability boundary, nothing marks the transaction dirty, so a
    barrier-only wire flush emits no WAL record. *)
 let post_many db items =

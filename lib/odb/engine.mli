@@ -27,9 +27,8 @@ val post_db : db -> Ode_event.Symbol.basic -> Value.t list -> unit
     [before delete]. The database-scope triggers are the activations of
     one database object (the instance of [schema.db_class], outside
     every member table), so the post goes through the same kernel as
-    {!post} — classified in the scratch of the member owning the
-    affected oid — and fires through the same firing phase, in the
-    current transaction if there is one ([f_txn] 0 otherwise). *)
+    {!post} and fires through the same firing phase, in the current
+    transaction if there is one ([f_txn] 0 otherwise). *)
 
 val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
 (** Post a transaction event to the listed objects inside a fresh system
@@ -38,49 +37,22 @@ val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
 
 (** {1 Batch posting}
 
-    [post_many] drives the same three-phase pipeline over a whole batch:
-    phase 0 (touch/lock/history/probes) and phase 3 (firing) run
-    sequentially in batch order; the classify + step phases run one task
-    per partition member, fanned out across up to {!post_domains}
-    domains. Safe because a member task only mutates detection state of
-    objects that member owns (§5: one automaton per trigger per object);
-    committed-mode undo snapshots accumulate in per-member segments
-    merged deterministically by {!Txn.merge_undo_segments}. *)
+    [post_many] drives the same three-phase pipeline over a whole batch,
+    every phase in batch order: phase 0 (touch/lock/history/probes)
+    resolves the batch, the classify + step phases walk it on the
+    scratch {!post} uses, and phase 3 fires. Committed-mode undo
+    snapshots land in one list, merged into the transaction the way
+    {!post} merges its own. *)
 
 val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
 (** Post a batch of basic events. Every event is classified and stepped
-    against the detection state as of the start of the batch's step
-    phase (events to the same object step in batch order); all fired
-    actions run after the whole batch has stepped, in batch order then
-    declaration order. The outcome — firing order included — is
-    bit-identical whatever the domain or partition count. Dead or missing
+    in batch order; all fired actions run after the whole batch has
+    stepped, in batch order then declaration order. A failing mask
+    raises at the first failing event in batch order, after the events
+    before it stepped. The outcome — firing order and any error included
+    — is bit-identical whatever the partition count. Dead or missing
     oids are skipped, like {!system_post}. Returns the number of
     firings. *)
-
-val set_post_domains : db -> int -> unit
-(** Target domain count for [post_many]'s step phase (default 1 —
-    fully sequential). At use the count is clamped to the partition
-    count and — while {!domain_clamp} holds — to
-    [Domain.recommended_domain_count ()]; the cached pool is rebuilt on
-    the next batch after a change. Raises {!Types.Ode_error} if < 1. *)
-
-val post_domains : db -> int
-
-val set_domain_clamp : db -> bool -> unit
-(** Whether [post_many] protects the machine from oversubscription
-    (default [true]): the effective domain count is clamped to
-    [Domain.recommended_domain_count ()], and a batch of fewer than 32
-    events steps sequentially (it loses more to the pool rendezvous
-    than it gains from the fan-out). Disabling it lifts both, so the
-    configured domains run for every batch — tests use this to drive
-    the real multi-domain machinery on a 1-core box. *)
-
-val domain_clamp : db -> bool
-
-val shutdown_pool : db -> unit
-(** Join and discard the cached domain pool, if any. Idempotent; the
-    next parallel [post_many] respawns it. Call before discarding a
-    database that ran multi-domain batches. *)
 
 (** {1 Firing notification}
 

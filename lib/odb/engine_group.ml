@@ -11,8 +11,8 @@
 
    Member 0 is the facade handed to callers; its [part] field (like
    every member's) points at the full member array, which is all the
-   routing helpers in [Types]/[Store] need. Determinism: batches are
-   bucketed by owner member in batch-index order, timers merge by the
+   routing helpers in [Types]/[Store] need. Determinism: batches step
+   in batch order whatever the member count, timers merge by the
    group-wide [(tm_due, tm_seq)] stamp, and the group image writers in
    [Persist] merge slices back into single-engine byte order — so
    firings, counters and ODE1 bytes are identical at any partition

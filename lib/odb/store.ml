@@ -14,9 +14,8 @@ let locked db f =
 (* Oid allocation is one counter: with owner [oid mod n] a
    monotonically increasing oid stream round-robins the partition
    members, so the slices stay balanced without per-member counters.
-   Allocation only happens in the sequential phases of the pipeline
-   (object creation is never parallelised), so the counter needs no
-   synchronisation. *)
+   Allocation happens only at object creation, on the thread driving
+   the database, so the counter needs no synchronisation. *)
 let alloc_oid db =
   match db.part with
   | None ->
@@ -204,8 +203,8 @@ let get_field db oid name =
    object in the [sc_obj] cell (the field-less database object until the
    first post, and for database-scope posts), dereferences and
    database functions against the heap and schema; the indirection lets
-   one environment (and its three closures) serve every post handled by
-   a member instead of being rebuilt — and reallocated — per event. *)
+   one environment (and its three closures) serve every post instead of
+   being rebuilt — and reallocated — per event. *)
 let make_scratch db =
   let sc_obj = ref db.engine.db_obj in
   let sc_env : Mask.env =

@@ -4,8 +4,7 @@
     Each database (or partition member, see {!Types.partition_state})
     holds one hashtable in {!Types.store_state}, with one mutex guarding
     structural mutation. A partitioned database slices the heap by
-    owner ([oid mod n_partitions]), and that slice is what the engine's
-    batch pipeline steps one-domain-per-member. Depends on {!Types}
+    owner ([oid mod n_partitions]). Depends on {!Types}
     (and reads the schema tables for mask environments); knows nothing
     about transactions or event posting.
 
@@ -113,7 +112,7 @@ val make_scratch : db -> scratch
     field-less database object for database-scope posts) and whose
     dereferences and database functions resolve against the heap and
     schema, plus a grow-only classification-code buffer. The engine
-    keeps one per partition member. *)
+    keeps one, shared by every partition member. *)
 
 (** {1 Event histories (§9)} *)
 

@@ -67,14 +67,10 @@ and schema_state = {
 }
 
 (* [Store]: this member's slice of the object heap — one hashtable
-   and one mutex guarding its structural mutation. The partition member
-   is the unit the engine's batch pipeline parallelises over: all
-   activations of one object live in exactly one member (its owner,
-   [oid mod n_partitions]), so one domain per member steps automata
-   with no shared mutable state. The engine only mutates the tables from
-   sequential phases, so lookups (which parallel phases do perform)
-   need no lock — a hashtable that nobody resizes is safe to read
-   concurrently. [Store] owns the code. *)
+   and one mutex guarding its structural mutation. All activations of
+   one object live in exactly one member (its owner,
+   [oid mod n_partitions]); lookups route to the owner and take no
+   lock. [Store] owns the code. *)
 and store_state = {
   table : (oid, obj) Hashtbl.t;
   lock : Mutex.t;
@@ -86,9 +82,8 @@ and store_state = {
          fixed-width automaton state vectors of every activation of
          that detector on this member's objects (paper §5: "one integer
          per active trigger per object", one per level for hierarchical
-         automata). Only sequential pipeline phases allocate or free
-         slots; the parallel step phase of [post_many] only touches
-         blocks of its own member. *)
+         automata). Activation and removal allocate or free slots;
+         the step phases only write the cells of existing slots. *)
 }
 
 (* One packed state block: slot [i] of an activation occupies the
@@ -123,41 +118,17 @@ and engine_state = {
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
   mutable next_sub_id : int;
-  mutable post_domains : int;
-      (* default parallelism of [post_many]'s classify/step phase *)
-  mutable clamp_domains : bool;
-      (* clamp the effective parallelism to
-         [Domain.recommended_domain_count ()] and step batches smaller
-         than [Engine.inline_batch] inline (default true):
-         requesting more domains than the box has cores buys only
-         contention, and below a member's worth of events the pool
-         barrier costs more than it buys. [ODE_POST_DOMAINS] turns both
-         off — an explicit test override must exercise the parallel
-         machinery even on a 1-core box. *)
-  mutable pool : Pool.t option;
-      (* lazily created domain pool backing [post_many]; sized
-         [post_domains] (or the call's [?domains]) and rebuilt when that
-         changes. [Engine.shutdown_pool] releases the domains. *)
-  mutable q_items : int array;
-      (* reusable per-member event queues, rebuilt each batch by a
-         counting sort in phase 0: item indices grouped by owner
-         member, so a member task walks only its own events — one int
-         per event, no closures *)
-  mutable q_off : int array;
-      (* member k owns [q_items.(q_off.(k) .. q_off.(k+1) - 1)] *)
-  mutable q_cur : int array;  (* counting-sort fill cursors *)
-  mutable scratch : scratch array;
-      (* per-member reusable classify/step buffers, built lazily by
-         [Engine]; the sequential [post] path uses the posted object's
-         owner's scratch, [post_many]'s step tasks each own their
-         member's — never two users at once *)
+  mutable scratch : scratch option;
+      (* the reusable classify/step buffers of [post], [post_db] and
+         [post_many], built lazily by [Engine]; the pipeline posts one
+         occurrence at a time, so never two users at once *)
   kind_names : (Symbol.basic, string) Hashtbl.t;
       (* memoized pretty-printed basic-event keys for the observability
          probes ([Format.asprintf] per post would dominate the enabled
-         cost); written only from the sequential posting phases *)
+         cost) *)
 }
 
-(* Reusable per-member posting buffers: a mask environment whose field
+(* Reusable posting buffers: a mask environment whose field
    reads resolve against whatever object [sc_obj] currently holds, and a
    grow-only classification-code buffer (one packed code per distinct
    detector of the candidate row). This is what makes the steady-state
@@ -170,8 +141,8 @@ and scratch = {
   mutable sc_skipped : int;
   mutable sc_transitions : int;
       (* counter accumulators, flushed to the registry once per post
-         phase (per member task under [post_many]) instead of per
-         candidate — the atomics stay exact, off the inner loop *)
+         (once per batch under [post_many]) instead of per candidate —
+         the atomics stay off the inner loop *)
 }
 
 (* [Timewheel]: simulated time. *)
@@ -531,13 +502,7 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_obj = new_obj db_class 0;
           subscribers = [];
           next_sub_id = 1;
-          post_domains = 1;
-          clamp_domains = true;
-          pool = None;
-          q_items = [||];
-          q_off = [||];
-          q_cur = [||];
-          scratch = [||];
+          scratch = None;
           kind_names = Hashtbl.create 16;
         };
       wheel =

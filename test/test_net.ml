@@ -762,22 +762,13 @@ let with_env key v f =
     f
 
 let test_config_of_env () =
-  with_env "ODE_POST_DOMAINS" "3" (fun () ->
-      let c = D.Config.of_env () in
-      Alcotest.(check int) "domains" 3 c.D.Config.post_domains;
-      Alcotest.(check bool) "clamp off" false c.D.Config.domain_clamp);
-  with_env "ODE_POST_DOMAINS" "" (fun () ->
-      let c = D.Config.of_env () in
-      Alcotest.(check int)
-        "empty means unset" D.Config.default.D.Config.post_domains
-        c.D.Config.post_domains);
-  with_env "ODE_POST_DOMAINS" "0" (fun () ->
-      Alcotest.check_raises "zero domains rejected"
-        (D.Ode_error "ODE_POST_DOMAINS: domain count must be >= 1 (got 0)")
-        (fun () -> ignore (D.Config.of_env ())));
-  with_env "ODE_POST_DOMAINS" "many" (fun () ->
-      Alcotest.check_raises "garbage rejected"
-        (D.Ode_error "ODE_POST_DOMAINS: bad domain count \"many\"") (fun () ->
+  with_env "ODE_DURABILITY" "" (fun () ->
+      Alcotest.(check bool)
+        "empty means unset" true
+        ((D.Config.of_env ()).D.Config.durability = `Image));
+  with_env "ODE_DURABILITY" "wal:soon" (fun () ->
+      Alcotest.check_raises "bad flush window rejected"
+        (D.Ode_error "ODE_DURABILITY: bad flush window in \"wal:soon\"") (fun () ->
           ignore (D.Config.of_env ())));
   with_env "ODE_DURABILITY" "paper-tape" (fun () ->
       Alcotest.check_raises "unknown durability rejected"
@@ -853,7 +844,7 @@ let test_config_reaches_db () =
       Alcotest.(check bool)
         (Printf.sprintf "summary mentions %s" needle)
         true (contains needle))
-    [ "durability=image"; "partitions=1"; "post_domains=1"; "timing=off" ]
+    [ "durability=image"; "partitions=1"; "obs=off"; "timing=off" ]
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,11 +1,9 @@
 (* Partition equivalence: an oid-sliced engine group must be observably
    identical to the single engine — same firings in the same order, same
    action log, same automaton states, same exact observability counters
-   and byte-identical ODE1 images — at any partition count, and
-   [post_many] at any domain count over any partition count (the
-   partition member is the unit its parallel step phase runs one task
-   per), under random schemas and random transaction scripts. The
-   generators and runners are shared with test_shard.ml.
+   and byte-identical ODE1 images — at any partition count, [post_many]
+   batches included, under random schemas and random transaction
+   scripts. The generators and runners are shared with test_shard.ml.
 
    Directed tests cover what the properties cannot see from the facade:
    a cross-partition composite (a database-scope [sequence] whose
@@ -13,8 +11,9 @@
    packed-code forwarding path), [choose n] counting creations across
    members, the partition-transparent image (save at one count, load at
    another), the partitioned WAL (per-member logs + group manifest,
-   recovery, mismatch refusal), the ODE_PARTITIONS selector and the
-   config surface. *)
+   recovery, mismatch refusal), the ODE_PARTITIONS selector, the
+   config surface, and a batch whose masks fail (same error, same
+   automata stepped, at every partition count). *)
 
 open Ode_odb
 module D = Database
@@ -44,9 +43,9 @@ let fresh_dir () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The second property runs every pairing of domains {1,2,4} with
-   partitions {1,2,4}. test_shard.ml's [Heap = Sharded] and
-   [post_many: 1 domain = 4 domains = Heap] cover 3 and 8 members. *)
+(* The first property runs partitions {1,2,4}; test_shard.ml's
+   [Heap = Sharded] covers 3 members. The second runs [post_many] at
+   partitions {1,2,3,4,8}. *)
 let partitions_transparent =
   QCheck.Test.make ~count:40
     ~name:"partitions 1 = 2 = 4 (firings, states, persist bytes)"
@@ -58,17 +57,92 @@ let partitions_transparent =
 
 let post_many_partitions_equal =
   QCheck.Test.make ~count:40
-    ~name:"post_many: partitions 1 = 2 = 4 (exact counters, persist bytes)"
+    ~name:"post_many: partitions 1 = 2 = 3 = 4 = 8 (exact counters, persist bytes)"
     (QCheck.make ~print:TS.print_batch_case TS.gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.btriggers);
-      let p1 = TS.run_batch ~partitions:1 ~domains:1 case in
+      let p1 = TS.run_batch ~partitions:1 case in
       List.for_all
-        (fun (partitions, domains) ->
-          p1 = TS.run_batch ~partitions ~domains case)
-        (List.concat_map
-           (fun partitions -> List.map (fun d -> (partitions, d)) [ 1; 2; 4 ])
-           [ 1; 2; 4 ]))
+        (fun partitions -> p1 = TS.run_batch ~partitions case)
+        [ 2; 3; 4; 8 ])
+
+(* ------------------------------------------------------------------ *)
+(* A failing batch                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A batch whose masks fail must fail the same way at every partition
+   count: the error is the first failing event's in batch order, and
+   exactly the events before it have stepped. Classes [p] and [q] each
+   carry a committed-mode counter and a trigger masked on an unbound
+   variable; objects 1p 2q 3p 4q. The batch pings 1, 2 and 3, then
+   booms 1 (p's mask fails) before q's boom on 2 — so a walk in any
+   order but the batch's (say member by member) either names
+   [q.bad_q] or leaves a different set of counters stepped. The abort
+   then restores every counter. *)
+let test_failing_batch_partitions () =
+  let drive partitions =
+    let db = D.create_db ~config:(cfg ~partitions ()) () in
+    let cls name var =
+      let b = D.define_class name in
+      let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
+      let b = D.method_ b ~kind:D.Updating "boom" (fun _ _ _ -> Value.Unit) in
+      let b =
+        D.trigger_str b ~perpetual:true ~mode:Ode_event.Detector.Committed "count"
+          ~event:"after ping ; after ping ; after ping" ~action:(fun _ _ -> ())
+      in
+      let b =
+        D.trigger_str b ~perpetual:true ("bad_" ^ name)
+          ~event:(Printf.sprintf "after boom && %s == 1" var)
+          ~action:(fun _ _ -> ())
+      in
+      D.register_class db b
+    in
+    cls "p" "zzz";
+    cls "q" "yyy";
+    let oids =
+      expect_ok
+        (D.with_txn db (fun _ ->
+             List.map
+               (fun c ->
+                 let oid = D.create db c [] in
+                 D.activate db oid "count" [];
+                 D.activate db oid ("bad_" ^ c) [];
+                 oid)
+               [ "p"; "q"; "p"; "q" ]))
+    in
+    let states () = List.map (fun oid -> D.trigger_state db oid "count") oids in
+    let before = states () in
+    let ev i m = (List.nth oids (i - 1), Symbol.Method (Symbol.After, m), []) in
+    let tx = D.begin_txn db in
+    let msg =
+      match
+        D.post_many db
+          [ ev 1 "ping"; ev 2 "ping"; ev 3 "ping"; ev 1 "boom"; ev 4 "ping";
+            ev 2 "boom"; ev 3 "ping" ]
+      with
+      | _ -> Alcotest.fail "expected the batch to raise"
+      | exception D.Ode_error msg -> msg
+    in
+    let stepped = List.map2 (fun b a -> b <> a) before (states ()) in
+    D.abort db tx;
+    Alcotest.(check bool)
+      (Printf.sprintf "abort restores every counter at %d partitions" partitions)
+      true
+      (states () = before);
+    (msg, stepped)
+  in
+  List.iter
+    (fun partitions ->
+      let msg, stepped = drive partitions in
+      Alcotest.(check string)
+        (Printf.sprintf "first failing event in batch order at %d partitions"
+           partitions)
+        "trigger p.bad_p: mask evaluation failed: unbound variable zzz" msg;
+      Alcotest.(check (list bool))
+        (Printf.sprintf "exactly the earlier events stepped at %d partitions"
+           partitions)
+        [ true; true; true; false ] stepped)
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Cross-partition composites                                          *)
@@ -339,3 +413,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ partitions_transparent; post_many_partitions_equal ]
+  @ [
+      Alcotest.test_case "a failing batch fails alike at every count" `Quick
+        test_failing_batch_partitions;
+    ]

@@ -1,18 +1,17 @@
 (* The batch-pipeline workloads and the Store surface. [run] drives
    random schemas under random transaction scripts with commits,
    aborts, deletes and simulated-time advances; [run_batch] drives
-   [post_many] batches at a chosen domain count. Each summarises every
-   observable — firings in order, the action log, automaton states,
-   object listings, statistics, exact counters and byte-identical ODE1
-   images — and the properties here and in test_partition.ml compare
-   those summaries across partition and domain counts (the partition
-   member is the oid slice the parallel step phase runs one task per).
-   "Heap" below is the single engine, "Sharded" an oid-sliced group.
+   [post_many] batches. Each summarises every observable — firings in
+   order, the action log, automaton states, object listings,
+   statistics, exact counters and byte-identical ODE1 images — and the
+   properties here and in test_partition.ml compare those summaries
+   across partition counts. "Heap" below is the single engine,
+   "Sharded" an oid-sliced group.
 
    Directed tests below cover the Store surface ([cardinal]/[mem] and
    the ascending-oid enumeration contract, on one engine and on a
    4-member group), owner routing, an image carried from a group to a
-   single engine, the domain pool, and kernel coverage. *)
+   single engine, and kernel coverage. *)
 
 open Ode_odb
 open Ode_event
@@ -162,7 +161,7 @@ let run ?partitions case =
     image )
 
 (* ------------------------------------------------------------------ *)
-(* post_many across domain counts                                      *)
+(* post_many batches                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type batch_case = {
@@ -174,16 +173,11 @@ type batch_case = {
 let n_batch_objects = 8
 
 (* Run both batches through [post_many] — the second in a transaction
-   that aborts, exercising the merged per-member undo segments — and
-   summarise every observable, the exact counters included. *)
-let run_batch ?partitions ~domains case =
+   that aborts, exercising the batch's merged undo list — and summarise
+   every observable, the exact counters included. *)
+let run_batch ?partitions case =
   let log = ref [] in
   let db = create_db ?partitions () in
-  D.set_post_domains db domains;
-  (* make the domain count real even on a small box: no core-count
-     clamp, no sequential fallback for small batches — these
-     properties exist to drive the parallel machinery *)
-  D.set_domain_clamp db false;
   D.set_observability db true;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
@@ -250,8 +244,8 @@ let run_batch ?partitions ~domains case =
       (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid, f.D.f_txn))
       (List.rev !firings_log)
   in
-  (* the persist image pins the exact post-batch state words: a domain
-     or partition count that corrupted even one automaton cell would
+  (* the persist image pins the exact post-batch state words: a
+     partition count that corrupted even one automaton cell would
      change the bytes *)
   let image =
     let tmp = Filename.temp_file "ode_shard" ".img" in
@@ -263,7 +257,6 @@ let run_batch ?partitions ~domains case =
     Sys.remove tmp;
     bytes
   in
-  D.shutdown_pool db;
   ( !n1, !n2, firings, List.rev !log, states, counters,
     Ode_obs.Registry.posts_by_kind obs, image )
 
@@ -379,17 +372,14 @@ let heap_equals_sharded =
       QCheck.assume (List.for_all compiles case.triggers);
       run ~partitions:1 case = run ~partitions:3 case)
 
-(* 8 members over every domain count, against the single engine;
-   test_partition.ml pairs domains with partition counts up to 4. *)
-let post_many_domains_equal =
-  QCheck.Test.make ~count:40 ~name:"post_many: 1 domain = 4 domains = Heap"
+(* 8 members (one object each), against the single engine;
+   test_partition.ml runs the same batches at partitions 1 to 8. *)
+let post_many_members_equal =
+  QCheck.Test.make ~count:40 ~name:"post_many: 8 members = Heap"
     (QCheck.make ~print:print_batch_case gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
-      let d1 = run_batch ~partitions:8 ~domains:1 case in
-      d1 = run_batch ~partitions:8 ~domains:2 case
-      && d1 = run_batch ~partitions:8 ~domains:4 case
-      && d1 = run_batch ~partitions:1 ~domains:4 case)
+      run_batch ~partitions:8 case = run_batch ~partitions:1 case)
 
 (* Kernel coverage, detector level: every expression the generators can
    produce — composite masks, [choose]/[every] counting, nesting — must
@@ -551,48 +541,6 @@ let test_shard_partition () =
   Alcotest.(check bool) "one engine owns every oid" true
     (Types.owner_db single 17 == single)
 
-(* The pool itself: every task runs exactly once, on the participant
-   the strided map assigns it, failures propagate after the join,
-   shutdown is idempotent. *)
-let test_pool () =
-  let p = Pool.create ~size:4 in
-  Alcotest.(check int) "size" 4 (Pool.size p);
-  let hits = Array.make 64 0 in
-  Pool.run_static p ~tasks:64 (fun i -> hits.(i) <- hits.(i) + 1);
-  Array.iter (fun n -> Alcotest.(check int) "each task once" 1 n) hits;
-  (* reuse across batches, on a task count that is not a multiple of
-     the pool size *)
-  let total = Atomic.make 0 in
-  let shits = Array.make 13 0 in
-  Pool.run_static p ~tasks:13 (fun i ->
-      shits.(i) <- shits.(i) + 1;
-      Atomic.incr total);
-  Array.iter (fun n -> Alcotest.(check int) "second batch task once" 1 n) shits;
-  Alcotest.(check int) "second batch" 13 (Atomic.get total);
-  (* the task -> domain map is a pure function of the pool size: tasks
-     i and i + size land on the same domain, batch after batch *)
-  let dom () = (Domain.self () :> int) in
-  let owner = Array.make 8 (-1) in
-  Pool.run_static p ~tasks:8 (fun i -> owner.(i) <- dom ());
-  for i = 0 to 3 do
-    Alcotest.(check int) "strided ownership" owner.(i) owner.(i + 4)
-  done;
-  let again = Array.make 8 (-1) in
-  Pool.run_static p ~tasks:8 (fun i -> again.(i) <- dom ());
-  Alcotest.(check (array int)) "stable across batches" owner again;
-  (* a failing task does not lose the others, and the exception surfaces *)
-  let ran = Atomic.make 0 in
-  (match
-     Pool.run_static p ~tasks:8 (fun i ->
-         Atomic.incr ran;
-         if i = 5 then failwith "task 5 failed")
-   with
-  | () -> Alcotest.fail "expected the task failure to propagate"
-  | exception Failure msg -> Alcotest.(check string) "message" "task 5 failed" msg);
-  Alcotest.(check int) "siblings still ran" 8 (Atomic.get ran);
-  Pool.shutdown p;
-  Pool.shutdown p (* idempotent *)
-
 (* An image saved mid-sequence from a 4-member group loads into a single
    engine and detection picks up where it left off. *)
 let test_cross_backend_image () =
@@ -630,7 +578,6 @@ let suite =
     Alcotest.test_case "store primitives on both backends" `Quick test_store_primitives;
     Alcotest.test_case "cardinal and mem" `Quick test_store_layer_cardinal_mem;
     Alcotest.test_case "shard partition" `Quick test_shard_partition;
-    Alcotest.test_case "domain pool" `Quick test_pool;
     Alcotest.test_case "cross-backend image" `Quick test_cross_backend_image;
   ]
   @ List.map QCheck_alcotest.to_alcotest
@@ -638,5 +585,5 @@ let suite =
         heap_equals_sharded;
         all_expressions_flat;
         dfa_rows_equal_tables;
-        post_many_domains_equal;
+        post_many_members_equal;
       ]
