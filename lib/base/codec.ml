@@ -129,15 +129,24 @@ let read_pair r fa fb =
   let b = fb r in
   (a, b)
 
-let to_file path data =
+let output oc w =
+  Buffer.output_buffer oc w;
+  Buffer.clear w
+
+let with_out_file path f =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  (try output_string oc data
-   with e ->
-     close_out_noerr oc;
-     raise e);
+  let r =
+    try f oc
+    with e ->
+      close_out_noerr oc;
+      raise e
+  in
   close_out oc;
-  Sys.rename tmp path
+  Sys.rename tmp path;
+  r
+
+let to_file path data = with_out_file path (fun oc -> output_string oc data)
 
 let of_file path =
   let ic = open_in_bin path in

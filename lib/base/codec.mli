@@ -46,6 +46,15 @@ val write_pair :
 
 val read_pair : reader -> (reader -> 'a) -> (reader -> 'b) -> 'a * 'b
 
+val output : out_channel -> writer -> unit
+(** [output oc w] appends what [w] holds to [oc] and empties [w], so a
+    long encoding can stream through one small writer. *)
+
+val with_out_file : string -> (out_channel -> 'a) -> 'a
+(** [with_out_file path f] runs [f] on a channel to a temporary file
+    next to [path], closes it and renames it over [path]: the file
+    appears whole or not at all. If [f] raises, [path] is untouched. *)
+
 val to_file : string -> string -> unit
 (** [to_file path data] writes [data] to [path] atomically (via a
     temporary file and rename). *)

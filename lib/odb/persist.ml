@@ -173,20 +173,44 @@ let read_timer r =
 
 (* The one image encoder: the header counters and clock come from [db]
    (a group's facade carries the shared ones), then the objects in
-   ascending oid and the timers in (due, seq) order. *)
-let encode db objs timers =
-  let w = Codec.writer () in
+   ascending oid and the timers in (due, seq) order. [spill] runs after
+   each object and timer, so a streamed write hands its bytes on as it
+   goes instead of building the image first. *)
+let encode_into w ~spill db objs timers =
   Codec.write_string w magic;
   Codec.write_int w db.store.next_oid;
   Codec.write_int w db.txns.next_txn_id;
   Codec.write_int w (Int64.to_int db.wheel.clock_ms);
-  Codec.write_list w write_obj objs;
-  Codec.write_list w write_timer timers;
+  Codec.write_list w
+    (fun w o ->
+      write_obj w o;
+      spill w)
+    objs;
+  Codec.write_list w
+    (fun w tm ->
+      write_timer w tm;
+      spill w)
+    timers
+
+let encode db objs timers =
+  let w = Codec.writer () in
+  encode_into w ~spill:ignore db objs timers;
   Codec.contents w
+
+(* The same bytes as [encode], streamed through one small writer into
+   [path] (temp file, then rename); returns the file's length. *)
+let encode_file path db objs timers =
+  Codec.with_out_file path (fun oc ->
+      let w = Codec.writer () in
+      encode_into w ~spill:(Codec.output oc) db objs timers;
+      Codec.output oc w;
+      pos_out oc)
 
 (* [live_objects] sorts to ascending oid per the Store ordering
    contract; [Timewheel.pending] emits (due, seq) order. *)
-let image_bytes db = encode db (Store.live_objects db) (Timewheel.pending db)
+let image enc db = enc db (Store.live_objects db) (Timewheel.pending db)
+let image_bytes db = image encode db
+let write_image db path = image (encode_file path) db
 
 (* The one image decoder. Loaders parse the whole image and check every
    object against the schema ([resolve_obj]) before they touch the
@@ -239,9 +263,9 @@ let load_image db data =
    partition exactly what a single engine would hold, the merge is
    byte-identical to the single-engine [image_bytes] — the property the
    partition-equivalence suite pins. *)
-let group_image_bytes db =
+let group_image enc db =
   match db.part with
-  | None -> image_bytes db
+  | None -> image enc db
   | Some p ->
     let merged slice cmp =
       Array.fold_left
@@ -249,10 +273,12 @@ let group_image_bytes db =
         [] p.p_members
       |> List.sort cmp
     in
-    encode p.p_members.(0)
+    enc p.p_members.(0)
       (merged Store.live_objects (fun a b -> compare a.o_id b.o_id))
       (merged Timewheel.pending (fun a b ->
            compare (a.tm_due, a.tm_seq) (b.tm_due, b.tm_seq)))
+
+let group_image_bytes db = group_image encode db
 
 (* [load_image] for a whole group: reset every member slice, then let
    owner routing scatter the merged image's objects and timers back to
@@ -279,7 +305,7 @@ let group_load_image db data =
 
 let save db path =
   if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
-  Codec.to_file path (group_image_bytes db)
+  ignore (group_image (encode_file path) db)
 
 let load db path =
   if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";

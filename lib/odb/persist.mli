@@ -35,9 +35,15 @@ val load : db -> string -> unit
 val image_bytes : db -> string
 (** The exact bytes {!save} would write for an unpartitioned db (a
     member's own slice for a partition member), without touching the
-    filesystem or checking for open transactions — the shared snapshot
-    writer ({!Wal} checkpoints call this) and the state fingerprint the
-    equivalence and crash-recovery suites compare. *)
+    filesystem or checking for open transactions — the state
+    fingerprint the equivalence and crash-recovery suites compare. *)
+
+val write_image : db -> string -> int
+(** Write {!image_bytes}[ db] to a file, streamed object by object
+    rather than built as one string first, atomically (temp file, then
+    rename); returns the number of bytes written. The {!Wal} checkpoint
+    snapshot writer. Like {!image_bytes}, it does not check for open
+    transactions. *)
 
 val load_image : db -> string -> unit
 (** [load] from in-memory bytes: parse fully and check every object

@@ -6,10 +6,22 @@
    carrying the oid/txn counters, the clock, a full-object upsert or a
    delete for every object the transaction touched, and the timer queue
    when it moved. Batches are CRC-framed and appended to the current
-   log under a group-commit window; a periodic checkpoint writes a full
-   ODE1 snapshot (the exact [Persist.save] bytes — one codec path) and
-   truncates the log. Recovery is snapshot + replay of every complete,
-   CRC-valid frame, stopping at the first damaged one.
+   log under a group-commit window. A checkpoint writes a full ODE1
+   snapshot (the exact [Persist.save] bytes — one codec path, streamed
+   to the file) and starts an empty log. Recovery is snapshot + replay
+   of every complete, CRC-valid frame, stopping at the first damaged
+   one.
+
+   When to checkpoint is sized by the log, not by the heap: a
+   generation checkpoints once the frames appended to its log reach
+   [max (checkpoint_percent% of its snapshot's bytes, checkpoint_floor)]
+   (100% and 1 MiB), checked after each batch while no transaction is
+   open. Writing a snapshot costs about its own size, so checkpoint
+   work is amortised O(1) per logged byte whatever the heap holds; the
+   log a crash leaves to replay is at most one snapshot's worth plus
+   the floor plus the batch that crossed the threshold. The floor keeps
+   a near-empty database, whose snapshot is a few bytes, from
+   checkpointing on every commit.
 
    Why full-object upserts rather than fine-grained deltas derived from
    the undo log: the undo log does {e not} enumerate every mutation —
@@ -72,10 +84,6 @@ type config = {
       (* group-commit window: batches buffer in memory and reach disk
          when a batch arrives at least this many ms after the last
          flush. 0 = write + sync every batch. *)
-  snapshot_every : int;
-      (* checkpoint after this many batches in the current generation
-         (skipped while transactions are open); <= 0 = never, the log
-         grows until [dur_save] or recovery checkpoints *)
   sync_on_flush : bool;
       (* fsync after each physical write (default). Tests that only
          need same-process file contents turn it off. *)
@@ -85,9 +93,17 @@ type config = {
          shadow snapshot here *)
 }
 
-let config ?(flush_ms = 50) ?(snapshot_every = 1000) ?(sync_on_flush = true)
-    ?on_batch dir =
-  { dir; flush_ms; snapshot_every; sync_on_flush; on_batch }
+let config ?(flush_ms = 50) ?(sync_on_flush = true) ?on_batch dir =
+  { dir; flush_ms; sync_on_flush; on_batch }
+
+(* The checkpoint rule of the header comment. Constants, not [config]
+   fields: the ratio is what bounds both checkpoint work per logged
+   byte and replay length, so no caller should need another one. *)
+let checkpoint_percent = 100
+let checkpoint_floor = 1 lsl 20
+
+let log_limit ~snap_bytes =
+  max (snap_bytes * checkpoint_percent / 100) checkpoint_floor
 
 let header = "ODEW1"
 let snap_path dir g = Filename.concat dir (Printf.sprintf "snap-%d.ode1" g)
@@ -356,7 +372,8 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 type state = {
   cfg : config;
   mutable gen : int;
-  mutable batches : int;  (* appended to the current generation's log *)
+  mutable log_bytes : int;  (* framed into the current generation's log *)
+  mutable log_limit : int;  (* [log_limit] of the generation's snapshot *)
   pending : Buffer.t;  (* framed batches not yet on disk *)
   mutable pending_batches : int;
   mutable last_flush : float;  (* ms; start of the group-commit window *)
@@ -388,34 +405,38 @@ let flush st db =
   end;
   st.last_flush <- now_ms ()
 
+(* Write generation [g]'s pair — the snapshot of [db], then an empty
+   log — and make it current. *)
+let write_gen st db g =
+  let snap_bytes = Persist.write_image db (snap_path st.cfg.dir g) in
+  Codec.to_file (wal_path st.cfg.dir g) header;
+  st.gen <- g;
+  st.log_bytes <- 0;
+  st.log_limit <- log_limit ~snap_bytes
+
 (* Checkpoint: flush the log so generation [gen] is complete on disk,
    write the next generation's snapshot — the {e exact} [Persist.save]
    bytes — and empty log, then retire the old pair. *)
 let checkpoint st db =
   flush st db;
-  let g' = st.gen + 1 in
-  Codec.to_file (snap_path st.cfg.dir g') (Persist.image_bytes db);
-  Codec.to_file (wal_path st.cfg.dir g') header;
-  (try Sys.remove (snap_path st.cfg.dir st.gen) with Sys_error _ -> ());
-  (try Sys.remove (wal_path st.cfg.dir st.gen) with Sys_error _ -> ());
-  st.gen <- g';
-  st.batches <- 0;
+  let g = st.gen in
+  write_gen st db (g + 1);
+  (try Sys.remove (snap_path st.cfg.dir g) with Sys_error _ -> ());
+  (try Sys.remove (wal_path st.cfg.dir g) with Sys_error _ -> ());
   if Registry.enabled db.obs then Registry.incr db.obs Registry.Wal_snapshots
 
 let emit st db oids =
   if not st.closed then begin
-    let payload = serialize_batch db oids in
-    Buffer.add_string st.pending (frame payload);
+    let framed = frame (serialize_batch db oids) in
+    Buffer.add_string st.pending framed;
     st.pending_batches <- st.pending_batches + 1;
-    st.batches <- st.batches + 1;
+    st.log_bytes <- st.log_bytes + String.length framed;
     if Registry.enabled db.obs then Registry.incr db.obs Registry.Wal_batches;
     if st.cfg.flush_ms <= 0 || now_ms () -. st.last_flush >= float st.cfg.flush_ms
     then flush st db;
-    if
-      st.cfg.snapshot_every > 0
-      && st.batches >= st.cfg.snapshot_every
-      && db.txns.open_txns = []
-    then checkpoint st db;
+    (* a checkpoint waits for a moment with no transaction open *)
+    if st.log_bytes >= st.log_limit && db.txns.open_txns = [] then
+      checkpoint st db;
     match st.cfg.on_batch with Some f -> f db | None -> ()
   end
 
@@ -431,10 +452,7 @@ let attach st db =
   | None ->
     (* fresh directory: baseline at generation 0 so a crash before the
        first commit still recovers (to the empty database) *)
-    Codec.to_file (snap_path st.cfg.dir 0) (Persist.image_bytes db);
-    Codec.to_file (wal_path st.cfg.dir 0) header;
-    st.gen <- 0;
-    st.batches <- 0
+    write_gen st db 0
 
 let recover st db =
   if db.txns.open_txns <> [] then
@@ -470,7 +488,8 @@ let member_backend cfg =
     {
       cfg;
       gen = 0;
-      batches = 0;
+      log_bytes = 0;
+      log_limit = checkpoint_floor;
       pending = Buffer.create 256;
       pending_batches = 0;
       last_flush = now_ms ();

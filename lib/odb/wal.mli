@@ -1,6 +1,7 @@
 (** Write-ahead-log durability backend: logical redo batches appended at
-    commit under a group-commit window, CRC-framed, with periodic ODE1
-    snapshots + log truncation; recovery is snapshot + replay.
+    commit under a group-commit window, CRC-framed, with ODE1 snapshots
+    + log truncation sized by the log's growth; recovery is snapshot +
+    replay.
 
     Sits beside {!Persist} in the layer stack (depends on {!Persist},
     {!Store}, {!Schema} state via replay, and {!Ode_obs}; never on
@@ -19,7 +20,18 @@
     empty [wal-<g+1>], then removes the old pair; recovery picks the
     largest generation with {e both} files present and ends by
     checkpointing the recovered state into a fresh generation, so a
-    damaged log tail is never appended to. *)
+    damaged log tail is never appended to.
+
+    {b When a generation checkpoints.} After a batch is framed, and
+    while no transaction is open, once the frame bytes appended to the
+    current log reach
+    [max (checkpoint_percent * snapshot_bytes / 100) checkpoint_floor],
+    where [snapshot_bytes] is the length of the generation's own
+    snapshot. The snapshot's cost is paid for by at least as many
+    logged bytes, so checkpoint work is amortised O(1) per logged byte;
+    and the log replayed after a crash is at most
+    [checkpoint_percent]% of the snapshot plus [checkpoint_floor] plus
+    one batch. [save], [load] and recovery checkpoint as well. *)
 
 open Types
 
@@ -29,9 +41,6 @@ type config = {
       (** group-commit window in ms: batches buffer in memory until a
           batch arrives at least this long after the last flush. [0] =
           write + sync every batch. *)
-  snapshot_every : int;
-      (** checkpoint after this many batches (skipped while transactions
-          are open); [<= 0] = only on [save]/[load]/recovery *)
   sync_on_flush : bool;  (** [fsync] after each physical write *)
   on_batch : (db -> unit) option;
       (** test hook, called after each batch is framed (and, under
@@ -40,14 +49,20 @@ type config = {
 }
 
 val config :
-  ?flush_ms:int ->
-  ?snapshot_every:int ->
-  ?sync_on_flush:bool ->
-  ?on_batch:(db -> unit) ->
-  string ->
-  config
-(** [config dir] with defaults [flush_ms = 50], [snapshot_every =
-    1000], [sync_on_flush = true]. *)
+  ?flush_ms:int -> ?sync_on_flush:bool -> ?on_batch:(db -> unit) -> string -> config
+(** [config dir] with defaults [flush_ms = 50], [sync_on_flush = true].
+    When to checkpoint is not configured: see {!checkpoint_percent}. *)
+
+val checkpoint_percent : int
+(** [100]. A generation checkpoints once its log has grown by this
+    percentage of its snapshot's bytes, or by {!checkpoint_floor}
+    bytes, whichever is larger. 100 is the default of Redis's
+    [auto-aof-rewrite-percentage]. *)
+
+val checkpoint_floor : int
+(** [1 MiB], the least log growth that checkpoints: a near-empty
+    database, whose snapshot is a few bytes, does not checkpoint on
+    every commit. *)
 
 val backend : config -> durability_backend
 (** Pack a fresh WAL instance (own buffer, generation counter and

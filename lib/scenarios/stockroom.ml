@@ -115,10 +115,9 @@ let stockroom_class ~activate =
     ~event:"after deposit; before withdraw; after withdraw"
     ~action:(call_self "printLog")
 
-let setup ?(activate = true) () =
-  let db =
-    D.create_db ~config:{ (D.Config.of_env ()) with D.Config.start_time = day_start } ()
-  in
+let setup ?config ?(activate = true) () =
+  let c = match config with Some c -> c | None -> D.Config.of_env () in
+  let db = D.create_db ~config:{ c with D.Config.start_time = day_start } () in
   let t =
     {
       db;

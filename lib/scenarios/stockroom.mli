@@ -27,10 +27,12 @@ type t = {
 val day_start : int64
 (** 1992-06-02 00:00, the simulated first day. *)
 
-val setup : ?activate:bool -> unit -> t
+val setup : ?config:D.Config.t -> ?activate:bool -> unit -> t
 (** Build the database, register classes and functions, create the
     stockroom object. The constructor activates all eight triggers (the
-    paper's [T1(); T2(); …]) unless [activate:false]. *)
+    paper's [T1(); T2(); …]) unless [activate:false]. [config] defaults
+    to [D.Config.of_env ()]; its [start_time] is replaced by
+    {!day_start}. *)
 
 val new_item : t -> name:string -> eoq:int -> balance:int -> D.oid
 (** Register an item with the stockroom (own transaction). *)

@@ -264,7 +264,7 @@ let test_wal_group_recover () =
   let wal_config =
     cfg ~partitions:2
       ~durability:
-        (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
+        (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir))
       ()
   in
   let db = mk wal_config in

@@ -223,7 +223,7 @@ let prop_wal_recovery =
         (fun p ->
           let dir = fresh_dir () in
           let cfg =
-            Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
+            Wal.config ~flush_ms:0 ~sync_on_flush:false dir
           in
           let db, _, img, _ = run_one ops ~durability:(`Wal cfg) ~partitions:p () in
           D.close_durability db;
@@ -302,7 +302,7 @@ let test_eager_cancel_stats () =
 let test_clock_only_replay () =
   let dir = fresh_dir () in
   let cfg =
-    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
+    Wal.config ~flush_ms:0 ~sync_on_flush:false dir
   in
   let db = mk_db ~durability:(`Wal cfg) ~partitions:1 () in
   D.register_class db (schema ());
@@ -444,7 +444,7 @@ let test_failing_time_action () =
     let durability =
       Option.map
         (fun dir ->
-          `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
+          `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir))
         wal_dir
     in
     let db = mk_db ?durability ~partitions () in

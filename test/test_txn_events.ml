@@ -46,7 +46,7 @@ let wal_config ~partitions dir =
     D.Config.default with
     D.Config.partitions;
     durability =
-      `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir);
+      `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
   }
 
 let bump db oid field =

@@ -1,9 +1,10 @@
 (* The WAL durability backend: the crash-injection harness (randomized
    kill and corruption points over a logged workload, recovery compared
    byte-for-byte against shadow snapshots captured at every batch
-   boundary), checkpoint rotation, the group-commit window, the
-   ODE_DURABILITY selector, the snapshot-bytes = save-bytes property
-   and the frame scanner's damage classification. *)
+   boundary), the size-driven checkpoint rule (rotation, the replay
+   bound, the floor), the group-commit window, the ODE_DURABILITY
+   selector, the snapshot-bytes = save-bytes property, streamed images
+   = [image_bytes], and the frame scanner's damage classification. *)
 
 open Ode_odb
 
@@ -151,9 +152,10 @@ let crash_harness ~points ~seed () =
   let dir = fresh_dir () in
   let shadows = ref [] in
   let cfg =
-    (* every batch flushed eagerly and no checkpoints, so wal-0.log
-       accumulates the workload's full frame sequence *)
-    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0
+    (* every batch flushed eagerly, and the workload's log stays under
+       the checkpoint floor, so wal-0.log accumulates its full frame
+       sequence *)
+    Wal.config ~flush_ms:0 ~sync_on_flush:false
       ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
       dir
   in
@@ -167,6 +169,8 @@ let crash_harness ~points ~seed () =
     step rng db
   done;
   D.close_durability db;
+  Alcotest.(check (option int)) "no checkpoint: generation 0 holds it all"
+    (Some 0) (Wal.latest_gen dir);
   let shadows = Array.of_list (List.rev !shadows) in
   let log = Codec.of_file (Wal.wal_path dir 0) in
   let snap = Codec.of_file (Wal.snap_path dir 0) in
@@ -222,31 +226,134 @@ let crash_harness ~points ~seed () =
 
 let test_crash_heap () = crash_harness ~points:250 ~seed:42 ()
 
-(* Checkpoints rotate the generation pair: the old snapshot + log are
-   retired, and recovery from the rotated directory still reconstructs
-   the exact final state. *)
+(* A class whose objects carry a 16 KiB string, so a few hundred
+   one-object commits log several MiB. *)
+let blob_size = 16 * 1024
+
+let blob_class () =
+  D.define_class "blob"
+  |> fun b -> D.field b "data" (Value.String "")
+
+let put_blob db oid i =
+  D.set_field db oid "data" (Value.String (String.make blob_size (Char.chr (i land 0xFF))))
+
+let file_size path = (Unix.stat path).Unix.st_size
+
+(* The generations in a log directory, snapshots and logs alike. *)
+let gen_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".ode1" || Filename.check_suffix f ".log")
+  |> List.sort compare
+
+(* Checkpoints rotate the generation pair when the log outgrows the
+   checkpoint threshold: the old snapshot + log are retired, and
+   recovery from the rotated directory still reconstructs the exact
+   final state. 20 blobs make a 320 KiB snapshot, so the 1 MiB floor
+   sets the threshold, and 300 commits of one blob each (4.7 MiB of
+   log) rotate 4 times. *)
 let test_checkpoint_rotation () =
   let dir = fresh_dir () in
-  let cfg =
-    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:5 dir
-  in
+  let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
   let db = D.create_db ~durability:(`Wal cfg) () in
-  D.register_class db (schema ());
-  let rng = Random.State.make [| 7 |] in
-  for _ = 1 to 15 do
-    step rng db
+  D.register_class db (blob_class ());
+  let oids =
+    expect_ok (D.with_txn db (fun _ -> Array.init 20 (fun _ -> D.create db "blob" [])))
+  in
+  let commits = 300 in
+  for i = 1 to commits do
+    expect_ok (D.with_txn db (fun _ -> put_blob db oids.(i mod 20) i))
   done;
   D.close_durability db;
   let g = Option.get (Wal.latest_gen dir) in
-  Alcotest.(check bool) "checkpoints rotated the generation" true (g > 0);
-  Alcotest.(check bool) "old pair retired" false
-    (Sys.file_exists (Wal.snap_path dir 0) || Sys.file_exists (Wal.wal_path dir 0));
+  Alcotest.(check bool) "the log's size rotated the generation several times" true
+    (g >= 3);
+  Alcotest.(check bool) "no more often than the floor allows" true
+    (g <= commits * (blob_size + 64) / Wal.checkpoint_floor);
+  Alcotest.(check (list string)) "old pairs retired"
+    [ Printf.sprintf "snap-%d.ode1" g; Printf.sprintf "wal-%d.log" g ]
+    (gen_files dir);
   let img = D.image_bytes db in
   let db2 = D.create_db ~durability:(`Wal (Wal.config dir)) () in
-  D.register_class db2 (schema ());
+  D.register_class db2 (blob_class ());
   D.recover db2;
   Alcotest.(check bool) "recovery from a rotated directory" true
     (String.equal (D.image_bytes db2) img)
+
+(* The replay bound: after several rotations a crash (no
+   [close_durability]) leaves each member at most
+   [checkpoint_percent]% of its snapshot + [checkpoint_floor] + one
+   batch of log to replay, and recovery reproduces the live image. 100
+   blobs make a 1.6 MiB snapshot at one partition (the percentage
+   sets the threshold) and 0.8 MiB per member at two (the floor
+   does). *)
+let test_replay_bound partitions () =
+  let dir = fresh_dir () in
+  let config =
+    {
+      Database.Config.default with
+      Database.Config.partitions;
+      durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+    }
+  in
+  let db = Database.create_db ~config () in
+  D.register_class db (blob_class ());
+  let oids =
+    Array.init 100 (fun i ->
+        expect_ok
+          (D.with_txn db (fun _ ->
+               let oid = D.create db "blob" [] in
+               put_blob db oid i;
+               oid)))
+  in
+  let rng = Random.State.make [| 11; partitions |] in
+  for i = 1 to 400 do
+    let oid = oids.(Random.State.int rng 100) in
+    expect_ok (D.with_txn db (fun _ -> put_blob db oid i))
+  done;
+  let live = D.image_bytes db in
+  (* crash: the process stops here, nothing closed *)
+  for k = 0 to partitions - 1 do
+    let mdir = if partitions = 1 then dir else Wal.member_dir dir k in
+    let g = Option.get (Wal.latest_gen mdir) in
+    Alcotest.(check bool) (Printf.sprintf "member %d rotated several times" k) true
+      (g >= 2);
+    let frames = (Wal.scan_file (Wal.wal_path mdir g)).Wal.frames in
+    let sizes = List.map (fun f -> 8 + String.length f) frames in
+    let replayed = List.fold_left ( + ) 0 sizes in
+    let batch = List.fold_left max 0 sizes in
+    let snap = file_size (Wal.snap_path mdir g) in
+    let bound = (Wal.checkpoint_percent * snap / 100) + Wal.checkpoint_floor + batch in
+    if replayed > bound then
+      Alcotest.failf "member %d: %d log bytes to replay > bound %d (snapshot %d)" k
+        replayed bound snap
+  done;
+  let config = { config with Database.Config.durability = `Wal (Wal.config dir) } in
+  let db2 = Database.create_db ~config () in
+  D.register_class db2 (blob_class ());
+  D.recover db2;
+  Alcotest.(check bool) "recovered image = live image" true
+    (String.equal (D.image_bytes db2) live);
+  D.close_durability db2
+
+(* The floor: a one-object database whose snapshot is a few dozen
+   bytes logs 5,000 commits without a checkpoint. A threshold of
+   [checkpoint_percent]% of the snapshot alone would checkpoint about
+   every second commit. *)
+let test_checkpoint_floor () =
+  let dir = fresh_dir () in
+  let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
+  let db = D.create_db ~durability:(`Wal cfg) () in
+  D.register_class db (schema ());
+  D.set_observability db true;
+  let oid = expect_ok (D.with_txn db (fun _ -> D.create db "item" [])) in
+  for _ = 1 to 5_000 do
+    expect_ok (D.with_txn db (fun _ -> ignore (D.call db oid "deposit" [ Value.Int 1 ])))
+  done;
+  Alcotest.(check int) "no snapshot under the floor" 0
+    (Obs.get (D.observe db) Obs.Wal_snapshots);
+  Alcotest.(check (option int)) "still generation 0" (Some 0) (Wal.latest_gen dir);
+  D.close_durability db
 
 (* Under a wide-open group-commit window, batches buffer in memory and
    hit the disk only on an explicit sync — one physical write retiring
@@ -254,7 +361,7 @@ let test_checkpoint_rotation () =
 let test_group_commit_window () =
   let dir = fresh_dir () in
   let cfg =
-    Wal.config ~flush_ms:3_600_000 ~sync_on_flush:false ~snapshot_every:0 dir
+    Wal.config ~flush_ms:3_600_000 ~sync_on_flush:false dir
   in
   let db = D.create_db ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
@@ -330,7 +437,7 @@ let prop_snapshot_equals_save =
     QCheck.small_int (fun seed ->
       let dir = fresh_dir () in
       let cfg =
-        Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
+        Wal.config ~flush_ms:0 ~sync_on_flush:false dir
       in
       let db = D.create_db ~durability:(`Wal cfg) () in
       D.register_class db (schema ());
@@ -349,12 +456,65 @@ let prop_snapshot_equals_save =
       D.close_durability db;
       String.equal saved snap)
 
+(* The streamed writers produce [image_bytes]'s bytes: each member's
+   checkpoint snapshot equals that member's [Persist.image_bytes], and
+   [save]'s file equals the group's [image_bytes], for the stockroom
+   and fleet images at partitions 1 and 4. *)
+let test_streamed_images () =
+  let module S = Ode_scenarios.Stockroom in
+  let module F = Ode_scenarios.Fleet in
+  let stockroom config =
+    let sr = S.setup ~config () in
+    List.iter
+      (fun i ->
+        let item = S.new_item sr ~name:(Printf.sprintf "i%d" i) ~eoq:20 ~balance:200 in
+        ignore (S.withdraw sr ~item ~qty:(40 * i));
+        ignore (S.deposit sr ~item ~qty:10))
+      [ 1; 2; 3; 4; 5; 6 ];
+    D.advance_clock sr.S.db 3_600_000L;
+    sr.S.db
+  in
+  let fleet config =
+    let t = F.setup ~db:(Database.create_db ~config ()) ~vehicles:64 () in
+    F.tick t 300L;
+    t.F.db
+  in
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun partitions ->
+          let what = Printf.sprintf "%s at %d partitions" name partitions in
+          let dir = fresh_dir () in
+          let members = ref [||] in
+          let on_batch m = members := Store.members m in
+          let durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~on_batch dir) in
+          let db = build { Database.Config.default with Database.Config.partitions; durability } in
+          let f = Filename.temp_file "ode_wal_stream" ".img" in
+          D.save db f;
+          let saved = Codec.of_file f in
+          Sys.remove f;
+          Alcotest.(check bool) (what ^ ": save's file = image_bytes") true
+            (String.equal saved (D.image_bytes db));
+          Alcotest.(check int) (what ^ ": members seen") partitions (Array.length !members);
+          Array.iteri
+            (fun k m ->
+              let mdir = if partitions = 1 then dir else Wal.member_dir dir k in
+              let g = Option.get (Wal.latest_gen mdir) in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: member %d snapshot = its image_bytes" what k)
+                true
+                (String.equal (Codec.of_file (Wal.snap_path mdir g)) (Persist.image_bytes m)))
+            !members;
+          D.close_durability db)
+        [ 1; 4 ])
+    [ ("stockroom", stockroom); ("fleet", fleet) ]
+
 (* The frame scanner classifies every damage shape [odec wal-dump]
    reports. *)
 let test_scan_damage_classification () =
   let dir = fresh_dir () in
   let cfg =
-    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
+    Wal.config ~flush_ms:0 ~sync_on_flush:false dir
   in
   let db = D.create_db ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
@@ -400,9 +560,13 @@ let suite =
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
+    Alcotest.test_case "replay bound, partitions 1" `Quick (test_replay_bound 1);
+    Alcotest.test_case "replay bound, partitions 2" `Quick (test_replay_bound 2);
+    Alcotest.test_case "checkpoint floor" `Quick test_checkpoint_floor;
     Alcotest.test_case "group-commit window" `Quick test_group_commit_window;
     Alcotest.test_case "ODE_DURABILITY selector" `Quick test_env_selector;
     QCheck_alcotest.to_alcotest prop_snapshot_equals_save;
+    Alcotest.test_case "streamed images = image_bytes" `Quick test_streamed_images;
     Alcotest.test_case "scanner damage classification" `Quick
       test_scan_damage_classification;
   ]
