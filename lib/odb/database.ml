@@ -163,19 +163,17 @@ let create_db ?config () =
      backend — [Types] holds the latter abstractly and cannot depend on
      [Persist] or [Wal]. *)
   let c = match config with Some c -> c | None -> Config.of_env () in
-  let partitions = c.Config.partitions in
   let db =
-    Engine_group.make ~partitions ~start_time:c.Config.start_time
+    Engine_group.make ~partitions:c.Config.partitions ~start_time:c.Config.start_time
       ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
       ~trace_capacity:c.Config.trace_capacity ()
   in
-  (* the one branch on partition count: the on-disk WAL layout differs
-     (one log versus per-member p<k>/ logs plus a manifest) *)
+  (* no branch on partition count: one backend on the facade serves
+     the whole group, and the WAL writes the single-engine log *)
   db.Types.durability <-
     (match c.Config.durability with
     | `Image -> Persist.image_backend ()
-    | `Wal cfg when partitions = 1 -> Wal.backend cfg
-    | `Wal cfg -> Engine_group.wal_backend ~partitions cfg);
+    | `Wal cfg -> Wal.backend cfg);
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
@@ -195,7 +193,7 @@ let config_summary (db : t) =
 let now = Timewheel.now
 let advance_clock = Timewheel.advance_clock
 let advance_to = Timewheel.advance_to
-let image_bytes = Persist.group_image_bytes
+let image_bytes = Persist.image_bytes
 let save (db : t) path = db.Types.durability.Types.dur_save db path
 let load (db : t) path = db.Types.durability.Types.dur_load db path
 let recover (db : t) = db.Types.durability.Types.dur_recover db

@@ -181,7 +181,7 @@ let encode_into w ~spill db objs timers =
   Codec.write_int w db.store.next_oid;
   Codec.write_int w db.txns.next_txn_id;
   Codec.write_int w (Int64.to_int db.wheel.clock_ms);
-  Codec.write_list w
+  Codec.write_array w
     (fun w o ->
       write_obj w o;
       spill w)
@@ -206,9 +206,27 @@ let encode_file path db objs timers =
       Codec.output oc w;
       pos_out oc)
 
-(* [live_objects] sorts to ascending oid per the Store ordering
-   contract; [Timewheel.pending] emits (due, seq) order. *)
-let image enc db = enc db (Store.live_objects db) (Timewheel.pending db)
+(* The image of the whole group: the live objects of every member in
+   one array, sorted once by oid, and the group's timers in (due, seq)
+   order. Member slices partition exactly what a single engine would
+   hold, so the bytes are the single-engine bytes at any partition
+   count. The database object, in no member table, fills the array
+   until every slot is written. *)
+let image enc db =
+  let db = Types.primary db in
+  let objs = Array.make (Store.cardinal ~live:true db) db.engine.db_obj in
+  let i = ref 0 in
+  Array.iter
+    (Store.iter_objects (fun o ->
+         if not o.o_deleted then begin
+           objs.(!i) <- o;
+           incr i
+         end))
+    (Store.members db);
+  assert (!i = Array.length objs);
+  Array.sort (fun a b -> Int.compare a.o_id b.o_id) objs;
+  enc db objs (Timewheel.pending db)
+
 let image_bytes db = image encode db
 let write_image db path = image (encode_file path) db
 
@@ -226,90 +244,32 @@ let decode data =
   let timers = Codec.read_list r read_timer in
   (next_oid, next_txn_id, clock_ms, objs, timers)
 
-(* Restored timers keep their saved insertion stamps; the group-wide
-   counter must resume past them so later arms sort after. The counter
-   lives on the facade wheel and only moves forward — member-by-member
-   recovery of a partition group maxes it correctly. *)
-let bump_seq_counter db timers =
-  let pr = Types.primary db in
-  List.iter
-    (fun tm ->
-      if tm.tm_seq >= pr.wheel.tm_next_seq then
-        pr.wheel.tm_next_seq <- tm.tm_seq + 1)
-    timers
-
-(* Member-local on purpose (resets and refills only [db]'s own heap
-   slice and wheel): a partition member's WAL recovery restores its
-   slice from its own snapshot. Group images go through
-   [group_load_image]. *)
+(* The one image loader: reset every member slice, then let owner
+   routing scatter the image's objects and timers back to their
+   members — an image loads at any partition count, whatever count
+   wrote it. *)
 let load_image db data =
   let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
+  (* [resolve_obj]'s installs route to the owning member *)
   let installs = List.map (resolve_obj db) objs in
-  Store.reset_heap db;
-  Timewheel.clear db;
-  db.store.next_oid <- next_oid;
+  Array.iter
+    (fun m ->
+      Store.reset_heap m;
+      m.wheel.tm_next_seq <- 0;
+      m.store.next_oid <- next_oid;
+      m.wheel.clock_ms <- clock_ms)
+    (Store.members db);
   db.txns.next_txn_id <- next_txn_id;
-  db.wheel.clock_ms <- clock_ms;
   List.iter (fun install -> install ()) installs;
-  List.iter (Timewheel.insert_timer db) timers;
-  bump_seq_counter db timers
-
-(* ------------------------------------------------------------------ *)
-(* Group images                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The merged image of a partition group: member slices interleaved
-   back into ascending-oid / (due, seq) order. Because member slices
-   partition exactly what a single engine would hold, the merge is
-   byte-identical to the single-engine [image_bytes] — the property the
-   partition-equivalence suite pins. *)
-let group_image enc db =
-  match db.part with
-  | None -> image enc db
-  | Some p ->
-    let merged slice cmp =
-      Array.fold_left
-        (fun acc m -> List.rev_append (slice m) acc)
-        [] p.p_members
-      |> List.sort cmp
-    in
-    enc p.p_members.(0)
-      (merged Store.live_objects (fun a b -> compare a.o_id b.o_id))
-      (merged Timewheel.pending (fun a b ->
-           compare (a.tm_due, a.tm_seq) (b.tm_due, b.tm_seq)))
-
-let group_image_bytes db = group_image encode db
-
-(* [load_image] for a whole group: reset every member slice, then let
-   owner routing scatter the merged image's objects and timers back to
-   their members. *)
-let group_load_image db data =
-  match db.part with
-  | None -> load_image db data
-  | Some p ->
-    let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
-    (* [resolve_obj]'s installs route to the owning member *)
-    let installs = List.map (resolve_obj db) objs in
-    Array.iter
-      (fun m ->
-        Store.reset_heap m;
-        Timewheel.clear m;
-        m.wheel.tm_next_seq <- 0;
-        m.store.next_oid <- next_oid;
-        m.wheel.clock_ms <- clock_ms)
-      p.p_members;
-    db.txns.next_txn_id <- next_txn_id;
-    List.iter (fun install -> install ()) installs;
-    List.iter (Timewheel.insert_timer db) timers;
-    bump_seq_counter db timers
+  Timewheel.replace db timers
 
 let save db path =
   if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
-  ignore (group_image (encode_file path) db)
+  ignore (write_image db path)
 
 let load db path =
   if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";
-  group_load_image db (Codec.of_file path)
+  load_image db (Codec.of_file path)
 
 (* ------------------------------------------------------------------ *)
 (* The full-image durability backend                                   *)

@@ -20,23 +20,30 @@ val magic : string
 val save : db -> string -> unit
 (** Persist all live objects (fields, trigger activations and their
     automaton states), pending timers, the oid/txn counters and the
-    clock — {!group_image_bytes}, so a partition group saves the
-    merged image. Raises {!Types.Ode_error} if a transaction is open. Not
-    saved: the schema itself (closures are code), database-scope trigger
-    activations, the history log, provenance partial matches, and the
+    clock — {!image_bytes}, streamed to the file. Raises
+    {!Types.Ode_error} if a transaction is open. Not saved: the schema
+    itself (closures are code), database-scope trigger activations,
+    the history log, provenance partial matches, and the
     history-recording setting. *)
 
 val load : db -> string -> unit
-(** Restore a {!save}d image ({!group_load_image}) into a database
-    whose classes have been registered again. Existing objects and
-    timers are discarded. Raises [Codec.Corrupt] on a bad image or a
-    schema mismatch, and then leaves the database as it was. *)
+(** Restore a {!save}d image ({!load_image}) into a database whose
+    classes have been registered again. Existing objects and timers
+    are discarded. Raises [Codec.Corrupt] on a bad image or a schema
+    mismatch, and then leaves the database as it was. *)
 
 val image_bytes : db -> string
-(** The exact bytes {!save} would write for an unpartitioned db (a
-    member's own slice for a partition member), without touching the
+(** The exact bytes {!save} would write, without touching the
     filesystem or checking for open transactions — the state
-    fingerprint the equivalence and crash-recovery suites compare. *)
+    fingerprint the equivalence and crash-recovery suites compare.
+
+    A partitioned database ([Engine_group]) holds its heap and timer
+    queue spread over member slices; the image gathers every member's
+    live objects into one array sorted once by oid, and every member's
+    timers in (due, seq) order. Member slices partition exactly what a
+    single engine would hold, so the bytes are the single-engine bytes
+    at any partition count, and an image written at one count loads at
+    any other. *)
 
 val write_image : db -> string -> int
 (** Write {!image_bytes}[ db] to a file, streamed object by object
@@ -47,22 +54,10 @@ val write_image : db -> string -> int
 
 val load_image : db -> string -> unit
 (** [load] from in-memory bytes: parse fully and check every object
-    against the schema, then reset the heap and install. A
+    against the schema, then reset every member's heap slice and wheel
+    and route each object and timer to its owner member. A
     [Codec.Corrupt] raised by the parse or the check leaves the
-    database untouched. Member-local for a partition member (its WAL
-    recovery restores only its own slice); see {!group_load_image}. *)
-
-(** {1 Partition-group images}
-
-    A partitioned database ([Engine_group]) holds its heap and timer
-    queue spread over member slices. The group writers below merge the
-    slices back into ascending-oid / (due, seq) order, so the merged
-    image is byte-identical to what a single-engine run of the same
-    history would save — and they collapse to the plain functions when
-    the db is unpartitioned. *)
-
-val group_image_bytes : db -> string
-val group_load_image : db -> string -> unit
+    database untouched. *)
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted

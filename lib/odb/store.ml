@@ -117,8 +117,8 @@ let unmark_deleted db obj =
     db.store.n_live <- db.store.n_live + 1
   end
 
-(* Member-local on purpose: [Persist.load_image] resets one member's
-   slice before reinstalling it; group-wide resets walk the members. *)
+(* One member's slice: [Persist.load_image] resets every member with it
+   before owner routing reinstalls the image. *)
 let reset_heap db =
   locked db Hashtbl.reset;
   Hashtbl.reset db.store.soa;
@@ -150,11 +150,9 @@ let exists db oid =
 
 let class_of db oid = (live_obj db oid).o_class.k_name
 
-(* Raw table enumeration is deliberately {e member-local}: a partition
-   member's WAL checkpoints snapshot only its own slice. Group-wide
-   listings ([objects], [objects_of_class], [stats]) walk [members]
-   explicitly; the merged-image writer in [Persist] does its own
-   oid-order merge of the member slices. Hash order never leaks: every
+(* Raw table enumeration is one member's table. Group-wide listings
+   ([objects], [objects_of_class], [stats]) and the image writer in
+   [Persist] walk [members] explicitly. Hash order never leaks: every
    enumeration the layers above expose sorts (see the ordering contract
    in store.mli). *)
 let fold_objects f db init =
@@ -184,10 +182,6 @@ let objects_of_class db cname =
         m acc)
     [] (members db)
   |> List.sort compare
-
-let live_objects db =
-  fold_objects (fun o acc -> if o.o_deleted then acc else o :: acc) db []
-  |> List.sort (fun a b -> compare a.o_id b.o_id)
 
 let get_field db oid name =
   let obj = live_obj db oid in

@@ -10,7 +10,7 @@
 
     {b Ordering contract.} The tables enumerate in {e unspecified} order
     (hash order, member by member). Every enumeration this layer exposes —
-    {!objects}, {!objects_of_class}, {!live_objects} — therefore sorts
+    {!objects}, {!objects_of_class} — therefore sorts
     to {e ascending oid} before returning, so commit and abort fan-out,
     persist snapshots and user-visible listings are bit-identical at
     any partition count. Code that folds the raw tables directly must
@@ -65,7 +65,8 @@ val mark_deleted : db -> obj -> unit
 val unmark_deleted : db -> obj -> unit
 
 val reset_heap : db -> unit
-(** Drop every stored object (used by [Persist.load]). *)
+(** Drop every object in this member's slice ([Persist.load_image]
+    resets each member with it). *)
 
 val find_obj : db -> oid -> obj option
 
@@ -91,16 +92,12 @@ val objects : db -> oid list
 val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
-val live_objects : db -> obj list
-(** This member's live objects sorted by ascending oid — the
-    table-order-neutral enumeration persist snapshots are built from. *)
-
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
-(** Raw table fold, {e unspecified order}; for order-insensitive
-    accumulation only. *)
+(** Raw fold over this member's table, {e unspecified order}; for
+    order-insensitive accumulation only. *)
 
 val iter_objects : (obj -> unit) -> db -> unit
-(** Raw table iteration, {e unspecified order}. *)
+(** Raw iteration over this member's table, {e unspecified order}. *)
 
 val get_field : db -> oid -> string -> Value.t
 

@@ -284,10 +284,9 @@ let wheel_insert w ~clock tm =
   | Some _ -> ()
   | None -> if w.tw_n = 1 then w.tw_peek <- Some n
 
-(* Every pending timer, in (due, seq) order — the serialization and
-   delivery order. *)
-let wheel_all w =
-  let acc = ref [] in
+(* Every pending timer of one wheel, consed onto [acc] unsorted. *)
+let wheel_timers w acc =
+  let acc = ref acc in
   let rec chain = function
     | None -> ()
     | Some n ->
@@ -297,7 +296,10 @@ let wheel_all w =
   Array.iter (fun slots -> Array.iter chain slots) w.tw_slots;
   chain w.tw_ovf;
   chain w.tw_past;
-  List.sort cmp_key !acc
+  !acc
+
+(* Every pending timer of one wheel, in (due, seq) order. *)
+let wheel_all w = List.sort cmp_key (wheel_timers w [])
 
 (* ------------------------------------------------------------------ *)
 (* The member queue                                                    *)
@@ -326,15 +328,17 @@ let insert_timer db tm = member_insert (Types.owner_db db tm.tm_oid) tm
 (* Persistence plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-let pending db = wheel_all db.wheel.tq
-let pending_count db = db.wheel.tq.tw_n
+(* The group's queue in (due, seq) order — the serialization order:
+   every member's timers, sorted once. *)
+let pending db =
+  List.sort cmp_key
+    (Array.fold_left (fun acc m -> wheel_timers m.wheel.tq acc) [] (Store.members db))
+
+let pending_count db =
+  Array.fold_left (fun acc m -> acc + m.wheel.tq.tw_n) 0 (Store.members db)
 
 let nodes_visited db =
   Array.fold_left (fun acc m -> acc + m.wheel.tq.tw_visited) 0 (Store.members db)
-
-let clear db =
-  db.wheel.tq <- make_wheel ();
-  db.wheel.timers_dirty <- true
 
 (* A fresh wheel holding [tms], every timer placed at [clock]; the ones
    already due form the due run in one [merge_past]. *)
@@ -356,12 +360,26 @@ let rebuild tms ~clock =
   merge_past w due;
   w
 
-(* Bulk-load a (due, seq)-sorted queue (WAL replay, image load): every
-   timer is re-placed at the member's current clock — set the clock
-   first. *)
+(* Bulk-load the group's queue from a (due, seq)-sorted list (image
+   load, WAL replay): each timer goes to its owner's wheel, placed at
+   that member's current clock — set the clocks first. Loaded timers
+   keep their saved insertion stamps, so the group-wide counter
+   resumes past them. *)
 let replace db tms =
-  db.wheel.tq <- rebuild tms ~clock:db.wheel.clock_ms;
-  db.wheel.timers_dirty <- true
+  let ms = Store.members db in
+  let n = Array.length ms in
+  let slices = Array.make n [] in
+  (* the owner rule of [Types.owner_db] *)
+  List.iter (fun tm -> slices.(tm.tm_oid mod n) <- tm :: slices.(tm.tm_oid mod n)) (List.rev tms);
+  Array.iteri
+    (fun k m ->
+      m.wheel.tq <- rebuild slices.(k) ~clock:m.wheel.clock_ms;
+      m.wheel.timers_dirty <- true)
+    ms;
+  let pr = Types.primary db in
+  List.iter
+    (fun tm -> if tm.tm_seq >= pr.wheel.tm_next_seq then pr.wheel.tm_next_seq <- tm.tm_seq + 1)
+    tms
 
 (* Replay-time clock hop for one member: move the clock while keeping
    the wheel's placement invariant, delivering nothing. Forward hops
@@ -376,15 +394,6 @@ let set_member_clock m c =
     if c > from_ then wheel_advance m.wheel.tq ~from_ ~to_:c
     else m.wheel.tq <- rebuild (wheel_all m.wheel.tq) ~clock:c
   end
-
-(* Rebuild each member's wheel against its current clock. Needed after
-   group recovery maxes member clocks to the group-wide latest: nodes
-   were placed under a member-local (possibly earlier) clock, and the
-   placement invariant is clock-relative. *)
-let resync db =
-  Array.iter
-    (fun m -> m.wheel.tq <- rebuild (wheel_all m.wheel.tq) ~clock:m.wheel.clock_ms)
-    (Store.members db)
 
 (* ------------------------------------------------------------------ *)
 (* Eager cancellation                                                  *)

@@ -70,38 +70,32 @@ val cancel_timer : db -> timer -> unit
     the undo of [U_timers_armed]. Ignores timers no longer pending. *)
 
 val pending : db -> timer list
-(** The pending queue of {e this} member (no partition routing), in
-    (due, seq) order — the serialization order. Used by the persist
-    codec and the WAL. *)
+(** The pending queue of the whole group (every member's wheel), in
+    (due, seq) order — the serialization order of the persist codec
+    and the WAL. *)
 
 val pending_count : db -> int
-(** [List.length (pending db)], O(1). *)
+(** [List.length (pending db)], O(partitions). *)
 
 val nodes_visited : db -> int
 (** Wheel nodes looked at so far by minimum scans, due-run inserts and
     same-instant group pulls, summed over partition members: the work
     counter behind the O(group) delivery claim. A wheel rebuilt by
-    {!clear}, {!replace}, {!resync} or a backward {!set_member_clock}
-    starts again from 0. *)
-
-val clear : db -> unit
-(** Drop every pending timer of this member (image load reset). *)
+    {!replace} or a backward {!set_member_clock} starts again from
+    0. *)
 
 val replace : db -> timer list -> unit
-(** Bulk-load this member's queue from a (due, seq)-sorted list (WAL
-    replay): the wheel re-places each timer against the member's
-    current clock — set the clock before calling. *)
+(** Bulk-load the group's queue from a (due, seq)-sorted list (image
+    load, WAL replay): each timer goes to its owner member's wheel,
+    placed against that member's current clock — set the clocks
+    before calling. The group-wide insertion counter resumes past the
+    loaded stamps. *)
 
 val set_member_clock : db -> int64 -> unit
 (** Move {e this} member's clock to an absolute instant without
     delivering anything, keeping the wheel's clock-relative placement
     invariant (forward hops cascade, backward hops rebuild). WAL replay
-    uses this for batches that moved the clock but not the queue. *)
-
-val resync : db -> unit
-(** Rebuild each member's wheel against its current clock — required
-    after group recovery maxes member clocks (wheel placement is
-    clock-relative). *)
+    calls it on every member for each batch. *)
 
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in

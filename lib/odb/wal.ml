@@ -5,10 +5,20 @@
    clock advancement emits one {e batch} — a logical redo record
    carrying the oid/txn counters, the clock, a full-object upsert or a
    delete for every object the transaction touched, and the timer queue
-   when it moved. Batches are CRC-framed and appended to the current
-   log under a group-commit window. A checkpoint writes a full ODE1
-   snapshot (the exact [Persist.save] bytes — one codec path, streamed
-   to the file) and starts an empty log. Recovery is snapshot + replay
+   when it moved.
+
+   A partitioned database ([Engine_group]) keeps this one log too: the
+   facade frames each commit once, finding every touched object on its
+   owner member and writing the whole group's timer queue, so the log
+   and snapshot bytes are the single-engine bytes at any partition
+   count. One frame per commit makes a commit atomic across members by
+   construction — a torn tail loses whole transactions only — and a
+   log written at n partitions recovers at any m, as images load.
+
+   Batches are CRC-framed and appended to the current log under a
+   group-commit window. A checkpoint writes a full ODE1 snapshot (the
+   exact [Persist.save] bytes — one codec path, streamed to the file)
+   and starts an empty log. Recovery is snapshot + replay
    of every complete, CRC-valid frame, stopping at the first damaged
    one.
 
@@ -201,8 +211,9 @@ let scan_bytes data =
 let scan_file path = scan_bytes (Codec.of_file path)
 
 (* One redo batch: counters and clock always; a tagged upsert/delete
-   per touched object (deduplicated, first-touch order); the full timer
-   queue when it changed since the last batch. *)
+   per touched object (deduplicated, first-touch order), found on its
+   owner member; the group's whole timer queue when any member's wheel
+   moved since the last batch. *)
 let serialize_batch db oids =
   let w = Codec.writer () in
   Codec.write_int w db.store.next_oid;
@@ -233,17 +244,28 @@ let serialize_batch db oids =
         Codec.write_int w 1;
         Codec.write_int w oid)
     uniq;
+  let members = Store.members db in
   Codec.write_option w
     (fun w ts -> Codec.write_list w Persist.write_timer ts)
-    (if db.wheel.timers_dirty then Some (Timewheel.pending db) else None);
-  db.wheel.timers_dirty <- false;
+    (if Array.exists (fun m -> m.wheel.timers_dirty) members then
+       Some (Timewheel.pending db)
+     else None);
+  Array.iter (fun m -> m.wheel.timers_dirty <- false) members;
   Codec.contents w
 
+(* Replay one batch into a group of any size: the counters and clock go
+   to every member, objects to their owners, timers to their owners'
+   wheels. *)
 let apply_batch db payload =
   let r = Codec.reader payload in
-  db.store.next_oid <- Codec.read_int r;
+  let next_oid = Codec.read_int r in
   db.txns.next_txn_id <- Codec.read_int r;
-  Timewheel.set_member_clock db (Int64.of_int (Codec.read_int r));
+  let clock = Int64.of_int (Codec.read_int r) in
+  Array.iter
+    (fun m ->
+      m.store.next_oid <- next_oid;
+      Timewheel.set_member_clock m clock)
+    (Store.members db);
   let n = Codec.read_int r in
   for _ = 1 to n do
     match Codec.read_int r with
@@ -258,16 +280,8 @@ let apply_batch db payload =
   done;
   match Codec.read_option r (fun r -> Codec.read_list r Persist.read_timer) with
   | Some timers ->
-    (* the clock was set above, so wheel placement is already right *)
-    Timewheel.replace db timers;
-    (* replayed timers keep their saved insertion stamps; the group-wide
-       counter must resume past them *)
-    let pr = Types.primary db in
-    List.iter
-      (fun tm ->
-        if tm.tm_seq >= pr.wheel.tm_next_seq then
-          pr.wheel.tm_next_seq <- tm.tm_seq + 1)
-      timers
+    (* the clocks were set above, so wheel placement is already right *)
+    Timewheel.replace db timers
   | None -> ()
 
 (* Decoded shape for [odec wal-dump] — framing plus a per-batch summary,
@@ -316,45 +330,22 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* Partition groups on disk                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A partitioned database logs each member's slice into its own
-   subdirectory [<dir>/p<k>] (its own generations, snapshots and log),
-   with a one-line manifest at the group root naming the partition
-   count — recovery refuses a directory written by a different layout
-   instead of silently merging slices wrongly. *)
-
-let member_dir dir k = Filename.concat dir (Printf.sprintf "p%d" k)
-let manifest_path dir = Filename.concat dir "group-manifest"
-let manifest_magic = "ODEGROUP1"
-
-let write_manifest dir ~partitions =
-  mkdir_p dir;
-  Codec.to_file (manifest_path dir)
-    (Printf.sprintf "%s partitions=%d\n" manifest_magic partitions)
-
-let read_manifest dir =
-  if not (Sys.file_exists (manifest_path dir)) then None
-  else
-    try
-      Scanf.sscanf
-        (Codec.of_file (manifest_path dir))
-        "ODEGROUP1 partitions=%d"
-        (fun n -> Some n)
-    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-      ode_error "WAL group manifest in %s is malformed" dir
-
-let check_manifest dir ~partitions =
-  match read_manifest dir with
-  | None -> write_manifest dir ~partitions
-  | Some n when n = partitions -> ()
-  | Some n ->
+(* A directory written before the group shared one log: member logs
+   under [<dir>/p<k>] and a [group-manifest] at the root, but no root
+   pair. Attaching would baseline an empty generation 0 beside them
+   and a later [recover] would return an empty database, so both
+   refuse it. *)
+let refuse_member_layout dir =
+  if Sys.file_exists (Filename.concat dir "group-manifest") then
     ode_error
-      "WAL directory %s was written with %d partitions, refusing to attach \
-       with %d (ODE_PARTITIONS)"
-      dir n partitions
+      "WAL directory %s holds per-member logs (group-manifest, p<k>/) from \
+       an older layout, which this version does not recover"
+      dir
+
+(* Where the per-member layout kept member [k]'s log. Nothing writes
+   there any more; [bench/e2e/wl_durable.ml] still sums frames under
+   it. *)
+let member_dir dir k = Filename.concat dir (Printf.sprintf "p%d" k)
 
 let write_all fd s =
   let n = String.length s in
@@ -450,6 +441,7 @@ let attach st db =
        replayed) *)
     st.gen <- g
   | None ->
+    refuse_member_layout st.cfg.dir;
     (* fresh directory: baseline at generation 0 so a crash before the
        first commit still recovers (to the empty database) *)
     write_gen st db 0
@@ -458,7 +450,9 @@ let recover st db =
   if db.txns.open_txns <> [] then
     ode_error "cannot recover with open transactions";
   match latest_gen st.cfg.dir with
-  | None -> ode_error "no WAL state to recover in %s" st.cfg.dir
+  | None ->
+    refuse_member_layout st.cfg.dir;
+    ode_error "no WAL state to recover in %s" st.cfg.dir
   | Some g ->
     Persist.load_image db (Codec.of_file (snap_path st.cfg.dir g));
     let { frames; damage } = scan_file (wal_path st.cfg.dir g) in
@@ -479,11 +473,21 @@ let recover st db =
        nothing is ever appended after damage *)
     checkpoint st db
 
-(* [backend], plus the explicit checkpoint entry point [Engine_group]'s
-   group save/load needs: a group checkpoint writes the merged image
-   for the caller but must re-baseline each member's own log on the
-   member's {e slice} — which is [checkpoint], not [dur_save]. *)
-let member_backend cfg =
+(* [path] gets a copy of [src] through the temp-file-and-rename path. *)
+let copy_file src path =
+  In_channel.with_open_bin src (fun ic ->
+      Codec.with_out_file path (fun oc ->
+          let buf = Bytes.create 65536 in
+          let rec go () =
+            let n = In_channel.input ic buf 0 (Bytes.length buf) in
+            if n > 0 then begin
+              Out_channel.output oc buf 0 n;
+              go ()
+            end
+          in
+          go ()))
+
+let backend cfg =
   let st =
     {
       cfg;
@@ -496,22 +500,18 @@ let member_backend cfg =
       closed = false;
     }
   in
-  ( (fun db -> checkpoint st db),
-    fun db ->
-      Buffer.clear st.pending;
-      st.pending_batches <- 0;
-      checkpoint st db ),
   {
     dur_name = "wal:" ^ cfg.dir;
     dur_attach = (fun db -> attach st db);
     dur_commit = (fun db oids -> emit st db oids);
     dur_save =
       (fun db path ->
-        (* the image written for the caller and the checkpoint snapshot
-           are the same [Persist] writer — satellite invariant: a WAL
-           database's [save] stays byte-identical to an image one's *)
-        Persist.save db path;
-        checkpoint st db);
+        if db.txns.open_txns <> [] then
+          ode_error "cannot save with open transactions";
+        (* the heap is serialized once: the checkpoint's snapshot is
+           the exact [Persist.save] bytes, so the caller gets a copy *)
+        checkpoint st db;
+        copy_file (snap_path st.cfg.dir st.gen) path);
     dur_load =
       (fun db path ->
         Persist.load db path;
@@ -529,5 +529,3 @@ let member_backend cfg =
           st.closed <- true
         end);
   }
-
-let backend cfg = snd (member_backend cfg)

@@ -3,6 +3,14 @@
     + log truncation sized by the log's growth; recovery is snapshot +
     replay.
 
+    A partitioned database ([Engine_group]) keeps this one log: the
+    facade frames each commit once, with every touched object found on
+    its owner member and the whole group's timer queue, so the log and
+    snapshot bytes are the single-engine bytes at any partition count.
+    A commit is one frame, hence atomic across members by
+    construction; a torn tail loses whole transactions only; and a log
+    written at n partitions recovers at any m.
+
     Sits beside {!Persist} in the layer stack (depends on {!Persist},
     {!Store}, {!Schema} state via replay, and {!Ode_obs}; never on
     {!Engine} — replay moves state, it posts no events). The layers
@@ -66,38 +74,20 @@ val checkpoint_floor : int
 
 val backend : config -> durability_backend
 (** Pack a fresh WAL instance (own buffer, generation counter and
-    group-commit window; no file descriptor held between flushes).
-    [dur_attach] baselines an empty directory at generation 0, or — when
-    the directory already holds WAL state — arms on the latest
-    generation and defers to an explicit [dur_recover] (register the
-    classes first). [dur_save] writes the caller's image {e and}
-    checkpoints; [dur_load] re-baselines the log on the loaded state. *)
-
-val member_backend :
-  config -> ((db -> unit) * (db -> unit)) * durability_backend
-(** What {!backend} is built from, with the instance's checkpoint
-    entry points exposed for [Engine_group]'s per-partition logs:
-    [(checkpoint, rebaseline), backend]. [checkpoint db] flushes and
-    rolls the generation (snapshotting [db]'s own slice);
-    [rebaseline db] additionally drops buffered batches first — what a
-    group [dur_load] needs after replacing the state under the log. *)
-
-(** {1 Partition-group layout} *)
+    group-commit window; no file descriptor held between flushes) for
+    a database of any partition count. [dur_attach] baselines an empty
+    directory at generation 0, or — when the directory already holds
+    WAL state — arms on the latest generation and defers to an
+    explicit [dur_recover] (register the classes first). [dur_save]
+    checkpoints, then copies the new snapshot to the caller's path, so
+    the heap is serialized once; [dur_load] re-baselines the log on
+    the loaded state. [dur_attach] and [dur_recover] raise
+    {!Types.Ode_error} on a directory in the older per-member layout
+    (a [group-manifest] and no generation pair at the root). *)
 
 val member_dir : string -> int -> string
-(** [member_dir dir k] — partition [k]'s own log directory,
-    [<dir>/p<k>]. *)
-
-val write_manifest : string -> partitions:int -> unit
-val read_manifest : string -> int option
-(** The one-line [group-manifest] at a partitioned database's log
-    root, recording the partition count the directory was written
-    with. [read_manifest] is [None] when absent and raises
-    {!Types.Ode_error} when malformed. *)
-
-val check_manifest : string -> partitions:int -> unit
-(** Write the manifest if absent; raise {!Types.Ode_error} if present
-    with a different partition count. *)
+(** [member_dir dir k] is [<dir>/p<k>], where the older per-member
+    layout kept partition [k]'s log. Nothing writes there now. *)
 
 (** {1 Introspection — recovery, the crash harness, [odec wal-dump]} *)
 
@@ -129,8 +119,9 @@ val scan_file : string -> scan_result
     [wal-dump]. *)
 
 val apply_batch : db -> string -> unit
-(** Replay one scanned payload: set the counters and clock, upsert or
-    remove each carried object, replace the timer queue if carried.
+(** Replay one scanned payload into a group of any size: set every
+    member's counters and clock, upsert or remove each carried object
+    on its owner, replace the group's timer queue if carried.
     Raises [Codec.Corrupt] on a malformed payload (a CRC-valid frame
     written by this module always decodes). *)
 

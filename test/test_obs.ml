@@ -368,13 +368,18 @@ let test_unsubscribe_during_delivery () =
 (* Counters must stay {e exact} whatever the partition count: 16
    objects × 25 pings in one [post_many] batch on an 8-member group,
    every counter pinned to its computed truth and equal, bit for bit,
-   to a single engine's run of the identical batch. Under a WAL the
-   [wal_*] counters count batches of per-member logs, so they follow
-   the member count and are left out of the comparison. *)
+   to a single engine's run of the identical batch — the [wal_*]
+   counters included, since the group writes one log. *)
 let test_exact_counters_across_partitions () =
   let run partitions =
+    (* a WAL flushed per batch, whatever the environment selects *)
+    let dir = Filename.temp_file "ode_obs_wal" "" in
+    Sys.remove dir;
+    let durability = `Wal (Ode_odb.Wal.config ~flush_ms:0 ~sync_on_flush:false dir) in
     let db =
-      D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions } ()
+      D.create_db
+        ~config:{ (D.Config.of_env ()) with D.Config.partitions; durability }
+        ()
     in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
@@ -401,13 +406,9 @@ let test_exact_counters_across_partitions () =
     let fired = ref 0 in
     expect_ok (D.with_txn db (fun _ -> fired := D.post_many db batch));
     let obs = D.observe db in
+    D.close_durability db;
     ( !fired,
-      List.filter_map
-        (fun c ->
-          let name = Obs.counter_name c in
-          if String.starts_with ~prefix:"wal_" name then None
-          else Some (name, Obs.get obs c))
-        Obs.all_counters,
+      List.map (fun c -> (Obs.counter_name c, Obs.get obs c)) Obs.all_counters,
       Obs.posts_by_kind obs )
   in
   let f1, c1, k1 = run 1 in
@@ -421,6 +422,11 @@ let test_exact_counters_across_partitions () =
   Alcotest.(check int) "transitions" 400 (get "transitions" c8);
   Alcotest.(check int) "firings counter" 400 (get "firings" c8);
   Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c8);
+  (* one commit, one batch, one flush — at 1 partition and at 8 *)
+  Alcotest.(check int) "1-partition WAL batches" 1 (get "wal_batches" c1);
+  Alcotest.(check int) "1-partition WAL flushes" 1 (get "wal_flushes" c1);
+  Alcotest.(check int) "8-partition WAL batches" 1 (get "wal_batches" c8);
+  Alcotest.(check int) "8-partition WAL flushes" 1 (get "wal_flushes" c8);
   Alcotest.(check (list (pair string int)))
     "counters identical across partition counts" c1 c8;
   Alcotest.(check (list (pair string int))) "kind table identical" k1 k8

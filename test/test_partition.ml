@@ -10,8 +10,8 @@
    participating objects live on different members, stepped via the
    packed-code forwarding path), [choose n] counting creations across
    members, the partition-transparent image (save at one count, load at
-   another), the partitioned WAL (per-member logs + group manifest,
-   recovery, mismatch refusal), the ODE_PARTITIONS selector, the
+   another), the partitioned WAL (one root log, recovery at any count,
+   the older per-member layout refused), the ODE_PARTITIONS selector, the
    config surface, and a batch whose masks fail (same error, same
    automata stepped, at every partition count). *)
 
@@ -246,6 +246,10 @@ let test_cross_count_image () =
 (* Partitioned WAL                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* The group writes one log, the single-engine log, so a log written
+   at 2 partitions recovers at any count: at 1, 2, 3 and 4 to the
+   shadow's bytes, and each recovered database then fires like the
+   single-engine oracle loaded from the shadow image. *)
 let test_wal_group_recover () =
   let dir = fresh_dir () in
   let fired = ref 0 in
@@ -261,13 +265,12 @@ let test_wal_group_recover () =
     D.register_class db b;
     db
   in
-  let wal_config =
-    cfg ~partitions:2
-      ~durability:
-        (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir))
-      ()
+  let db =
+    mk
+      (cfg ~partitions:2
+         ~durability:(`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir))
+         ())
   in
-  let db = mk wal_config in
   let oids =
     expect_ok
       (D.with_txn db (fun _ ->
@@ -290,24 +293,9 @@ let test_wal_group_recover () =
   D.advance_clock db 50L;
   let shadow = D.image_bytes db in
   D.close_durability db;
-  (* both member logs exist under the manifest *)
-  Alcotest.(check bool) "manifest records the count" true
-    (Wal.read_manifest dir = Some 2);
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "member %d has a log" k)
-        true
-        (Sys.file_exists (Wal.member_dir dir k)))
-    [ 0; 1 ];
-  (* a fresh process: attach to the directory, recover, compare bytes *)
-  let db2 = mk wal_config in
-  D.recover db2;
-  Alcotest.(check bool) "recovered bytes = shadow" true
-    (String.equal (D.image_bytes db2) shadow);
-  (* behaviorally alive across members: drive the recovered group and a
-     single-engine oracle loaded from the shadow image through the same
-     script; firings and bytes must agree *)
+  Alcotest.(check (list string)) "one root pair, no member logs or manifest"
+    [ "snap-0.ode1"; "wal-0.log" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
   let drive db =
     let before = !fired in
     expect_ok
@@ -319,30 +307,64 @@ let test_wal_group_recover () =
              oids));
     (!fired - before, D.image_bytes db)
   in
-  let recovered = drive db2 in
-  D.close_durability db2;
   let oracle = mk (cfg ~partitions:1 ()) in
   let tmp = Filename.temp_file "ode_part" ".img" in
-  let oc = open_out_bin tmp in
-  output_string oc shadow;
-  close_out oc;
+  Ode_base.Codec.to_file tmp shadow;
   D.load oracle tmp;
   Sys.remove tmp;
   let expected = drive oracle in
-  Alcotest.(check bool) "recovered group fires" true (fst recovered > 0);
-  Alcotest.(check bool) "recovered group = single-engine oracle" true
-    (recovered = expected);
-  (* a mismatched partition count is refused at attach *)
-  match
-    D.create_db
-      ~config:
-        (cfg ~partitions:3 ~durability:(`Wal (Wal.config dir)) ())
-      ()
-  with
-  | _ -> Alcotest.fail "expected the manifest mismatch to be refused"
-  | exception D.Ode_error msg ->
-    Alcotest.(check bool) "error names the counts" true
-      (String.length msg > 0)
+  Alcotest.(check bool) "the oracle fires" true (fst expected > 0);
+  List.iter
+    (fun partitions ->
+      (* recovery re-baselines its directory, so each count recovers
+         from its own copy of the written pair *)
+      let copy = fresh_dir () in
+      List.iter
+        (fun f ->
+          Ode_base.Codec.to_file (Filename.concat copy f)
+            (Ode_base.Codec.of_file (Filename.concat dir f)))
+        [ "snap-0.ode1"; "wal-0.log" ];
+      let db2 = mk (cfg ~partitions ~durability:(`Wal (Wal.config copy)) ()) in
+      D.recover db2;
+      Alcotest.(check bool)
+        (Printf.sprintf "recovered at %d partitions = shadow" partitions)
+        true
+        (String.equal (D.image_bytes db2) shadow);
+      Alcotest.(check bool)
+        (Printf.sprintf "recovered at %d partitions = single-engine oracle" partitions)
+        true
+        (drive db2 = expected);
+      D.close_durability db2)
+    [ 1; 2; 3; 4 ]
+
+(* A directory in the older per-member layout — a [group-manifest] and
+   [p<k>/] logs, no root pair — is refused at attach and at recover,
+   instead of being baselined empty beside the old logs. *)
+let test_wal_refuses_member_layout () =
+  let dir = fresh_dir () in
+  Ode_base.Codec.to_file (Filename.concat dir "group-manifest") "ODEGROUP1 partitions=2\n";
+  Unix.mkdir (Wal.member_dir dir 0) 0o755;
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected the old layout to be refused" what
+    | exception D.Ode_error msg ->
+      let needle = "older layout" in
+      let rec has i =
+        i + String.length needle <= String.length msg
+        && (String.sub msg i (String.length needle) = needle || has (i + 1))
+      in
+      Alcotest.(check bool) (what ^ ": the error names the old layout") true (has 0)
+  in
+  let wal = `Wal (Wal.config dir) in
+  refused "attach" (fun () -> D.create_db ~config:(cfg ~partitions:2 ~durability:wal ()) ());
+  Alcotest.(check (option int)) "attach wrote no generation" None (Wal.latest_gen dir);
+  (* recover: a database that attached to a fresh directory, which then
+     took the old layout's place *)
+  let dir2 = fresh_dir () in
+  let db = D.create_db ~config:(cfg ~partitions:2 ~durability:(`Wal (Wal.config dir2)) ()) () in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir2 f)) (Sys.readdir dir2);
+  Ode_base.Codec.to_file (Filename.concat dir2 "group-manifest") "ODEGROUP1 partitions=2\n";
+  refused "recover" (fun () -> D.recover db)
 
 (* ------------------------------------------------------------------ *)
 (* Selector and config surface                                         *)
@@ -405,8 +427,10 @@ let suite =
       test_cross_partition_sequence;
     Alcotest.test_case "images are partition-transparent" `Quick
       test_cross_count_image;
-    Alcotest.test_case "partitioned WAL recovers, refuses mismatch" `Quick
-      test_wal_group_recover;
+    Alcotest.test_case "partitioned WAL recovers, refuses old layout" `Quick
+      (fun () ->
+        test_wal_group_recover ();
+        test_wal_refuses_member_layout ());
     Alcotest.test_case "ODE_PARTITIONS selector" `Quick test_env_selector;
     Alcotest.test_case "config surface" `Quick test_config_surface;
     Alcotest.test_case "empty post_many" `Quick test_empty_post_many;

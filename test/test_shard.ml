@@ -50,8 +50,8 @@ let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.trig
    every other test); [Some n] pins an n-member engine group — the
    partition-equivalence properties in test_partition.ml run this same
    workload at several counts and compare. Pinning also pins [`Image]
-   durability: partitioning is transparent to every logical observable,
-   but {e how many} WAL batches a commit emits is per-member layout. *)
+   durability, so no compared counter depends on when a group-commit
+   window happens to flush. *)
 let create_db ?partitions () =
   let c = D.Config.of_env () in
   match partitions with

@@ -1,26 +1,31 @@
 (* The WAL durability backend: the crash-injection harness (randomized
    kill and corruption points over a logged workload, recovery compared
    byte-for-byte against shadow snapshots captured at every batch
-   boundary), the size-driven checkpoint rule (rotation, the replay
-   bound, the floor), the group-commit window, the ODE_DURABILITY
-   selector, the snapshot-bytes = save-bytes property, streamed images
-   = [image_bytes], and the frame scanner's damage classification. *)
+   boundary of a one-partition run, at partitions 1, 2 and 4), the log
+   and snapshot bytes equal at every partition count, the size-driven
+   checkpoint rule (rotation, the replay bound, the floor), the
+   group-commit window, the ODE_DURABILITY selector, the
+   snapshot-bytes = save-bytes property, streamed images =
+   [image_bytes], and the frame scanner's damage classification. *)
 
 open Ode_odb
 
 module D = struct
   include Database
 
-  (* this suite drives the single-engine WAL internals (it reads
-     snap-<g>.ode1 / wal-<g>.log at the directory root and cuts the log
-     by hand), so pin partitions = 1 whatever ODE_PARTITIONS says —
-     the partitioned WAL layout is covered by test_partition.ml *)
-  let create_db ?durability () =
-    let c = { (Config.of_env ()) with Config.partitions = 1 } in
-    let c =
-      { c with Config.durability = Option.value durability ~default:c.Config.durability }
-    in
-    create_db ~config:c ()
+  (* the environment's config, with the durability and partition count
+     overridable; every partition count writes the same root pair
+     (snap-<g>.ode1 / wal-<g>.log) this suite reads and cuts by hand *)
+  let create_db ?durability ?partitions () =
+    let c = Config.of_env () in
+    create_db
+      ~config:
+        {
+          c with
+          Config.durability = Option.value durability ~default:c.Config.durability;
+          partitions = Option.value partitions ~default:c.Config.partitions;
+        }
+      ()
 end
 
 module Value = Ode_base.Value
@@ -143,23 +148,15 @@ let probe pdb =
   D.advance_clock pdb 100L;
   (List.rev !fired, D.image_bytes pdb)
 
-(* The load-bearing invariant of the whole layer: whatever point the
-   log is killed or corrupted at, snapshot + replay reconstructs a
-   state byte-identical to the shadow image captured when the last
-   surviving batch was emitted — and the revived database behaves
-   identically from there on. *)
-let crash_harness ~points ~seed () =
+(* The workload of the crash harness, logged at [partitions] with every
+   batch flushed eagerly; the log stays under the checkpoint floor, so
+   wal-0.log accumulates its full frame sequence. [on_batch] sees the
+   database after each batch. Returns the log directory and the
+   initial image. *)
+let logged_workload ?on_batch ~partitions ~seed () =
   let dir = fresh_dir () in
-  let shadows = ref [] in
-  let cfg =
-    (* every batch flushed eagerly, and the workload's log stays under
-       the checkpoint floor, so wal-0.log accumulates its full frame
-       sequence *)
-    Wal.config ~flush_ms:0 ~sync_on_flush:false
-      ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
-      dir
-  in
-  let db = D.create_db ~durability:(`Wal cfg) () in
+  let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false ?on_batch dir in
+  let db = D.create_db ~durability:(`Wal cfg) ~partitions () in
   D.register_class db (schema ());
   let base = D.image_bytes db in
   Alcotest.(check bool) "baseline snapshot = initial image" true
@@ -171,6 +168,34 @@ let crash_harness ~points ~seed () =
   D.close_durability db;
   Alcotest.(check (option int)) "no checkpoint: generation 0 holds it all"
     (Some 0) (Wal.latest_gen dir);
+  (dir, base, rng)
+
+(* The load-bearing invariant of the whole layer: whatever point the
+   log is killed or corrupted at, snapshot + replay reconstructs a
+   state byte-identical to the shadow image captured when the last
+   surviving batch was emitted — and the revived database behaves
+   identically from there on. The shadows come from a one-partition
+   run; the log is written, cut and recovered at [partitions], so a
+   torn group log loses whole transactions only. *)
+let crash_harness ~partitions ~points ~seed () =
+  let shadows = ref [] in
+  let on_batch tdb = shadows := Persist.image_bytes tdb :: !shadows in
+  let dir1, base, rng = logged_workload ~on_batch ~partitions:1 ~seed () in
+  let dir =
+    if partitions = 1 then dir1
+    else begin
+      let dir, _, _ = logged_workload ~partitions ~seed () in
+      List.iter
+        (fun path ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d partitions = at 1" (Filename.basename (path dir))
+               partitions)
+            true
+            (String.equal (Codec.of_file (path dir)) (Codec.of_file (path dir1))))
+        [ (fun d -> Wal.wal_path d 0); (fun d -> Wal.snap_path d 0) ];
+      dir
+    end
+  in
   let shadows = Array.of_list (List.rev !shadows) in
   let log = Codec.of_file (Wal.wal_path dir 0) in
   let snap = Codec.of_file (Wal.snap_path dir 0) in
@@ -196,7 +221,7 @@ let crash_harness ~points ~seed () =
     let dir2 = fresh_dir () in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
+    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) ~partitions () in
     D.register_class rdb (schema ());
     D.recover rdb;
     let expected = if n = 0 then base else shadows.(n - 1) in
@@ -209,7 +234,7 @@ let crash_harness ~points ~seed () =
     (* every 10th point, drive both databases forward and compare
        behaviour, not just bytes *)
     if point mod 10 = 0 then begin
-      let sdb = D.create_db ~durability:`Image () in
+      let sdb = D.create_db ~durability:`Image ~partitions:1 () in
       D.register_class sdb (schema ());
       let f = Filename.temp_file "ode_wal_shadow" ".img" in
       Codec.to_file f expected;
@@ -224,7 +249,46 @@ let crash_harness ~points ~seed () =
     end
   done
 
-let test_crash_heap () = crash_harness ~points:250 ~seed:42 ()
+let test_crash_heap () = crash_harness ~partitions:1 ~points:250 ~seed:42 ()
+
+(* The group writes the single-engine log: the same workload, with a
+   [save] checkpoint midway, leaves the same current generation and
+   byte-identical wal-<g>.log and snap-<g>.ode1 at partitions 1, 2
+   and 4. *)
+let test_log_bytes_across_partitions () =
+  let run partitions =
+    let dir = fresh_dir () in
+    let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
+    let db = D.create_db ~durability:(`Wal cfg) ~partitions () in
+    D.register_class db (schema ());
+    let rng = Random.State.make [| 7 |] in
+    for i = 1 to 60 do
+      step rng db;
+      if i = 30 then begin
+        let f = Filename.temp_file "ode_wal_mid" ".img" in
+        D.save db f;
+        Sys.remove f
+      end
+    done;
+    D.close_durability db;
+    let g = Option.get (Wal.latest_gen dir) in
+    (g, Codec.of_file (Wal.wal_path dir g), Codec.of_file (Wal.snap_path dir g))
+  in
+  let g1, log1, snap1 = run 1 in
+  Alcotest.(check int) "the save checkpointed once" 1 g1;
+  Alcotest.(check bool) "the log holds frames" true
+    (List.length (Wal.scan_bytes log1).Wal.frames > 20);
+  List.iter
+    (fun partitions ->
+      let g, log, snap = run partitions in
+      Alcotest.(check int) (Printf.sprintf "generation at %d partitions" partitions) g1 g;
+      Alcotest.(check bool)
+        (Printf.sprintf "wal-%d.log at %d partitions = at 1" g partitions)
+        true (String.equal log log1);
+      Alcotest.(check bool)
+        (Printf.sprintf "snap-%d.ode1 at %d partitions = at 1" g partitions)
+        true (String.equal snap snap1))
+    [ 2; 4 ]
 
 (* A class whose objects carry a 16 KiB string, so a few hundred
    one-object commits log several MiB. *)
@@ -281,12 +345,11 @@ let test_checkpoint_rotation () =
     (String.equal (D.image_bytes db2) img)
 
 (* The replay bound: after several rotations a crash (no
-   [close_durability]) leaves each member at most
-   [checkpoint_percent]% of its snapshot + [checkpoint_floor] + one
-   batch of log to replay, and recovery reproduces the live image. 100
-   blobs make a 1.6 MiB snapshot at one partition (the percentage
-   sets the threshold) and 0.8 MiB per member at two (the floor
-   does). *)
+   [close_durability]) leaves at most [checkpoint_percent]% of the
+   snapshot + [checkpoint_floor] + one batch of log to replay, and
+   recovery reproduces the live image. 100 blobs make a 1.6 MiB
+   snapshot, so the percentage sets the threshold; a group at two
+   partitions writes the same one log at the root. *)
 let test_replay_bound partitions () =
   let dir = fresh_dir () in
   let config =
@@ -313,21 +376,20 @@ let test_replay_bound partitions () =
   done;
   let live = D.image_bytes db in
   (* crash: the process stops here, nothing closed *)
-  for k = 0 to partitions - 1 do
-    let mdir = if partitions = 1 then dir else Wal.member_dir dir k in
-    let g = Option.get (Wal.latest_gen mdir) in
-    Alcotest.(check bool) (Printf.sprintf "member %d rotated several times" k) true
-      (g >= 2);
-    let frames = (Wal.scan_file (Wal.wal_path mdir g)).Wal.frames in
-    let sizes = List.map (fun f -> 8 + String.length f) frames in
-    let replayed = List.fold_left ( + ) 0 sizes in
-    let batch = List.fold_left max 0 sizes in
-    let snap = file_size (Wal.snap_path mdir g) in
-    let bound = (Wal.checkpoint_percent * snap / 100) + Wal.checkpoint_floor + batch in
-    if replayed > bound then
-      Alcotest.failf "member %d: %d log bytes to replay > bound %d (snapshot %d)" k
-        replayed bound snap
-  done;
+  let g = Option.get (Wal.latest_gen dir) in
+  Alcotest.(check bool) "rotated several times" true (g >= 2);
+  Alcotest.(check (list string)) "one root pair, no member directories"
+    [ Printf.sprintf "snap-%d.ode1" g; Printf.sprintf "wal-%d.log" g ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  let frames = (Wal.scan_file (Wal.wal_path dir g)).Wal.frames in
+  let sizes = List.map (fun f -> 8 + String.length f) frames in
+  let replayed = List.fold_left ( + ) 0 sizes in
+  let batch = List.fold_left max 0 sizes in
+  let snap = file_size (Wal.snap_path dir g) in
+  let bound = (Wal.checkpoint_percent * snap / 100) + Wal.checkpoint_floor + batch in
+  if replayed > bound then
+    Alcotest.failf "%d log bytes to replay > bound %d (snapshot %d)" replayed bound
+      snap;
   let config = { config with Database.Config.durability = `Wal (Wal.config dir) } in
   let db2 = Database.create_db ~config () in
   D.register_class db2 (blob_class ());
@@ -430,8 +492,10 @@ let test_env_selector () =
         | _ -> false))
 
 (* Satellite invariant: a WAL checkpoint snapshot and [save] of the
-   same state are the same bytes — one codec path, property-tested over
-   random workloads. *)
+   same state are the same bytes — [save] serializes the heap once, in
+   its checkpoint, and copies that snapshot — and recovery after
+   further commits still reproduces the live image; property-tested
+   over random workloads. *)
 let prop_snapshot_equals_save =
   QCheck.Test.make ~name:"WAL snapshot bytes = save bytes" ~count:20
     QCheck.small_int (fun seed ->
@@ -453,13 +517,21 @@ let prop_snapshot_equals_save =
          the very bytes just saved *)
       let g = Option.get (Wal.latest_gen dir) in
       let snap = Codec.of_file (Wal.snap_path dir g) in
-      D.close_durability db;
-      String.equal saved snap)
+      for _ = 1 to 4 do
+        step rng db
+      done;
+      let live = D.image_bytes db in
+      (* crash: nothing closed *)
+      let rdb = D.create_db ~durability:(`Wal (Wal.config dir)) () in
+      D.register_class rdb (schema ());
+      D.recover rdb;
+      D.close_durability rdb;
+      String.equal saved snap && String.equal (D.image_bytes rdb) live)
 
-(* The streamed writers produce [image_bytes]'s bytes: each member's
-   checkpoint snapshot equals that member's [Persist.image_bytes], and
-   [save]'s file equals the group's [image_bytes], for the stockroom
-   and fleet images at partitions 1 and 4. *)
+(* The streamed writers produce [image_bytes]'s bytes: the checkpoint
+   snapshot at the log root and [save]'s file (a copy of it) both equal
+   [image_bytes], for the stockroom and fleet images at partitions 1
+   and 4. *)
 let test_streamed_images () =
   let module S = Ode_scenarios.Stockroom in
   let module F = Ode_scenarios.Fleet in
@@ -485,26 +557,24 @@ let test_streamed_images () =
         (fun partitions ->
           let what = Printf.sprintf "%s at %d partitions" name partitions in
           let dir = fresh_dir () in
-          let members = ref [||] in
-          let on_batch m = members := Store.members m in
-          let durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~on_batch dir) in
-          let db = build { Database.Config.default with Database.Config.partitions; durability } in
+          let config =
+            {
+              Database.Config.default with
+              Database.Config.partitions;
+              durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+            }
+          in
+          let db = build config in
           let f = Filename.temp_file "ode_wal_stream" ".img" in
           D.save db f;
           let saved = Codec.of_file f in
           Sys.remove f;
+          let live = D.image_bytes db in
           Alcotest.(check bool) (what ^ ": save's file = image_bytes") true
-            (String.equal saved (D.image_bytes db));
-          Alcotest.(check int) (what ^ ": members seen") partitions (Array.length !members);
-          Array.iteri
-            (fun k m ->
-              let mdir = if partitions = 1 then dir else Wal.member_dir dir k in
-              let g = Option.get (Wal.latest_gen mdir) in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: member %d snapshot = its image_bytes" what k)
-                true
-                (String.equal (Codec.of_file (Wal.snap_path mdir g)) (Persist.image_bytes m)))
-            !members;
+            (String.equal saved live);
+          let g = Option.get (Wal.latest_gen dir) in
+          Alcotest.(check bool) (what ^ ": snapshot = image_bytes") true
+            (String.equal (Codec.of_file (Wal.snap_path dir g)) live);
           D.close_durability db)
         [ 1; 4 ])
     [ ("stockroom", stockroom); ("fleet", fleet) ]
@@ -559,6 +629,12 @@ let suite =
   [
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
+    Alcotest.test_case "crash harness, partitions 2 (250 points)" `Quick
+      (crash_harness ~partitions:2 ~points:250 ~seed:42);
+    Alcotest.test_case "crash harness, partitions 4 (250 points)" `Quick
+      (crash_harness ~partitions:4 ~points:250 ~seed:42);
+    Alcotest.test_case "log and snapshot bytes equal at partitions 1, 2, 4" `Quick
+      test_log_bytes_across_partitions;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
     Alcotest.test_case "replay bound, partitions 1" `Quick (test_replay_bound 1);
     Alcotest.test_case "replay bound, partitions 2" `Quick (test_replay_bound 2);
