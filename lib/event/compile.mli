@@ -73,10 +73,10 @@ val step : t -> int array -> int -> int -> ('a -> int -> bool) -> 'a -> bool
     [eval arg mask_id] is consulted only when a level accepts, and
     decides whether that level's derived event occurs. A word vector
     from {!initial} is [off = 0]; the database packs the vectors of all
-    activations sharing a detector into one int array per partition
-    member. With a closure [eval] built once and passed [arg] (the
-    detector passes its mask table's evaluator and the mask
-    environment) a step allocates nothing. [sym] must lie in
+    activations sharing a detector into one int array. With a closure
+    [eval] built once and passed [arg] (the detector passes its mask
+    table's evaluator and the mask environment) a step allocates
+    nothing. [sym] must lie in
     [0 .. base_m - 1]. *)
 
 val run : t -> mask:(int -> int -> bool) -> int array -> bool array

@@ -2,8 +2,8 @@
 
      Schema    — class builders, trigger definitions, detector
                  compilation, dispatch-index construction
-     Store     — the object heap (one table per partition member,
-                 oid allocation, field access, histories, stats)
+     Store     — the object heap (one table, oid allocation, field
+                 access, histories, stats)
      Txn       — begin/commit/abort, undo log, locks, the §6
                  [before tcomplete] fixpoint
      Engine    — the §5 posting pipeline (the compiled kernel),
@@ -15,7 +15,7 @@
                  group commit, snapshots, crash recovery)
 
    This module only re-exports (plus the composition root, [create_db],
-   which builds the engine group and attaches the durability backend);
+   which builds the database and attaches the durability backend);
    keep it free of logic so the public API stays a stable surface over
    the layers. *)
 
@@ -94,7 +94,7 @@ module Config = struct
     max_tcomplete_rounds : int;
     trace_capacity : int;
     durability : durability_spec;
-    partitions : int;
+    partitions : int;  (* deprecated, ignored by [create_db] *)
     timing : bool;
     serve : serve;
   }
@@ -142,34 +142,19 @@ module Config = struct
           Types.ode_error "ODE_DURABILITY: bad flush window in %S" s)
       | Some _ | None -> Types.ode_error "ODE_DURABILITY: unknown backend %S" s)
 
-  let of_env () =
-    let c = { default with durability = durability_of_env () } in
-    (* CI also runs the suite partitioned: ODE_PARTITIONS=n slices
-       every database created through the env path into an n-member
-       engine group *)
-    match Sys.getenv_opt "ODE_PARTITIONS" with
-    | None | Some "" -> c
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> { c with partitions = n }
-      | Some n ->
-        Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)" n
-      | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
+  let of_env () = { default with durability = durability_of_env () }
 end
 
 let create_db ?config () =
-  (* composition root: resolve one [Config.t], then build the engine
-     group (a plain database at one partition) and attach the durability
-     backend — [Types] holds the latter abstractly and cannot depend on
-     [Persist] or [Wal]. *)
+  (* composition root: resolve one [Config.t], then build the database
+     and attach the durability backend — [Types] holds the latter
+     abstractly and cannot depend on [Persist] or [Wal]. *)
   let c = match config with Some c -> c | None -> Config.of_env () in
   let db =
-    Engine_group.make ~partitions:c.Config.partitions ~start_time:c.Config.start_time
+    Types.make_db ~start_time:c.Config.start_time
       ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
       ~trace_capacity:c.Config.trace_capacity ()
   in
-  (* no branch on partition count: one backend on the facade serves
-     the whole group, and the WAL writes the single-engine log *)
   db.Types.durability <-
     (match c.Config.durability with
     | `Image -> Persist.image_backend ()
@@ -179,13 +164,11 @@ let create_db ?config () =
   db
 
 let durability_name (db : t) = db.Types.durability.Types.dur_name
-let partitions (db : t) = Types.n_partitions db
 
 let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
-  Printf.sprintf
-    "durability=%s partitions=%d obs=%s timing=%s clock=%Ldms"
-    (durability_name db) (partitions db)
+  Printf.sprintf "durability=%s obs=%s timing=%s clock=%Ldms"
+    (durability_name db)
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms

@@ -37,7 +37,7 @@
 
     This module is a thin facade: the implementation is layered into
     [Schema] (compiled class/trigger definitions and dispatch indexes),
-    [Store] (the object heap, one table per partition member),
+    [Store] (the object heap, one table),
     [Txn] (transactions, undo, locks), [Engine] (the posting pipeline),
     [Timewheel] (timers), and the pluggable durability layer — [Persist]
     (the ODE1 full-image codec and backend) and [Wal] (the
@@ -57,7 +57,10 @@ exception Tabort
 
 exception Lock_conflict of oid
 (** An incompatible lock request; the requesting transaction should
-    abort. *)
+    abort. Besides field writes and method calls, an event that advances
+    a [Committed]-mode trigger's state takes its object's write lock
+    (see {!trigger}), so it can raise this too — from {!call},
+    {!post_many} or the [before tcomplete] rounds of {!commit}. *)
 
 exception Ode_error of string
 (** Schema violations, use outside transactions, commit livelock, etc. *)
@@ -122,7 +125,17 @@ val trigger :
     automaton here — once per class (§5). [mode] selects whether the
     detection state observes the full history or only committed work
     (default [Full_history]); [perpetual] defaults to [false] (the
-    trigger deactivates when it fires, §2). *)
+    trigger deactivates when it fires, §2).
+
+    A [Committed]-mode activation's state is object data under the
+    two-phase locking transactions already run: the first event of a
+    transaction that advances it takes the object's write lock, held to
+    commit or abort. A second transaction touching that object then
+    gets {!Lock_conflict}, even through a [Read_only] method, instead
+    of advancing state that the first one's abort would roll back over
+    its own advance. Posts of system transactions (transaction-event
+    fan-outs, time events) and of an aborting transaction's
+    [before tabort] round take no such lock. *)
 
 val trigger_str :
   class_builder ->
@@ -200,10 +213,9 @@ module Config : sig
     trace_capacity : int;
     durability : durability_spec;
     partitions : int;
-        (** engine members slicing the database by oid ([oid mod n]);
-            1 = the classic single engine. Observably transparent:
-            same firings, same order, same {!save} bytes at any count.
-            See [Engine_group]. *)
+        (** Deprecated, and ignored: a database is one engine with one
+            heap, whatever this says. The field is kept only so that
+            callers which still set it compile; it will be removed. *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -215,18 +227,14 @@ module Config : sig
 
   val default : t
   (** The documented defaults, environment ignored: image durability,
-      1 partition, timing off, {!default_serve}. *)
+      timing off, {!default_serve}. *)
 
   val of_env : unit -> t
-  (** {!default} with the two environment overrides applied — the
-      one parser for all of them, raising {!Ode_error} with the
-      offending variable named on any malformed value:
-
-      - [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
-        ([wal] in a fresh temporary directory — how CI runs the whole
-        suite under the log);
-      - [ODE_PARTITIONS=<n>] sets [partitions] (how CI runs the whole
-        suite partitioned). *)
+  (** {!default} with the environment override applied, raising
+      {!Ode_error} with the variable named on a malformed value:
+      [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
+      ([wal] in a fresh temporary directory — how CI runs the whole
+      suite under the log). *)
 end
 
 val create_db : ?config:Config.t -> unit -> t
@@ -238,29 +246,19 @@ val create_db : ?config:Config.t -> unit -> t
     exceed it, {!commit} raises {!Ode_error} naming the round count
     instead of livelocking. [trace_capacity] (default 1024, must be
     >= 1) sizes the observability trace ring — see {!observe}.
-    [partitions] must be >= 1. The chosen durability backend is
+    [partitions] is not read. The chosen durability backend is
     attached (its [dur_attach]) before this returns: a WAL database
     starts logging from its very first commit. *)
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    durability, partition count, observability state and the clock —
-    e.g. ["durability=wal:/var/ode partitions=2 obs=off timing=off \
-    clock=0ms"].
-    Surfaced by [odec schema] and the server's [status] verb.
-    {!durability_name} and {!partitions} are components kept as
-    standalone accessors. *)
+    durability, observability state and the clock — e.g.
+    ["durability=wal:/var/ode obs=off timing=off clock=0ms"].
+    Surfaced by [odec schema] and the server's [status] verb. *)
 
 val durability_name : t -> string
 (** ["image"] or ["wal:<dir>"] — the [durability=] component of
-    {!config_summary}. *)
-
-val partitions : t -> int
-(** How many engine members slice this database (1 unless
-    [Config.partitions] asked for a group) — the [partitions=]
-    component of {!config_summary}. Partitioning is observably
-    transparent: firings, their order, counters and {!image_bytes}
-    are identical at any partition count. *)
+    {!config_summary}, kept as a standalone accessor. *)
 
 (** {1 Observability}
 
@@ -309,8 +307,7 @@ val image_bytes : t -> string
 (** The exact bytes {!save} would write, in memory — the canonical
     state fingerprint: two databases in the same logical state (same
     objects, activations, automaton states, timers, counters, clock)
-    produce equal bytes, whatever their partition count or durability
-    backend.
+    produce equal bytes, whatever their durability backend.
     Usable with transactions open (unlike {!save}). *)
 
 val recover : t -> unit
@@ -397,9 +394,7 @@ val apply_fun : t -> string -> Value.t list -> Value.t
 
     {!post_many} drives the §5 pipeline over a whole batch of basic
     events in three phases, each in batch order: touch/lock/history,
-    then classify + automaton step, then all firing. The outcome —
-    firing order, and the error a failing mask raises — is
-    bit-identical whatever the partition count. *)
+    then classify + automaton step, then all firing. *)
 
 val post_many :
   t -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int

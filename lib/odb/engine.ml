@@ -28,9 +28,7 @@ let kind_name db basic =
 
 (* The posting scratch, built on first kernel post and shared by
    [post], [post_db] and [post_many]: the pipeline posts one occurrence
-   at a time, so there is never more than one user. Its mask
-   environment routes lookups group-wide, so one scratch serves every
-   partition member. *)
+   at a time, so there is never more than one user. *)
 let scratch db =
   match db.engine.scratch with
   | Some sc -> sc
@@ -157,19 +155,25 @@ let collect_bindings at det code occurrence =
    triggers are always Full_history, so they never take one); an
    irrelevant occurrence provably changes neither the automaton state
    nor the collected bindings, so the snapshots are only taken for
-   relevant ones. Masks are evaluated in [sc]'s environment; callers
+   relevant ones. A committed-mode activation's words are data under
+   two-phase locking: before the first relevant advance, transaction
+   [sc.sc_lock] (0 = none) takes [obj]'s write lock, so no other open
+   transaction can advance words an abort would restore over its
+   advance. Masks are evaluated in [sc]'s environment; callers
    attribute a [Mask.Eval_error] to the trigger (kept out of here so
    the helper inlines into the kernel's step pass). *)
-let[@inline] advance db ~undo ~on sc (at : active_trigger) code oid occurrence =
+let[@inline] advance db ~undo ~on sc (at : active_trigger) code obj occurrence =
   let det = at.at_def.t_detector in
   let relevant = Detector.code_relevant code in
   let old_top = if on then at_top_state at else 0 in
   if relevant then begin
-    if det.Detector.mode = Detector.Committed then
+    if det.Detector.mode = Detector.Committed then begin
+      if sc.sc_lock > 0 then Txn.acquire_for db sc.sc_lock obj Lock.Write;
       undo :=
         U_trigger_collected (at, at.at_collected)
         :: U_trigger_state (at, at_state_copy at)
-        :: !undo;
+        :: !undo
+    end;
     if det.Detector.has_formals then collect_bindings at det code occurrence
   end;
   (match at.at_provenance with
@@ -186,7 +190,7 @@ let[@inline] advance db ~undo ~on sc (at : active_trigger) code oid occurrence =
       (Trace.Advanced
          { scope =
              (if at.at_def.t_class = db_class_name then Trace.Db
-              else Trace.Obj oid);
+              else Trace.Obj obj.o_id);
            trigger = at.at_def.t_name; old_state = old_top;
            new_state = at_top_state at })
   end;
@@ -204,7 +208,7 @@ let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
     | Some at when at.at_active ->
       let code = sc.sc_codes.(row.kr_det_of.(i)) in
       let fired =
-        try advance db ~undo ~on sc at code obj.o_id occurrence
+        try advance db ~undo ~on sc at code obj occurrence
         with Mask.Eval_error msg -> mask_error at msg
       in
       let acc = if fired then at :: acc else acc in
@@ -213,7 +217,8 @@ let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
       step_pass db ~undo ~on sc row obj occurrence (i + 1) acc
 
 (* One occurrence through the kernel. Returns the fired activations in
-   declaration order; committed-mode undo snapshots go to [undo];
+   declaration order; committed-mode undo snapshots go to [undo], under
+   transaction [sc.sc_lock]'s write lock on [obj] (see [advance]);
    counter bumps accumulate in [sc] for the caller to flush once per
    phase. *)
 let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
@@ -330,6 +335,11 @@ let post db tx obj (basic : Symbol.basic) args =
   end;
   let sc = scratch db in
   let undo = ref [] in
+  (* A system transaction runs to its end inside this call, and the
+     posts of an abort's [before tabort] round are undone by that
+     abort, so neither can be overtaken by another transaction: they
+     take no lock. *)
+  sc.sc_lock <- (if tx.tx_system || db.txns.in_abort then 0 else tx.tx_id);
   (* the undo segment is merged even when a mask blows up mid-walk, so
      an abort still restores the already-stepped committed-mode
      candidates *)
@@ -390,6 +400,7 @@ let post_db db (basic : Symbol.basic) args =
   let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
   let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
   let sc = scratch db in
+  sc.sc_lock <- 0;
   let fired =
     match kernel_post_one db ~undo:(ref []) ~on sc obj occurrence with
     | fired ->
@@ -544,10 +555,8 @@ let touch db tx obj =
    phase 3 fires once every event has stepped.
 
    Fired actions all run after the whole batch has stepped, so no
-   action sees a partly stepped batch. The result — firing order, and
-   the error a failing mask raises included — is bit-identical whatever
-   the partition count. Dead or missing oids are skipped, like
-   [system_post]. Returns the number of firings. *)
+   action sees a partly stepped batch. Dead or missing oids are
+   skipped, like [system_post]. Returns the number of firings. *)
 let post_many_nonempty db items =
   let tx = Txn.require_txn db in
   let obs = db.obs in
@@ -590,6 +599,8 @@ let post_many_nonempty db items =
      candidates. *)
   let fired = Array.make n [] in
   let sc = scratch db in
+  (* phase 0 took every item's write lock *)
+  sc.sc_lock <- 0;
   let undo = ref [] in
   let merge () =
     if !undo <> [] then tx.tx_undo <- !undo @ tx.tx_undo;
@@ -750,7 +761,7 @@ let activate db oid tname params =
       | cancelled -> tx.tx_undo <- U_timers_cancelled cancelled :: tx.tx_undo);
       at
     | None ->
-      let at = new_activation def (Store.soa_slot db oid def.t_detector) params in
+      let at = new_activation def (Store.soa_slot db def.t_detector) params in
       attach obj at;
       tx.tx_undo <- U_trigger_added (obj, tname) :: tx.tx_undo;
       at

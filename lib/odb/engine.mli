@@ -49,10 +49,8 @@ val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
     in batch order; all fired actions run after the whole batch has
     stepped, in batch order then declaration order. A failing mask
     raises at the first failing event in batch order, after the events
-    before it stepped. The outcome — firing order and any error included
-    — is bit-identical whatever the partition count. Dead or missing
-    oids are skipped, like {!system_post}. Returns the number of
-    firings. *)
+    before it stepped. Dead or missing oids are skipped, like
+    {!system_post}. Returns the number of firings. *)
 
 (** {1 Firing notification}
 

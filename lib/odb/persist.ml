@@ -132,7 +132,7 @@ let resolve_obj db (oid, cname, fields, triggers) =
       (fun (def, params, state, collected, active, epoch) ->
         (* provenance instances are volatile: rebuilt empty after a
            load (documented in save) *)
-        let at = new_activation def (Store.soa_slot db oid def.t_detector) params in
+        let at = new_activation def (Store.soa_slot db def.t_detector) params in
         at_state_restore at state;
         at.at_collected <- collected;
         at.at_active <- active;
@@ -145,10 +145,8 @@ let install_obj db raw = resolve_obj db raw ()
 
 let write_timer w (tm : timer) =
   Codec.write_int w (Int64.to_int tm.tm_due);
-  (* the insertion stamp is part of the image: every partition count
-     assigns the same stamps (one group-wide counter), so images stay
-     config-identical — and a reload restores the exact delivery order
-     among equal-due timers scattered across partition members *)
+  (* the insertion stamp is part of the image, so a reload restores
+     the exact delivery order among equal-due timers *)
   Codec.write_int w tm.tm_seq;
   Codec.write_int w tm.tm_oid;
   Codec.write_string w tm.tm_trigger;
@@ -171,11 +169,10 @@ let read_timer r =
 (* Full images                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The one image encoder: the header counters and clock come from [db]
-   (a group's facade carries the shared ones), then the objects in
-   ascending oid and the timers in (due, seq) order. [spill] runs after
-   each object and timer, so a streamed write hands its bytes on as it
-   goes instead of building the image first. *)
+(* The one image encoder: the header counters and clock come from [db],
+   then the objects in ascending oid and the timers in (due, seq) order.
+   [spill] runs after each object and timer, so a streamed write hands
+   its bytes on as it goes instead of building the image first. *)
 let encode_into w ~spill db objs timers =
   Codec.write_string w magic;
   Codec.write_int w db.store.next_oid;
@@ -206,23 +203,19 @@ let encode_file path db objs timers =
       Codec.output oc w;
       pos_out oc)
 
-(* The image of the whole group: the live objects of every member in
-   one array, sorted once by oid, and the group's timers in (due, seq)
-   order. Member slices partition exactly what a single engine would
-   hold, so the bytes are the single-engine bytes at any partition
-   count. The database object, in no member table, fills the array
-   until every slot is written. *)
+(* The image: the live objects in one array, sorted once by oid, and
+   the timers in (due, seq) order. The database object, in no heap
+   table, fills the array until every slot is written. *)
 let image enc db =
-  let db = Types.primary db in
   let objs = Array.make (Store.cardinal ~live:true db) db.engine.db_obj in
   let i = ref 0 in
-  Array.iter
-    (Store.iter_objects (fun o ->
-         if not o.o_deleted then begin
-           objs.(!i) <- o;
-           incr i
-         end))
-    (Store.members db);
+  Store.iter_objects
+    (fun o ->
+      if not o.o_deleted then begin
+        objs.(!i) <- o;
+        incr i
+      end)
+    db;
   assert (!i = Array.length objs);
   Array.sort (fun a b -> Int.compare a.o_id b.o_id) objs;
   enc db objs (Timewheel.pending db)
@@ -244,21 +237,15 @@ let decode data =
   let timers = Codec.read_list r read_timer in
   (next_oid, next_txn_id, clock_ms, objs, timers)
 
-(* The one image loader: reset every member slice, then let owner
-   routing scatter the image's objects and timers back to their
-   members — an image loads at any partition count, whatever count
-   wrote it. *)
+(* The one image loader: reset the heap, then install the image's
+   objects and timers. *)
 let load_image db data =
   let next_oid, next_txn_id, clock_ms, objs, timers = decode data in
-  (* [resolve_obj]'s installs route to the owning member *)
   let installs = List.map (resolve_obj db) objs in
-  Array.iter
-    (fun m ->
-      Store.reset_heap m;
-      m.wheel.tm_next_seq <- 0;
-      m.store.next_oid <- next_oid;
-      m.wheel.clock_ms <- clock_ms)
-    (Store.members db);
+  Store.reset_heap db;
+  db.wheel.tm_next_seq <- 0;
+  db.store.next_oid <- next_oid;
+  db.wheel.clock_ms <- clock_ms;
   db.txns.next_txn_id <- next_txn_id;
   List.iter (fun install -> install ()) installs;
   Timewheel.replace db timers
@@ -275,9 +262,8 @@ let load db path =
 (* The full-image durability backend                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [save]/[load] as a [durability_backend], at any partition count: no
-   incremental log, commits emit nothing, recovery has nothing to
-   replay from. *)
+(* [save]/[load] as a [durability_backend]: no incremental log, commits
+   emit nothing, recovery has nothing to replay from. *)
 let image_backend () =
   {
     dur_name = "image";

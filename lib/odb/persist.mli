@@ -35,15 +35,9 @@ val load : db -> string -> unit
 val image_bytes : db -> string
 (** The exact bytes {!save} would write, without touching the
     filesystem or checking for open transactions — the state
-    fingerprint the equivalence and crash-recovery suites compare.
-
-    A partitioned database ([Engine_group]) holds its heap and timer
-    queue spread over member slices; the image gathers every member's
-    live objects into one array sorted once by oid, and every member's
-    timers in (due, seq) order. Member slices partition exactly what a
-    single engine would hold, so the bytes are the single-engine bytes
-    at any partition count, and an image written at one count loads at
-    any other. *)
+    fingerprint the equivalence and crash-recovery suites compare:
+    the live objects in ascending oid, then the timers in (due, seq)
+    order. *)
 
 val write_image : db -> string -> int
 (** Write {!image_bytes}[ db] to a file, streamed object by object
@@ -54,10 +48,9 @@ val write_image : db -> string -> int
 
 val load_image : db -> string -> unit
 (** [load] from in-memory bytes: parse fully and check every object
-    against the schema, then reset every member's heap slice and wheel
-    and route each object and timer to its owner member. A
-    [Codec.Corrupt] raised by the parse or the check leaves the
-    database untouched. *)
+    against the schema, then reset the heap and the wheel and install
+    each object and timer. A [Codec.Corrupt] raised by the parse or
+    the check leaves the database untouched. *)
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted
@@ -106,8 +99,7 @@ val read_timer : Ode_base.Codec.reader -> timer
 val image_backend : unit -> durability_backend
 (** The full-image codec as a durability backend: [dur_save]/[dur_load]
     are {!save}/{!load}, commit emission is a no-op, [dur_recover]
-    raises (there is no log). The default of [Database.create_db] at
-    any partition count. *)
+    raises (there is no log). The default of [Database.create_db]. *)
 
 val write_time_spec : Ode_base.Codec.writer -> Ode_event.Symbol.time_spec -> unit
 val read_time_spec : Ode_base.Codec.reader -> Ode_event.Symbol.time_spec

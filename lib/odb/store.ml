@@ -2,33 +2,14 @@ module Value = Ode_base.Value
 module Mask = Ode_event.Mask
 open Types
 
-let locked db f =
-  Mutex.lock db.store.lock;
-  f db.store.table;
-  Mutex.unlock db.store.lock
-
 (* ------------------------------------------------------------------ *)
 (* Heap operations on the database                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oid allocation is one counter: with owner [oid mod n] a
-   monotonically increasing oid stream round-robins the partition
-   members, so the slices stay balanced without per-member counters.
-   Allocation happens only at object creation, on the thread driving
-   the database, so the counter needs no synchronisation. *)
 let alloc_oid db =
-  match db.part with
-  | None ->
-    let oid = db.store.next_oid in
-    db.store.next_oid <- oid + 1;
-    oid
-  | Some p ->
-    (* one group-wide counter, mirrored into every member so each
-       member's WAL batches carry the same [next_oid] the single-engine
-       run would log *)
-    let oid = p.p_members.(0).store.next_oid in
-    Array.iter (fun m -> m.store.next_oid <- oid + 1) p.p_members;
-    oid
+  let oid = db.store.next_oid in
+  db.store.next_oid <- oid + 1;
+  oid
 
 (* ------------------------------------------------------------------ *)
 (* Structure-of-arrays detection-state blocks                          *)
@@ -36,10 +17,9 @@ let alloc_oid db =
 
 (* Every activation keeps its automaton state vector — one word per
    level, one word total for mask-free expressions — in a slot of a
-   block shared by all activations of the same detector on the owner
-   member's objects: the paper's "one integer per active trigger per
-   object", laid out so [post_many]'s step phase sweeps a contiguous
-   int array. Slot allocation and release only happen in sequential
+   block shared by all activations of the same detector in the heap:
+   the paper's "one integer per active trigger per object", laid out so
+   [post_many]'s step phase sweeps a contiguous int array. Slot allocation and release only happen in sequential
    pipeline phases (activation, undo, object removal). *)
 
 let new_block (det : Ode_event.Detector.t) ~slots =
@@ -67,8 +47,8 @@ let take_slot blk det =
   Ode_event.Detector.write_initial det blk.blk_state (slot * w);
   (blk, slot)
 
-let soa_slot db oid (det : Ode_event.Detector.t) =
-  let tbl = (Types.owner_db db oid).store.soa in
+let soa_slot db (det : Ode_event.Detector.t) =
+  let tbl = db.store.soa in
   let blk =
     match Hashtbl.find_opt tbl det.uid with
     | Some b -> b
@@ -79,7 +59,7 @@ let soa_slot db oid (det : Ode_event.Detector.t) =
   in
   take_slot blk det
 
-(* Outside every member's table, so [reset_heap] never drops it. *)
+(* Outside the heap's blocks, so [reset_heap] never drops it. *)
 let private_slot det = take_slot (new_block det ~slots:1) det
 
 let free_slot at = at.at_blk.blk_free <- at.at_slot :: at.at_blk.blk_free
@@ -87,52 +67,41 @@ let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_slot at) obj.o_triggers
 
 (* The live-object count is maintained at the four mutation points
    (add, remove, delete-mark, undelete-mark) so [stats] and [cardinal
-   ~live:true] are O(1) instead of a heap scan. Each mutation routes to
-   the oid's owning member first, so per-member counts stay exact. *)
+   ~live:true] are O(1) instead of a heap scan. *)
 let add_obj db obj =
-  let db = Types.owner_db db obj.o_id in
-  locked db (fun tbl -> Hashtbl.add tbl obj.o_id obj);
+  Hashtbl.add db.store.table obj.o_id obj;
   if not obj.o_deleted then db.store.n_live <- db.store.n_live + 1
 
 let remove_obj db oid =
-  let db = Types.owner_db db oid in
   match Hashtbl.find_opt db.store.table oid with
   | None -> ()
   | Some o ->
     if not o.o_deleted then db.store.n_live <- db.store.n_live - 1;
     free_obj_slots o;
-    locked db (fun tbl -> Hashtbl.remove tbl oid)
+    Hashtbl.remove db.store.table oid
 
 let mark_deleted db obj =
   if not obj.o_deleted then begin
     obj.o_deleted <- true;
-    let db = Types.owner_db db obj.o_id in
     db.store.n_live <- db.store.n_live - 1
   end
 
 let unmark_deleted db obj =
   if obj.o_deleted then begin
     obj.o_deleted <- false;
-    let db = Types.owner_db db obj.o_id in
     db.store.n_live <- db.store.n_live + 1
   end
 
-(* One member's slice: [Persist.load_image] resets every member with it
-   before owner routing reinstalls the image. *)
 let reset_heap db =
-  locked db Hashtbl.reset;
+  Hashtbl.reset db.store.table;
   Hashtbl.reset db.store.soa;
   db.store.n_live <- 0
 
-let find_obj db oid = Hashtbl.find_opt (Types.owner_db db oid).store.table oid
-let mem db oid = Hashtbl.mem (Types.owner_db db oid).store.table oid
-let members db = match db.part with Some p -> p.p_members | None -> [| db |]
+let find_obj db oid = Hashtbl.find_opt db.store.table oid
+let mem db oid = Hashtbl.mem db.store.table oid
 
 let cardinal ?(live = false) db =
-  Array.fold_left
-    (fun acc m ->
-      acc + if live then m.store.n_live else Hashtbl.length m.store.table)
-    0 (members db)
+  if live then db.store.n_live else Hashtbl.length db.store.table
 
 let live_obj db oid =
   match find_obj db oid with
@@ -150,9 +119,7 @@ let exists db oid =
 
 let class_of db oid = (live_obj db oid).o_class.k_name
 
-(* Raw table enumeration is one member's table. Group-wide listings
-   ([objects], [objects_of_class], [stats]) and the image writer in
-   [Persist] walk [members] explicitly. Hash order never leaks: every
+(* Raw table enumeration, in hash order. That order never leaks: every
    enumeration the layers above expose sorts (see the ordering contract
    in store.mli). *)
 let fold_objects f db init =
@@ -160,27 +127,20 @@ let fold_objects f db init =
 
 let iter_objects f db = Hashtbl.iter (fun _ o -> f o) db.store.table
 
-(* Enumeration contract: ascending oid, whatever the tables' internal
+(* Enumeration contract: ascending oid, whatever the table's internal
    order. A hashtable enumerates in hash order, which must never leak —
    commit/abort fan-out and persist snapshots would otherwise depend on
-   the partition count. *)
+   the table's history. *)
 let objects db =
-  Array.fold_left
-    (fun acc m ->
-      fold_objects (fun o acc -> if o.o_deleted then acc else o.o_id :: acc) m
-        acc)
-    [] (members db)
+  fold_objects (fun o acc -> if o.o_deleted then acc else o.o_id :: acc) db []
   |> List.sort compare
 
 let objects_of_class db cname =
-  Array.fold_left
-    (fun acc m ->
-      fold_objects
-        (fun o acc ->
-          if (not o.o_deleted) && o.o_class.k_name = cname then o.o_id :: acc
-          else acc)
-        m acc)
-    [] (members db)
+  fold_objects
+    (fun o acc ->
+      if (not o.o_deleted) && o.o_class.k_name = cname then o.o_id :: acc
+      else acc)
+    db []
   |> List.sort compare
 
 let get_field db oid name =
@@ -217,7 +177,7 @@ let make_scratch db =
     }
   in
   { sc_obj; sc_env; sc_codes = Array.make 16 (-1); sc_classified = 0;
-    sc_skipped = 0; sc_transitions = 0 }
+    sc_skipped = 0; sc_transitions = 0; sc_lock = 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Event histories (§9)                                                *)
@@ -225,7 +185,7 @@ let make_scratch db =
 
 let enable_history db ~limit =
   if limit < 0 then ode_error "history limit must be >= 0";
-  Array.iter (fun m -> m.store.history_limit <- limit) (members db)
+  db.store.history_limit <- limit
 
 let record_history db tx obj occurrence =
   if db.store.history_limit > 0 then begin
@@ -290,20 +250,15 @@ let undo_state_bytes db =
 let stats db =
   let n_active = ref 0 in
   let state_bytes = ref 0 in
-  let n_timers = ref 0 in
-  Array.iter
-    (fun m ->
-      iter_objects
-        (fun obj ->
-          if not obj.o_deleted then
-            Hashtbl.iter
-              (fun _ at ->
-                if at.at_active then incr n_active;
-                state_bytes := !state_bytes + activation_bytes at)
-              obj.o_triggers)
-        m;
-      n_timers := !n_timers + m.wheel.tq.tw_n)
-    (members db);
+  iter_objects
+    (fun obj ->
+      if not obj.o_deleted then
+        Hashtbl.iter
+          (fun _ at ->
+            if at.at_active then incr n_active;
+            state_bytes := !state_bytes + activation_bytes at)
+          obj.o_triggers)
+    db;
   Hashtbl.iter
     (fun _ at -> state_bytes := !state_bytes + activation_bytes at)
     db.engine.db_obj.o_triggers;
@@ -311,7 +266,7 @@ let stats db =
     n_objects = cardinal ~live:true db;
     n_classes = Hashtbl.length db.schema.classes;
     n_active_triggers = !n_active;
-    n_timers = !n_timers;
+    n_timers = db.wheel.tq.tw_n;
     state_bytes =
-      !state_bytes + (timer_bytes * !n_timers) + undo_state_bytes db;
+      !state_bytes + (timer_bytes * db.wheel.tq.tw_n) + undo_state_bytes db;
   }

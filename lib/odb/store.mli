@@ -1,36 +1,25 @@
 (** Store layer: the object heap — oid allocation, live-object lookup,
     field access, per-object activations and event histories.
 
-    Each database (or partition member, see {!Types.partition_state})
-    holds one hashtable in {!Types.store_state}, with one mutex guarding
-    structural mutation. A partitioned database slices the heap by
-    owner ([oid mod n_partitions]). Depends on {!Types}
+    The heap is one hashtable in {!Types.store_state}. Depends on {!Types}
     (and reads the schema tables for mask environments); knows nothing
     about transactions or event posting.
 
-    {b Ordering contract.} The tables enumerate in {e unspecified} order
-    (hash order, member by member). Every enumeration this layer exposes —
+    {b Ordering contract.} The table enumerates in {e unspecified} order
+    (hash order). Every enumeration this layer exposes —
     {!objects}, {!objects_of_class} — therefore sorts
     to {e ascending oid} before returning, so commit and abort fan-out,
-    persist snapshots and user-visible listings are bit-identical at
-    any partition count. Code that folds the raw tables directly must
+    persist snapshots and user-visible listings do not depend on the
+    table's history. Code that folds the raw table directly must
     either be order-insensitive or sort likewise. *)
 
 module Value = Ode_base.Value
 open Types
 
-(** {1 Partition members} *)
-
-val members : db -> db array
-(** The partition members in owner order, [[| db |]] when
-    unpartitioned — what group-wide walks iterate. *)
-
 (** {1 Heap operations} *)
 
 val alloc_oid : db -> oid
-(** One monotone counter: with owner [oid mod n] the oid stream
-    round-robins the partition members, keeping the slices balanced
-    without per-member counters. Sequential-phase only. *)
+(** The next oid of one monotone counter. *)
 
 (** {1 Detection-state blocks}
 
@@ -38,17 +27,17 @@ val alloc_oid : db -> oid
     structure-of-arrays block, strided by the detector's state width
     (one word per automaton level) — the paper's "one integer per active
     trigger per object", generalised to a small fixed vector for
-    composite-mask hierarchies. Object activations share a per-member
-    block keyed by detector uid. Allocation and release happen only in
+    composite-mask hierarchies. Object activations share a block per
+    detector, keyed by its uid. Allocation and release happen only in
     sequential pipeline phases. *)
 
-val soa_slot : db -> oid -> Ode_event.Detector.t -> soa_block * int
-(** A slot holding the detector's initial state, in the block the
-    owner member of [oid] keeps for this detector. *)
+val soa_slot : db -> Ode_event.Detector.t -> soa_block * int
+(** A slot holding the detector's initial state, in the heap's block
+    for this detector. *)
 
 val private_slot : Ode_event.Detector.t -> soa_block * int
 (** A slot holding the detector's initial state, in a fresh one-slot
-    block outside every member's table — a database-scope activation's,
+    block outside the heap's blocks — a database-scope activation's,
     which {!reset_heap} leaves alone. *)
 
 val free_slot : active_trigger -> unit
@@ -65,8 +54,8 @@ val mark_deleted : db -> obj -> unit
 val unmark_deleted : db -> obj -> unit
 
 val reset_heap : db -> unit
-(** Drop every object in this member's slice ([Persist.load_image]
-    resets each member with it). *)
+(** Drop every object and detection-state block of the heap
+    ([Persist.load_image] resets with it). *)
 
 val find_obj : db -> oid -> obj option
 
@@ -77,7 +66,7 @@ val mem : db -> oid -> bool
 val cardinal : ?live:bool -> db -> int
 (** Stored-object count without scanning: with [~live:true] (maintained
     incrementally) only objects not delete-marked are counted; default
-    counts every stored record, O(partitions). *)
+    counts every stored record. *)
 
 val live_obj : db -> oid -> obj
 (** Raises {!Types.Ode_error} on a missing or deleted object. *)
@@ -93,11 +82,11 @@ val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
-(** Raw fold over this member's table, {e unspecified order}; for
+(** Raw fold over the table, {e unspecified order}; for
     order-insensitive accumulation only. *)
 
 val iter_objects : (obj -> unit) -> db -> unit
-(** Raw iteration over this member's table, {e unspecified order}. *)
+(** Raw iteration over the table, {e unspecified order}. *)
 
 val get_field : db -> oid -> string -> Value.t
 
@@ -109,7 +98,7 @@ val make_scratch : db -> scratch
     field-less database object for database-scope posts) and whose
     dereferences and database functions resolve against the heap and
     schema, plus a grow-only classification-code buffer. The engine
-    keeps one, shared by every partition member. *)
+    keeps one. *)
 
 (** {1 Event histories (§9)} *)
 
@@ -136,8 +125,8 @@ type stats = {
           are shared with the posting arguments and are not charged.
 
           Pending timers are charged too, at a flat 144 bytes each
-          (record fields, headers and spec payload), summed across
-          partition members — and the same per-timer charge applies to
+          (record fields, headers and spec payload) — and the same
+          per-timer charge applies to
           timers pinned by [U_timers_cancelled]/[U_timers_armed] undo
           entries. Since [Timewheel] cancels eagerly on deactivation,
           deletion and re-activation, a deactivate/activate storm holds

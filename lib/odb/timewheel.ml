@@ -20,8 +20,8 @@ let set_deliver_hook f = deliver_hook := f
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The delivery order, everywhere: due instant, then group-wide
-   insertion stamp. Seqs are unique per group, so this is total. *)
+(* The delivery order, everywhere: due instant, then insertion stamp.
+   Seqs are unique, so this is total. *)
 let key_lt (a : timer) (b : timer) =
   a.tm_due < b.tm_due || (a.tm_due = b.tm_due && a.tm_seq < b.tm_seq)
 
@@ -302,43 +302,30 @@ let wheel_timers w acc =
 let wheel_all w = List.sort cmp_key (wheel_timers w [])
 
 (* ------------------------------------------------------------------ *)
-(* The member queue                                                    *)
+(* The queue                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let member_insert m tm =
-  wheel_insert m.wheel.tq ~clock:m.wheel.clock_ms tm;
-  m.wheel.timers_dirty <- true
-
-(* Fresh insertion-order stamp, allocated from the facade wheel so the
-   stream is group-wide: equal-due timers scattered across partition
-   member wheels replay in exactly the single-queue order when
-   [advance_to] merges by (due, seq). *)
+(* Fresh insertion-order stamp: equal-due timers deliver in stamp
+   order. *)
 let fresh_seq db =
-  let pr = Types.primary db in
-  let s = pr.wheel.tm_next_seq in
-  pr.wheel.tm_next_seq <- s + 1;
+  let s = db.wheel.tm_next_seq in
+  db.wheel.tm_next_seq <- s + 1;
   s
 
-(* Inserts into the wheel of the member owning [tm.tm_oid]. The caller
-   provides the stamp: fresh for new arms and re-arms (insertion
-   order), the persisted one when reloading an image. *)
-let insert_timer db tm = member_insert (Types.owner_db db tm.tm_oid) tm
+(* The caller provides the stamp: fresh for new arms and re-arms
+   (insertion order), the persisted one when reloading an image. *)
+let insert_timer db tm =
+  wheel_insert db.wheel.tq ~clock:db.wheel.clock_ms tm;
+  db.wheel.timers_dirty <- true
 
 (* ------------------------------------------------------------------ *)
 (* Persistence plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The group's queue in (due, seq) order — the serialization order:
-   every member's timers, sorted once. *)
-let pending db =
-  List.sort cmp_key
-    (Array.fold_left (fun acc m -> wheel_timers m.wheel.tq acc) [] (Store.members db))
-
-let pending_count db =
-  Array.fold_left (fun acc m -> acc + m.wheel.tq.tw_n) 0 (Store.members db)
-
-let nodes_visited db =
-  Array.fold_left (fun acc m -> acc + m.wheel.tq.tw_visited) 0 (Store.members db)
+(* The queue in (due, seq) order — the serialization order. *)
+let pending db = wheel_all db.wheel.tq
+let pending_count db = db.wheel.tq.tw_n
+let nodes_visited db = db.wheel.tq.tw_visited
 
 (* A fresh wheel holding [tms], every timer placed at [clock]; the ones
    already due form the due run in one [merge_past]. *)
@@ -360,50 +347,48 @@ let rebuild tms ~clock =
   merge_past w due;
   w
 
-(* Bulk-load the group's queue from a (due, seq)-sorted list (image
-   load, WAL replay): each timer goes to its owner's wheel, placed at
-   that member's current clock — set the clocks first. Loaded timers
-   keep their saved insertion stamps, so the group-wide counter
-   resumes past them. *)
+(* Bulk-load the queue from a (due, seq)-sorted list (image load, WAL
+   replay), placed at the current clock — set the clock first. Loaded
+   timers keep their saved insertion stamps, so the counter resumes
+   past them. *)
 let replace db tms =
-  let ms = Store.members db in
-  let n = Array.length ms in
-  let slices = Array.make n [] in
-  (* the owner rule of [Types.owner_db] *)
-  List.iter (fun tm -> slices.(tm.tm_oid mod n) <- tm :: slices.(tm.tm_oid mod n)) (List.rev tms);
-  Array.iteri
-    (fun k m ->
-      m.wheel.tq <- rebuild slices.(k) ~clock:m.wheel.clock_ms;
-      m.wheel.timers_dirty <- true)
-    ms;
-  let pr = Types.primary db in
+  db.wheel.tq <- rebuild tms ~clock:db.wheel.clock_ms;
+  db.wheel.timers_dirty <- true;
   List.iter
-    (fun tm -> if tm.tm_seq >= pr.wheel.tm_next_seq then pr.wheel.tm_next_seq <- tm.tm_seq + 1)
+    (fun tm -> if tm.tm_seq >= db.wheel.tm_next_seq then db.wheel.tm_next_seq <- tm.tm_seq + 1)
     tms
 
-(* Replay-time clock hop for one member: move the clock while keeping
-   the wheel's placement invariant, delivering nothing. Forward hops
-   cascade — safe because a logged clock-only batch implies the
-   original execution had no pending due at or below that clock, the
-   same advance-to-minimum discipline [advance_to] relies on. Backward
-   hops (never emitted by a monotone log, kept for safety) rebuild. *)
-let set_member_clock m c =
-  let from_ = m.wheel.clock_ms in
-  if c <> from_ then begin
-    m.wheel.clock_ms <- c;
-    if c > from_ then wheel_advance m.wheel.tq ~from_ ~to_:c
-    else m.wheel.tq <- rebuild (wheel_all m.wheel.tq) ~clock:c
+(* Move the clock forward to [d], cascading the wheel and delivering
+   nothing; a no-op when [d] is not ahead. *)
+let advance_wheel db d =
+  let c = db.wheel.clock_ms in
+  if d > c then begin
+    wheel_advance db.wheel.tq ~from_:c ~to_:d;
+    db.wheel.clock_ms <- d
+  end
+
+(* Replay-time clock hop: move the clock while keeping the wheel's
+   placement invariant, delivering nothing. Forward hops cascade — safe
+   because a logged clock-only batch implies the original execution had
+   no pending due at or below that clock, the same advance-to-minimum
+   discipline [advance_to] relies on. Backward hops (never emitted by a
+   monotone log, kept for safety) rebuild. *)
+let set_clock db c =
+  if c >= db.wheel.clock_ms then advance_wheel db c
+  else begin
+    db.wheel.clock_ms <- c;
+    db.wheel.tq <- rebuild (wheel_all db.wheel.tq) ~clock:c
   end
 
 (* ------------------------------------------------------------------ *)
 (* Eager cancellation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Remove the pending timers of [oid] on member [m] that satisfy
-   [pick], returning them in (due, seq) order. One pass over the
-   object's index entry: O(timers-on-that-object). *)
-let take m oid pick =
-  let w = m.wheel.tq in
+(* Remove the pending timers of [oid] that satisfy [pick], returning
+   them in (due, seq) order. One pass over the object's index entry:
+   O(timers-on-that-object). *)
+let take db oid pick =
+  let w = db.wheel.tq in
   match Hashtbl.find_opt w.tw_index oid with
   | None -> []
   | Some ns -> (
@@ -418,24 +403,24 @@ let take m oid pick =
           unlink_node w n;
           w.tw_n <- w.tw_n - 1)
         gone;
-      m.wheel.timers_dirty <- true;
+      db.wheel.timers_dirty <- true;
       List.sort cmp_key (List.map (fun n -> n.tn_timer) gone))
 
 (* Cancel every pending timer on [oid], returning them in (due, seq)
    order — [Engine] records them in a [U_timers_cancelled] undo entry
    so an abort restores the queue byte-for-byte (seqs preserved). *)
-let cancel_object db oid = take (Types.owner_db db oid) oid (fun _ -> true)
+let cancel_object db oid = take db oid (fun _ -> true)
 
 (* Cancel the pending timers of one trigger on one object (deactivate,
    or the epoch bump of a re-activation), in (due, seq) order. *)
 let cancel_trigger db oid tname =
-  take (Types.owner_db db oid) oid (fun n -> n.tn_timer.tm_trigger = tname)
+  take db oid (fun n -> n.tn_timer.tm_trigger = tname)
 
 (* Cancel one specific pending timer, matched by physical identity —
    the undo of [U_timers_armed]. Absent timers (already delivered or
    cancelled) are ignored. *)
 let cancel_timer db (tm : timer) =
-  ignore (take (Types.owner_db db tm.tm_oid) tm.tm_oid (fun n -> n.tn_timer == tm))
+  ignore (take db tm.tm_oid (fun n -> n.tn_timer == tm))
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
@@ -449,7 +434,7 @@ let first_due (spec : Symbol.time_spec) ~after =
 (* The re-armed incarnation takes a {e fresh} seq: a single queue's
    stable insert puts it after every already-queued timer of the same
    due instant, i.e. in insertion order — which is exactly what the
-   fresh stamp encodes, partitioned or not. *)
+   fresh stamp encodes. *)
 let reschedule db (tm : timer) ~fired_at =
   match tm.tm_spec with
   | Symbol.Every p ->
@@ -470,7 +455,7 @@ let schedule_trigger_timers db obj (at : active_trigger) =
         match l.basic with Symbol.Time spec -> Some spec | _ -> None)
       (Expr.logical_events at.at_def.t_event)
   in
-  let clock = (Types.primary db).wheel.clock_ms in
+  let clock = db.wheel.clock_ms in
   List.fold_left
     (fun armed spec ->
       match first_due spec ~after:clock with
@@ -503,19 +488,19 @@ let timer_alive db (tm : timer) =
 (* Advancing the clock                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One member's minimum pending timer, if due by [target]; amortized
-   O(1) (peek cache). *)
-let member_peek m ~target =
-  match wheel_peek m.wheel.tq ~clock:m.wheel.clock_ms with
+(* The minimum pending timer, if due by [target]; amortized O(1) (peek
+   cache). *)
+let peek db ~target =
+  match wheel_peek db.wheel.tq ~clock:db.wheel.clock_ms with
   | Some n when n.tn_timer.tm_due <= target -> Some n.tn_timer
   | _ -> None
 
-(* Pull every pending timer for one (object, spec, instant) out of one
-   member's queue, in seq order. Reads only the object's index entry —
-   never the due run, whose length is the number of timers due now. *)
-let member_pull_group m ~due ~oid ~spec =
-  let w = m.wheel.tq in
-  take m oid (fun n ->
+(* Pull every pending timer for one (object, spec, instant) out of the
+   queue, in seq order. Reads only the object's index entry — never the
+   due run, whose length is the number of timers due now. *)
+let pull_group db ~due ~oid ~spec =
+  let w = db.wheel.tq in
+  take db oid (fun n ->
       w.tw_visited <- w.tw_visited + 1;
       n.tn_timer.tm_due = due && n.tn_timer.tm_spec = spec)
 
@@ -529,53 +514,21 @@ let rearm db group =
         | None -> ())
     group
 
-(* The partition-generic merge: the due timers of a group live spread
-   over the member wheels, each member queue a (due, seq)-sorted
-   subsequence of the single-engine queue — so repeatedly taking the
-   member head with the globally smallest (due, seq) replays the exact
-   single-queue delivery order. Unpartitioned, [members] is [[| db |]]
-   and this is the plain head-of-queue loop. *)
+(* Deliver the head of the queue, in (due, seq) order, until none is
+   due by [target]. *)
 let advance_to db target =
   if target < db.wheel.clock_ms then ode_error "clock cannot go backwards";
-  let members = Store.members db in
-  let next_head () =
-    let best = ref None in
-    Array.iter
-      (fun m ->
-        match member_peek m ~target with
-        | Some tm -> (
-          match !best with
-          | Some (_, b) when key_lt b tm || (b.tm_due = tm.tm_due && b.tm_seq = tm.tm_seq)
-            -> ()
-          | _ -> best := Some (m, tm))
-        | None -> ())
-      members;
-    !best
-  in
-  let advance_wheels d =
-    Array.iter
-      (fun m ->
-        let c = m.wheel.clock_ms in
-        if d > c then begin
-          wheel_advance m.wheel.tq ~from_:c ~to_:d;
-          m.wheel.clock_ms <- d
-        end)
-      members
-  in
   let rec loop () =
-    match next_head () with
+    match peek db ~target with
     | None -> ()
-    | Some (m, tm) ->
-      advance_wheels tm.tm_due;
+    | Some tm ->
+      advance_wheel db tm.tm_due;
       (* Several triggers may watch the same time event on the same
          object; pull every timer for this (object, spec, instant) and
          deliver a single occurrence — logical events are points, and a
          doubled delivery would wrongly feed expressions like
-         [!prior(dayBegin, ...)] twice. Duplicates share the timer's
-         object, so they all live on [m]'s wheel. *)
-      let group =
-        member_pull_group m ~due:tm.tm_due ~oid:tm.tm_oid ~spec:tm.tm_spec
-      in
+         [!prior(dayBegin, ...)] twice. *)
+      let group = pull_group db ~due:tm.tm_due ~oid:tm.tm_oid ~spec:tm.tm_spec in
       if List.exists (timer_alive db) group then begin
         let obs = db.obs in
         if Ode_obs.Registry.enabled obs then begin
@@ -597,7 +550,7 @@ let advance_to db target =
       loop ()
   in
   loop ();
-  advance_wheels target;
+  advance_wheel db target;
   (* capture the final clock (and the timer queue, when deliveries or
      reschedules moved it) — each delivery's system transaction emitted
      its own batch mid-loop, but the clock kept advancing after the

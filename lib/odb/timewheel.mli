@@ -28,13 +28,12 @@ val set_deliver_hook : (db -> oid -> Ode_event.Symbol.time_spec -> unit) -> unit
     fresh system transaction. *)
 
 val insert_timer : db -> timer -> unit
-(** Insert into the wheel of the partition member owning the timer's
-    object (the db itself when unpartitioned); delivery order is (due
-    time, [tm_seq]) — equal due times keep insertion order, group-wide. *)
+(** Insert into the wheel; delivery order is (due time, [tm_seq]) —
+    equal due times keep insertion order. *)
 
 val fresh_seq : db -> int
-(** Allocate the next group-wide insertion stamp (from the facade
-    wheel) for a timer about to be inserted. *)
+(** Allocate the next insertion stamp for a timer about to be
+    inserted. *)
 
 val first_due : Ode_event.Symbol.time_spec -> after:int64 -> int64 option
 (** The first instant strictly after [after] at which the spec is due;
@@ -70,32 +69,28 @@ val cancel_timer : db -> timer -> unit
     the undo of [U_timers_armed]. Ignores timers no longer pending. *)
 
 val pending : db -> timer list
-(** The pending queue of the whole group (every member's wheel), in
-    (due, seq) order — the serialization order of the persist codec
-    and the WAL. *)
+(** The pending queue in (due, seq) order — the serialization order of
+    the persist codec and the WAL. *)
 
 val pending_count : db -> int
-(** [List.length (pending db)], O(partitions). *)
+(** [List.length (pending db)], O(1). *)
 
 val nodes_visited : db -> int
 (** Wheel nodes looked at so far by minimum scans, due-run inserts and
-    same-instant group pulls, summed over partition members: the work
-    counter behind the O(group) delivery claim. A wheel rebuilt by
-    {!replace} or a backward {!set_member_clock} starts again from
-    0. *)
+    same-instant group pulls: the work counter behind the O(group)
+    delivery claim. A wheel rebuilt by {!replace} or a backward
+    {!set_clock} starts again from 0. *)
 
 val replace : db -> timer list -> unit
-(** Bulk-load the group's queue from a (due, seq)-sorted list (image
-    load, WAL replay): each timer goes to its owner member's wheel,
-    placed against that member's current clock — set the clocks
-    before calling. The group-wide insertion counter resumes past the
-    loaded stamps. *)
+(** Bulk-load the queue from a (due, seq)-sorted list (image load, WAL
+    replay), placed against the current clock — set the clock before
+    calling. The insertion counter resumes past the loaded stamps. *)
 
-val set_member_clock : db -> int64 -> unit
-(** Move {e this} member's clock to an absolute instant without
-    delivering anything, keeping the wheel's clock-relative placement
-    invariant (forward hops cascade, backward hops rebuild). WAL replay
-    calls it on every member for each batch. *)
+val set_clock : db -> int64 -> unit
+(** Move the clock to an absolute instant without delivering anything,
+    keeping the wheel's clock-relative placement invariant (forward
+    hops cascade, backward hops rebuild). WAL replay calls it for each
+    batch. *)
 
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in

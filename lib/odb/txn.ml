@@ -69,13 +69,15 @@ let txn_id tx = tx.tx_id
 (* Locks and undo                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let acquire db tx obj request =
-  match Lock.acquire obj.o_lock ~holder:tx.tx_id request with
+let acquire_for db holder obj request =
+  match Lock.acquire obj.o_lock ~holder request with
   | Some l -> obj.o_lock <- l
   | None ->
     if Registry.enabled db.obs then
       Registry.incr db.obs Registry.Lock_conflicts;
     raise (Lock_conflict obj.o_id)
+
+let acquire db tx obj request = acquire_for db tx.tx_id obj request
 
 let release_locks db tx =
   List.iter

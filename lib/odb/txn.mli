@@ -47,6 +47,9 @@ val txn_id : txn -> int
 val acquire : db -> txn -> obj -> Lock.request -> unit
 (** Raises {!Types.Lock_conflict} on an incompatible request. *)
 
+val acquire_for : db -> int -> obj -> Lock.request -> unit
+(** {!acquire} on behalf of the transaction with this id. *)
+
 val release_locks : db -> txn -> unit
 val detach : db -> txn -> unit
 val apply_undo : db -> undo_entry -> unit

@@ -39,21 +39,7 @@ type db = {
       (* observability registry (counters, latency histograms, trace
          ring). Created disabled; every probe in the layers guards on
          [Ode_obs.Registry.enabled] so the hot path stays untouched. *)
-  mutable part : partition_state option;
-      (* [Some _] when this db is a member of an oid-partitioned engine
-         group ([Engine_group]). Members share the schema, txn, engine
-         and obs records (built by record copy of member 0, the facade
-         handed to callers); each member privately owns its store slice
-         (oids with [oid mod n = p_index]), SoA blocks, timer wheel and
-         durability directory. [None] — the common case — means a plain
-         single-engine database; every routing helper below collapses
-         to the identity then. *)
 }
-
-(* The partition group: members in owner order. Member 0 is the facade
-   — the db callers hold and the home of shared counters (oid/txn
-   allocation, timer sequence numbers). *)
-and partition_state = { p_members : db array; p_index : int }
 
 (* [Schema]: compiled class and trigger definitions. Written at class
    registration, read-only on the posting hot path. *)
@@ -66,21 +52,16 @@ and schema_state = {
          definitions, recompiled in place by each [Schema.db_trigger] *)
 }
 
-(* [Store]: this member's slice of the object heap — one hashtable
-   and one mutex guarding its structural mutation. All activations of
-   one object live in exactly one member (its owner,
-   [oid mod n_partitions]); lookups route to the owner and take no
-   lock. [Store] owns the code. *)
+(* [Store]: the object heap, one hashtable. [Store] owns the code. *)
 and store_state = {
   table : (oid, obj) Hashtbl.t;
-  lock : Mutex.t;
   mutable next_oid : int;
   mutable n_live : int;  (* stored objects with [o_deleted = false] *)
   mutable history_limit : int;  (* 0 = recording off *)
   soa : (int, soa_block) Hashtbl.t;
       (* detector uid -> the structure-of-arrays block packing the
          fixed-width automaton state vectors of every activation of
-         that detector on this member's objects (paper §5: "one integer
+         that detector on the heap's objects (paper §5: "one integer
          per active trigger per object", one per level for hierarchical
          automata). Activation and removal allocate or free slots;
          the step phases only write the cells of existing slots. *)
@@ -113,7 +94,7 @@ and engine_state = {
   db_obj : obj;
       (* the database scope's one object, instance of
          [schema.db_class]: its activations are the database-scope
-         ones. Outside every member table, so [reset_heap] and images
+         ones. Outside the heap table, so [reset_heap] and images
          never see it. *)
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
@@ -143,6 +124,9 @@ and scratch = {
       (* counter accumulators, flushed to the registry once per post
          (once per batch under [post_many]) instead of per candidate —
          the atomics stay off the inner loop *)
+  mutable sc_lock : int;
+      (* the id of the transaction a committed-mode advance takes the
+         object's write lock for ([Engine.advance]); 0 = take none *)
 }
 
 (* [Timewheel]: simulated time. *)
@@ -153,10 +137,7 @@ and wheel_state = {
       (* set whenever the pending set changes (insert, pop, cancel,
          load), cleared when a durability batch captures the queue — so
          WAL batches only carry the timer queue when it moved *)
-  mutable tm_next_seq : int;
-      (* group-wide insertion counter stamping [tm_seq]; only the
-         facade's copy is read, so equal-due timers scattered across
-         member wheels merge back in exactly the single-engine order *)
+  mutable tm_next_seq : int;  (* insertion counter stamping [tm_seq] *)
 }
 
 (* The pending-timer structure: a hierarchical hashed timing wheel
@@ -302,7 +283,7 @@ and active_trigger = {
   at_slot : int;
       (* the automaton state vector lives at
          [at_blk.blk_state.(at_slot * at_blk.blk_words ..)]: an object's
-         activation in its owner member's block for the detector, a
+         activation in the heap's block for the detector, a
          database-scope activation in a private one-slot block *)
   mutable at_collected : (string * Value.t) list;  (* §9 parameter collection *)
   mutable at_provenance : Ode_event.Provenance.t option;  (* when t_witnesses *)
@@ -367,10 +348,8 @@ and undo_entry =
 and timer = {
   tm_due : int64;
   tm_seq : int;
-      (* insertion order among equal due times, allocated group-wide
-         from the facade wheel — the tiebreak that keeps the merged
-         delivery order of partitioned wheels identical to the single
-         queue (and survives a save/load round trip) *)
+      (* insertion order among equal due times — the delivery
+         tiebreak, kept by a save/load round trip *)
   tm_oid : oid;
   tm_trigger : string;
   tm_epoch : int;
@@ -467,16 +446,6 @@ let new_obj k oid =
   List.iter (fun (name, v) -> Hashtbl.replace obj.o_fields name v) k.k_fields;
   obj
 
-let make_store ~next_oid =
-  {
-    table = Hashtbl.create 64;
-    lock = Mutex.create ();
-    next_oid;
-    n_live = 0;
-    history_limit = 0;
-    soa = Hashtbl.create 8;
-  }
-
 (* The composition root: every layer's state record, initialized empty.
    Lives here because only the knot module sees all the sub-records. *)
 let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
@@ -484,62 +453,43 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
   if max_tcomplete_rounds < 1 then
     ode_error "max_tcomplete_rounds must be >= 1";
   let db_class = new_class db_class_name [] in
-  let db =
-    {
-      schema =
-        { classes = Hashtbl.create 8; functions = Hashtbl.create 8; db_class };
-      store = make_store ~next_oid:1;
-      txns =
-        {
-          next_txn_id = 1;
-          current = None;
-          open_txns = [];
-          in_abort = false;
-          max_tcomplete_rounds;
-        };
-      engine =
-        {
-          db_obj = new_obj db_class 0;
-          subscribers = [];
-          next_sub_id = 1;
-          scratch = None;
-          kind_names = Hashtbl.create 16;
-        };
-      wheel =
-        {
-          clock_ms = start_time;
-          tq = make_wheel ();
-          timers_dirty = false;
-          tm_next_seq = 0;
-        };
-      durability = noop_durability;
-      obs = Ode_obs.Registry.create ~trace_capacity ();
-      part = None;
-    }
-  in
-  db
-
-(* ------------------------------------------------------------------ *)
-(* Partition routing                                                  *)
-(*                                                                    *)
-(* The only group-awareness the inner layers need: which member owns  *)
-(* an oid's heap slice, and where the shared counters live. Both are  *)
-(* the identity for an unpartitioned db, so every existing call path  *)
-(* pays one [match] and nothing else.                                 *)
-(* ------------------------------------------------------------------ *)
-
-let n_partitions db =
-  match db.part with Some p -> Array.length p.p_members | None -> 1
-
-(* The facade: member 0, home of group-wide counters and the db-scope
-   automata. Identity when unpartitioned. *)
-let primary db = match db.part with Some p -> p.p_members.(0) | None -> db
-
-(* The member whose store/wheel slice owns this oid. *)
-let owner_db db oid =
-  match db.part with
-  | Some p -> p.p_members.(oid mod Array.length p.p_members)
-  | None -> db
+  {
+    schema =
+      { classes = Hashtbl.create 8; functions = Hashtbl.create 8; db_class };
+    store =
+      {
+        table = Hashtbl.create 64;
+        next_oid = 1;
+        n_live = 0;
+        history_limit = 0;
+        soa = Hashtbl.create 8;
+      };
+    txns =
+      {
+        next_txn_id = 1;
+        current = None;
+        open_txns = [];
+        in_abort = false;
+        max_tcomplete_rounds;
+      };
+    engine =
+      {
+        db_obj = new_obj db_class 0;
+        subscribers = [];
+        next_sub_id = 1;
+        scratch = None;
+        kind_names = Hashtbl.create 16;
+      };
+    wheel =
+      {
+        clock_ms = start_time;
+        tq = make_wheel ();
+        timers_dirty = false;
+        tm_next_seq = 0;
+      };
+    durability = noop_durability;
+    obs = Ode_obs.Registry.create ~trace_capacity ();
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Detection-state accessors                                          *)

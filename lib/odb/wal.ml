@@ -7,13 +7,8 @@
    delete for every object the transaction touched, and the timer queue
    when it moved.
 
-   A partitioned database ([Engine_group]) keeps this one log too: the
-   facade frames each commit once, finding every touched object on its
-   owner member and writing the whole group's timer queue, so the log
-   and snapshot bytes are the single-engine bytes at any partition
-   count. One frame per commit makes a commit atomic across members by
-   construction — a torn tail loses whole transactions only — and a
-   log written at n partitions recovers at any m, as images load.
+   One frame per commit makes a commit atomic by construction: a torn
+   tail loses whole transactions only.
 
    Batches are CRC-framed and appended to the current log under a
    group-commit window. A checkpoint writes a full ODE1 snapshot (the
@@ -211,9 +206,8 @@ let scan_bytes data =
 let scan_file path = scan_bytes (Codec.of_file path)
 
 (* One redo batch: counters and clock always; a tagged upsert/delete
-   per touched object (deduplicated, first-touch order), found on its
-   owner member; the group's whole timer queue when any member's wheel
-   moved since the last batch. *)
+   per touched object (deduplicated, first-touch order); the whole
+   timer queue when it moved since the last batch. *)
 let serialize_batch db oids =
   let w = Codec.writer () in
   Codec.write_int w db.store.next_oid;
@@ -244,28 +238,19 @@ let serialize_batch db oids =
         Codec.write_int w 1;
         Codec.write_int w oid)
     uniq;
-  let members = Store.members db in
   Codec.write_option w
     (fun w ts -> Codec.write_list w Persist.write_timer ts)
-    (if Array.exists (fun m -> m.wheel.timers_dirty) members then
-       Some (Timewheel.pending db)
-     else None);
-  Array.iter (fun m -> m.wheel.timers_dirty <- false) members;
+    (if db.wheel.timers_dirty then Some (Timewheel.pending db) else None);
+  db.wheel.timers_dirty <- false;
   Codec.contents w
 
-(* Replay one batch into a group of any size: the counters and clock go
-   to every member, objects to their owners, timers to their owners'
-   wheels. *)
+(* Replay one batch: the counters and clock, then the objects, then the
+   timer queue if carried. *)
 let apply_batch db payload =
   let r = Codec.reader payload in
-  let next_oid = Codec.read_int r in
+  db.store.next_oid <- Codec.read_int r;
   db.txns.next_txn_id <- Codec.read_int r;
-  let clock = Int64.of_int (Codec.read_int r) in
-  Array.iter
-    (fun m ->
-      m.store.next_oid <- next_oid;
-      Timewheel.set_member_clock m clock)
-    (Store.members db);
+  Timewheel.set_clock db (Int64.of_int (Codec.read_int r));
   let n = Codec.read_int r in
   for _ = 1 to n do
     match Codec.read_int r with
@@ -280,7 +265,7 @@ let apply_batch db payload =
   done;
   match Codec.read_option r (fun r -> Codec.read_list r Persist.read_timer) with
   | Some timers ->
-    (* the clocks were set above, so wheel placement is already right *)
+    (* the clock was set above, so wheel placement is already right *)
     Timewheel.replace db timers
   | None -> ()
 
@@ -330,7 +315,7 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* A directory written before the group shared one log: member logs
+(* A directory written by the older partitioned layout: member logs
    under [<dir>/p<k>] and a [group-manifest] at the root, but no root
    pair. Attaching would baseline an empty generation 0 beside them
    and a later [recover] would return an empty database, so both
@@ -342,9 +327,9 @@ let refuse_member_layout dir =
        an older layout, which this version does not recover"
       dir
 
-(* Where the per-member layout kept member [k]'s log. Nothing writes
-   there any more; [bench/e2e/wl_durable.ml] still sums frames under
-   it. *)
+(* Where the older per-member layout kept member [k]'s log. Nothing
+   writes there any more; [bench/e2e/wl_durable.ml] still sums frames
+   under it. *)
 let member_dir dir k = Filename.concat dir (Printf.sprintf "p%d" k)
 
 let write_all fd s =

@@ -3,13 +3,8 @@
     + log truncation sized by the log's growth; recovery is snapshot +
     replay.
 
-    A partitioned database ([Engine_group]) keeps this one log: the
-    facade frames each commit once, with every touched object found on
-    its owner member and the whole group's timer queue, so the log and
-    snapshot bytes are the single-engine bytes at any partition count.
-    A commit is one frame, hence atomic across members by
-    construction; a torn tail loses whole transactions only; and a log
-    written at n partitions recovers at any m.
+    A commit is one frame, hence atomic by construction; a torn tail
+    loses whole transactions only.
 
     Sits beside {!Persist} in the layer stack (depends on {!Persist},
     {!Store}, {!Schema} state via replay, and {!Ode_obs}; never on
@@ -74,8 +69,8 @@ val checkpoint_floor : int
 
 val backend : config -> durability_backend
 (** Pack a fresh WAL instance (own buffer, generation counter and
-    group-commit window; no file descriptor held between flushes) for
-    a database of any partition count. [dur_attach] baselines an empty
+    group-commit window; no file descriptor held between flushes).
+    [dur_attach] baselines an empty
     directory at generation 0, or — when the directory already holds
     WAL state — arms on the latest generation and defers to an
     explicit [dur_recover] (register the classes first). [dur_save]
@@ -83,11 +78,13 @@ val backend : config -> durability_backend
     the heap is serialized once; [dur_load] re-baselines the log on
     the loaded state. [dur_attach] and [dur_recover] raise
     {!Types.Ode_error} on a directory in the older per-member layout
-    (a [group-manifest] and no generation pair at the root). *)
+    of partitioned databases (a [group-manifest] and no generation
+    pair at the root). *)
 
 val member_dir : string -> int -> string
 (** [member_dir dir k] is [<dir>/p<k>], where the older per-member
-    layout kept partition [k]'s log. Nothing writes there now. *)
+    layout kept partition [k]'s log. Nothing writes there now; its one
+    caller is [bench/e2e/wl_durable.ml]. *)
 
 (** {1 Introspection — recovery, the crash harness, [odec wal-dump]} *)
 
@@ -119,9 +116,8 @@ val scan_file : string -> scan_result
     [wal-dump]. *)
 
 val apply_batch : db -> string -> unit
-(** Replay one scanned payload into a group of any size: set every
-    member's counters and clock, upsert or remove each carried object
-    on its owner, replace the group's timer queue if carried.
+(** Replay one scanned payload: set the counters and clock, upsert or
+    remove each carried object, replace the timer queue if carried.
     Raises [Codec.Corrupt] on a malformed payload (a CRC-valid frame
     written by this module always decodes). *)
 

@@ -35,18 +35,12 @@ let words_per_event_threshold = 48.0
    budget, again double an earlier (~40-word) measurement. *)
 let multi_level_words_per_event_threshold = 80.0
 
-(* A raw-layer db sliced like the environment asks (ODE_PARTITIONS), so
-   the partitioned CI legs measure the member-routed kernel path. *)
-let env_group () =
-  Engine_group.make
-    ~partitions:(Database.Config.of_env ()).Database.Config.partitions ()
-
 let test_kernel_allocations () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
   | Sys.Native ->
     (* raw-layer db: [Engine.post] needs the concrete [obj] *)
-    let db = env_group () in
+    let db = Types.make_db () in
     let b = Schema.define_class "c" in
     let b = Schema.field b "x" (Value.Int 0) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in
@@ -109,7 +103,7 @@ let test_multi_level_allocations () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
   | Sys.Native ->
-    let db = env_group () in
+    let db = Types.make_db () in
     let b = Schema.define_class "c" in
     let b = Schema.field b "cm0" (Value.Bool true) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in

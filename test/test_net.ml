@@ -844,7 +844,9 @@ let test_config_reaches_db () =
       Alcotest.(check bool)
         (Printf.sprintf "summary mentions %s" needle)
         true (contains needle))
-    [ "durability=image"; "partitions=1"; "obs=off"; "timing=off" ]
+    [ "durability=image"; "obs=off"; "timing=off" ];
+  Alcotest.(check bool) "summary names no partition count" false
+    (contains "partitions=")
 
 (* ------------------------------------------------------------------ *)
 

@@ -365,22 +365,17 @@ let test_unsubscribe_during_delivery () =
   Alcotest.(check int) "self-unsubscribed after one delivery" 1 !first;
   Alcotest.(check int) "later subscriber saw both" 2 !second
 
-(* Counters must stay {e exact} whatever the partition count: 16
-   objects × 25 pings in one [post_many] batch on an 8-member group,
-   every counter pinned to its computed truth and equal, bit for bit,
-   to a single engine's run of the identical batch — the [wal_*]
-   counters included, since the group writes one log. *)
-let test_exact_counters_across_partitions () =
-  let run partitions =
+(* Counters stay {e exact} over a logged [post_many] batch: 16
+   objects × 25 pings in one batch, every counter pinned to its computed
+   truth — the [wal_*] counters included — and two runs of the
+   identical batch count the same, bit for bit. *)
+let test_exact_counters_post_many () =
+  let run () =
     (* a WAL flushed per batch, whatever the environment selects *)
     let dir = Filename.temp_file "ode_obs_wal" "" in
     Sys.remove dir;
     let durability = `Wal (Ode_odb.Wal.config ~flush_ms:0 ~sync_on_flush:false dir) in
-    let db =
-      D.create_db
-        ~config:{ (D.Config.of_env ()) with D.Config.partitions; durability }
-        ()
-    in
+    let db = D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability } () in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
     let b =
@@ -411,32 +406,29 @@ let test_exact_counters_across_partitions () =
       List.map (fun c -> (Obs.counter_name c, Obs.get obs c)) Obs.all_counters,
       Obs.posts_by_kind obs )
   in
-  let f1, c1, k1 = run 1 in
-  let f8, c8, k8 = run 8 in
-  Alcotest.(check int) "1-partition firings" 400 f1;
-  Alcotest.(check int) "8-partition firings" 400 f8;
+  let f1, c1, k1 = run () in
+  let f2, c2, k2 = run () in
+  Alcotest.(check int) "firings" 400 f1;
   let get name l = List.assoc name l in
   (* 400 pings; the class listens to no transaction event *)
-  Alcotest.(check int) "posts" 400 (get "posts" c8);
-  Alcotest.(check int) "classified" 400 (get "classified" c8);
-  Alcotest.(check int) "transitions" 400 (get "transitions" c8);
-  Alcotest.(check int) "firings counter" 400 (get "firings" c8);
-  Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c8);
-  (* one commit, one batch, one flush — at 1 partition and at 8 *)
-  Alcotest.(check int) "1-partition WAL batches" 1 (get "wal_batches" c1);
-  Alcotest.(check int) "1-partition WAL flushes" 1 (get "wal_flushes" c1);
-  Alcotest.(check int) "8-partition WAL batches" 1 (get "wal_batches" c8);
-  Alcotest.(check int) "8-partition WAL flushes" 1 (get "wal_flushes" c8);
-  Alcotest.(check (list (pair string int)))
-    "counters identical across partition counts" c1 c8;
-  Alcotest.(check (list (pair string int))) "kind table identical" k1 k8
+  Alcotest.(check int) "posts" 400 (get "posts" c1);
+  Alcotest.(check int) "classified" 400 (get "classified" c1);
+  Alcotest.(check int) "transitions" 400 (get "transitions" c1);
+  Alcotest.(check int) "firings counter" 400 (get "firings" c1);
+  Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c1);
+  (* one commit, one batch, one flush *)
+  Alcotest.(check int) "WAL batches" 1 (get "wal_batches" c1);
+  Alcotest.(check int) "WAL flushes" 1 (get "wal_flushes" c1);
+  Alcotest.(check int) "second run's firings" f1 f2;
+  Alcotest.(check (list (pair string int))) "second run counts the same" c1 c2;
+  Alcotest.(check (list (pair string int))) "kind table identical" k1 k2
 
 let suite =
   [
     Alcotest.test_case "pinned pipeline counters" `Quick
       (test_pinned_counters ~listening:false);
-    Alcotest.test_case "exact counters at 8 partitions = 1 partition" `Quick
-      test_exact_counters_across_partitions;
+    Alcotest.test_case "exact counters of a logged post_many batch" `Quick
+      test_exact_counters_post_many;
     Alcotest.test_case "pinned counters, listening" `Quick
       (test_pinned_counters ~listening:true);
     Alcotest.test_case "timing gate" `Quick test_timing_gate;

@@ -307,10 +307,8 @@ let versioned_class ~v1 =
       ~event:(P.parse_event "after deposit") ~action:(fun _ _ -> ())
   else b
 
-let versioned_db ~partitions ~v1 =
-  let db =
-    D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions } ()
-  in
+let versioned_db ~v1 =
+  let db = D.create_db () in
   D.register_class db (versioned_class ~v1);
   db
 
@@ -335,48 +333,39 @@ let rejects_corrupt f =
    automaton's, which would send every later step out of its transition
    table. *)
 let test_state_word_range () =
-  List.iter
-    (fun partitions ->
-      let v1 = versioned_db ~partitions ~v1:true in
-      let oid =
-        List.hd (create_items v1 ~n:1 ~triggers:[ "counter" ] ~deposits:50)
-      in
-      let state = D.trigger_state v1 oid "counter" in
-      Alcotest.(check int) "one state word" 1 (Array.length state);
-      Alcotest.(check bool) "deep state word" true (state.(0) > 10);
-      D.save v1 tmp;
-      let v2 = versioned_db ~partitions ~v1:false in
-      Alcotest.(check bool) "load rejects the word" true
-        (rejects_corrupt (fun () -> D.load v2 tmp));
-      let det v1 =
-        Ode_event.Detector.make
-          (P.parse_event
-             (if v1 then "choose 60 (after deposit)"
-              else "after deposit; after deposit"))
-      in
-      Alcotest.(check bool) "decode_state rejects the word" true
-        (rejects_corrupt (fun () ->
-             ignore
-               (Ode_event.Detector.decode_state (det false)
-                  (Ode_event.Detector.encode_state (det true) state)))))
-    [ 1; 3 ]
+  let v1 = versioned_db ~v1:true in
+  let oid = List.hd (create_items v1 ~n:1 ~triggers:[ "counter" ] ~deposits:50) in
+  let state = D.trigger_state v1 oid "counter" in
+  Alcotest.(check int) "one state word" 1 (Array.length state);
+  Alcotest.(check bool) "deep state word" true (state.(0) > 10);
+  D.save v1 tmp;
+  let v2 = versioned_db ~v1:false in
+  Alcotest.(check bool) "load rejects the word" true
+    (rejects_corrupt (fun () -> D.load v2 tmp));
+  let det v1 =
+    Ode_event.Detector.make
+      (P.parse_event
+         (if v1 then "choose 60 (after deposit)" else "after deposit; after deposit"))
+  in
+  Alcotest.(check bool) "decode_state rejects the word" true
+    (rejects_corrupt (fun () ->
+         ignore
+           (Ode_event.Detector.decode_state (det false)
+              (Ode_event.Detector.encode_state (det true) state))))
 
 (* A load the schema rejects must leave the database as it was: every
    object is checked before the heap is reset. *)
 let test_rejected_load_keeps_db () =
-  List.iter
-    (fun partitions ->
-      let v1 = versioned_db ~partitions ~v1:true in
-      ignore (create_items v1 ~n:2 ~triggers:[ "counter"; "extra" ] ~deposits:1);
-      D.save v1 tmp;
-      let v2 = versioned_db ~partitions ~v1:false in
-      ignore (create_items v2 ~n:5 ~triggers:[ "counter" ] ~deposits:1);
-      let before = D.image_bytes v2 in
-      Alcotest.(check bool) "unknown trigger rejected" true
-        (rejects_corrupt (fun () -> D.load v2 tmp));
-      Alcotest.(check int) "objects kept" 5 (List.length (D.objects v2));
-      Alcotest.(check bool) "image unchanged" true (D.image_bytes v2 = before))
-    [ 1; 3 ]
+  let v1 = versioned_db ~v1:true in
+  ignore (create_items v1 ~n:2 ~triggers:[ "counter"; "extra" ] ~deposits:1);
+  D.save v1 tmp;
+  let v2 = versioned_db ~v1:false in
+  ignore (create_items v2 ~n:5 ~triggers:[ "counter" ] ~deposits:1);
+  let before = D.image_bytes v2 in
+  Alcotest.(check bool) "unknown trigger rejected" true
+    (rejects_corrupt (fun () -> D.load v2 tmp));
+  Alcotest.(check int) "objects kept" 5 (List.length (D.objects v2));
+  Alcotest.(check bool) "image unchanged" true (D.image_bytes v2 = before)
 
 let suite =
   [

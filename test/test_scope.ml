@@ -202,10 +202,8 @@ let db_witness_parity =
 module Obs = Ode_obs.Registry
 module Trace = Ode_obs.Trace
 
-let scope_db ~partitions =
-  D.create_db
-    ~config:{ (D.Config.of_env ()) with D.Config.partitions; durability = `Image }
-    ()
+let scope_db () =
+  D.create_db ~config:{ (D.Config.of_env ()) with D.Config.durability = `Image } ()
 
 let expect_ode_error msg f =
   match f () with
@@ -217,8 +215,8 @@ let expect_ode_error msg f =
    three [after create], two [before delete] posts. The class has no
    triggers, so the object-scope posts of the same transactions add
    nothing to the pipeline counters below. *)
-let test_db_counters partitions () =
-  let db = scope_db ~partitions in
+let test_db_counters () =
+  let db = scope_db () in
   let on ev name perpetual =
     D.db_trigger_str db ~perpetual name ~event:ev ~action:(fun _ _ -> ())
   in
@@ -248,7 +246,7 @@ let test_db_counters partitions () =
   check "firings" 5 Obs.Firings
 
 let test_db_spans_and_txn () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   let firings = ref [] in
   let _ = D.subscribe_firings db (fun f -> firings := f :: !firings) in
   D.db_trigger_str db ~perpetual:true "schema" ~event:"after defclass"
@@ -298,7 +296,7 @@ let test_db_spans_and_txn () =
 (* A one-shot deactivates when it fires; re-activating it resets its
    automaton and its witnesses. *)
 let test_db_one_shot_rearm () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   let hits = ref [] in
   D.db_trigger_str db ~witnesses:true "second" ~event:"choose 2 (after create(o, cls))"
     ~action:(fun _ ctx -> hits := (ctx.D.fc_oid, ctx.D.fc_witnesses) :: !hits);
@@ -339,7 +337,7 @@ let test_db_one_shot_rearm () =
 (* Declaring a trigger after another was activated and advanced leaves
    the older one's automaton where it was. *)
 let test_db_late_declaration () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   let hits = ref [] in
   let note name = fun _ _ -> hits := name :: !hits in
   D.db_trigger_str db ~perpetual:true "third" ~event:"choose 3 (after create)"
@@ -356,7 +354,7 @@ let test_db_late_declaration () =
     (List.rev !hits)
 
 let test_db_errors () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   D.db_trigger_str db "dup" ~event:"after create" ~action:(fun _ _ -> ());
   expect_ode_error "database trigger dup already defined" (fun () ->
       D.db_trigger_str db "dup" ~event:"after defclass" ~action:(fun _ _ -> ()));
@@ -377,7 +375,7 @@ let test_db_errors () =
 (* Timers are armed per object: a time event at database scope would be
    accepted and never fire, so it is rejected when declared. *)
 let test_db_time_event_rejected () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   let msg = "database trigger tick: time events need an object scope" in
   expect_ode_error msg (fun () ->
       D.db_trigger db ~perpetual:true "tick"
@@ -394,7 +392,7 @@ let test_db_time_event_rejected () =
    [before delete] only: a trigger on any other event would be
    accepted and never fire, so it is rejected when declared. *)
 let test_db_unposted_event_rejected () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   expect_ode_error
     "database trigger tc: after tcommit is never posted at database scope"
     (fun () ->
@@ -419,7 +417,7 @@ let test_db_unposted_event_rejected () =
 (* [<database>] names the database scope's class: a user class of that
    name would have its triggers reported as database triggers. *)
 let test_db_class_name_reserved () =
-  let db = scope_db ~partitions:1 in
+  let db = scope_db () in
   expect_ode_error "class <database>: the name is reserved for the database scope"
     (fun () -> D.register_class db (widget_class "<database>"))
 
@@ -525,8 +523,7 @@ let suite =
     Alcotest.test_case "db-scope masks" `Quick test_db_trigger_masks;
     Alcotest.test_case "db-scope witnesses" `Quick test_db_witnesses;
     QCheck_alcotest.to_alcotest db_witness_parity;
-    Alcotest.test_case "db-scope counters, 1 partition" `Quick (test_db_counters 1);
-    Alcotest.test_case "db-scope counters, 3 partitions" `Quick (test_db_counters 3);
+    Alcotest.test_case "db-scope counters" `Quick test_db_counters;
     Alcotest.test_case "db-scope spans and txn ids" `Quick test_db_spans_and_txn;
     Alcotest.test_case "db-scope one-shot and re-activation" `Quick test_db_one_shot_rearm;
     Alcotest.test_case "db-scope late declaration" `Quick test_db_late_declaration;

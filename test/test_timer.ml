@@ -1,9 +1,8 @@
 (* The timing wheel against its oracle: [Ref_timerq], a sorted (due,
    seq) list restating the timer contract, must predict the wheel's
    firing trace and pending queue over arbitrary arm / cancel / re-arm /
-   abort / advance interleavings, at every partition count — and the
-   ODE1 image bytes must agree across partition counts and survive WAL
-   replay. Plus deterministic pins: equal-deadline (due, seq) order,
+   abort / advance interleavings — and the ODE1 image bytes must
+   survive WAL replay. Plus deterministic pins: equal-deadline (due, seq) order,
    eager cancellation visible in [stats.state_bytes], the
    clock-only-replay regression, the fleet scenario against the oracle,
    same-instant edge cases of the due run, and the wheel's work counted
@@ -23,8 +22,8 @@ let fresh_dir () =
   Unix.mkdir d 0o755;
   d
 
-let mk_db ?durability ~partitions () =
-  let c = { (D.Config.of_env ()) with D.Config.partitions } in
+let mk_db ?durability () =
+  let c = D.Config.of_env () in
   let c =
     match durability with Some d -> { c with D.Config.durability = d } | None -> c
   in
@@ -60,8 +59,8 @@ let reference decls =
   Ref_timerq.create
     (List.map (fun (n, e, p) -> (n, Ode_lang.Parser.parse_event e, p)) decls)
 
-(* The pending queue as the ODE1 image carries it — merged across
-   partition members in (due, seq) order — projected like
+(* The pending queue as the ODE1 image carries it — in (due, seq)
+   order — projected like
    [Ref_timerq.pending]. *)
 let image_pending db =
   let module C = Ode_base.Codec in
@@ -188,8 +187,8 @@ let run_script ops db =
     ops;
   (List.rev !fired, model)
 
-let run_one ops ?durability ~partitions () =
-  let db = mk_db ?durability ~partitions () in
+let run_one ops ?durability () =
+  let db = mk_db ?durability () in
   let trace, model = run_script ops db in
   (db, trace, D.image_bytes db, model)
 
@@ -199,83 +198,56 @@ let run_one ops ?durability ~partitions () =
 
 let prop_oracle =
   QCheck.Test.make
-    ~name:"wheel = sorted-list oracle (trace + pending timers, partitions 1/2/4)"
+    ~name:"wheel = sorted-list oracle (trace + pending timers)"
     ~count:20 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x17 |] in
       let ops = gen_ops rng in
-      let _, _, img1, _ = run_one ops ~partitions:1 () in
-      List.for_all
-        (fun p ->
-          let db, tr, img, model = run_one ops ~partitions:p () in
-          tr = Ref_timerq.fired model
-          && image_pending db = Ref_timerq.pending model
-          && String.equal img img1)
-        [ 1; 2; 4 ])
+      let db, tr, _, model = run_one ops () in
+      tr = Ref_timerq.fired model && image_pending db = Ref_timerq.pending model)
 
 let prop_wal_recovery =
   QCheck.Test.make
-    ~name:"WAL replay rebuilds the wheel byte-for-byte (partitions 1/2)"
+    ~name:"WAL replay rebuilds the wheel byte-for-byte"
     ~count:12 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x33 |] in
       let ops = gen_ops rng in
-      let _, _, img0, _ = run_one ops ~partitions:1 () in
-      List.for_all
-        (fun p ->
-          let dir = fresh_dir () in
-          let cfg =
-            Wal.config ~flush_ms:0 ~sync_on_flush:false dir
-          in
-          let db, _, img, _ = run_one ops ~durability:(`Wal cfg) ~partitions:p () in
-          D.close_durability db;
-          let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:p () in
-          D.register_class rdb (schema ());
-          D.recover rdb;
-          let ok = String.equal (D.image_bytes rdb) img in
-          D.close_durability rdb;
-          ok && String.equal img img0)
-        [ 1; 2 ])
+      let dir = fresh_dir () in
+      let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
+      let db, _, img, _ = run_one ops ~durability:(`Wal cfg) () in
+      D.close_durability db;
+      let rdb = mk_db ~durability:(`Wal (Wal.config dir)) () in
+      D.register_class rdb (schema ());
+      D.recover rdb;
+      let ok = String.equal (D.image_bytes rdb) img in
+      D.close_durability rdb;
+      ok)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic pins                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Equal deadlines deliver in activation order — the group-wide
-   [tm_seq] stamp — identically at any partition count (oids scatter
-   over members; the merge re-serializes them). *)
+(* Equal deadlines deliver in activation order — the [tm_seq] stamp. *)
 let test_equal_deadline_order () =
-  let runs =
-    List.map
-      (fun partitions ->
-        let db = mk_db ~partitions () in
-        D.register_class db (schema ());
-        let fired = ref [] in
-        let _s = D.subscribe_firings db (fun f -> fired := f.D.f_oid :: !fired) in
-        let oids =
-          expect_ok
-            (D.with_txn db (fun _ ->
-                 List.init 6 (fun _ ->
-                     let oid = D.create db "probe" [] in
-                     D.activate db oid "tick" [];
-                     oid)))
-        in
-        D.advance_clock db 70L;
-        (oids, List.rev !fired))
-      [ 1; 4 ]
+  let db = mk_db () in
+  D.register_class db (schema ());
+  let fired = ref [] in
+  let _s = D.subscribe_firings db (fun f -> fired := f.D.f_oid :: !fired) in
+  let oids =
+    expect_ok
+      (D.with_txn db (fun _ ->
+           List.init 6 (fun _ ->
+               let oid = D.create db "probe" [] in
+               D.activate db oid "tick" [];
+               oid)))
   in
-  match runs with
-  | (oids0, fired0) :: rest ->
-    Alcotest.(check (list int)) "all six fire, in activation order" oids0 fired0;
-    List.iter
-      (fun (_, fired) ->
-        Alcotest.(check (list int)) "same order on every run" fired0 fired)
-      rest
-  | [] -> assert false
+  D.advance_clock db 70L;
+  Alcotest.(check (list int)) "all six fire, in activation order" oids (List.rev !fired)
 
 (* Eager cancellation shows up in the stats: deactivating a trigger or
    deleting an object releases its pending timers' bytes immediately
    (the lazy sweep kept them until due). *)
 let test_eager_cancel_stats () =
-  let db = mk_db ~partitions:1 () in
+  let db = mk_db () in
   D.register_class db (schema ());
   let oid =
     expect_ok
@@ -304,7 +276,7 @@ let test_clock_only_replay () =
   let cfg =
     Wal.config ~flush_ms:0 ~sync_on_flush:false dir
   in
-  let db = mk_db ~durability:(`Wal cfg) ~partitions:1 () in
+  let db = mk_db ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
   expect_ok
     (D.with_txn db (fun _ ->
@@ -314,7 +286,7 @@ let test_clock_only_replay () =
      that crosses the level-0 rotation the timer was placed under *)
   D.advance_clock db 65L;
   D.close_durability db;
-  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:1 () in
+  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) () in
   D.register_class rdb (schema ());
   D.recover rdb;
   let fired = ref 0 in
@@ -378,8 +350,8 @@ let test_fleet_small () =
    instant as itself — one armed before it (smaller seq, already
    delivered), one after (still in the due run) — and optionally
    aborts. Returns the firing trace up to 140 ms. *)
-let run_boss ~abort ~partitions =
-  let db = mk_db ~partitions () in
+let run_boss ~abort =
+  let db = mk_db () in
   let peers = ref [] in
   D.register_class db
     (D.define_class "peer"
@@ -409,45 +381,38 @@ let run_boss ~abort ~partitions =
   ((early, boss, late), List.rev !fired)
 
 let test_deactivate_same_instant () =
-  let ((early, boss, _late), trace) = run_boss ~abort:false ~partitions:1 in
+  let ((early, boss, _late), trace) = run_boss ~abort:false in
   Alcotest.(check (list (triple string int int64)))
     "the earlier peer fires, the later one is cancelled before its turn"
     [ ("tick", early, 70L); ("boss", boss, 70L); ("boss", boss, 140L) ]
-    trace;
-  Alcotest.(check (list (triple string int int64)))
-    "same trace at 4 partitions" trace
-    (snd (run_boss ~abort:false ~partitions:4))
+    trace
 
 (* The abort's [U_timers_cancelled] undo re-inserts the later peer at
    the current instant: it rejoins the due run and still fires in
    (due, seq) order, after the boss. *)
 let test_deactivate_same_instant_abort () =
-  let ((early, boss, late), trace) = run_boss ~abort:true ~partitions:1 in
+  let ((early, boss, late), trace) = run_boss ~abort:true in
   Alcotest.(check (list (triple string int int64)))
     "both peers keep firing, the later one after the boss"
     [ ("tick", early, 70L); ("boss", boss, 70L); ("tick", late, 70L);
       ("tick", early, 140L); ("boss", boss, 140L); ("tick", late, 140L) ]
-    trace;
-  Alcotest.(check (list (triple string int int64)))
-    "same trace at 4 partitions" trace
-    (snd (run_boss ~abort:true ~partitions:4))
+    trace
 
 (* A time-event action that fails with an exception other than [Tabort]:
    the exception reaches the [advance_clock] caller, but the delivery's
    system transaction is aborted and detached like a [Tabort] one, its
    periodic timer is re-armed and the interrupted advance is logged. Run
-   at the environment's partition count, on its durability and on an
-   explicit WAL recovered right after the failure. *)
+   on the environment's durability and on an explicit WAL recovered
+   right after the failure. *)
 let test_failing_time_action () =
   let run ?wal_dir () =
-    let partitions = (D.Config.of_env ()).D.Config.partitions in
     let durability =
       Option.map
         (fun dir ->
           `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir))
         wal_dir
     in
-    let db = mk_db ?durability ~partitions () in
+    let db = mk_db ?durability () in
     let fail = ref true and runs = ref 0 in
     let schema () =
       let b = D.define_class "flaky" in
@@ -487,7 +452,7 @@ let test_failing_time_action () =
       | Some dir ->
         let img = D.image_bytes db in
         D.close_durability db;
-        let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions () in
+        let rdb = mk_db ~durability:(`Wal (Wal.config dir)) () in
         D.register_class rdb (schema ());
         D.recover rdb;
         Alcotest.(check bool) "WAL recovery rebuilds the same image" true
@@ -508,37 +473,33 @@ let test_failing_time_action () =
 (* A burst armed at one instant whose due lies in the next 64 ms
    block: the cascade moves the whole burst into the due run at once. *)
 let test_block_crossing_burst () =
-  let run partitions =
-    let db = mk_db ~partitions () in
-    D.register_class db (schema ());
-    let model = reference trigger_decls in
-    let fired = ref [] in
-    let _s =
-      D.subscribe_firings db (fun f ->
-          fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
-    in
-    D.advance_clock db 30L;
-    Ref_timerq.advance model 30L;
-    expect_ok
-      (D.with_txn db (fun _ ->
-           for _ = 1 to 240 do
-             let oid = D.create db "probe" [] in
-             Ref_timerq.create_object model oid;
-             D.activate db oid "tick" [];
-             Ref_timerq.activate model oid "tick"
-           done));
-    D.advance_clock db 300L;
-    Ref_timerq.advance model 300L;
-    let trace = List.rev !fired in
-    Alcotest.(check int) "240 objects fire at 100, 170, 240 and 310" (4 * 240)
-      (List.length trace);
-    Alcotest.(check bool) "list oracle: same firing trace" true
-      (trace = Ref_timerq.fired model);
-    Alcotest.(check bool) "list oracle: same pending timers" true
-      (image_pending db = Ref_timerq.pending model);
-    trace
+  let db = mk_db () in
+  D.register_class db (schema ());
+  let model = reference trigger_decls in
+  let fired = ref [] in
+  let _s =
+    D.subscribe_firings db (fun f ->
+        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_at) :: !fired)
   in
-  Alcotest.(check bool) "same trace at 4 partitions" true (run 1 = run 4)
+  D.advance_clock db 30L;
+  Ref_timerq.advance model 30L;
+  expect_ok
+    (D.with_txn db (fun _ ->
+         for _ = 1 to 240 do
+           let oid = D.create db "probe" [] in
+           Ref_timerq.create_object model oid;
+           D.activate db oid "tick" [];
+           Ref_timerq.activate model oid "tick"
+         done));
+  D.advance_clock db 300L;
+  Ref_timerq.advance model 300L;
+  let trace = List.rev !fired in
+  Alcotest.(check int) "240 objects fire at 100, 170, 240 and 310" (4 * 240)
+    (List.length trace);
+  Alcotest.(check bool) "list oracle: same firing trace" true
+    (trace = Ref_timerq.fired model);
+  Alcotest.(check bool) "list oracle: same pending timers" true
+    (image_pending db = Ref_timerq.pending model)
 
 (* ------------------------------------------------------------------ *)
 (* Work per delivery, counted                                          *)
@@ -548,14 +509,12 @@ let test_block_crossing_burst () =
    fall due at the same instants: flat in the fleet size. A wheel that
    scans the due run per delivery visits O(fleet) nodes each time. The
    fleet is [Fleet.setup]'s, built on the engine layer ([Database.t] is
-   abstract, and the counter reads the member wheels): one heartbeat
-   per vehicle at the scenario's round-robin cadences plus the one-shot
-   service check, at the environment's partition count. *)
+   abstract, and the counter reads the wheel): one heartbeat per vehicle
+   at the scenario's round-robin cadences plus the one-shot service
+   check. *)
 let raw_fleet ~vehicles =
   let module F = Ode_scenarios.Fleet in
-  let db =
-    Engine_group.make ~partitions:(D.Config.of_env ()).D.Config.partitions ()
-  in
+  let db = Types.make_db () in
   let delivered = ref 0 in
   let b = Schema.define_class "vehicle" in
   let b =

@@ -15,9 +15,8 @@
    object, exactly as when every event was always posted; images
    encode only activated triggers, so the bytes still compare. Random
    [Read_only]/[Updating] calls, field writes, creations, deletions,
-   (de)activations, commits, aborts and [Tabort] actions run at
-   partitions {1,2} with history recording off and on, logging to a
-   WAL. Firings (with [f_txn]), the action log, trigger states,
+   (de)activations, commits, aborts and [Tabort] actions run with
+   history recording off and on, logging to a WAL. Firings (with [f_txn]), the action log, trigger states,
    histories, ODE1 bytes and the WAL-recovered image must all agree.
 
    Directed tests pin the batch counts of one commit and one abort with
@@ -41,12 +40,10 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let wal_config ~partitions dir =
+let wal_config dir =
   {
     D.Config.default with
-    D.Config.partitions;
-    durability =
-      `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+    D.Config.durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
   }
 
 let bump db oid field =
@@ -182,9 +179,9 @@ type summary = {
   recovered : string;
 }
 
-let run ~reference ~partitions ~history case =
+let run ~reference ~history case =
   let dir = fresh_dir () in
-  let config = wal_config ~partitions dir in
+  let config = wal_config dir in
   let log = ref [] in
   let make () =
     let db = D.create_db ~config () in
@@ -267,24 +264,24 @@ let listeners_only_equals_always_post =
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       List.for_all
-        (fun (partitions, history) ->
-          let s = run ~reference:false ~partitions ~history case in
-          let r = run ~reference:true ~partitions ~history case in
+        (fun history ->
+          let s = run ~reference:false ~history case in
+          let r = run ~reference:true ~history case in
           String.equal s.image s.recovered && s = r)
-        [ (1, false); (1, true); (2, false); (2, true) ])
+        [ false; true ])
 
 (* ------------------------------------------------------------------ *)
 (* Batch counts                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* One object at partitions 1, logging to a WAL; [trigger] optionally
+(* One object, logging to a WAL; [trigger] optionally
    declares and activates one transaction-event trigger. One
    transaction writes a field of the object and is ended by [finish].
    Returns the number of batches it wrote and how many txn ids it
    consumed. *)
 let batches_of ?trigger finish =
   let dir = fresh_dir () in
-  let db = D.create_db ~config:(wal_config ~partitions:1 dir) () in
+  let db = D.create_db ~config:(wal_config dir) () in
   let fired = ref 0 in
   let b = D.define_class "c" in
   let b = D.field b "n" (Value.Int 0) in

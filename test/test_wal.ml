@@ -1,30 +1,24 @@
 (* The WAL durability backend: the crash-injection harness (randomized
    kill and corruption points over a logged workload, recovery compared
    byte-for-byte against shadow snapshots captured at every batch
-   boundary of a one-partition run, at partitions 1, 2 and 4), the log
-   and snapshot bytes equal at every partition count, the size-driven
-   checkpoint rule (rotation, the replay bound, the floor), the
-   group-commit window, the ODE_DURABILITY selector, the
+   boundary), golden digests of the image, log and snapshot bytes, the
+   size-driven checkpoint rule (rotation, the replay bound, the floor),
+   the group-commit window, the ODE_DURABILITY selector, the
    snapshot-bytes = save-bytes property, streamed images =
-   [image_bytes], and the frame scanner's damage classification. *)
+   [image_bytes], the frame scanner's damage classification, and the
+   refusal of the older per-member directory layout. *)
 
 open Ode_odb
 
 module D = struct
   include Database
 
-  (* the environment's config, with the durability and partition count
-     overridable; every partition count writes the same root pair
-     (snap-<g>.ode1 / wal-<g>.log) this suite reads and cuts by hand *)
-  let create_db ?durability ?partitions () =
+  (* the environment's config, with the durability overridable *)
+  let create_db ?durability () =
     let c = Config.of_env () in
     create_db
       ~config:
-        {
-          c with
-          Config.durability = Option.value durability ~default:c.Config.durability;
-          partitions = Option.value partitions ~default:c.Config.partitions;
-        }
+        { c with Config.durability = Option.value durability ~default:c.Config.durability }
       ()
 end
 
@@ -148,15 +142,15 @@ let probe pdb =
   D.advance_clock pdb 100L;
   (List.rev !fired, D.image_bytes pdb)
 
-(* The workload of the crash harness, logged at [partitions] with every
-   batch flushed eagerly; the log stays under the checkpoint floor, so
+(* The workload of the crash harness, logged with every batch flushed
+   eagerly; the log stays under the checkpoint floor, so
    wal-0.log accumulates its full frame sequence. [on_batch] sees the
    database after each batch. Returns the log directory and the
    initial image. *)
-let logged_workload ?on_batch ~partitions ~seed () =
+let logged_workload ?on_batch ~seed () =
   let dir = fresh_dir () in
   let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false ?on_batch dir in
-  let db = D.create_db ~durability:(`Wal cfg) ~partitions () in
+  let db = D.create_db ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
   let base = D.image_bytes db in
   Alcotest.(check bool) "baseline snapshot = initial image" true
@@ -174,28 +168,12 @@ let logged_workload ?on_batch ~partitions ~seed () =
    log is killed or corrupted at, snapshot + replay reconstructs a
    state byte-identical to the shadow image captured when the last
    surviving batch was emitted — and the revived database behaves
-   identically from there on. The shadows come from a one-partition
-   run; the log is written, cut and recovered at [partitions], so a
-   torn group log loses whole transactions only. *)
-let crash_harness ~partitions ~points ~seed () =
+   identically from there on: a torn log loses whole transactions
+   only. *)
+let crash_harness ~points ~seed () =
   let shadows = ref [] in
   let on_batch tdb = shadows := Persist.image_bytes tdb :: !shadows in
-  let dir1, base, rng = logged_workload ~on_batch ~partitions:1 ~seed () in
-  let dir =
-    if partitions = 1 then dir1
-    else begin
-      let dir, _, _ = logged_workload ~partitions ~seed () in
-      List.iter
-        (fun path ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s at %d partitions = at 1" (Filename.basename (path dir))
-               partitions)
-            true
-            (String.equal (Codec.of_file (path dir)) (Codec.of_file (path dir1))))
-        [ (fun d -> Wal.wal_path d 0); (fun d -> Wal.snap_path d 0) ];
-      dir
-    end
-  in
+  let dir, base, rng = logged_workload ~on_batch ~seed () in
   let shadows = Array.of_list (List.rev !shadows) in
   let log = Codec.of_file (Wal.wal_path dir 0) in
   let snap = Codec.of_file (Wal.snap_path dir 0) in
@@ -221,7 +199,7 @@ let crash_harness ~partitions ~points ~seed () =
     let dir2 = fresh_dir () in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) ~partitions () in
+    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
     D.register_class rdb (schema ());
     D.recover rdb;
     let expected = if n = 0 then base else shadows.(n - 1) in
@@ -234,7 +212,7 @@ let crash_harness ~partitions ~points ~seed () =
     (* every 10th point, drive both databases forward and compare
        behaviour, not just bytes *)
     if point mod 10 = 0 then begin
-      let sdb = D.create_db ~durability:`Image ~partitions:1 () in
+      let sdb = D.create_db ~durability:`Image () in
       D.register_class sdb (schema ());
       let f = Filename.temp_file "ode_wal_shadow" ".img" in
       Codec.to_file f expected;
@@ -249,46 +227,65 @@ let crash_harness ~partitions ~points ~seed () =
     end
   done
 
-let test_crash_heap () = crash_harness ~partitions:1 ~points:250 ~seed:42 ()
+let test_crash_heap () = crash_harness ~points:250 ~seed:42 ()
 
-(* The group writes the single-engine log: the same workload, with a
-   [save] checkpoint midway, leaves the same current generation and
-   byte-identical wal-<g>.log and snap-<g>.ode1 at partitions 1, 2
-   and 4. *)
-let test_log_bytes_across_partitions () =
-  let run partitions =
-    let dir = fresh_dir () in
-    let cfg = Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
-    let db = D.create_db ~durability:(`Wal cfg) ~partitions () in
-    D.register_class db (schema ());
-    let rng = Random.State.make [| 7 |] in
-    for i = 1 to 60 do
-      step rng db;
-      if i = 30 then begin
-        let f = Filename.temp_file "ode_wal_mid" ".img" in
-        D.save db f;
-        Sys.remove f
-      end
-    done;
-    D.close_durability db;
-    let g = Option.get (Wal.latest_gen dir) in
-    (g, Codec.of_file (Wal.wal_path dir g), Codec.of_file (Wal.snap_path dir g))
-  in
-  let g1, log1, snap1 = run 1 in
-  Alcotest.(check int) "the save checkpointed once" 1 g1;
-  Alcotest.(check bool) "the log holds frames" true
-    (List.length (Wal.scan_bytes log1).Wal.frames > 20);
+(* Golden digests pin the on-disk bytes: the ODE1 images of the
+   stockroom and fleet scenarios, and the log and snapshot a fixed
+   stockroom run leaves in its WAL directory. A change to any of them
+   is a format change, and an image or log an older build wrote would
+   no longer load or recover byte-for-byte. The config is explicit, so
+   no environment leg changes the bytes. *)
+let golden_stockroom config =
+  let module S = Ode_scenarios.Stockroom in
+  let sr = S.setup ~config () in
   List.iter
-    (fun partitions ->
-      let g, log, snap = run partitions in
-      Alcotest.(check int) (Printf.sprintf "generation at %d partitions" partitions) g1 g;
-      Alcotest.(check bool)
-        (Printf.sprintf "wal-%d.log at %d partitions = at 1" g partitions)
-        true (String.equal log log1);
-      Alcotest.(check bool)
-        (Printf.sprintf "snap-%d.ode1 at %d partitions = at 1" g partitions)
-        true (String.equal snap snap1))
-    [ 2; 4 ]
+    (fun i ->
+      let item = S.new_item sr ~name:(Printf.sprintf "i%d" i) ~eoq:20 ~balance:200 in
+      ignore (S.withdraw sr ~item ~qty:(40 * i));
+      ignore (S.deposit sr ~item ~qty:10))
+    [ 1; 2; 3; 4; 5; 6 ];
+  D.advance_clock sr.S.db 3_600_000L;
+  sr.S.db
+
+let golden_fleet () =
+  let module F = Ode_scenarios.Fleet in
+  let t =
+    F.setup ~db:(Database.create_db ~config:Database.Config.default ()) ~vehicles:64 ()
+  in
+  F.tick t 300L;
+  t.F.db
+
+let test_golden_digests () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "stockroom image"
+    "2d7beb7d0a80a795296bc910841cf277"
+    (hex (D.image_bytes (golden_stockroom Database.Config.default)));
+  Alcotest.(check string) "fleet image" "4da2194d9771d85e4e704373d8b47711"
+    (hex (D.image_bytes (golden_fleet ())));
+  let dir = fresh_dir () in
+  let config =
+    {
+      Database.Config.default with
+      Database.Config.durability =
+        `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+    }
+  in
+  let db = golden_stockroom config in
+  (* a save checkpoints mid-run, so the current pair is generation 1
+     with a non-empty snapshot and log *)
+  let f = Filename.temp_file "ode_golden" ".img" in
+  D.save db f;
+  Sys.remove f;
+  let tx = D.begin_txn db in
+  ignore (D.create db "item" []);
+  D.abort db tx;
+  D.advance_clock db 86_400_000L;
+  D.close_durability db;
+  Alcotest.(check (option int)) "generation" (Some 1) (Wal.latest_gen dir);
+  Alcotest.(check string) "wal-1.log" "e3560e25597a15d49eb927e27d1065d4"
+    (hex (Codec.of_file (Wal.wal_path dir 1)));
+  Alcotest.(check string) "snap-1.ode1" "2d7beb7d0a80a795296bc910841cf277"
+    (hex (Codec.of_file (Wal.snap_path dir 1)))
 
 (* A class whose objects carry a 16 KiB string, so a few hundred
    one-object commits log several MiB. *)
@@ -348,15 +345,14 @@ let test_checkpoint_rotation () =
    [close_durability]) leaves at most [checkpoint_percent]% of the
    snapshot + [checkpoint_floor] + one batch of log to replay, and
    recovery reproduces the live image. 100 blobs make a 1.6 MiB
-   snapshot, so the percentage sets the threshold; a group at two
-   partitions writes the same one log at the root. *)
-let test_replay_bound partitions () =
+   snapshot, so the percentage sets the threshold. *)
+let test_replay_bound () =
   let dir = fresh_dir () in
   let config =
     {
       Database.Config.default with
-      Database.Config.partitions;
-      durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+      Database.Config.durability =
+        `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
     }
   in
   let db = Database.create_db ~config () in
@@ -369,7 +365,7 @@ let test_replay_bound partitions () =
                put_blob db oid i;
                oid)))
   in
-  let rng = Random.State.make [| 11; partitions |] in
+  let rng = Random.State.make [| 11; 1 |] in
   for i = 1 to 400 do
     let oid = oids.(Random.State.int rng 100) in
     expect_ok (D.with_txn db (fun _ -> put_blob db oid i))
@@ -378,7 +374,7 @@ let test_replay_bound partitions () =
   (* crash: the process stops here, nothing closed *)
   let g = Option.get (Wal.latest_gen dir) in
   Alcotest.(check bool) "rotated several times" true (g >= 2);
-  Alcotest.(check (list string)) "one root pair, no member directories"
+  Alcotest.(check (list string)) "one generation pair"
     [ Printf.sprintf "snap-%d.ode1" g; Printf.sprintf "wal-%d.log" g ]
     (List.sort compare (Array.to_list (Sys.readdir dir)));
   let frames = (Wal.scan_file (Wal.wal_path dir g)).Wal.frames in
@@ -530,8 +526,7 @@ let prop_snapshot_equals_save =
 
 (* The streamed writers produce [image_bytes]'s bytes: the checkpoint
    snapshot at the log root and [save]'s file (a copy of it) both equal
-   [image_bytes], for the stockroom and fleet images at partitions 1
-   and 4. *)
+   [image_bytes], for the stockroom and fleet images. *)
 let test_streamed_images () =
   let module S = Ode_scenarios.Stockroom in
   let module F = Ode_scenarios.Fleet in
@@ -552,31 +547,27 @@ let test_streamed_images () =
     t.F.db
   in
   List.iter
-    (fun (name, build) ->
-      List.iter
-        (fun partitions ->
-          let what = Printf.sprintf "%s at %d partitions" name partitions in
-          let dir = fresh_dir () in
-          let config =
-            {
-              Database.Config.default with
-              Database.Config.partitions;
-              durability = `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
-            }
-          in
-          let db = build config in
-          let f = Filename.temp_file "ode_wal_stream" ".img" in
-          D.save db f;
-          let saved = Codec.of_file f in
-          Sys.remove f;
-          let live = D.image_bytes db in
-          Alcotest.(check bool) (what ^ ": save's file = image_bytes") true
-            (String.equal saved live);
-          let g = Option.get (Wal.latest_gen dir) in
-          Alcotest.(check bool) (what ^ ": snapshot = image_bytes") true
-            (String.equal (Codec.of_file (Wal.snap_path dir g)) live);
-          D.close_durability db)
-        [ 1; 4 ])
+    (fun (what, build) ->
+      let dir = fresh_dir () in
+      let config =
+        {
+          Database.Config.default with
+          Database.Config.durability =
+            `Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false dir);
+        }
+      in
+      let db = build config in
+      let f = Filename.temp_file "ode_wal_stream" ".img" in
+      D.save db f;
+      let saved = Codec.of_file f in
+      Sys.remove f;
+      let live = D.image_bytes db in
+      Alcotest.(check bool) (what ^ ": save's file = image_bytes") true
+        (String.equal saved live);
+      let g = Option.get (Wal.latest_gen dir) in
+      Alcotest.(check bool) (what ^ ": snapshot = image_bytes") true
+        (String.equal (Codec.of_file (Wal.snap_path dir g)) live);
+      D.close_durability db)
     [ ("stockroom", stockroom); ("fleet", fleet) ]
 
 (* The frame scanner classifies every damage shape [odec wal-dump]
@@ -625,19 +616,43 @@ let test_scan_damage_classification () =
   | { Wal.damage = Some Wal.Bad_header; _ } -> ()
   | _ -> Alcotest.fail "expected a header failure"
 
+(* A directory in the older per-member layout of partitioned databases
+   — a [group-manifest] and [p<k>/] logs, no root pair — is refused at
+   attach and at recover, instead of being baselined empty beside the
+   old logs. *)
+let test_refuses_member_layout () =
+  let dir = fresh_dir () in
+  Codec.to_file (Filename.concat dir "group-manifest") "ODEGROUP1 partitions=2\n";
+  Unix.mkdir (Wal.member_dir dir 0) 0o755;
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected the old layout to be refused" what
+    | exception D.Ode_error msg ->
+      let needle = "older layout" in
+      let rec has i =
+        i + String.length needle <= String.length msg
+        && (String.sub msg i (String.length needle) = needle || has (i + 1))
+      in
+      Alcotest.(check bool) (what ^ ": the error names the old layout") true (has 0)
+  in
+  refused "attach" (fun () -> D.create_db ~durability:(`Wal (Wal.config dir)) ());
+  Alcotest.(check (option int)) "attach wrote no generation" None (Wal.latest_gen dir);
+  (* recover: a database that attached to a fresh directory, which then
+     took the old layout's place *)
+  let dir2 = fresh_dir () in
+  let db = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir2 f)) (Sys.readdir dir2);
+  Codec.to_file (Filename.concat dir2 "group-manifest") "ODEGROUP1 partitions=2\n";
+  refused "recover" (fun () -> D.recover db)
+
 let suite =
   [
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
-    Alcotest.test_case "crash harness, partitions 2 (250 points)" `Quick
-      (crash_harness ~partitions:2 ~points:250 ~seed:42);
-    Alcotest.test_case "crash harness, partitions 4 (250 points)" `Quick
-      (crash_harness ~partitions:4 ~points:250 ~seed:42);
-    Alcotest.test_case "log and snapshot bytes equal at partitions 1, 2, 4" `Quick
-      test_log_bytes_across_partitions;
+    Alcotest.test_case "golden digests of image, log and snapshot bytes" `Quick
+      test_golden_digests;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
-    Alcotest.test_case "replay bound, partitions 1" `Quick (test_replay_bound 1);
-    Alcotest.test_case "replay bound, partitions 2" `Quick (test_replay_bound 2);
+    Alcotest.test_case "replay bound" `Quick test_replay_bound;
     Alcotest.test_case "checkpoint floor" `Quick test_checkpoint_floor;
     Alcotest.test_case "group-commit window" `Quick test_group_commit_window;
     Alcotest.test_case "ODE_DURABILITY selector" `Quick test_env_selector;
@@ -645,4 +660,6 @@ let suite =
     Alcotest.test_case "streamed images = image_bytes" `Quick test_streamed_images;
     Alcotest.test_case "scanner damage classification" `Quick
       test_scan_damage_classification;
+    Alcotest.test_case "older per-member layout refused" `Quick
+      test_refuses_member_layout;
   ]
