@@ -60,7 +60,9 @@ exception Lock_conflict of oid
     abort. Besides field writes and method calls, an event that advances
     a [Committed]-mode trigger's state takes its object's write lock
     (see {!trigger}), so it can raise this too — from {!call},
-    {!post_many} or the [before tcomplete] rounds of {!commit}. *)
+    {!post_many} or the [before tcomplete] rounds of {!commit} — and so
+    does activating or deactivating such a trigger ({!activate},
+    {!deactivate}). *)
 
 exception Ode_error of string
 (** Schema violations, use outside transactions, commit livelock, etc. *)
@@ -133,9 +135,11 @@ val trigger :
     commit or abort. A second transaction touching that object then
     gets {!Lock_conflict}, even through a [Read_only] method, instead
     of advancing state that the first one's abort would roll back over
-    its own advance. Posts of system transactions (transaction-event
-    fan-outs, time events) and of an aborting transaction's
-    [before tabort] round take no such lock. *)
+    its own advance. {!activate} and {!deactivate} of such a trigger
+    write the same state (its words, active flag and epoch) and take
+    the same lock. Posts and (de)activations of system transactions
+    (transaction-event fan-outs, time events) and of an aborting
+    transaction's [before tabort] round take no such lock. *)
 
 val trigger_str :
   class_builder ->
@@ -418,9 +422,16 @@ val set_field : t -> oid -> string -> Value.t -> unit
 val activate : t -> oid -> string -> Value.t list -> unit
 (** Activate a trigger by name with parameters — the paper's
     "invoking its name just as an ordinary member function". Time events
-    in its specification are scheduled from the activation instant. *)
+    in its specification are scheduled from the activation instant.
+    On a [Committed]-mode trigger it takes the object's write lock, so
+    it raises {!Lock_conflict} while another open transaction holds a
+    lock on the object. *)
 
 val deactivate : t -> oid -> string -> unit
+(** Deactivate a trigger, cancelling its pending timers; a no-op when
+    it was never activated on the object. Takes the object's write lock
+    on a [Committed]-mode trigger, as {!activate} does. *)
+
 val is_active : t -> oid -> string -> bool
 
 val trigger_state_words : t -> oid -> string -> int

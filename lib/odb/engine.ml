@@ -733,6 +733,15 @@ let apply_fun db name args =
 (* Trigger activation                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A [Committed] activation's words, active flag and epoch are object
+   data, as for [advance]: (de)activating one takes the object's write
+   lock (released with the transaction's [tx_dirty] oids), except in a
+   system transaction or an abort's [before tabort] round. *)
+let lock_committed db tx obj (def : trigger_def) =
+  if def.t_detector.Detector.mode = Detector.Committed
+     && not (tx.tx_system || db.txns.in_abort)
+  then Txn.acquire db tx obj Lock.Write
+
 let activate db oid tname params =
   let tx = Txn.require_txn db in
   let obj = Store.live_obj db oid in
@@ -741,6 +750,7 @@ let activate db oid tname params =
     | Some d -> d
     | None -> ode_error "class %s has no trigger %s" obj.o_class.k_name tname
   in
+  lock_committed db tx obj def;
   (* durable state changes below, but activation is not an object
      access (no [after tbegin], no event fan-out membership) — record
      the oid for the redo-batch footprint only *)
@@ -776,6 +786,7 @@ let deactivate db oid tname =
   match Hashtbl.find_opt obj.o_triggers tname with
   | None -> ()
   | Some at ->
+    lock_committed db tx obj at.at_def;
     tx.tx_dirty <- oid :: tx.tx_dirty;
     tx.tx_undo <- U_trigger_active (obj, at, at.at_active) :: tx.tx_undo;
     set_trigger_active obj at false;

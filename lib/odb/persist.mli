@@ -48,9 +48,9 @@ val write_image : db -> string -> int
 
 val load_image : db -> string -> unit
 (** [load] from in-memory bytes: parse fully and check every object
-    against the schema, then reset the heap and the wheel and install
-    each object and timer. A [Codec.Corrupt] raised by the parse or
-    the check leaves the database untouched. *)
+    against the schema, then reset the heap and the timer queue and
+    install each object and timer. A [Codec.Corrupt] raised by the
+    parse or the check leaves the database untouched. *)
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted

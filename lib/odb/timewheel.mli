@@ -2,15 +2,15 @@
     insertion, due-date computation, periodic rescheduling, eager
     cancellation, and clock advancement.
 
-    The queue is a hierarchical hashed timing wheel (Varghese–Lauck — 8
-    levels of 64 slots, cascade-on-advance, O(1) arm and cancel; see
-    {!Types.twheel}) delivering in (due, [tm_seq]) order. Advancing the
-    clock moves every timer due at the new instant into one
-    (due, seq)-sorted list, the due run, and each delivery pulls its
+    The queue is an ordered map from due instant to a bucket of that
+    instant's timers in [tm_seq] order (see {!Types.timerq}),
+    delivering in (due, [tm_seq]) order; nothing in it depends on the
+    clock. Each delivery peeks the first bucket's head and pulls its
     (object, spec, instant) group through the per-object index — so a
     tick delivering N same-instant timers costs O(N), counted by
     {!nodes_visited}. Its executable reference, a sorted list, lives in
-    the test suite as an oracle.
+    the test suite as an oracle. (The name is the timing wheel's it
+    replaced, kept because odebench's [timewheel.*] metrics carry it.)
 
     Depends on {!Store} (liveness checks for timer garbage-collection)
     and {!Clock} (calendar-pattern matching). Delivering a due timer
@@ -28,7 +28,7 @@ val set_deliver_hook : (db -> oid -> Ode_event.Symbol.time_spec -> unit) -> unit
     fresh system transaction. *)
 
 val insert_timer : db -> timer -> unit
-(** Insert into the wheel; delivery order is (due time, [tm_seq]) —
+(** Insert into the queue; delivery order is (due time, [tm_seq]) —
     equal due times keep insertion order. *)
 
 val fresh_seq : db -> int
@@ -76,21 +76,18 @@ val pending_count : db -> int
 (** [List.length (pending db)], O(1). *)
 
 val nodes_visited : db -> int
-(** Wheel nodes looked at so far by minimum scans, due-run inserts and
-    same-instant group pulls: the work counter behind the O(group)
-    delivery claim. A wheel rebuilt by {!replace} or a backward
-    {!set_clock} starts again from 0. *)
+(** Queue nodes looked at so far: one per head peeked, one per newer
+    node a sorted insert walks past, and one per node a same-instant
+    group pull reads — the work counter behind the O(group) delivery
+    claim. A queue rebuilt by {!replace} starts again from 0. *)
 
 val replace : db -> timer list -> unit
 (** Bulk-load the queue from a (due, seq)-sorted list (image load, WAL
-    replay), placed against the current clock — set the clock before
-    calling. The insertion counter resumes past the loaded stamps. *)
+    replay). The insertion counter resumes past the loaded stamps. *)
 
 val set_clock : db -> int64 -> unit
-(** Move the clock to an absolute instant without delivering anything,
-    keeping the wheel's clock-relative placement invariant (forward
-    hops cascade, backward hops rebuild). WAL replay calls it for each
-    batch. *)
+(** Move the clock to an absolute instant without delivering anything.
+    WAL replay calls it for each batch. *)
 
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in

@@ -79,13 +79,16 @@ let acquire_for db holder obj request =
 
 let acquire db tx obj request = acquire_for db tx.tx_id obj request
 
+(* Accessed objects, and the (de)activation targets of [tx_dirty],
+   which may hold a committed-mode activation's write lock. *)
 let release_locks db tx =
-  List.iter
-    (fun oid ->
-      match Store.find_obj db oid with
-      | Some obj -> obj.o_lock <- Lock.release obj.o_lock ~holder:tx.tx_id
-      | None -> ())
-    tx.tx_accessed
+  let release oid =
+    match Store.find_obj db oid with
+    | Some obj -> obj.o_lock <- Lock.release obj.o_lock ~holder:tx.tx_id
+    | None -> ()
+  in
+  List.iter release tx.tx_accessed;
+  List.iter release tx.tx_dirty
 
 let detach db tx =
   db.txns.open_txns <- List.filter (fun t -> not (t == tx)) db.txns.open_txns;

@@ -21,6 +21,8 @@ module Value = Ode_base.Value
 module Symbol = Ode_event.Symbol
 module Detector = Ode_event.Detector
 
+module Dues = Map.Make (Int64)
+
 type oid = int
 type method_kind = Read_only | Updating
 type txn_status = Active | Committed | Aborted
@@ -132,7 +134,7 @@ and scratch = {
 (* [Timewheel]: simulated time. *)
 and wheel_state = {
   mutable clock_ms : int64;
-  mutable tq : twheel;  (* the pending timers; rebuilt on bulk load *)
+  mutable tq : timerq;  (* the pending timers; rebuilt on bulk load *)
   mutable timers_dirty : bool;
       (* set whenever the pending set changes (insert, pop, cancel,
          load), cleared when a durability batch captures the queue — so
@@ -140,51 +142,37 @@ and wheel_state = {
   mutable tm_next_seq : int;  (* insertion counter stamping [tm_seq] *)
 }
 
-(* The pending-timer structure: a hierarchical hashed timing wheel
-   (Varghese–Lauck) — O(1) arming and cancellation, cascade-on-advance,
-   delivery in (due, seq) order; [Timewheel] owns the code. The wheel
-   has [wheel_levels] bucket levels of [wheel_slots] slots each; level l's
-   slots are 64^l ticks (ms) wide, and a timer lives at the lowest
-   level whose current rotation covers its due instant — so a level-0
-   slot holds exactly one instant. Buckets are intrusive doubly-linked
-   node lists (O(1) unlink for eager cancellation via [tw_index]).
-   [tw_ovf] holds timers beyond the top level's rotation; [tw_past]
-   holds every timer due at or before the current clock, sorted by
-   (due, seq): the due run. Advancing the clock moves the timers due
-   at the new instant there, so its head is the minimum and delivery
-   reads it first. *)
-and twheel = {
-  tw_slots : tnode option array array;  (* level -> slot -> bucket head *)
-  tw_counts : int array;  (* pending nodes per level *)
-  mutable tw_ovf : tnode option;  (* beyond the top rotation *)
-  mutable tw_ovf_n : int;
-  mutable tw_past : tnode option;  (* due <= clock, (due, seq)-sorted *)
-  mutable tw_past_last : tnode option;  (* its tail, for sorted inserts *)
-  mutable tw_past_n : int;
+(* The pending-timer queue: an ordered map from due instant to that
+   instant's bucket, delivering in (due, seq) order; [Timewheel] owns
+   the code. A bucket is an intrusive doubly-linked list of its
+   instant's timers in seq order (O(1) unlink for eager cancellation
+   via [tw_index]), dropped from the map once empty — so the first
+   binding's head is the minimum. *)
+and timerq = {
+  mutable tw_dues : tbucket Dues.t;  (* due instant -> its bucket *)
   mutable tw_n : int;  (* total pending nodes *)
-  mutable tw_peek : tnode option;
-      (* cached minimum-(due, seq) pending node; [None] = unknown
-         (recomputed lazily) — kept so the per-delivery head probe in
-         [Timewheel.advance_to] is O(1) between mutations *)
   tw_index : (oid, tnode list) Hashtbl.t;
       (* live handles per object — the eager-cancellation index and the
          same-instant group pull; holds only linked nodes (delivery and
          cancellation both unlink) *)
   mutable tw_visited : int;
-      (* nodes looked at by minimum scans, sorted inserts and group
-         pulls: the wheel's work counter, read by
+      (* heads peeked, nodes walked past by sorted inserts and nodes
+         looked at by group pulls: the queue's work counter, read by
          [Timewheel.nodes_visited] *)
 }
 
-(* One pending timer's wheel handle. [tn_level] is the bucket address:
-   0..L-1 a wheel level, -1 the overflow list, -3 the past list, -2
-   detached (popped or cancelled). *)
+(* One instant's timers, in seq order; never empty while in the map. *)
+and tbucket = {
+  mutable tb_first : tnode option;
+  mutable tb_last : tnode option;
+}
+
+(* One pending timer's handle in its instant's bucket. *)
 and tnode = {
   tn_timer : timer;
+  tn_bucket : tbucket;
   mutable tn_prev : tnode option;
   mutable tn_next : tnode option;
-  mutable tn_level : int;
-  mutable tn_slot : int;
 }
 
 (* [Durability]: the persistence strategy, held abstractly as a record
@@ -392,25 +380,8 @@ let noop_durability =
     dur_close = (fun _ -> ());
   }
 
-(* Geometry of the timing wheel: [wheel_levels] levels of [wheel_slots]
-   slots ([Timewheel] owns the algorithms). *)
-let wheel_levels = 8
-let wheel_slots = 64
-
-let make_wheel () =
-  {
-    tw_slots = Array.init wheel_levels (fun _ -> Array.make wheel_slots None);
-    tw_counts = Array.make wheel_levels 0;
-    tw_ovf = None;
-    tw_ovf_n = 0;
-    tw_past = None;
-    tw_past_last = None;
-    tw_past_n = 0;
-    tw_n = 0;
-    tw_peek = None;
-    tw_index = Hashtbl.create 64;
-    tw_visited = 0;
-  }
+let make_timerq () =
+  { tw_dues = Dues.empty; tw_n = 0; tw_index = Hashtbl.create 64; tw_visited = 0 }
 
 (* The database scope's class: [f_class] of its firings, and the
    scope [Engine] reads off a definition. *)
@@ -483,7 +454,7 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
     wheel =
       {
         clock_ms = start_time;
-        tq = make_wheel ();
+        tq = make_timerq ();
         timers_dirty = false;
         tm_next_seq = 0;
       };

@@ -264,9 +264,7 @@ let apply_batch db payload =
     | t -> raise (Codec.Corrupt (Printf.sprintf "bad WAL entry tag %d" t))
   done;
   match Codec.read_option r (fun r -> Codec.read_list r Persist.read_timer) with
-  | Some timers ->
-    (* the clock was set above, so wheel placement is already right *)
-    Timewheel.replace db timers
+  | Some timers -> Timewheel.replace db timers
   | None -> ()
 
 (* Decoded shape for [odec wal-dump] — framing plus a per-batch summary,

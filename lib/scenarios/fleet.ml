@@ -2,8 +2,8 @@
    nearly every live object carries pending timers. Each vehicle runs
    one periodic heartbeat trigger (cadence assigned round-robin) plus
    an optional one-shot service check, so a fleet of n vehicles keeps
-   ~2n timers armed at all times — the workload the timing wheel exists
-   for, and the one that made the sorted-list queue quadratic. *)
+   ~2n timers armed at all times — the workload that made the
+   sorted-list queue quadratic. *)
 
 module D = Ode_odb.Database
 module Value = Ode_base.Value

@@ -5,8 +5,7 @@
     time(MS=50)], [MS=250] or [MS=1000], assigned round-robin — whose
     action bumps its [beats] field, plus (by default) a one-shot
     service check [after time(MS=30000)] bumping [alerts]. A fleet of
-    n vehicles therefore holds ~2n pending timers, which is the
-    workload the timing wheel representation exists for (odebench's
+    n vehicles therefore holds ~2n pending timers (odebench's
     [fleet_timers] workload runs it). *)
 
 module D = Ode_odb.Database
@@ -33,8 +32,8 @@ val tick : t -> int64 -> unit
 (** Advance the fleet's clock by a span (ms), delivering due timers. *)
 
 val idle : t -> stride:int -> unit
-(** Deactivate the heartbeat of every [stride]-th vehicle — with the
-    wheel this cancels the pending timers eagerly. *)
+(** Deactivate the heartbeat of every [stride]-th vehicle, cancelling
+    its pending timers eagerly. *)
 
 val resume : t -> stride:int -> unit
 (** Re-activate the heartbeats that {!idle} stopped (an epoch bump:

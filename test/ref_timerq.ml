@@ -1,6 +1,6 @@
 (* A reference model of the pending-timer queue for [test_timer.ml]'s
    scripts: one flat list sorted by (due, seq), O(n) per operation and
-   obviously right. Nothing here shares code with the timing wheel; the
+   obviously right. Nothing here shares code with the timer queue; the
    due-date arithmetic is [Timewheel.first_due] (and [Clock.next_match]
    for calendar re-arms), everything else is restated from the
    contract:

@@ -175,6 +175,41 @@ let test_interleaved_abort () =
   | Error `Aborted -> Alcotest.fail "T2 aborted");
   Alcotest.(check (array int)) "= a serial run of T2 alone" [| 1 |] (state ())
 
+(* (De)activation writes the same words: T1 re-activates (resetting
+   the count) or deactivates, T2 calls [m], T1 aborts. Without the lock
+   T2's call went through and committed, and T1's abort restored the
+   words over it, leaving [0] where a serial run of T2 alone gives
+   [1]. With it, T2's call conflicts, and T2 retried after T1's abort
+   counts once. *)
+let test_interleaved_activation () =
+  List.iter
+    (fun (what, t1_op) ->
+      let db, oid = interleaved_db "choose 3 (after m)" in
+      let state () = D.trigger_state db oid "t" in
+      let t1 = D.begin_txn db in
+      t1_op db oid;
+      let t2 = D.begin_txn db in
+      let conflicted =
+        match D.call db oid "m" [] with
+        | _ -> false
+        | exception D.Lock_conflict o -> o = oid
+      in
+      Alcotest.(check bool) ("T2's call conflicts with T1's " ^ what) true conflicted;
+      D.switch_txn db t1;
+      D.abort db t1;
+      D.switch_txn db t2;
+      ignore (D.call db oid "m" []);
+      (match D.commit db t2 with
+      | Ok () -> ()
+      | Error `Aborted -> Alcotest.fail "T2 aborted");
+      Alcotest.(check (array int))
+        ("after T1's aborted " ^ what ^ " = a serial run of T2 alone")
+        [| 1 |] (state ()))
+    [
+      ("re-activation", fun db oid -> D.activate db oid "t" []);
+      ("deactivation", fun db oid -> D.deactivate db oid "t");
+    ]
+
 type iop = I_call of int * string | I_commit of int | I_abort of int
 
 (* 2-3 transaction slots stepped in a random interleaving. A call on a
@@ -262,4 +297,6 @@ let interleaved =
 let suite =
   Alcotest.test_case "interleaved abort: T2 conflicts, then counts once" `Quick
     test_interleaved_abort
+  :: Alcotest.test_case "interleaved (de)activation: T2 conflicts, then counts once"
+       `Quick test_interleaved_activation
   :: List.map QCheck_alcotest.to_alcotest [ integration; interleaved ]

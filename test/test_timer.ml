@@ -1,12 +1,12 @@
-(* The timing wheel against its oracle: [Ref_timerq], a sorted (due,
-   seq) list restating the timer contract, must predict the wheel's
-   firing trace and pending queue over arbitrary arm / cancel / re-arm /
+(* The timer queue against its oracle: [Ref_timerq], a sorted (due,
+   seq) list restating the timer contract, must predict the queue's
+   firing trace and pending timers over arbitrary arm / cancel / re-arm /
    abort / advance interleavings — and the ODE1 image bytes must
    survive WAL replay. Plus deterministic pins: equal-deadline (due, seq) order,
    eager cancellation visible in [stats.state_bytes], the
    clock-only-replay regression, the fleet scenario against the oracle,
-   same-instant edge cases of the due run, and the wheel's work counted
-   in nodes visited rather than timed. *)
+   same-instant edge cases, and the queue's work counted in nodes
+   visited rather than timed. *)
 
 open Ode_odb
 module D = Database
@@ -29,9 +29,9 @@ let mk_db ?durability () =
   in
   D.create_db ~config:c ()
 
-(* Every timer shape the engine arms: a fast and a slow periodic (the
-   slow one crosses level-1 rotations, period > 4096 ms), a one-shot
-   after-period and a calendar pattern — (name, event, perpetual). *)
+(* Every timer shape the engine arms: a fast and a slow periodic (70
+   and 4111 ms), a one-shot after-period and a calendar pattern —
+   (name, event, perpetual). *)
 let trigger_decls =
   [
     ("tick", "every time(MS=70)", true);
@@ -87,13 +87,12 @@ type op =
   | Aborted of int * string (* arm + cancel inside a rolled-back txn *)
   | Advance of int
 
-(* Spans are drawn to cross structure boundaries: inside a level-0
-   rotation, across it, across the 4096 ms level-1 rotation, and
-   (rarely — the periodic timers make every ms of horizon cost
-   deliveries) a long hop over the 64^3 ms level-2 rotation. The
-   [daily] calendar timer arms at a high level and cascades but stays
-   a day away, pinning placement without the million ticks firing it
-   would cost. *)
+(* Spans are drawn at several scales: under one fast period, across a
+   few, across the slow period, and (rarely — the periodic timers make
+   every ms of horizon cost deliveries) a long hop of 250–300 s. The
+   [daily] calendar timer stays a day away, a far instant pending
+   beside the near ones without the million ticks firing it would
+   cost. *)
 let gen_span rng =
   match Random.State.int rng 20 with
   | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 -> 1 + Random.State.int rng 60
@@ -268,9 +267,9 @@ let test_eager_cancel_stats () =
   Alcotest.(check bool) "delete released the rest" true (one_less - gone >= 200)
 
 (* Regression: a WAL batch that moves the clock without touching the
-   queue must keep wheel placement consistent on replay — the recovered
-   engine once peeked a timer stranded at a stale level and spun
-   forever trying to pull it. *)
+   queue must replay to a queue that still delivers — the recovered
+   engine of an earlier, clock-relative queue once peeked a timer
+   stranded at a stale position and spun forever trying to pull it. *)
 let test_clock_only_replay () =
   let dir = fresh_dir () in
   let cfg =
@@ -282,8 +281,7 @@ let test_clock_only_replay () =
     (D.with_txn db (fun _ ->
          let oid = D.create db "probe" [] in
          D.activate db oid "tick" []));
-  (* nothing due by 65, queue untouched: this logs a clock-only batch
-     that crosses the level-0 rotation the timer was placed under *)
+  (* nothing due by 65, queue untouched: this logs a clock-only batch *)
   D.advance_clock db 65L;
   D.close_durability db;
   let rdb = mk_db ~durability:(`Wal (Wal.config dir)) () in
@@ -343,14 +341,16 @@ let test_fleet_small () =
     (image_pending fleet.F.db = Ref_timerq.pending model)
 
 (* ------------------------------------------------------------------ *)
-(* The due run: same-instant edge cases                                *)
+(* Same-instant edge cases                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* A [boss] action that deactivates two [tick] peers due at the same
    instant as itself — one armed before it (smaller seq, already
-   delivered), one after (still in the due run) — and optionally
-   aborts. Returns the firing trace up to 140 ms. *)
-let run_boss ~abort =
+   delivered), one after (still pending at that instant) — and
+   optionally aborts. With [bystander], a third [tick] peer armed last
+   and left alone. Returns the database, the ids (the bystander's, if
+   any, last) and the firing trace up to 140 ms. *)
+let run_boss_with ~bystander ~abort =
   let db = mk_db () in
   let peers = ref [] in
   D.register_class db
@@ -376,9 +376,14 @@ let run_boss ~abort =
   let early = arm "tick" in
   let boss = arm "boss" in
   let late = arm "tick" in
+  let by = if bystander then [ arm "tick" ] else [] in
   peers := [ early; late ];
   D.advance_clock db 140L;
-  ((early, boss, late), List.rev !fired)
+  (db, (early, boss, late), by, List.rev !fired)
+
+let run_boss ~abort =
+  let _, ids, _, trace = run_boss_with ~bystander:false ~abort in
+  (ids, trace)
 
 let test_deactivate_same_instant () =
   let ((early, boss, _late), trace) = run_boss ~abort:false in
@@ -388,15 +393,42 @@ let test_deactivate_same_instant () =
     trace
 
 (* The abort's [U_timers_cancelled] undo re-inserts the later peer at
-   the current instant: it rejoins the due run and still fires in
-   (due, seq) order, after the boss. *)
+   the current instant: it rejoins that instant's bucket and still
+   fires in (due, seq) order, after the boss. With a bystander, the
+   bucket still holds the bystander's newer timer, so the re-insert
+   lands mid-bucket, before it; the aborted boss leaves no trace, so
+   the sorted-list oracle fed the bare schedule predicts the firings
+   and the pending timers. *)
 let test_deactivate_same_instant_abort () =
   let ((early, boss, late), trace) = run_boss ~abort:true in
   Alcotest.(check (list (triple string int int64)))
     "both peers keep firing, the later one after the boss"
     [ ("tick", early, 70L); ("boss", boss, 70L); ("tick", late, 70L);
       ("tick", early, 140L); ("boss", boss, 140L); ("tick", late, 140L) ]
-    trace
+    trace;
+  let db, (early, boss, late), by, trace =
+    run_boss_with ~bystander:true ~abort:true
+  in
+  let by = List.hd by in
+  let model =
+    reference [ ("tick", "every time(MS=70)", true); ("boss", "every time(MS=70)", true) ]
+  in
+  List.iter
+    (fun (oid, t) ->
+      Ref_timerq.create_object model oid;
+      Ref_timerq.activate model oid t)
+    [ (early, "tick"); (boss, "boss"); (late, "tick"); (by, "tick") ];
+  Ref_timerq.advance model 140L;
+  Alcotest.(check (list (triple string int int64)))
+    "the restored peer fires before the bystander"
+    [ ("tick", early, 70L); ("boss", boss, 70L); ("tick", late, 70L);
+      ("tick", by, 70L); ("tick", early, 140L); ("boss", boss, 140L);
+      ("tick", late, 140L); ("tick", by, 140L) ]
+    trace;
+  Alcotest.(check bool) "list oracle: same firing trace" true
+    (trace = Ref_timerq.fired model);
+  Alcotest.(check bool) "list oracle: same pending timers" true
+    (image_pending db = Ref_timerq.pending model)
 
 (* A time-event action that fails with an exception other than [Tabort]:
    the exception reaches the [advance_clock] caller, but the delivery's
@@ -470,8 +502,9 @@ let test_failing_time_action () =
   run ();
   run ~wal_dir:(fresh_dir ()) ()
 
-(* A burst armed at one instant whose due lies in the next 64 ms
-   block: the cascade moves the whole burst into the due run at once. *)
+(* A burst of 240 timers armed at one instant, all due together 70 ms
+   later and re-armed together at each delivery: one bucket of 240,
+   delivered in seq order four times over. *)
 let test_block_crossing_burst () =
   let db = mk_db () in
   D.register_class db (schema ());
@@ -505,13 +538,13 @@ let test_block_crossing_burst () =
 (* Work per delivery, counted                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Wheel nodes visited per delivery on fleet ticks whose heartbeats all
-   fall due at the same instants: flat in the fleet size. A wheel that
-   scans the due run per delivery visits O(fleet) nodes each time. The
-   fleet is [Fleet.setup]'s, built on the engine layer ([Database.t] is
-   abstract, and the counter reads the wheel): one heartbeat per vehicle
-   at the scenario's round-robin cadences plus the one-shot service
-   check. *)
+(* Queue nodes visited per delivery on fleet ticks whose heartbeats all
+   fall due at the same instants: flat in the fleet size. A queue that
+   scans the instant's timers per delivery visits O(fleet) nodes each
+   time. The fleet is [Fleet.setup]'s, built on the engine layer
+   ([Database.t] is abstract, and the counter reads the queue): one
+   heartbeat per vehicle at the scenario's round-robin cadences plus the
+   one-shot service check. *)
 let raw_fleet ~vehicles =
   let module F = Ode_scenarios.Fleet in
   let db = Types.make_db () in
@@ -563,7 +596,7 @@ let test_visits_per_delivery_flat () =
 
 (* Raw timers on a bare engine: they belong to no live object, so
    delivery rejects each one and this exercises only the queue —
-   insert, cascade, group pull. *)
+   insert, peek, group pull. *)
 let raw_timer ~due i =
   {
     Types.tm_due = due;
@@ -588,7 +621,7 @@ let test_million_timers () =
   Timewheel.advance_clock db 5_000_001L;
   Alcotest.(check int) "drained to empty" 0 (Timewheel.pending_count db)
 
-(* 100,000 timers due at one instant, drained in one hop: the due run
+(* 100,000 timers due at one instant, drained in one hop: the bucket
    is read head-first, so the hop visits a bounded number of nodes per
    timer. *)
 let test_aligned_drain () =
