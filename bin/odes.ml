@@ -72,9 +72,11 @@ let window_arg =
     value & opt int 2
     & info [ "batch-window-ms" ] ~docv:"MS"
         ~doc:
-          "Coalescing window: posts from clients with no open transaction \
-           accumulate for up to $(docv) milliseconds and flush as one \
-           post_many batch (0 flushes after every read burst).")
+          "Coalescing window, an upper bound: posts from clients with no \
+           open transaction accumulate into one post_many batch, flushed \
+           as soon as no connection has unread input, and at the latest \
+           $(docv) milliseconds after the batch's first post (0 flushes \
+           after every read burst).")
 
 let max_batch_arg =
   Arg.(

@@ -18,7 +18,11 @@ val write_frame : Unix.file_descr -> string -> unit
     writes. Raises [Unix.Unix_error] on a dead peer. *)
 
 val encode : string -> string
-(** The frame bytes ([header ^ payload]) without writing them. *)
+(** The frame bytes (header, then payload) without writing them. *)
+
+val of_buffer : Buffer.t -> string
+(** The frame of the buffer's contents: header and payload in one
+    string, the one allocation a frame costs. *)
 
 type read_error =
   | Eof  (** clean end of stream between frames *)
@@ -42,6 +46,12 @@ val next : decoder -> (string option, [ `Oversized of int ]) result
 (** Pop the next complete payload, [Ok None] when more bytes are
     needed. After [`Oversized] the stream is unrecoverable; drop the
     connection. *)
+
+val next_slice :
+  decoder -> ((bytes * int * int) option, [ `Oversized of int ]) result
+(** {!next} without the copy: [Ok (Some (b, off, len))] when the payload
+    is the [len] bytes of [b] at [off]. The bytes stay valid until the
+    next {!feed}. *)
 
 val pending : decoder -> int
 (** Bytes buffered but not yet returned — nonzero at EOF means the peer

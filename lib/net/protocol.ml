@@ -75,7 +75,14 @@ let rec decode_values acc = function
     | Ok v -> decode_values (v :: acc) rest
     | Error _ as e -> e)
 
-let encode_values vs = Json.List (List.map encode_value vs)
+let add_values buf vs =
+  Buffer.add_char buf '[';
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ',';
+      Json.add buf (encode_value v))
+    vs;
+  Buffer.add_char buf ']'
 
 let decode_values_field ?(field = "args") obj =
   match Json.member field obj with
@@ -137,23 +144,37 @@ let decode_time_spec j =
   | None, None, Some p -> Ok (Symbol.At (decode_pattern p))
   | _ -> Error ("bad time spec: " ^ Json.to_string j)
 
-let encode_basic : Symbol.basic -> Json.t =
-  let k kind rest = Json.Obj (("k", Json.String kind) :: rest) in
-  let q kind qual = k kind [ ("q", Json.String (qualifier_str qual)) ] in
-  function
-  | Symbol.Create -> k "create" []
-  | Symbol.Delete -> k "delete" []
-  | Symbol.Update qual -> q "update" qual
-  | Symbol.Read qual -> q "read" qual
-  | Symbol.Access qual -> q "access" qual
-  | Symbol.Method (qual, name) ->
-    k "method"
-      [ ("q", Json.String (qualifier_str qual)); ("name", Json.String name) ]
-  | Symbol.Tbegin -> k "tbegin" []
-  | Symbol.Tcomplete -> k "tcomplete" []
-  | Symbol.Tcommit -> k "tcommit" []
-  | Symbol.Tabort qual -> q "tabort" qual
-  | Symbol.Time spec -> k "time" [ ("spec", encode_time_spec spec) ]
+let add_kind buf kind =
+  Buffer.add_string buf {|{"k":"|};
+  Buffer.add_string buf kind;
+  Buffer.add_char buf '"'
+
+let add_qual buf qual =
+  Buffer.add_string buf {|,"q":"|};
+  Buffer.add_string buf (qualifier_str qual);
+  Buffer.add_char buf '"'
+
+let add_basic buf (b : Symbol.basic) =
+  (match b with
+  | Symbol.Create -> add_kind buf "create"
+  | Symbol.Delete -> add_kind buf "delete"
+  | Symbol.Update q -> add_kind buf "update"; add_qual buf q
+  | Symbol.Read q -> add_kind buf "read"; add_qual buf q
+  | Symbol.Access q -> add_kind buf "access"; add_qual buf q
+  | Symbol.Method (q, name) ->
+    add_kind buf "method";
+    add_qual buf q;
+    Buffer.add_string buf {|,"name":|};
+    Json.escape_into buf name
+  | Symbol.Tbegin -> add_kind buf "tbegin"
+  | Symbol.Tcomplete -> add_kind buf "tcomplete"
+  | Symbol.Tcommit -> add_kind buf "tcommit"
+  | Symbol.Tabort q -> add_kind buf "tabort"; add_qual buf q
+  | Symbol.Time spec ->
+    add_kind buf "time";
+    Buffer.add_string buf {|,"spec":|};
+    Json.add buf (encode_time_spec spec));
+  Buffer.add_char buf '}'
 
 let decode_basic j : (Symbol.basic, string) result =
   let ( let* ) = Result.bind in
@@ -197,13 +218,14 @@ let decode_basic j : (Symbol.basic, string) result =
 (* Items                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let encode_item it =
-  Json.Obj
-    [
-      ("oid", Json.Int it.i_oid);
-      ("event", encode_basic it.i_event);
-      ("args", encode_values it.i_args);
-    ]
+let add_item buf it =
+  Buffer.add_string buf {|{"oid":|};
+  Json.add_int buf it.i_oid;
+  Buffer.add_string buf {|,"event":|};
+  add_basic buf it.i_event;
+  Buffer.add_string buf {|,"args":|};
+  add_values buf it.i_args;
+  Buffer.add_char buf '}'
 
 let decode_item j =
   let ( let* ) = Result.bind in
@@ -243,30 +265,64 @@ let verb_of_request = function
 
 let policy_str = function Block -> "block" | Drop -> "drop"
 
-let request_fields = function
-  | Status | Tbegin | Tcommit | Tabort | Unsubscribe | Shutdown -> []
-  | Schema src -> [ ("src", Json.String src) ]
+let add_field buf key =
+  Buffer.add_string buf ",\"";
+  Buffer.add_string buf key;
+  Buffer.add_string buf "\":"
+
+let add_request buf ~id req =
+  Buffer.add_string buf {|{"id":|};
+  Json.add_int buf id;
+  Buffer.add_string buf {|,"verb":"|};
+  Buffer.add_string buf (verb_of_request req);
+  Buffer.add_char buf '"';
+  (match req with
+  | Status | Tbegin | Tcommit | Tabort | Unsubscribe | Shutdown -> ()
+  | Schema src ->
+    add_field buf "src";
+    Json.escape_into buf src
   | Create (cls, args) ->
-    [ ("class", Json.String cls); ("args", encode_values args) ]
-  | Post it -> [ ("item", encode_item it) ]
+    add_field buf "class";
+    Json.escape_into buf cls;
+    add_field buf "args";
+    add_values buf args
+  | Post it ->
+    add_field buf "item";
+    add_item buf it
   | Post_many items ->
-    [ ("items", Json.List (List.map encode_item items)) ]
+    add_field buf "items";
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i it ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_item buf it)
+      items;
+    Buffer.add_char buf ']'
   | Call (oid, name, args) ->
-    [
-      ("oid", Json.Int oid);
-      ("method", Json.String name);
-      ("args", encode_values args);
-    ]
-  | Advance_clock ms -> [ ("ms", Json.Int (Int64.to_int ms)) ]
-  | Save path -> [ ("path", Json.String path) ]
-  | Subscribe p -> [ ("policy", Json.String (policy_str p)) ]
+    add_field buf "oid";
+    Json.add_int buf oid;
+    add_field buf "method";
+    Json.escape_into buf name;
+    add_field buf "args";
+    add_values buf args
+  | Advance_clock ms ->
+    add_field buf "ms";
+    Json.add_int buf (Int64.to_int ms)
+  | Save path ->
+    add_field buf "path";
+    Json.escape_into buf path
+  | Subscribe p ->
+    add_field buf "policy";
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (policy_str p);
+    Buffer.add_char buf '"');
+  Buffer.add_char buf '}'
 
 let encode_request ~id req =
-  Json.to_string
-    (Json.Obj
-       (("id", Json.Int id)
-       :: ("verb", Json.String (verb_of_request req))
-       :: request_fields req))
+  let size = match req with Post_many its -> 64 + (80 * List.length its) | _ -> 128 in
+  let buf = Buffer.create size in
+  add_request buf ~id req;
+  Buffer.contents buf
 
 let decode_request j =
   let ( let* ) = Result.bind in
@@ -338,31 +394,58 @@ let decode_request j =
 (* Replies and notifications                                           *)
 (* ------------------------------------------------------------------ *)
 
-let encode_reply ~id resp =
-  Json.to_string
-    (match resp with
-    | R_ok payload -> Json.Obj [ ("id", Json.Int id); ("ok", payload) ]
-    | R_error (code, msg) ->
-      Json.Obj
-        [
-          ("id", Json.Int id);
-          ( "error",
-            Json.Obj
-              [ ("code", Json.String code); ("msg", Json.String msg) ] );
-        ])
+let add_reply buf ~id resp =
+  Buffer.add_string buf {|{"id":|};
+  Json.add_int buf id;
+  (match resp with
+  | R_ok payload ->
+    Buffer.add_string buf {|,"ok":|};
+    Json.add buf payload
+  | R_error (code, msg) ->
+    Buffer.add_string buf {|,"error":{"code":|};
+    Json.escape_into buf code;
+    Buffer.add_string buf {|,"msg":|};
+    Json.escape_into buf msg;
+    Buffer.add_char buf '}');
+  Buffer.add_char buf '}'
 
-let firing_json f =
-  Json.Obj
-    [
-      ("trigger", Json.String f.fg_trigger);
-      ("class", Json.String f.fg_class);
-      ("oid", Json.Int f.fg_oid);
-      ("at", Json.Int (Int64.to_int f.fg_at));
-      ("txn", Json.Int f.fg_txn);
-    ]
+let add_batch_reply buf ~id ~batch ~queued ~firings =
+  Buffer.add_string buf {|{"id":|};
+  Json.add_int buf id;
+  Buffer.add_string buf {|,"ok":{"batch":|};
+  Json.add_int buf batch;
+  Buffer.add_string buf {|,"queued":|};
+  Json.add_int buf queued;
+  Buffer.add_string buf {|,"firings":|};
+  Json.add_int buf firings;
+  Buffer.add_string buf "}}"
 
-let encode_firing f = Json.to_string (Json.Obj [ ("firing", firing_json f) ])
-let encode_lagged n = Json.to_string (Json.Obj [ ("lagged", Json.Int n) ])
+let add_firing buf f =
+  Buffer.add_string buf {|{"firing":{"trigger":|};
+  Json.escape_into buf f.fg_trigger;
+  Buffer.add_string buf {|,"class":|};
+  Json.escape_into buf f.fg_class;
+  Buffer.add_string buf {|,"oid":|};
+  Json.add_int buf f.fg_oid;
+  Buffer.add_string buf {|,"at":|};
+  Json.add_int buf (Int64.to_int f.fg_at);
+  Buffer.add_string buf {|,"txn":|};
+  Json.add_int buf f.fg_txn;
+  Buffer.add_string buf "}}"
+
+let add_lagged buf n =
+  Buffer.add_string buf {|{"lagged":|};
+  Json.add_int buf n;
+  Buffer.add_char buf '}'
+
+let to_string_with size add =
+  let buf = Buffer.create size in
+  add buf;
+  Buffer.contents buf
+
+let encode_reply ~id resp = to_string_with 64 (fun buf -> add_reply buf ~id resp)
+let encode_firing f = to_string_with 128 (fun buf -> add_firing buf f)
+let encode_lagged n = to_string_with 16 (fun buf -> add_lagged buf n)
 
 let decode_firing j =
   match
@@ -402,3 +485,231 @@ let decode_msg j =
           | _ -> Error "bad error reply")
         | _ -> Error "reply with neither ok nor error")
       | _ -> Error ("unrecognised message: " ^ Json.to_string j)))
+
+(* ------------------------------------------------------------------ *)
+(* One-pass decoding of post and post_many                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The hot verbs go straight from the frame bytes to a [request]: no
+   [Json.t] tree and no copy of the payload. The decoder takes only
+   documents the tree path would decode to the same request; on
+   anything else — another verb, a duplicate key, a value of the wrong
+   shape, a JSON error — it gives up with [Slow] and the caller runs the
+   tree path, which then produces the very reply it always did. Depths
+   passed to [Json.read_value] are the nesting depths the tree parser
+   would see, so its depth bound holds on both paths. *)
+
+exception Slow
+
+let slow () = raise_notrace Slow
+
+let top_keys = [| "id"; "verb"; "item"; "items" |]
+let hot_verbs = [| "post"; "post_many" |]
+let item_keys = [| "oid"; "event"; "args" |]
+let event_keys = [| "k"; "q"; "name"; "spec" |]
+let quals = [| "before"; "after" |]
+
+(* the likeliest first: a name is matched by trying them in order *)
+let kinds =
+  [| "method"; "update"; "read"; "access"; "create"; "delete"; "tbegin";
+     "tcomplete"; "tcommit"; "tabort"; "time" |]
+
+let closed = -2
+
+let key c keys =
+  let k = Json.read_enum c keys in
+  Json.skip_ws c;
+  Json.expect c ':';
+  Json.skip_ws c;
+  k
+
+(* The next member of an object whose '{' is consumed: the key's index
+   in [keys] ([-1] for another key) with the cursor at its value, or
+   [closed] once the object ends. [first] is true for the first call. *)
+let member_key c keys ~first =
+  Json.skip_ws c;
+  match Json.peek c with
+  | '}' ->
+    Json.advance c;
+    closed
+  | ',' when not first ->
+    Json.advance c;
+    Json.skip_ws c;
+    key c keys
+  | _ when first -> key c keys
+  | _ -> slow ()
+
+let open_obj c =
+  Json.skip_ws c;
+  Json.expect c '{'
+
+(* a key's bit in an object's seen-set: a second sighting is a duplicate,
+   where the tree path would keep the first *)
+let see seen k =
+  if k < 0 then seen
+  else if seen land (1 lsl k) <> 0 then slow ()
+  else seen lor (1 lsl k)
+
+let read_int c =
+  Json.skip_ws c;
+  match Json.peek c with
+  | '-' | '0' .. '9' -> (
+    match Json.read_number c with Json.Int n -> n | _ -> slow ())
+  | _ -> slow ()
+
+(* The elements of a list at nesting depth [depth], [elt a depth c]
+   reading each one. Top-level functions all the way down: a local
+   closure would be allocated per list. *)
+let rec list_rest c elt a depth acc =
+  let x = elt a depth c in
+  Json.skip_ws c;
+  match Json.peek c with
+  | ',' ->
+    Json.advance c;
+    list_rest c elt a depth (x :: acc)
+  | ']' ->
+    Json.advance c;
+    List.rev (x :: acc)
+  | _ -> slow ()
+
+let read_list c elt a ~depth =
+  Json.skip_ws c;
+  Json.expect c '[';
+  Json.skip_ws c;
+  if Json.peek c = ']' then begin
+    Json.advance c;
+    []
+  end
+  else list_rest c elt a (depth + 1) []
+
+(* an argument is a leaf (or a one-member object), so its tree costs
+   what the value itself does *)
+let read_arg () depth c =
+  match decode_value (Json.read_value ~depth c) with Ok v -> v | Error _ -> slow ()
+
+let read_args ~depth c =
+  Json.skip_ws c;
+  if Json.peek c = 'n' then
+    match Json.read_value ~depth c with Json.Null -> [] | _ -> slow ()
+  else read_list c read_arg () ~depth
+
+(* One request's items usually post the same event: when an item's
+   event object repeats, byte for byte and at the same depth, the one
+   before it, it is the same event — an object ends where its bytes
+   say — so it is skipped over and the last one decoded is reused. *)
+type memo = {
+  mutable m_src : string;  (* the last event object's bytes *)
+  mutable m_depth : int;
+  mutable m_event : Symbol.basic;
+}
+
+let qualifier = function 0 -> Symbol.Before | 1 -> Symbol.After | _ -> slow ()
+
+let read_event_object ~depth c =
+  open_obj c;
+  let kind = ref (-1) and qual = ref (-1) and name = ref "" and spec = ref None in
+  let seen = ref 0 in
+  let k = ref (member_key c event_keys ~first:true) in
+  while !k <> closed do
+    seen := see !seen !k;
+    (match !k with
+    | 0 -> kind := Json.read_enum c kinds
+    | 1 -> qual := Json.read_enum c quals
+    | 2 -> name := Json.read_string c
+    | 3 -> spec := Some (Json.read_value ~depth:(depth + 1) c)
+    | _ -> ignore (Json.read_value ~depth:(depth + 1) c));
+    k := member_key c event_keys ~first:false
+  done;
+  match !kind with
+  | 0 ->
+    if !seen land 4 = 0 then slow ();
+    Symbol.Method (qualifier !qual, !name)
+  | 1 -> Symbol.Update (qualifier !qual)
+  | 2 -> Symbol.Read (qualifier !qual)
+  | 3 -> Symbol.Access (qualifier !qual)
+  | 4 -> Symbol.Create
+  | 5 -> Symbol.Delete
+  | 6 -> Symbol.Tbegin
+  | 7 -> Symbol.Tcomplete
+  | 8 -> Symbol.Tcommit
+  | 9 -> Symbol.Tabort (qualifier !qual)
+  | 10 -> (
+    match !spec with
+    | Some j -> (
+      match decode_time_spec j with Ok s -> Symbol.Time s | Error _ -> slow ())
+    | None -> slow ())
+  | _ -> slow ()
+
+let read_event memo ~depth c =
+  Json.skip_ws c;
+  if depth = memo.m_depth && Json.skip_if c memo.m_src then memo.m_event
+  else begin
+    let start = Json.position c in
+    let ev = read_event_object ~depth c in
+    memo.m_src <- Json.since c start;
+    memo.m_depth <- depth;
+    memo.m_event <- ev;
+    ev
+  end
+
+let read_item memo depth c =
+  open_obj c;
+  let oid = ref 0 and event = ref Symbol.Create and args = ref [] in
+  let seen = ref 0 in
+  let k = ref (member_key c item_keys ~first:true) in
+  while !k <> closed do
+    seen := see !seen !k;
+    (match !k with
+    | 0 -> oid := read_int c
+    | 1 -> event := read_event memo ~depth:(depth + 1) c
+    | 2 -> args := read_args ~depth:(depth + 1) c
+    | _ -> ignore (Json.read_value ~depth:(depth + 1) c));
+    k := member_key c item_keys ~first:false
+  done;
+  if !seen land 3 <> 3 then slow ();
+  { i_oid = !oid; i_event = !event; i_args = !args }
+
+let decode_post b off len =
+  let c = Json.cursor b ~off ~len in
+  let memo = { m_src = ""; m_depth = -1; m_event = Symbol.Create } in
+  match
+    open_obj c;
+    let id = ref 0 and verb = ref (-1) and item = ref None and items = ref None in
+    let seen = ref 0 in
+    let k = ref (member_key c top_keys ~first:true) in
+    while !k <> closed do
+      seen := see !seen !k;
+      (match !k with
+      | 0 -> id := read_int c
+      | 1 ->
+        verb := Json.read_enum c hot_verbs;
+        if !verb < 0 then slow ()
+      | 2 -> item := Some (read_item memo 1 c)
+      | 3 -> items := Some (read_list c read_item memo ~depth:1)
+      | _ -> ignore (Json.read_value ~depth:1 c));
+      k := member_key c top_keys ~first:false
+    done;
+    Json.skip_ws c;
+    if (not (Json.at_end c)) || !seen land 1 = 0 then slow ();
+    match (!verb, !item, !items) with
+    | 0, Some it, _ -> (!id, Post it)
+    | 1, _, Some its -> (!id, Post_many its)
+    | _ -> slow ()
+  with
+  | r -> Some r
+  | exception (Slow | Json.Bad _) -> None
+
+let decode_payload b off len =
+  match decode_post b off len with
+  | Some r -> Ok r
+  | None -> (
+    match Json.of_string (Bytes.sub_string b off len) with
+    | Error msg -> Error (-1, err_parse, msg)
+    | Ok j -> (
+      match decode_request j with
+      | Ok r -> Ok r
+      | Error msg ->
+        (* salvage the id when the envelope carried one, so the client
+           can correlate the rejection *)
+        let id = match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1 in
+        Error (id, err_bad_request, msg)))

@@ -71,7 +71,6 @@ type msg =
 
 val encode_value : Value.t -> Json.t
 val decode_value : Json.t -> (Value.t, string) result
-val encode_basic : Symbol.basic -> Json.t
 val decode_basic : Json.t -> (Symbol.basic, string) result
 
 (** {1 Requests (client side encodes, server side decodes)} *)
@@ -81,13 +80,46 @@ val verb_of_request : request -> string
     per-verb latency histograms. *)
 
 val encode_request : id:int -> request -> string
+
+val add_request : Buffer.t -> id:int -> request -> unit
+(** {!encode_request} into a buffer. The encoders write bytes directly,
+    without a {!Json.t} tree; their output is exactly [Json.to_string]
+    of the tree form (test/test_net.ml keeps the tree builders as the
+    oracle). *)
+
 val decode_request : Json.t -> (int * request, string) result
+
+val decode_post : bytes -> int -> int -> (int * request) option
+(** [decode_post b off len] decodes a [post] or [post_many] request
+    straight from the payload bytes [b.[off] .. b.[off + len - 1]], in
+    one pass and without a tree. Any key order, whitespace, escape,
+    value and event kind is accepted. It returns [None] for every other
+    verb and for any input it does not fully accept; [Some r] only when
+    {!Json.of_string} followed by {!decode_request} gives [Ok r]. *)
+
+val decode_payload :
+  bytes -> int -> int -> (int * request, int * string * string) result
+(** A request frame's payload as the server reads it: {!decode_post}
+    first, else {!Json.of_string} and {!decode_request}. [Error (id,
+    code, msg)] is the error reply: [err_parse] with id [-1] for bad
+    JSON, [err_bad_request] with the request's id, when it has an
+    integer one, for a malformed request. *)
 
 (** {1 Server → client messages} *)
 
 val encode_reply : id:int -> response -> string
 val encode_firing : firing -> string
 val encode_lagged : int -> string
+
+val add_reply : Buffer.t -> id:int -> response -> unit
+val add_firing : Buffer.t -> firing -> unit
+val add_lagged : Buffer.t -> int -> unit
+
+val add_batch_reply :
+  Buffer.t -> id:int -> batch:int -> queued:int -> firings:int -> unit
+(** The reply to a coalesced [post]/[post_many]:
+    [{"id":id,"ok":{"batch":b,"queued":q,"firings":f}}]. *)
+
 val decode_msg : Json.t -> (msg, string) result
 
 (** {1 Error codes} (docs/PROTOCOL.md §4) *)

@@ -42,8 +42,8 @@ type t = {
   mutable conns : conn list;
   (* the post coalescer: reversed items and reversed waiting
      (connection, request id, contributed count) triples, flushed as one
-     [post_many] when the window closes, the cap is hit, or a barrier
-     verb arrives *)
+     [post_many] on an idle round, when the window closes, the cap is
+     hit, or a barrier verb arrives *)
   mutable b_items : (int * Ode_event.Symbol.basic * Value.t list) list;
   mutable b_n : int;
   mutable b_waiters : (conn * int * int) list;
@@ -53,7 +53,41 @@ type t = {
   mutable n_accepted : int;
   mutable n_dropped : int;
   verb_hist : (string, Hist.t) Hashtbl.t;  (* per-verb handling latency *)
+  rbuf : bytes;  (* one read(2)'s bytes *)
+  wbuf : bytes;  (* one write(2)'s bytes, gathered from an outbox *)
+  obuf : Buffer.t;  (* the frame being encoded *)
+  (* firings posted since the last encode, in order: a flush encodes
+     them after its commit, before the replies it queues *)
+  fired : (conn * P.firing) Queue.t;
+  (* the server loop's stages (see [stage_names]): cumulative wall ns
+     and counts, split by a clock read at each change of stage *)
+  st_ns : int array;
+  st_n : int array;
+  mutable st_cur : int;
+  mutable st_t0 : int;
 }
+
+let s_select = 0  (* blocked in select(2); n = rounds *)
+let s_read = 1  (* accept, read(2), framing, the idle check; n = reads *)
+let s_decode = 2  (* payload -> request; n = requests *)
+let s_handle = 3  (* verbs and the coalescer; n = requests not coalesced *)
+let s_flush = 4  (* a batch's post_many and commit; n = batches *)
+let s_encode = 5  (* replies and firings -> frames; n = frames *)
+let s_write = 6  (* gathering outboxes, write(2); n = writes *)
+
+let stage_names = [| "select"; "read"; "decode"; "handle"; "flush"; "encode"; "write" |]
+
+(* Close the current stage at the clock and open [s]; returns the stage
+   it closed, for a nested stage to restore. *)
+let enter t s =
+  let now = Registry.now_ns () in
+  let cur = t.st_cur in
+  t.st_ns.(cur) <- t.st_ns.(cur) + (now - t.st_t0);
+  t.st_t0 <- now;
+  t.st_cur <- s;
+  cur
+
+let count t s = t.st_n.(s) <- t.st_n.(s) + 1
 
 type stats = {
   s_connections : int;
@@ -120,73 +154,133 @@ let create ?db ~(config : D.Config.t) () =
     n_accepted = 0;
     n_dropped = 0;
     verb_hist = Hashtbl.create 16;
+    rbuf = Bytes.create 65536;
+    wbuf = Bytes.create 65536;
+    obuf = Buffer.create 256;
+    fired = Queue.create ();
+    st_ns = Array.make (Array.length stage_names) 0;
+    st_n = Array.make (Array.length stage_names) 0;
+    st_cur = s_select;
+    st_t0 = Registry.now_ns ();
   }
 
 (* ------------------------------------------------------------------ *)
 (* Output path                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Write queued frames until the socket would block. A hard write error
-   only marks the connection dead — teardown (unsubscribe, abort, close)
-   happens in the main loop's sweep, never from inside the posting
-   pipeline. *)
-let write_some conn =
+(* Copy the outbox, from the unwritten part of its head frame on, into
+   [wbuf] until it is full; returns the byte count. *)
+let gather t conn =
+  let cap = Bytes.length t.wbuf in
+  let len = ref 0 and skip = ref conn.c_head_off in
   (try
-     let progress = ref true in
-     while !progress && not (Queue.is_empty conn.c_out) do
-       let kind, s = Queue.peek conn.c_out in
-       let len = String.length s in
-       let n =
-         Unix.write conn.c_fd
-           (Bytes.unsafe_of_string s)
-           conn.c_head_off (len - conn.c_head_off)
-       in
-       if n <= 0 then progress := false
-       else begin
-         conn.c_head_off <- conn.c_head_off + n;
-         if conn.c_head_off = len then begin
-           ignore (Queue.pop conn.c_out);
-           conn.c_head_off <- 0;
-           if kind = K_firing then conn.c_fir_queued <- conn.c_fir_queued - 1
-         end
-         else progress := false
-       end
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | Unix.Unix_error _ | Sys_error _ -> conn.c_dead <- true);
-  ()
+     Queue.iter
+       (fun (_, s) ->
+         let k = min (String.length s - !skip) (cap - !len) in
+         Bytes.blit_string s !skip t.wbuf !len k;
+         len := !len + k;
+         skip := 0;
+         if !len = cap then raise_notrace Exit)
+       conn.c_out
+   with Exit -> ());
+  !len
 
-let push_frame conn kind payload =
+(* Drop the first [n] written bytes from the outbox: whole frames are
+   popped, a partly written head frame keeps its offset. *)
+let consume conn n =
+  let n = ref n in
+  while !n > 0 do
+    let kind, s = Queue.peek conn.c_out in
+    let rest = String.length s - conn.c_head_off in
+    if !n >= rest then begin
+      ignore (Queue.pop conn.c_out);
+      conn.c_head_off <- 0;
+      if kind = K_firing then conn.c_fir_queued <- conn.c_fir_queued - 1;
+      n := !n - rest
+    end
+    else begin
+      conn.c_head_off <- conn.c_head_off + !n;
+      n := 0
+    end
+  done
+
+(* Write queued frames until the socket would block, as one write(2) per
+   64 KiB of outbox. A hard write error only marks the connection dead —
+   teardown (unsubscribe, abort, close) happens in the main loop's
+   sweep, never from inside the posting pipeline. *)
+let write_some t conn =
+  try
+    let more = ref true in
+    while !more && not (Queue.is_empty conn.c_out) do
+      let len = gather t conn in
+      count t s_write;
+      let n = Unix.single_write conn.c_fd t.wbuf 0 len in
+      consume conn n;
+      more := n = len
+    done
+  with
+  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | Unix.Unix_error _ | Sys_error _ -> conn.c_dead <- true
+
+(* Frame [obuf]'s contents onto the outbox. *)
+let enqueue t conn kind =
+  count t s_encode;
+  Queue.add (kind, Frame.of_buffer t.obuf) conn.c_out
+
+let encode_fired t =
+  while not (Queue.is_empty t.fired) do
+    let conn, f = Queue.pop t.fired in
+    if not conn.c_dead then begin
+      Buffer.clear t.obuf;
+      P.add_firing t.obuf f;
+      enqueue t conn K_firing
+    end
+  done
+
+(* Every frame other than a firing goes out behind the firings posted
+   before it, as it did when firings were encoded on the spot. *)
+let push_other t conn write =
+  encode_fired t;
   if not conn.c_dead then begin
-    Queue.add (kind, Frame.encode payload) conn.c_out;
-    if kind = K_firing then conn.c_fir_queued <- conn.c_fir_queued + 1
+    Buffer.clear t.obuf;
+    write t.obuf;
+    enqueue t conn K_other
   end
 
-let reply conn ~id resp = push_frame conn K_other (P.encode_reply ~id resp)
+let reply t conn ~id resp = push_other t conn (fun b -> P.add_reply b ~id resp)
+
+let batch_reply t conn ~id ~batch ~queued ~firings =
+  push_other t conn (fun b -> P.add_batch_reply b ~id ~batch ~queued ~firings)
 
 (* The Block policy: stall right here — inside the posting pipeline —
    until this subscriber's outbox has room or the subscriber dies.
    This is the documented contract: block-policy subscribers are
    lossless, and one that stops reading stops the server. *)
 let drain_until_room t conn =
+  encode_fired t;
   while (not conn.c_dead) && conn.c_fir_queued >= t.scfg.D.Config.outbox_bound do
     match Unix.select [] [ conn.c_fd ] [] 1.0 with
-    | _, w, _ -> if w <> [] then write_some conn
+    | _, w, _ -> if w <> [] then write_some t conn
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let push_firing t conn (f : D.firing) =
-  if not conn.c_dead then begin
-    let wire =
+(* A firing counts against the outbox bound from the moment it is
+   posted; its frame is encoded later, by [encode_fired]. *)
+let fire t conn (f : D.firing) =
+  Queue.add
+    ( conn,
       {
         P.fg_trigger = f.D.f_trigger;
         fg_class = f.D.f_class;
         fg_oid = f.D.f_oid;
         fg_at = f.D.f_at;
         fg_txn = f.D.f_txn;
-      }
-    in
+      } )
+    t.fired;
+  conn.c_fir_queued <- conn.c_fir_queued + 1
+
+let push_firing t conn (f : D.firing) =
+  if not conn.c_dead then begin
     let bound = t.scfg.D.Config.outbox_bound in
     match conn.c_policy with
     | P.Drop when conn.c_fir_queued >= bound ->
@@ -196,13 +290,13 @@ let push_firing t conn (f : D.firing) =
       if Registry.enabled obs then Registry.incr obs Registry.Net_outbox_dropped
     | P.Drop ->
       if conn.c_dropped > 0 then begin
-        push_frame conn K_other (P.encode_lagged conn.c_dropped);
+        push_other t conn (fun b -> P.add_lagged b conn.c_dropped);
         conn.c_dropped <- 0
       end;
-      push_frame conn K_firing (P.encode_firing wire)
+      fire t conn f
     | P.Block ->
       if conn.c_fir_queued >= bound then drain_until_room t conn;
-      push_frame conn K_firing (P.encode_firing wire)
+      fire t conn f
   end
 
 (* ------------------------------------------------------------------ *)
@@ -219,6 +313,8 @@ let items_of ps = List.map (fun it -> (it.P.i_oid, it.P.i_event, it.P.i_args)) p
    equivalence property in test/test_net.ml). *)
 let flush_batch t =
   if t.b_n > 0 then begin
+    let prev = enter t s_flush in
+    count t s_flush;
     let items = List.rev t.b_items in
     let waiters = List.rev t.b_waiters in
     t.b_items <- [];
@@ -226,38 +322,28 @@ let flush_batch t =
     t.b_waiters <- [];
     t.n_batches <- t.n_batches + 1;
     let serial = t.n_batches in
-    let answer resp =
-      List.iter
-        (fun (conn, id, n) ->
-          let resp =
-            match resp with
-            | `Fired total ->
-              P.R_ok
-                (Json.Obj
-                   [
-                     ("batch", Json.Int serial);
-                     ("queued", Json.Int n);
-                     ("firings", Json.Int total);
-                   ])
-            | `Err (code, msg) -> P.R_error (code, msg)
-          in
-          reply conn ~id resp)
-        waiters
-    in
     let fired = ref 0 in
-    match D.with_txn t.db (fun _ -> fired := D.post_many t.db items) with
-    | Ok () -> answer (`Fired !fired)
-    | Error `Aborted -> answer (`Err (P.err_aborted, "batch aborted"))
-    | exception D.Ode_error msg -> answer (`Err (P.err_ode, msg))
-    | exception D.Lock_conflict oid ->
-      answer (`Err (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid))
-    | exception Value.Type_error msg ->
-      answer (`Err (P.err_ode, "type error: " ^ msg))
-    (* last resort: flush_batch also runs from the select loop's window
-       timer, so anything escaping here would both kill the server and
-       leave every coalesced waiter without a reply *)
-    | exception e ->
-      answer (`Err (P.err_ode, "internal error: " ^ Printexc.to_string e))
+    let outcome =
+      match D.with_txn t.db (fun _ -> fired := D.post_many t.db items) with
+      | Ok () -> Ok !fired
+      | Error `Aborted -> Error (P.err_aborted, "batch aborted")
+      | exception D.Ode_error msg -> Error (P.err_ode, msg)
+      | exception D.Lock_conflict oid ->
+        Error (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid)
+      | exception Value.Type_error msg -> Error (P.err_ode, "type error: " ^ msg)
+      (* last resort: flush_batch also runs from the select loop's flush
+         triggers, so anything escaping here would both kill the server
+         and leave every coalesced waiter without a reply *)
+      | exception e -> Error (P.err_ode, "internal error: " ^ Printexc.to_string e)
+    in
+    ignore (enter t s_encode);
+    List.iter
+      (fun (conn, id, n) ->
+        match outcome with
+        | Ok total -> batch_reply t conn ~id ~batch:serial ~queued:n ~firings:total
+        | Error (code, msg) -> reply t conn ~id (P.R_error (code, msg)))
+      waiters;
+    ignore (enter t prev)
   end
 
 let due t now = t.b_n > 0 && now >= t.b_deadline
@@ -324,6 +410,13 @@ let status_json t =
             ("subscribers", J.Int (D.subscriber_count t.db));
             ("batch_window_ms", J.Int t.scfg.D.Config.batch_window_ms);
             ("outbox_bound", J.Int t.scfg.D.Config.outbox_bound);
+            ( "stages",
+              J.Obj
+                (Array.to_list
+                   (Array.mapi
+                      (fun i name ->
+                        (name, J.Obj [ ("ns", J.Int t.st_ns.(i)); ("n", J.Int t.st_n.(i)) ]))
+                      stage_names)) );
           ] );
       ( "db",
         J.Obj
@@ -354,14 +447,7 @@ let handle_request t conn ~id (req : P.request) =
        [b_n > 0]), and routing it through the flush would spend a
        server transaction (and a WAL batch record) on posting nothing.
        [batch = 0] marks "joined no batch". *)
-    reply conn ~id
-      (P.R_ok
-         (Json.Obj
-            [
-              ("batch", Json.Int 0);
-              ("queued", Json.Int 0);
-              ("firings", Json.Int 0);
-            ]))
+    batch_reply t conn ~id ~batch:0 ~queued:0 ~firings:0
   | P.Post_many its when conn.c_txn = None ->
     if t.b_n = 0 then t.b_deadline <- Unix.gettimeofday () +. window_s t;
     List.iter
@@ -373,36 +459,36 @@ let handle_request t conn ~id (req : P.request) =
   | P.Post it ->
     barrier ();
     let tx = Option.get conn.c_txn in
-    reply conn ~id
+    reply t conn ~id
       (in_conn_txn t conn tx (fun () ->
            let n = D.post_many t.db (items_of [ it ]) in
            Json.Obj [ ("firings", Json.Int n) ]))
   | P.Post_many its ->
     barrier ();
     let tx = Option.get conn.c_txn in
-    reply conn ~id
+    reply t conn ~id
       (in_conn_txn t conn tx (fun () ->
            let n = D.post_many t.db (items_of its) in
            Json.Obj [ ("firings", Json.Int n) ]))
   | P.Status ->
     barrier ();
-    reply conn ~id (P.R_ok (status_json t))
+    reply t conn ~id (P.R_ok (status_json t))
   | P.Schema src -> (
     barrier ();
     match Ode_odl.Odl.load_schema t.db src with
     | classes ->
-      reply conn ~id
+      reply t conn ~id
         (P.R_ok
            (Json.Obj
               [ ("classes", Json.List (List.map (fun c -> Json.String c) classes)) ]))
     | exception Ode_odl.Odl.Odl_error (msg, pos) ->
-      reply conn ~id
+      reply t conn ~id
         (P.R_error (P.err_ode, Printf.sprintf "ODL error at offset %d: %s" pos msg))
-    | exception D.Ode_error msg -> reply conn ~id (P.R_error (P.err_ode, msg)))
+    | exception D.Ode_error msg -> reply t conn ~id (P.R_error (P.err_ode, msg)))
   | P.Create (cls, args) ->
     barrier ();
     let mk () = Json.Obj [ ("oid", Json.Int (D.create t.db cls args)) ] in
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_txn with
       | Some tx -> in_conn_txn t conn tx mk
       | None -> in_auto_txn t mk)
@@ -411,13 +497,13 @@ let handle_request t conn ~id (req : P.request) =
     let mk () =
       Json.Obj [ ("result", P.encode_value (D.call t.db oid name args)) ]
     in
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_txn with
       | Some tx -> in_conn_txn t conn tx mk
       | None -> in_auto_txn t mk)
   | P.Tbegin ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_txn with
       | Some _ -> P.R_error (P.err_state, "transaction already open")
       | None -> (
@@ -428,7 +514,7 @@ let handle_request t conn ~id (req : P.request) =
         | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)))
   | P.Tcommit ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_txn with
       | None -> P.R_error (P.err_state, "no open transaction")
       | Some tx -> (
@@ -439,7 +525,7 @@ let handle_request t conn ~id (req : P.request) =
         | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)))
   | P.Tabort ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_txn with
       | None -> P.R_error (P.err_state, "no open transaction")
       | Some tx -> (
@@ -449,20 +535,20 @@ let handle_request t conn ~id (req : P.request) =
         | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)))
   | P.Advance_clock ms ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match D.advance_clock t.db ms with
       | () -> P.R_ok (Json.Obj [ ("now", Json.Int (Int64.to_int (D.now t.db))) ])
       | exception D.Ode_error msg -> P.R_error (P.err_ode, msg))
   | P.Save path ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match D.save t.db path with
       | () -> P.R_ok (Json.Obj [ ("saved", Json.String path) ])
       | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)
       | exception Sys_error msg -> P.R_error (P.err_ode, msg))
   | P.Subscribe policy ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_sub with
       | Some _ -> P.R_error (P.err_state, "already subscribed")
       | None ->
@@ -477,7 +563,7 @@ let handle_request t conn ~id (req : P.request) =
              ]))
   | P.Unsubscribe ->
     barrier ();
-    reply conn ~id
+    reply t conn ~id
       (match conn.c_sub with
       | None -> P.R_error (P.err_state, "not subscribed")
       | Some sub ->
@@ -486,7 +572,7 @@ let handle_request t conn ~id (req : P.request) =
         P.R_ok (Json.Obj [ ("unsubscribed", Json.Bool true) ]))
   | P.Shutdown ->
     barrier ();
-    reply conn ~id (P.R_ok (Json.Obj [ ("stopping", Json.Bool true) ]));
+    reply t conn ~id (P.R_ok (Json.Obj [ ("stopping", Json.Bool true) ]));
     Atomic.set t.stopping true
 
 let verb_hist t verb =
@@ -497,30 +583,29 @@ let verb_hist t verb =
     Hashtbl.add t.verb_hist verb h;
     h
 
-let handle_payload t conn payload =
+let handle_payload t conn b off len =
   t.n_requests <- t.n_requests + 1;
   let obs = D.observe t.db in
   if Registry.enabled obs then Registry.incr obs Registry.Net_requests;
-  match Json.of_string payload with
-  | Error msg -> reply conn ~id:(-1) (P.R_error (P.err_parse, msg))
-  | Ok j -> (
-    match P.decode_request j with
-    | Error msg ->
-      (* salvage the id when the envelope carried one, so the client can
-         correlate the rejection *)
-      let id =
-        match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1
-      in
-      reply conn ~id (P.R_error (P.err_bad_request, msg))
-    | Ok (id, req) ->
-      let t0 = Registry.now_ns () in
-      (* exception barrier: one bad request must never take down the
-         select loop — anything the verb handlers did not map to a wire
-         error themselves becomes an error reply on this connection *)
-      (try handle_request t conn ~id req
-       with e ->
-         reply conn ~id (P.R_error (P.err_ode, "internal error: " ^ Printexc.to_string e)));
-      Hist.record (verb_hist t (P.verb_of_request req)) (Registry.now_ns () - t0))
+  let prev = enter t s_decode in
+  count t s_decode;
+  let decoded = P.decode_payload b off len in
+  ignore (enter t s_handle);
+  (match decoded with
+  | Error (id, code, msg) -> reply t conn ~id (P.R_error (code, msg))
+  | Ok (id, req) ->
+    (match req with
+    | (P.Post _ | P.Post_many _) when conn.c_txn = None -> ()
+    | _ -> count t s_handle);
+    let t0 = Registry.now_ns () in
+    (* exception barrier: one bad request must never take down the
+       select loop — anything the verb handlers did not map to a wire
+       error themselves becomes an error reply on this connection *)
+    (try handle_request t conn ~id req
+     with e ->
+       reply t conn ~id (P.R_error (P.err_ode, "internal error: " ^ Printexc.to_string e)));
+    Hist.record (verb_hist t (P.verb_of_request req)) (Registry.now_ns () - t0));
+  ignore (enter t prev)
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle                                                *)
@@ -586,36 +671,35 @@ let accept_loop t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let read_buf = Bytes.create 65536
-
 let pump_reads t conn =
   let continue = ref true in
   while !continue && not conn.c_dead do
-    match Unix.read conn.c_fd read_buf 0 (Bytes.length read_buf) with
+    count t s_read;
+    match Unix.read conn.c_fd t.rbuf 0 (Bytes.length t.rbuf) with
     | 0 ->
       (* EOF: a peer that died mid-frame is torn down like any other *)
       conn.c_dead <- true;
       continue := false
     | n ->
-      Frame.feed conn.c_dec read_buf n;
+      Frame.feed conn.c_dec t.rbuf n;
       let drain = ref true in
       while !drain && not conn.c_dead do
-        match Frame.next conn.c_dec with
-        | Ok (Some payload) -> handle_payload t conn payload
+        match Frame.next_slice conn.c_dec with
+        | Ok (Some (b, off, len)) -> handle_payload t conn b off len
         | Ok None -> drain := false
         | Error (`Oversized len) ->
           (* unrecoverable for a length-prefixed stream: tell the peer,
              then drop it (best-effort — the write may fail) *)
-          reply conn ~id:(-1)
+          reply t conn ~id:(-1)
             (P.R_error
                ( P.err_parse,
                  Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" len
                    t.scfg.D.Config.max_frame_bytes ));
-          write_some conn;
+          write_some t conn;
           conn.c_dead <- true;
           drain := false
       done;
-      if n < Bytes.length read_buf then continue := false
+      if n < Bytes.length t.rbuf then continue := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
       continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -634,7 +718,22 @@ let drain_wake t =
   in
   go ()
 
+(* No connection has unread input: a zero-timeout select over them. *)
+let idle t =
+  let fds = List.filter_map (fun c -> if c.c_dead then None else Some c.c_fd) t.conns in
+  match Unix.select fds [] [] 0.0 with
+  | [], _, _ -> true
+  | _ -> false
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+
+(* Write every outbox with frames queued, the ones this round's flush
+   filled included. *)
+let write_round t =
+  encode_fired t;
+  List.iter (fun c -> if not (c.c_dead || Queue.is_empty c.c_out) then write_some t c) t.conns
+
 let run t =
+  t.st_t0 <- Registry.now_ns ();
   while not (Atomic.get t.stopping) do
     let now = Unix.gettimeofday () in
     let timeout =
@@ -650,16 +749,25 @@ let run t =
         (fun c -> if Queue.is_empty c.c_out then None else Some c.c_fd)
         t.conns
     in
+    ignore (enter t s_select);
+    count t s_select;
     (match Unix.select readers writers [] timeout with
-    | rs, ws, _ ->
+    | rs, _, _ ->
+      ignore (enter t s_read);
       if List.memq t.wake_r rs then drain_wake t;
       if List.memq t.listen_fd rs then accept_loop t;
       List.iter (fun c -> if List.memq c.c_fd rs then pump_reads t c) t.conns;
-      (* window close: [batch_window_ms = 0] flushes at the end of every
-         read burst, a positive window when its deadline passes *)
-      if t.b_n > 0 && (t.scfg.D.Config.batch_window_ms = 0 || due t (Unix.gettimeofday ()))
+      (* the batch closes on an idle round (no connection has unread
+         input), at the window's deadline, or on every round when
+         [batch_window_ms = 0]; the cap and the barrier verbs close it
+         from [handle_request] *)
+      if t.b_n > 0
+         && (t.scfg.D.Config.batch_window_ms = 0
+            || due t (Unix.gettimeofday ())
+            || idle t)
       then flush_batch t;
-      List.iter (fun c -> if List.memq c.c_fd ws then write_some c) t.conns
+      ignore (enter t s_write);
+      write_round t
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* sweep: teardown everything that died this iteration *)
     List.iter (fun c -> if c.c_dead then teardown t c) t.conns
@@ -667,6 +775,7 @@ let run t =
   (* orderly shutdown: answer the posts still in the window, then give
      each client a bounded chance to drain its outbox *)
   flush_batch t;
+  encode_fired t;
   let deadline = Unix.gettimeofday () +. 2.0 in
   let rec drain () =
     let pending =
@@ -678,7 +787,7 @@ let run t =
     if pending <> [] && Unix.gettimeofday () < deadline then begin
       (match Unix.select [] pending [] 0.1 with
       | _, ws, _ ->
-        List.iter (fun c -> if List.memq c.c_fd ws then write_some c) t.conns
+        List.iter (fun c -> if List.memq c.c_fd ws then write_some t c) t.conns
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       drain ()
     end

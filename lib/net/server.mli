@@ -10,11 +10,19 @@
     The coalescer is what makes the wire path fast: [post] /
     [post_many] requests from clients with no open transaction
     accumulate into one pending batch, flushed as a single
-    [Database.post_many] — through the compiled posting kernel — when
-    the configured window closes, the batch cap is reached, or a
-    non-post verb arrives (every other verb is a barrier, so the
-    observable order equals arrival order). Each contributing request
-    is answered after its batch commits.
+    [Database.post_many] — through the compiled posting kernel — as
+    soon as a [select] round leaves no connection with unread input,
+    and at the latest when the configured window closes, the batch cap
+    is reached, or a non-post verb arrives (every other verb is a
+    barrier, so the observable order equals arrival order). Each
+    contributing request is answered after its batch commits, in the
+    same loop round.
+
+    The hot path builds no JSON tree: [post]/[post_many] frames are
+    decoded in place from the read buffer ({!Protocol.decode_post}),
+    and replies and firings are written straight into one reused
+    buffer and framed with a single allocation. Each round writes each
+    connection's queued frames with one [write(2)] per 64 KiB.
 
     Firing delivery: a [subscribe]d connection gets every firing as a
     [{"firing": ...}] frame, queued on a bounded per-client outbox.

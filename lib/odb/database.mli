@@ -195,9 +195,11 @@ module Config : sig
     host : string;  (** bind address (default ["127.0.0.1"]) *)
     port : int;  (** TCP port; [0] binds an ephemeral port *)
     batch_window_ms : int;
-        (** how long incoming [post]s may linger before the server
-            flushes them as one [post_many] batch; [0] flushes at the
-            end of every read burst *)
+        (** the longest incoming [post]s may linger before the server
+            flushes them as one [post_many] batch — an upper bound: the
+            server flushes sooner, as soon as a [select] round finds no
+            connection with unread input; [0] flushes at the end of
+            every read burst *)
     max_batch : int;
         (** flush regardless of window once this many events are
             pending *)

@@ -165,10 +165,84 @@ let test_multi_level_allocations () =
         "multi-level kernel post allocates %.1f minor words/event (budget %.1f)"
         per_event multi_level_words_per_event_threshold
 
+(* The wire codec's budgets guard the server's heap: a [Json.t] tree or
+   a copy of the payload coming back into the [post_many] decoder, or a
+   tree or a header concatenation into the firing encoder, multiplies
+   these words. Decoding a 100-item [post_many] frame (wire_ingest's
+   request: 100 [after bump(q)] events) measured 24.3 minor words per
+   item on OCaml 5.1/native — the item record, its argument list and
+   the list cells (each list built reversed, then reversed), and the
+   argument read as a JSON leaf, then as a result, then as a value —
+   with the event decoded once per frame. Encoding
+   and framing one firing measured 25 words, nearly all of them the one
+   frame string. Each budget is double its measurement. *)
+let decode_words_per_item_threshold = 48.6
+let firing_words_threshold = 50.0
+
+let test_wire_codec_allocations () =
+  match Sys.backend_type with
+  | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
+  | Sys.Native ->
+    let module P = Ode_net.Protocol in
+    let items =
+      List.init 100 (fun i ->
+          {
+            P.i_oid = 1_000 + (i * 7);
+            i_event = Symbol.Method (Symbol.After, "bump");
+            i_args = [ Value.Int (i mod 10) ];
+          })
+    in
+    let payload = Bytes.of_string (P.encode_request ~id:12_345 (P.Post_many items)) in
+    let len = Bytes.length payload in
+    let decode () =
+      match P.decode_payload payload 0 len with
+      | Ok (_, P.Post_many its) -> List.length its
+      | _ -> Alcotest.fail "the post_many frame did not decode"
+    in
+    Alcotest.(check int) "one-pass decoder takes the frame" 100
+      (match P.decode_post payload 0 len with
+      | Some (_, P.Post_many its) -> List.length its
+      | _ -> 0);
+    for _ = 1 to 16 do
+      ignore (decode ())
+    done;
+    let n = 200 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (decode ())
+    done;
+    let per_item = (Gc.minor_words () -. w0) /. float_of_int (n * 100) in
+    if per_item > decode_words_per_item_threshold then
+      Alcotest.failf "decoding post_many allocates %.1f minor words/item (budget %.1f)"
+        per_item decode_words_per_item_threshold;
+    let f =
+      { P.fg_trigger = "Spike"; fg_class = "meter"; fg_oid = 1_234; fg_at = 1_700_000_000_000L; fg_txn = 98_765 }
+    in
+    let buf = Buffer.create 256 in
+    let frame () =
+      Buffer.clear buf;
+      P.add_firing buf f;
+      Ode_net.Frame.of_buffer buf
+    in
+    for _ = 1 to 64 do
+      ignore (frame ())
+    done;
+    let n = 10_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (frame ()))
+    done;
+    let per_firing = (Gc.minor_words () -. w0) /. float_of_int n in
+    if per_firing > firing_words_threshold then
+      Alcotest.failf "encoding a firing frame allocates %.1f minor words (budget %.1f)"
+        per_firing firing_words_threshold
+
 let suite =
   [
     Alcotest.test_case "kernel posts stay allocation-free" `Quick
       test_kernel_allocations;
     Alcotest.test_case "multi-level kernel posts stay allocation-free" `Quick
       test_multi_level_allocations;
+    Alcotest.test_case "wire codec stays within its allocation budgets" `Quick
+      test_wire_codec_allocations;
   ]

@@ -225,6 +225,366 @@ let qcheck_msg_roundtrip =
       | Ok msg' -> msg' = msg
       | Error e -> QCheck.Test.fail_reportf "decode failed: %s (%s)" e wire)
 
+(* ------------------------------------------------------------------ *)
+(* The codec without a tree, against the tree forms (qcheck)           *)
+(* ------------------------------------------------------------------ *)
+
+(* The tree builders the encoders replaced: [Json.to_string] of these is
+   the oracle for the bytes [Protocol] writes directly. *)
+module Tree = struct
+  let qual q = Json.String (match q with Symbol.Before -> "before" | Symbol.After -> "after")
+
+  let pattern (p : Symbol.time_pattern) =
+    let field name v acc = match v with None -> acc | Some n -> (name, Json.Int n) :: acc in
+    Json.Obj
+      (field "year" p.Symbol.year
+      @@ field "mon" p.Symbol.mon
+      @@ field "day" p.Symbol.day
+      @@ field "hr" p.Symbol.hr
+      @@ field "min" p.Symbol.min
+      @@ field "sec" p.Symbol.sec
+      @@ field "ms" p.Symbol.ms [])
+
+  let time_spec = function
+    | Symbol.Every ms -> Json.Obj [ ("every", Json.Int (Int64.to_int ms)) ]
+    | Symbol.After_period ms -> Json.Obj [ ("after", Json.Int (Int64.to_int ms)) ]
+    | Symbol.At p -> Json.Obj [ ("at", pattern p) ]
+
+  let basic b =
+    let k kind rest = Json.Obj (("k", Json.String kind) :: rest) in
+    let q kind q = k kind [ ("q", qual q) ] in
+    match b with
+    | Symbol.Create -> k "create" []
+    | Symbol.Delete -> k "delete" []
+    | Symbol.Update x -> q "update" x
+    | Symbol.Read x -> q "read" x
+    | Symbol.Access x -> q "access" x
+    | Symbol.Method (x, name) -> k "method" [ ("q", qual x); ("name", Json.String name) ]
+    | Symbol.Tbegin -> k "tbegin" []
+    | Symbol.Tcomplete -> k "tcomplete" []
+    | Symbol.Tcommit -> k "tcommit" []
+    | Symbol.Tabort x -> q "tabort" x
+    | Symbol.Time spec -> k "time" [ ("spec", time_spec spec) ]
+
+  let values vs = Json.List (List.map P.encode_value vs)
+
+  let item it =
+    Json.Obj
+      [
+        ("oid", Json.Int it.P.i_oid);
+        ("event", basic it.P.i_event);
+        ("args", values it.P.i_args);
+      ]
+
+  let fields = function
+    | P.Status | P.Tbegin | P.Tcommit | P.Tabort | P.Unsubscribe | P.Shutdown -> []
+    | P.Schema src -> [ ("src", Json.String src) ]
+    | P.Create (cls, args) -> [ ("class", Json.String cls); ("args", values args) ]
+    | P.Post it -> [ ("item", item it) ]
+    | P.Post_many its -> [ ("items", Json.List (List.map item its)) ]
+    | P.Call (oid, name, args) ->
+      [ ("oid", Json.Int oid); ("method", Json.String name); ("args", values args) ]
+    | P.Advance_clock ms -> [ ("ms", Json.Int (Int64.to_int ms)) ]
+    | P.Save path -> [ ("path", Json.String path) ]
+    | P.Subscribe p ->
+      [ ("policy", Json.String (match p with P.Block -> "block" | P.Drop -> "drop")) ]
+
+  let request ~id req =
+    Json.Obj
+      (("id", Json.Int id) :: ("verb", Json.String (P.verb_of_request req)) :: fields req)
+
+  let reply ~id = function
+    | P.R_ok payload -> Json.Obj [ ("id", Json.Int id); ("ok", payload) ]
+    | P.R_error (code, msg) ->
+      Json.Obj
+        [
+          ("id", Json.Int id);
+          ("error", Json.Obj [ ("code", Json.String code); ("msg", Json.String msg) ]);
+        ]
+
+  let firing f =
+    Json.Obj
+      [
+        ( "firing",
+          Json.Obj
+            [
+              ("trigger", Json.String f.P.fg_trigger);
+              ("class", Json.String f.P.fg_class);
+              ("oid", Json.Int f.P.fg_oid);
+              ("at", Json.Int (Int64.to_int f.P.fg_at));
+              ("txn", Json.Int f.P.fg_txn);
+            ] );
+      ]
+
+  (* the escaping every string went through before the fast path *)
+  let escape s =
+    let buf = Buffer.create 16 in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+end
+
+(* The server's reply to a payload on the tree path alone. *)
+let tree_payload s =
+  match Json.of_string s with
+  | Error msg -> Error (-1, P.err_parse, msg)
+  | Ok j -> (
+    match P.decode_request j with
+    | Ok r -> Ok r
+    | Error msg ->
+      Error ((match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1), P.err_bad_request, msg))
+
+(* A JSON text for a tree, written the many ways a client may write it:
+   members in any order, whitespace between any two tokens, ASCII
+   characters escaped at random (as \uXXXX or their short escape). *)
+let render rs j =
+  let buf = Buffer.create 256 in
+  let ws () =
+    if Random.State.int rs 4 = 0 then
+      for _ = 0 to Random.State.int rs 3 do
+        Buffer.add_char buf (" \t\n\r".[Random.State.int rs 4])
+      done
+  in
+  let str s =
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '/' when Random.State.bool rs -> Buffer.add_string buf "\\/"
+        | c when Char.code c < 0x20 || (Char.code c < 0x80 && Random.State.int rs 5 = 0) ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"'
+  in
+  let rec go j =
+    ws ();
+    (match j with
+    | Json.String s -> str s
+    | Json.List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          go x)
+        xs;
+      ws ();
+      Buffer.add_char buf ']'
+    | Json.Obj fields ->
+      let fields =
+        List.map snd (List.sort compare (List.map (fun f -> (Random.State.bits rs, f)) fields))
+      in
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          ws ();
+          str k;
+          ws ();
+          Buffer.add_char buf ':';
+          go v)
+        fields;
+      ws ();
+      Buffer.add_char buf '}'
+    | j -> Buffer.add_string buf (Json.to_string j));
+    ws ()
+  in
+  go j;
+  Buffer.contents buf
+
+(* Unknown members, which the tree decoder ignores: at the top and in
+   every item and event, under names that share a prefix with a known
+   one. *)
+let with_extras rs j =
+  let extra () =
+    let names = [| "zz"; "idx"; "verbs"; "item_"; "itemsx"; "oidx"; "eventy"; "arg"; "kk"; "names"; "specs" |] in
+    ( names.(Random.State.int rs (Array.length names)),
+      Json.List [ Json.Int 1; Json.Obj [ ("a", Json.Null) ]; Json.String "x" ] )
+  in
+  let add fields = if Random.State.int rs 3 = 0 then fields @ [ extra () ] else fields in
+  let rec fix = function
+    | Json.Obj fields ->
+      Json.Obj
+        (add
+           (List.map
+              (fun (k, v) ->
+                match (k, v) with
+                | ("items", Json.List xs) -> (k, Json.List (List.map fix xs))
+                | ("item" | "event"), v -> (k, fix v)
+                | _ -> (k, v))
+              fields))
+    | j -> j
+  in
+  fix j
+
+let post_request =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun it -> P.Post it) Gen.item;
+        map (fun its -> P.Post_many its) (list_size (int_range 0 6) Gen.item);
+      ])
+
+let render_post (seed, id, req) =
+  let rs = Random.State.make [| seed |] in
+  render rs (with_extras rs (Tree.request ~id req))
+
+let arb_post =
+  QCheck.make
+    ~print:(fun ((_, id, req) as x) -> Printf.sprintf "#%d %s\n%s" id (P.encode_request ~id req) (render_post x))
+    QCheck.Gen.(triple int nat post_request)
+
+let decode_post_string s = P.decode_post (Bytes.of_string s) 0 (String.length s)
+
+let qcheck_decode_post =
+  QCheck.Test.make ~count:1000 ~name:"one-pass post decoder = tree decoder (well-formed)" arb_post
+    (fun ((_, id, req) as x) ->
+      let s = render_post x in
+      match (decode_post_string s, tree_payload s) with
+      | Some r, Ok r' -> compare r r' = 0 && compare r (id, req) = 0
+      | None, _ -> QCheck.Test.fail_reportf "the one-pass decoder declined %s" s
+      | Some _, Error (_, _, msg) -> QCheck.Test.fail_reportf "the tree path rejects %s: %s" s msg)
+
+(* Inputs from the corruption tests and the tree parser's limits, placed
+   where the one-pass decoder reads. *)
+let hostile =
+  [
+    "this is not json";
+    {|{"id":5,"verb":"frobnicate"}|};
+    {|{"id":6,"verb":"post","oid":0,"event":{"kind":"create"},"args":[[1e999]]}|};
+    String.make 600 '[';
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"create"},"args":[1e999]}}|};
+    {|{"id":1,"verb":"post","item":{"oid":99999999999999999999,"event":{"k":"create"}}}|};
+    {|{"id":4611686018427387904,"verb":"post","item":{"oid":1,"event":{"k":"create"}}}|};
+    {|{"id":4611686018427387903,"verb":"post","item":{"oid":-4611686018427387904,"event":{"k":"create"},"args":[123456789012345678901234567890]}}|};
+    {|{"id":1,"verb":"post","id":2,"item":{"oid":1,"event":{"k":"create"}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"oid":2,"event":{"k":"create"}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"method","q":"after","name":"a","name":"b"}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"create"},"args":[{"oid":1,"oid":2}]}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"create"},"args":[{"float":"nan"},{"float":"-inf"},{"float":"zero"}]}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"time","spec":{"at":7}}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"time","spec":{"every":5,"after":5}}}}|};
+    {|{"id":1,"verb":"post_many","items":[],"item":5}|};
+    {|{"id":1,"verb":"post","items":5,"item":{"oid":1,"event":{"k":"tbegin","q":7}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"method","q":"after","name":"\ud800"}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"method","q":"after","name":"😀é"}}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"read","q":"before"},"args":null}}|};
+    {|{"id":1,"verb":"post","item":{"oid":1,"event":{"k":"read","q":"before"},"args":[007,-0,1.5e3]}}|};
+  ]
+  @ List.map
+      (fun k ->
+        Printf.sprintf {|{"id":1,"verb":"post","zz":%s1%s,"item":{"oid":1,"event":{"k":"create"}}}|}
+          (String.make k '[') (String.make k ']'))
+      [ 510; 511; 512; 513 ]
+  @ (* one event, nested to the depth limit under "item" and one level
+       past it under "items" *)
+  [
+    (let ev = Printf.sprintf {|{"k":"create","zz":%s1%s}|} (String.make 509 '[') (String.make 509 ']') in
+     Printf.sprintf {|{"id":1,"verb":"post_many","item":{"oid":1,"event":%s},"items":[{"oid":1,"event":%s}]}|} ev ev);
+  ]
+
+let corrupt rs s =
+  let n = String.length s in
+  if n = 0 then s
+  else
+    match Random.State.int rs 4 with
+    | 0 -> String.sub s 0 (Random.State.int rs n)
+    | 1 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (Random.State.int rs n) (Char.chr (Random.State.int rs 256));
+      Bytes.to_string b
+    | 2 ->
+      let b = Bytes.of_string s in
+      let alphabet = "{}[]\",:\\u0-1e.tfn " in
+      Bytes.set b (Random.State.int rs n) alphabet.[Random.State.int rs (String.length alphabet)];
+      Bytes.to_string b
+    | _ ->
+      let i = Random.State.int rs n in
+      let j = min n (i + 1 + Random.State.int rs 6) in
+      let splice = List.nth [ "1e999"; "99999999999999999999"; "[[[["; "\"\\u"; ""; "null" ] (Random.State.int rs 6) in
+      String.sub s 0 i ^ splice ^ String.sub s j (n - j)
+
+let test_hostile_payloads () =
+  List.iter
+    (fun s ->
+      let b = Bytes.of_string ("xx" ^ s ^ "yy") in
+      if compare (P.decode_payload b 2 (String.length s)) (tree_payload s) <> 0 then
+        Alcotest.failf "server reply differs from the tree path on %s" s)
+    hostile
+
+let qcheck_decode_corrupt =
+  QCheck.Test.make ~count:2000 ~name:"one-pass post decoder: corrupted frames get the tree path's reply"
+    QCheck.(pair arb_post small_nat)
+    (fun (x, k) ->
+      let rs = Random.State.make [| k |] in
+      let s = corrupt rs (render_post x) in
+      let s = if Random.State.bool rs then corrupt rs s else s in
+      let b = Bytes.of_string s in
+      (match P.decode_post b 0 (Bytes.length b) with
+      | Some r when compare (Ok r) (tree_payload s) <> 0 ->
+        QCheck.Test.fail_reportf "one-pass decoder accepted %s differently" s
+      | _ -> ());
+      compare (P.decode_payload b 0 (Bytes.length b)) (tree_payload s) = 0)
+
+let qcheck_encoders =
+  QCheck.Test.make ~count:500 ~name:"direct encoders = Json.to_string of the tree forms"
+    (QCheck.make
+       QCheck.Gen.(
+         quad (pair nat Gen.request) Gen.firing
+           (pair nat (map P.encode_value Gen.value))
+           (triple nat nat nat)))
+    (fun ((id, req), f, (rid, payload), (batch, queued, firings)) ->
+      let with_buf add =
+        let buf = Buffer.create 16 in
+        add buf;
+        Buffer.contents buf
+      in
+      let err = P.R_error (Tree.escape (P.verb_of_request req), P.encode_request ~id req) in
+      P.encode_request ~id req = Json.to_string (Tree.request ~id req)
+      && with_buf (fun b -> P.add_request b ~id req) = P.encode_request ~id req
+      && P.encode_firing f = Json.to_string (Tree.firing f)
+      && P.encode_reply ~id:rid (P.R_ok payload) = Json.to_string (Tree.reply ~id:rid (P.R_ok payload))
+      && P.encode_reply ~id:rid err = Json.to_string (Tree.reply ~id:rid err)
+      && P.encode_lagged (1 + queued) = Json.to_string (Json.Obj [ ("lagged", Json.Int (1 + queued)) ])
+      && with_buf (fun b -> P.add_batch_reply b ~id:rid ~batch ~queued ~firings)
+         = Json.to_string
+             (Tree.reply ~id:rid
+                (P.R_ok
+                   (Json.Obj
+                      [
+                        ("batch", Json.Int batch);
+                        ("queued", Json.Int queued);
+                        ("firings", Json.Int firings);
+                      ])))
+      && (let s = P.encode_firing f in
+          let buf = Buffer.create 16 in
+          Buffer.add_string buf s;
+          Frame.of_buffer buf = Frame.encode s)
+      && with_buf (fun b -> Json.escape_into b f.P.fg_trigger) = Tree.escape f.P.fg_trigger)
+
+let qcheck_escape =
+  QCheck.Test.make ~count:500 ~name:"escape_into = per-character escaping"
+    QCheck.(string_gen_of_size Gen.(int_range 0 20) Gen.(oneof [ char; oneofl [ '"'; '\\'; '\n'; '\001' ] ]))
+    (fun s ->
+      let buf = Buffer.create 16 in
+      Json.escape_into buf s;
+      Buffer.contents buf = Tree.escape s)
+
 let test_nonfinite_floats () =
   List.iter
     (fun f ->
@@ -248,11 +608,25 @@ let test_json_limits () =
   (match Json.of_string "[-1e999]" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "-1e999 must be rejected");
-  (* out-of-int-range but finite still degrades to float *)
-  (match Json.of_string "123456789012345678901234567890" with
-  | Ok (Json.Float _) -> ()
-  | Ok j -> Alcotest.failf "big int parsed to %s" (Json.to_string j)
-  | Error msg -> Alcotest.failf "finite overflow rejected: %s" msg);
+  (* out-of-int-range but finite still degrades to float, at exactly
+     the 63-bit bounds *)
+  List.iter
+    (fun (s, want) ->
+      match (Json.of_string s, want) with
+      | Ok (Json.Int n), Some m when n = m -> ()
+      | Ok (Json.Float _), None -> ()
+      | Ok j, _ -> Alcotest.failf "%s parsed to %s" s (Json.to_string j)
+      | Error msg, _ -> Alcotest.failf "%s rejected: %s" s msg)
+    [
+      ("123456789012345678901234567890", None);
+      ("999999999999999999", Some 999_999_999_999_999_999);
+      ("-999999999999999999", Some (-999_999_999_999_999_999));
+      ("4611686018427387903", Some max_int);
+      ("4611686018427387904", None);
+      ("-4611686018427387904", Some min_int);
+      ("-4611686018427387905", None);
+      ("0004611686018427387903", Some max_int);
+    ];
   let deep_ok = String.make 100 '[' ^ "1" ^ String.make 100 ']' in
   (match Json.of_string deep_ok with
   | Ok _ -> ()
@@ -806,6 +1180,42 @@ let test_empty_post_many () =
           let r = ok (Client.request c (P.Post (tick_item oid 9))) in
           Alcotest.(check int) "later posts still flush" 1 (jint "queued" r)))
 
+(* The window is an upper bound, not a wait: a post that arrives while
+   nothing else is on its way is flushed on the next idle select round,
+   long before a 400 ms window would close. *)
+let test_idle_flush () =
+  let db = D.create_db () in
+  with_server ~window:400 ~db (fun _srv port ->
+      let c = Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let oid = setup_probe c in
+          let t0 = Unix.gettimeofday () in
+          let r = ok (Client.request c (P.Post_many [ tick_item oid 9; tick_item oid 1 ])) in
+          let dt = Unix.gettimeofday () -. t0 in
+          Alcotest.(check int) "joined batch 1" 1 (jint "batch" r);
+          Alcotest.(check int) "queued both" 2 (jint "queued" r);
+          Alcotest.(check int) "fired once" 1 (jint "firings" r);
+          if dt >= 0.1 then Alcotest.failf "a lone post_many waited %.0f ms" (dt *. 1e3);
+          (* the loop's stages are reported, and the flush was counted *)
+          let stages =
+            match Json.member "server" (ok (Client.request c P.Status)) with
+            | Some server -> (
+              match Json.member "stages" server with
+              | Some st -> st
+              | None -> Alcotest.fail "status carried no server.stages")
+            | None -> Alcotest.fail "status carried no server object"
+          in
+          List.iter
+            (fun name ->
+              match Json.member name stages with
+              | Some st -> ignore (jint "ns" st, jint "n" st)
+              | None -> Alcotest.failf "no %s stage" name)
+            [ "select"; "read"; "decode"; "handle"; "flush"; "encode"; "write" ];
+          Alcotest.(check int) "one flush" 1
+            (jint "n" (Option.get (Json.member "flush" stages)))))
+
 (* Drive the same scenario through a db built four ways; the canonical
    fingerprint must not notice how the db was configured into the same
    logical state. *)
@@ -872,6 +1282,9 @@ let suite =
       test_wire_txn;
     Alcotest.test_case "empty post_many is an immediate no-op" `Quick
       test_empty_post_many;
+    Alcotest.test_case "an idle round flushes before the window" `Quick test_idle_flush;
+    Alcotest.test_case "hostile payloads: one-pass = tree replies" `Quick
+      test_hostile_payloads;
     Alcotest.test_case "Config.of_env parses and rejects" `Quick test_config_of_env;
     Alcotest.test_case "config paths converge bit-identically" `Quick
       test_config_equivalence;
@@ -879,4 +1292,11 @@ let suite =
       test_config_reaches_db;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_request_roundtrip; qcheck_msg_roundtrip ]
+      [
+        qcheck_request_roundtrip;
+        qcheck_msg_roundtrip;
+        qcheck_decode_post;
+        qcheck_decode_corrupt;
+        qcheck_encoders;
+        qcheck_escape;
+      ]
